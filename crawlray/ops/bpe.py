@@ -75,10 +75,6 @@ _MERGE_SCHEMA = pa.schema(
     ]
 )
 
-_PAIR_SCHEMA = pa.schema(
-    [("w1", pa.string()), ("w2", pa.string()), ("cnt", pa.int64())]
-)
-
 # ---------------------------------------------------------------------------
 # byte-level symbol alphabet: a bijection byte → char with '|' and the
 # merge machinery's delimiter guarantees built in. Kept identity: space
@@ -208,7 +204,8 @@ def bpe_word_table(
     the corpus. Default mode keeps the oracle's exact token admission
     (whitespace split, `^[a-z]+$` filter, no lowering); byte-level
     admits every whitespace-delimited word via the byte alphabet."""
-    from crawlray.ops.relational import grouped_count_hash
+    from crawlray.ops.exchange import hash_exchange
+    from crawlray.ops.relational import count_fns
 
     def _toks(batch: pa.Table) -> pa.Table:
         if byte_level:
@@ -223,23 +220,18 @@ def bpe_word_table(
         keep = pc.match_substring_regex(toks, "^[a-z]+$")
         return pa.table({"token": toks.filter(keep)})
 
-    freqs = grouped_count_hash(
-        ds.map_batches(_toks, batch_format="pyarrow"), ["token"], alias="freq"
-    )
+    partial, count = count_fns(_toks, ["token"], "freq")
 
-    def _wrap(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.table(
-                {"sym": pa.array([], pa.string()), "freq": pa.array([], pa.int64())}
-            )
+    def _wrap(group: pa.Table) -> pa.Table:
+        freqs = count(group)
         return pa.table(
             {
-                "sym": wrap_symbols(batch.column("token").combine_chunks()),
-                "freq": batch.column("freq"),
+                "sym": wrap_symbols(freqs.column("token").combine_chunks()),
+                "freq": freqs.column("freq"),
             }
         )
 
-    return freqs.map_batches(_wrap, batch_format="pyarrow")
+    return hash_exchange(ds, ["token"], _wrap, partial)
 
 
 def _pairs_of(tbl: pa.Table) -> pa.Table:
@@ -301,8 +293,6 @@ def bpe_train(
     from crawlray.ops.textqa import explode_bigrams
 
     def _top1(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _PAIR_SCHEMA.empty_table()
         idx = pc.sort_indices(
             batch,
             sort_keys=[
@@ -313,23 +303,10 @@ def bpe_train(
         )
         return batch.select(["w1", "w2", "cnt"]).take(idx.slice(0, 1))
 
-    words = bpe_word_table(
-        ds, text_col=text_col, byte_level=byte_level
-    ).materialize()
+    words = bpe_word_table(ds, text_col=text_col, byte_level=byte_level)
 
     if words.count() <= local_threshold:
-        tbls = [
-            t
-            for t in ray.get(words.to_arrow_refs())
-            if t.num_columns > 0 and t.num_rows > 0
-        ]
-        tbl = (
-            pa.concat_tables(tbls)
-            if tbls
-            else pa.table(
-                {"sym": pa.array([], pa.string()), "freq": pa.array([], pa.int64())}
-            )
-        )
+        tbl = pa.concat_tables(ray.get(words.to_arrow_refs()))
         merges: list[dict] = []
         for r in range(num_merges):
             counts = _pairs_of(tbl)
@@ -382,13 +359,6 @@ def bpe_train(
             frozen = list(rules)
 
             def _apply_all(batch: pa.Table, _rules=frozen) -> pa.Table:
-                if batch.num_rows == 0 or batch.num_columns == 0:
-                    return pa.table(
-                        {
-                            "sym": pa.array([], pa.string()),
-                            "freq": pa.array([], pa.int64()),
-                        }
-                    )
                 sym = batch.column("sym")
                 for pat, rep in _rules:
                     sym = pc.replace_substring(
@@ -460,7 +430,7 @@ def bpe_segment_tokens(
     rows → the (word, seg) table is `ray.put` ONCE and every corpus
     batch resolves its words via dictionary-encode + `index_in`
     (zero-copy plasma read, zero extra shuffle, output preserves
-    document order); larger vocabs → ONE `shuffle_join` on the word key
+    document order); larger vocabs → ONE hash join on the word key
     (row order not guaranteed — token MULTISET per doc is identical).
 
     `mode="fused"`: K vectorized replace passes over the whole corpus
@@ -509,7 +479,8 @@ def bpe_segment_tokens(
     if mode != "distinct":
         raise ValueError(f"mode must be 'distinct' or 'fused', got {mode!r}")
 
-    from crawlray.ops.relational import grouped_count_hash, shuffle_join
+    from crawlray.ops.exchange import hash_exchange, join
+    from crawlray.ops.relational import count_fns
 
     def _words_only(batch: pa.Table) -> pa.Table:
         flat = pc.list_flatten(
@@ -521,25 +492,16 @@ def bpe_segment_tokens(
             w = bytes_to_chars(w)
         return pa.table({"word": w})
 
-    def _seg_vocab(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.table(
-                {"word": pa.array([], pa.string()), "seg": pa.array([], pa.string())}
-            )
-        sym = wrap_symbols(batch.column("word").combine_chunks())
+    partial, count = count_fns(_words_only, ["word"], "freq")
+
+    def _seg_vocab(group: pa.Table) -> pa.Table:
+        words = count(group).column("word").combine_chunks()
+        sym = wrap_symbols(words)
         for pat, rep in rules:
             sym = pc.replace_substring(sym, pattern=pat, replacement=rep)
-        return pa.table({"word": batch.column("word"), "seg": sym})
+        return pa.table({"word": words, "seg": sym})
 
-    segd = (
-        grouped_count_hash(
-            ds.map_batches(_words_only, batch_format="pyarrow"),
-            ["word"],
-            alias="freq",
-        )
-        .map_batches(_seg_vocab, batch_format="pyarrow")
-        .materialize()
-    )
+    segd = hash_exchange(ds, ["word"], _seg_vocab, partial)
     n_vocab = segd.count()
 
     def _explode_occurrences(batch: pa.Table):
@@ -568,18 +530,7 @@ def bpe_segment_tokens(
         return pa.table({id_col: ids.take(tparents), "token": toks})
 
     if n_vocab <= broadcast_threshold:
-        tbls = [
-            t
-            for t in ray.get(segd.to_arrow_refs())
-            if t.num_columns > 0 and t.num_rows > 0
-        ]
-        vt = (
-            pa.concat_tables(tbls).combine_chunks()
-            if tbls
-            else pa.table(
-                {"word": pa.array([], pa.string()), "seg": pa.array([], pa.string())}
-            )
-        )
+        vt = pa.concat_tables(ray.get(segd.to_arrow_refs())).combine_chunks()
         vt_ref = ray.put(vt)
 
         def _apply_bcast(batch: pa.Table) -> pa.Table:
@@ -604,23 +555,11 @@ def bpe_segment_tokens(
             {id_col: batch.column(id_col).take(parents), "word": words}
         )
 
-    joined = shuffle_join(
-        ds.map_batches(_explode_tbl, batch_format="pyarrow"),
-        segd.select_columns(["word", "seg"]),
-        on=["word"],
+    joined = join(
+        ds.map_batches(_explode_tbl, batch_format="pyarrow"), segd, on=["word"]
     )
 
     def _emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            # zero-column blocks out of an empty join partition carry no
-            # schema; the corpus id columns in this repo are int64
-            # (documents.doc_id), which is what the guard assumes
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    "token": pa.array([], pa.string()),
-                }
-            )
         return _flatten_segs(
             batch.column(id_col).combine_chunks(),
             batch.column("seg"),

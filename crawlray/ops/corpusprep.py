@@ -46,6 +46,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from crawlray.ops.exchange import hash_exchange
+from crawlray.ops.relational import count_fns
+
 
 def _count_tokens(
     ds: ray.data.Dataset, source_col: str, order_col: str, text_col: str
@@ -626,9 +629,6 @@ def dup_spans(
          per-partition island merge (sort by (id, pos), merge intervals
          [pos, pos+n) when the gap <= n) is a pure numpy kernel.
     """
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
     if hits is None:
         # callers running BOTH halves (dup_spans + remove_dup_spans over
         # one corpus) should precompute dup_gram_hits(...) once,
@@ -642,7 +642,7 @@ def _island_merge(
     hits: ray.data.Dataset,
     id_col: str,
     n: int,
-    num_partitions: int,
+    num_partitions: int | None,
     count_col: str = "n_dup_grams",
 ) -> ray.data.Dataset:
     """(id, pos) gram hits → merged maximal spans (id, span_start,
@@ -652,7 +652,6 @@ def _island_merge(
     intervals [pos, pos+n) merge exactly when the next start is at or
     before the previous end). Shared by dup_spans and
     decontaminate_spans."""
-    _bucket = _bucket_fn(id_col, num_partitions)
 
     def _merge(group: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
@@ -681,11 +680,7 @@ def _island_merge(
             }
         )
 
-    return (
-        hits.map_batches(_bucket, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(_merge, batch_format="pyarrow")
-    )
+    return hash_exchange(hits, [id_col], _merge, num_partitions=num_partitions)
 
 
 def dup_gram_hits(
@@ -700,46 +695,33 @@ def dup_gram_hits(
     and remove_dup_spans (see dup_spans' docstring for the scale shape:
     hash-partial gram counts, bloom-probed semi-join, unique-gram traffic
     is zero)."""
-    from crawlray.ops.blocks import drop_empty_blocks
-    from crawlray.ops.relational import bloom_semi_join, grouped_count_hash
+    from crawlray.ops.relational import bloom_semi_join
 
     pruned = ds.select_columns([id_col, text_col])
-    dup_grams = drop_empty_blocks(
-        grouped_count_hash(
-            word_ngrams(pruned, id_col, text_col, n).select_columns(
-                ["gram"]
-            ),
-            ["gram"],
-        )
-        .filter(expr=f"n >= {int(min_count)}")
-        .select_columns(["gram"])
-        .materialize()
+    dup_grams = _gram_set(
+        word_ngrams(pruned, id_col, text_col, n), min_count
     )
     return bloom_semi_join(
         word_ngrams(pruned, id_col, text_col, n, with_pos=True),
         dup_grams,
         key="gram",
-        right_is_distinct=True,  # grouped_count_hash output: 1 row/gram
+        right_is_distinct=True,  # _gram_set output: 1 row/gram
     ).select_columns([id_col, "pos"])
 
 
-def _bucket_fn(id_col: str, num_partitions: int):
-    """map_batches fn appending _pk = murmur3(id) % P (string-cast ids so
-    int and string keys route identically)."""
-    from crawlray.murmur3 import murmur3_x64_128_batch
+def _gram_set(grams: ray.data.Dataset, min_count: int = 1) -> ray.data.Dataset:
+    """Distinct `gram` values occurring >= min_count times: map-side
+    Arrow hash partials + one hash exchange → one `gram` column."""
 
-    def _bucket(batch: pa.Table) -> pa.Table:
-        col = batch.column(id_col).combine_chunks()
-        if not pa.types.is_string(col.type) and not pa.types.is_large_string(
-            col.type
-        ):
-            col = pc.cast(col, pa.string())
-        lo, _hi = murmur3_x64_128_batch(col)
-        return batch.append_column(
-            "_pk", pa.array((lo % num_partitions).astype("int32"))
+    partial, count = count_fns(lambda b: b.select(["gram"]), ["gram"], "n")
+
+    def _merge(group: pa.Table) -> pa.Table:
+        g = count(group)
+        return g.filter(pc.greater_equal(g.column("n"), min_count)).select(
+            ["gram"]
         )
 
-    return _bucket
+    return hash_exchange(grams, ["gram"], _merge, partial)
 
 
 def remove_dup_spans(
@@ -770,9 +752,6 @@ def remove_dup_spans(
     always in-bounds by gram construction), one ListArray rebuild + one
     binary_join — no Python loop over tokens or docs.
     """
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
     if hits is None:
         # callers running BOTH halves (dup_spans + remove_dup_spans over
         # one corpus) should precompute dup_gram_hits(...) once,
@@ -822,9 +801,6 @@ def cut_spans(
     rows co-group through ONE murmur3(id) hash exchange and the
     per-partition cut is fully vectorized.
     """
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
     def _norm_spans(batch: pa.Table) -> pa.Table:
         # clip starts at 0 HERE: pos == -1 is the doc-row sentinel in the
         # shared schema, so a negative caller span must never reach it
@@ -853,7 +829,7 @@ def _cut_cover(
     cover: ray.data.Dataset,
     id_col: str,
     text_col: str,
-    num_partitions: int,
+    num_partitions: int | None,
 ) -> ray.data.Dataset:
     """Shared cut engine of remove_dup_spans / cut_spans. `cover` rows are
     (id, pos, end) half-open token-index intervals. Docs normalize into
@@ -883,8 +859,6 @@ def _cut_cover(
     tagged = ds.select_columns([id_col, text_col]).map_batches(
         _norm_docs, batch_format="pyarrow"
     ).union(cover.map_batches(_widen, batch_format="pyarrow"))
-
-    _bucket = _bucket_fn(id_col, num_partitions)
 
     def _cut(group: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
@@ -943,11 +917,7 @@ def _cut_cover(
             }
         )
 
-    return (
-        tagged.map_batches(_bucket, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(_cut, batch_format="pyarrow")
-    )
+    return hash_exchange(tagged, [id_col], _cut, num_partitions=num_partitions)
 
 
 def benchmark_grams(
@@ -959,19 +929,7 @@ def benchmark_grams(
     """The benchmark's DISTINCT word-n-gram set as a materialized Dataset
     (one row per gram) — the shared probe side of `decontaminate` and
     `decontaminate_spans`; callers running both should build it once."""
-    from crawlray.ops.blocks import drop_empty_blocks as _drop_empty_blocks
-    from crawlray.ops.relational import grouped_count_hash
-
-    return _drop_empty_blocks(
-        grouped_count_hash(
-            word_ngrams(benchmark, id_col, text_col, n).select_columns(
-                ["gram"]
-            ),
-            ["gram"],
-        )
-        .select_columns(["gram"])
-        .materialize()
-    )
+    return _gram_set(word_ngrams(benchmark, id_col, text_col, n))
 
 
 def decontaminate(
@@ -998,23 +956,17 @@ def decontaminate(
     moves the biggest shuffle (44M pairs → hit volume) behind the
     filter; at saturation (everything matches) cost is unchanged.
     """
-    from crawlray.ops.blocks import drop_empty_blocks as _drop_empty_blocks
     from crawlray.ops.relational import bloom_semi_join, grouped_count_hash
 
     if bench_grams is None:
         bench_grams = benchmark_grams(benchmark, id_col, text_col, n)
     hits_raw = bloom_semi_join(
         word_ngrams(docs, id_col, text_col, n), bench_grams, key="gram",
-        # bench_grams is already one row per gram (grouped_count_hash
-        # output) — skip bloom_semi_join's internal distinct() exchange,
-        # which would re-dedup it through the sort-based groupby path
+        # bench_grams is already one row per gram (_gram_set output) —
+        # skip bloom_semi_join's internal dedup exchange
         right_is_distinct=True,
     )
-    hits = _drop_empty_blocks(
-        grouped_count_hash(hits_raw, [id_col, "gram"])
-        .select_columns([id_col, "gram"])
-        .materialize()
-    )
+    hits = grouped_count_hash(hits_raw, [id_col, "gram"])
     return grouped_count_hash(hits, [id_col], alias="n_hits")
 
 
@@ -1043,8 +995,6 @@ def decontaminate_spans(
     the one murmur3(id) exchange of the shared `_island_merge` stage."""
     from crawlray.ops.relational import bloom_semi_join
 
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
     if bench_grams is None:
         bench_grams = benchmark_grams(benchmark, id_col, text_col, n)
     hits = bloom_semi_join(

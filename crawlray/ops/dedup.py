@@ -24,6 +24,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from crawlray.ops.exchange import hash_exchange
+
 
 def _keep_first_in_block(batch: pa.Table, key: str) -> pa.Table:
     """Vectorized within-block keep-first; input sorted by (key, order)."""
@@ -103,61 +105,16 @@ def dedup_keep_first_hash(
     order: str | list[str],
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    """Keep-first dedup via ONE hash-bucket shuffle (VERDICT r3 item 5).
-
-    Each row gets a murmur3(key) % P bucket id; one groupby(bucket)
-    shuffle co-locates every key's rows in a single partition (the bucket
-    column is a small int, so the exchange comparisons are trivial), and
-    a per-partition vectorized (key, order) sort + keep-first finishes
-    locally. Compared to `dedup_keep_first` (range sort): no global
-    order, no boundary repair, no second materialize — one shuffle total.
-    (`Dataset.repartition(keys=...)` would express the same exchange but
-    requires the global HASH_SHUFFLE DataContext, which is validated at
-    execution time — a global toggle is unsafe for lazy callers.)
-    Output block order is arbitrary; use the sort-based variant when the
-    caller needs key-ordered output. Same semantics otherwise: QUALIFY
-    ROW_NUMBER() OVER (PARTITION BY key ORDER BY order) = 1.
-
-    Caveat: `groupby().map_groups()` emits zero-column empty blocks for
-    empty hash partitions; they are harmless to scans/to_pandas/writes but
-    poison Acero joins — a caller feeding this into `Dataset.join` should
-    scrub with `crawlray.ops.blocks.drop_empty_blocks(out.materialize())`.
+    """Keep-first dedup via ONE `hash_exchange` on `key` (VERDICT r3
+    item 5): the exchange co-locates every key's rows in a single
+    partition, and a per-partition vectorized (key, order) sort +
+    keep-first finishes locally. Compared to `dedup_keep_first` (range
+    sort): no global order, no boundary repair, no second materialize —
+    one shuffle total. Output block order is arbitrary; use the
+    sort-based variant when the caller needs key-ordered output. Same
+    semantics otherwise: QUALIFY ROW_NUMBER() OVER (PARTITION BY key
+    ORDER BY order) = 1.
     """
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        try:
-            size = ds.size_bytes() or 0
-        except Exception:  # noqa: BLE001 — size unknown for this source
-            size = 0
-        # ~64 MiB of input per partition, floor 2; for big inputs never
-        # fewer than one per CPU and never MORE than ~256 MiB per
-        # partition (mirrors shuffle_join's size-aware default — the cap
-        # must scale with size, not pin at a constant, or per-partition
-        # bytes grow unboundedly and the per-partition sort heap OOMs)
-        num_partitions = (
-            int(
-                min(
-                    max(2, -(-size // (64 << 20))),
-                    max(cpus, -(-size // (256 << 20))),
-                )
-            )
-            if size
-            else max(8, cpus)
-        )
-
-    from crawlray.murmur3 import murmur3_x64_128_batch
-
-    def _bucket(batch: pa.Table) -> pa.Table:
-        col = batch.column(key).combine_chunks()
-        if not pa.types.is_string(col.type) and not pa.types.is_large_string(
-            col.type
-        ):
-            col = pc.cast(col, pa.string())
-        lo, _hi = murmur3_x64_128_batch(col)
-        return batch.append_column(
-            "_pk", pa.array((lo % num_partitions).astype("int32"))
-        )
-
     order_cols = [order] if isinstance(order, str) else list(order)
 
     def _kf(group: pa.Table) -> pa.Table:
@@ -166,15 +123,9 @@ def dedup_keep_first_hash(
             sort_keys=[(key, "ascending")]
             + [(c, "ascending") for c in order_cols],
         )
-        return _keep_first_in_block(group.take(idx), key).drop_columns(
-            ["_pk"]
-        )
+        return _keep_first_in_block(group.take(idx), key)
 
-    return (
-        ds.map_batches(_bucket, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(_kf, batch_format="pyarrow")
-    )
+    return hash_exchange(ds, [key], _kf, num_partitions=num_partitions)
 
 
 def dedup_min_pack(ds: ray.data.Dataset, key: str, pack: str) -> ray.data.Dataset:

@@ -22,11 +22,13 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from crawlray.ops.exchange import join, typed_map
+
 
 def _collect_table(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
-    """Materialized small Dataset → one Arrow table. Groupby-aggregate
-    upstreams emit zero-row blocks with a BARE schema (same quirk
-    salted_shuffle_join works around); drop them before concat."""
+    """Materialized small Dataset → one Arrow table. Ray's own
+    groupby-aggregate (the volume guard below) and maps over empty
+    caller blocks emit zero-column blocks; drop them before concat."""
     tbls = [
         t
         for t in ray.get(ds.to_arrow_refs())
@@ -135,11 +137,7 @@ def _node_ranks_init(
         .aggregate(Count(alias_name="outdeg"))
         .rename_columns({src: "node"})
     )
-    from crawlray.ops.relational import shuffle_join
-
-    withdeg = shuffle_join(
-        nodes, deg, on=["node"], join_type="left_outer"
-    )
+    withdeg = join(nodes, deg, on=["node"], join_type="left_outer")
 
     def _init(batch: pa.Table) -> pa.Table:
         outdeg = pc.fill_null(pc.cast(batch.column("outdeg"), pa.int64()), 0)
@@ -277,17 +275,16 @@ def pagerank(
     through Ray's tree aggregation per iteration, parity-tested against a
     dense numpy reference to 1e-9 on every node.
     """
-    from crawlray.ops.relational import shuffle_join, single_row_agg
+    from crawlray.ops.relational import single_row_agg
 
+    edges = edges.select_columns([src_col, dst_col]).materialize()
     # empty edge list: no nodes, no ranks (N=0 would divide the teleport
-    # term by zero) — typed empty result, round-5 degenerate-input guard
-    if edges.limit(1).count() == 0:
+    # term by zero) — typed empty result
+    if edges.count() == 0:
         ntype = _node_type_of(edges, src_col)
         return ray.data.from_arrow(
             pa.schema([("node", ntype), ("rank", pa.float64())]).empty_table()
         )
-
-    edges = edges.select_columns([src_col, dst_col]).materialize()
     if (
         _approx_node_count(edges, [src_col, dst_col])
         <= broadcast_threshold_nodes
@@ -308,9 +305,7 @@ def pagerank(
         )
         dang = dang_tbl.column("s")[0].as_py() or 0.0
 
-        joined = shuffle_join(
-            edges, ranks, on=[src_col], right_on=["node"]
-        )
+        joined = join(edges, ranks, on=[src_col], right_on=["node"])
 
         def _contrib(batch: pa.Table) -> pa.Table:
             w = pc.divide(
@@ -327,7 +322,7 @@ def pagerank(
         # nodes with NO in-edges still need (teleport + dangling) mass:
         # left-join the full node set against the contribution sums
         base = teleport + damping * dang / n
-        merged = shuffle_join(
+        merged = join(
             ranks.select_columns(["node", "outdeg"]), sums,
             on=["node"], join_type="left_outer",
         )
@@ -458,22 +453,15 @@ def connected_components(
     aggregate per round, nothing node-proportional on the driver.
     """
     from ray.data.aggregate import Min, Sum
-    from crawlray.ops.relational import shuffle_join
-
-    # empty pair set is a legitimate input (a corpus with zero near-dup
-    # pairs): the closure over no edges labels no nodes. Short-circuit
-    # with a typed empty result — downstream of here, empty lineages
-    # lose their schema and the joins/aggregates raise (round-5 probe).
-    if pairs.limit(1).count() == 0:
-        ntype = _node_type_of(pairs, a_col)
-        return ray.data.from_arrow(
-            pa.schema([("node", ntype), ("component", ntype)]).empty_table()
-        )
 
     # undirected: propagate both ways
-    fwd = pairs.select_columns([a_col, b_col]).rename_columns(["u", "v"])
-    rev = pairs.select_columns([b_col, a_col]).rename_columns(["u", "v"])
-    edges = fwd.union(rev).materialize()
+    def _both_ways(batch: pa.Table) -> pa.Table:
+        a, b = batch.column(a_col), batch.column(b_col)
+        return pa.concat_tables(
+            [pa.table({"u": a, "v": b}), pa.table({"u": b, "v": a})]
+        )
+
+    edges = typed_map(pairs, _both_ways)
 
     if _approx_node_count(edges, ["u"]) <= broadcast_threshold_nodes:
         # node state fits in a heap: broadcast labels, stream only edges
@@ -495,14 +483,12 @@ def connected_components(
 
     for _ in range(max_iters):
         # neighbor labels: edge (u,v) carries label(u) to v
-        carried = shuffle_join(
-            edges, labels, on=["u"], right_on=["node"]
-        ).map_batches(
+        carried = join(edges, labels, on=["u"], right_on=["node"]).map_batches(
             lambda b: pa.table({"node": b.column("v"), "nl": b.column("label")}),
             batch_format="pyarrow",
         )
         neigh_min = carried.groupby("node").aggregate(Min("nl", alias_name="nl"))
-        merged = shuffle_join(labels, neigh_min, on=["node"], join_type="left_outer")
+        merged = join(labels, neigh_min, on=["node"], join_type="left_outer")
 
         def _take_min(batch: pa.Table) -> pa.Table:
             nl = pc.fill_null(batch.column("nl"), pc.max(batch.column("label")))
@@ -540,14 +526,13 @@ def triangle_counts(
     every wedge appear exactly once as a < b < c), then ONE (a, c)-keyed
     hash join against the edge list closes them; per-node counts are an
     exploded 3-rows-per-triangle hash-count (one exchange). Both joins
-    are `shuffle_join`s — neither the edge list nor the wedge set is ever
+    are hash joins — neither the edge list nor the wedge set is ever
     driver-held or broadcast. Id-ordered orientation matches the SQL
     oracle verbatim; for power-law graphs at corpus scale relabel ids by
     ascending degree upstream (output is identical — orientation only
     changes which endpoint pivots — while wedge volume drops to the
     degree-ordered minimum)."""
-    from crawlray.ops.blocks import drop_empty_blocks as _drop
-    from crawlray.ops.relational import grouped_count_hash, shuffle_join
+    from crawlray.ops.relational import grouped_count_hash
 
     def _as(cols: dict[str, str]):
         def _ren(batch: pa.Table) -> pa.Table:
@@ -558,55 +543,20 @@ def triangle_counts(
         return _ren
 
     # wedge + closing joins both consume the edge list: pin blocks once
-    e_ab = pairs.map_batches(
-        _as({"a": a_col, "b": b_col}), batch_format="pyarrow"
-    ).materialize()
-    # a sparse graph legitimately has ZERO wedges/triangles: hand _drop
-    # the abc schema so an all-empty join result still carries key fields
-    # a fully-empty materialized dataset reports schema None (map_batches
-    # never ran); fall back to the caller's input schema, then int64
-    sch = e_ab.schema()
-    if sch is not None:
-        ntype = dict(zip(sch.names, sch.types))["a"]
-    else:
-        in_sch = pairs.schema()
-        ntype = (
-            dict(zip(in_sch.names, in_sch.types))[a_col]
-            if in_sch is not None
-            else pa.int64()
-        )
-    abc = pa.schema([("a", ntype), ("b", ntype), ("c", ntype)])
-    out_schema = pa.schema([("node", ntype), ("n_tri", pa.int64())])
-    empty = ray.data.from_arrow(out_schema.empty_table())
-    if e_ab.count() == 0:
-        return empty
-    e_bc = e_ab.map_batches(_as({"b": "a", "c": "b"}), batch_format="pyarrow")
-    wedges = _drop(
-        shuffle_join(e_ab, e_bc, on=["b"]).materialize(), schema=abc
-    )
-    # Ray's hash-shuffle join cannot take an all-empty side (its empty
-    # partitions reach the aggregator schema-less); a wedge-free graph is
-    # simply triangle-free, so answer directly.
-    if wedges.count() == 0:
-        return empty
-    e_ac = e_ab.map_batches(_as({"a": "a", "c": "b"}), batch_format="pyarrow")
-    tris = _drop(
-        shuffle_join(wedges, e_ac, on=["a", "c"]).materialize(), schema=abc
-    )
-    if tris.count() == 0:
-        return empty
+    e_ab = typed_map(pairs, _as({"a": a_col, "b": b_col}))
+    wedges = join(e_ab, typed_map(e_ab, _as({"b": "a", "c": "b"})), on=["b"])
+    e_ac = typed_map(e_ab, _as({"a": "a", "c": "b"}))
+    tris = join(wedges, e_ac, on=["a", "c"])
 
     def _explode_nodes(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"node": pa.array([], ntype)})
         return pa.concat_tables(
             pa.table({"node": batch.column(name)})
             for name in ("a", "b", "c")
         )
 
-    nodes = tris.map_batches(_explode_nodes, batch_format="pyarrow")
-    counts = grouped_count_hash(nodes, ["node"], alias="n_tri")
-    return _drop(counts.materialize(), schema=out_schema)
+    return grouped_count_hash(
+        typed_map(tris, _explode_nodes), ["node"], alias="n_tri"
+    )
 
 
 def kcore(
@@ -631,7 +581,7 @@ def kcore(
     chooser): an alive set at most `broadcast_threshold` keys (known
     from the degree table's O(1) row-count metadata) is ray.put ONCE and
     probed map-side (`broadcast_semi_anti` on both endpoints, zero
-    shuffles); a larger alive set goes through TWO `shuffle_join`
+    shuffles); a larger alive set goes through TWO hash-join
     semi-joins, never driver-held. Peeling is confluent — removal order
     cannot change the fixpoint — so the result is a pure function of
     the graph and parallelism-invariant; the loop stops the round the
@@ -639,18 +589,9 @@ def kcore(
     The SQL-oracle arm replays R fixed MATERIALIZED rounds; any fixpoint
     reached within R is bit-identical (extra rounds are no-ops).
     """
-    from crawlray.ops.blocks import drop_empty_blocks as _drop
-    from crawlray.ops.relational import (
-        broadcast_semi_anti,
-        grouped_count_hash,
-        shuffle_join,
-    )
-
-    deg_schema = pa.schema([("node", pa.string())])  # placeholder, typed below
+    from crawlray.ops.relational import broadcast_semi_anti, grouped_count_hash
 
     def _sym(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.table({"src": [], "dst": []})
         return pa.concat_tables(
             [
                 pa.table(
@@ -668,58 +609,33 @@ def kcore(
             ]
         )
 
-    edges = pairs.map_batches(_sym, batch_format="pyarrow").materialize()
-    if edges.count() == 0:
-        sch = pa.schema([("node", pa.int64()), ("deg", pa.int64())])
-        return ray.data.from_arrow(sch.empty_table())
-
-    node_type = dict(zip(edges.schema().names, edges.schema().types))["src"]
-    deg_schema = pa.schema([("src", node_type), ("deg", pa.int64())])
+    edges = typed_map(pairs, _sym)
 
     def _alive_filter(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return deg_schema.empty_table()
         return batch.filter(
             pc.greater_equal(batch.column("deg"), pa.scalar(k))
         )
 
+    def _final(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "node": batch.column("src"),
+                "deg": pc.cast(batch.column("deg"), pa.int64()),
+            }
+        )
+
     for _ in range(max_rounds):
-        deg = _drop(
-            grouped_count_hash(edges, ["src"], alias="deg").materialize(),
-            schema=deg_schema,
-        )
-        n_nodes = deg.count()
-        alive = _drop(
-            deg.map_batches(
-                _alive_filter, batch_format="pyarrow"
-            ).materialize(),
-            schema=deg_schema,
-        )
+        deg = grouped_count_hash(edges, ["src"], alias="deg")
+        alive = typed_map(deg, _alive_filter)
         n_alive = alive.count()
-        if n_alive == n_nodes:
-
-            def _final(batch: pa.Table) -> pa.Table:
-                if batch.num_rows == 0 or batch.num_columns == 0:
-                    return pa.schema(
-                        [("node", node_type), ("deg", pa.int64())]
-                    ).empty_table()
-                return pa.table(
-                    {
-                        "node": batch.column("src"),
-                        "deg": pc.cast(batch.column("deg"), pa.int64()),
-                    }
-                )
-
-            return alive.map_batches(_final, batch_format="pyarrow")
-        edge_schema = pa.schema([("src", node_type), ("dst", node_type)])
+        if n_alive == deg.count():
+            return typed_map(alive, _final)
         if n_alive <= broadcast_threshold:
             keys_arr = pa.concat_arrays(
                 [
                     t.column("src").combine_chunks()
                     for t in ray.get(alive.to_arrow_refs())
-                    if t.num_columns > 0 and t.num_rows > 0
                 ]
-                or [pa.array([], node_type)]
             )
             restricted = broadcast_semi_anti(
                 broadcast_semi_anti(edges, "src", keys_arr),
@@ -729,28 +645,13 @@ def kcore(
             edges = restricted.materialize()
         else:
             keys = alive.map_batches(
-                lambda b: (
-                    b.select(["src"])
-                    if b.num_columns
-                    else pa.schema([("src", node_type)]).empty_table()
-                ),
+                lambda b: b.select(["src"]), batch_format="pyarrow"
+            )
+            keys_dst = alive.map_batches(
+                lambda b: pa.table({"dst": b.column("src")}),
                 batch_format="pyarrow",
             )
-            e1 = shuffle_join(edges, keys, on=["src"])
-            keys_dst = keys.map_batches(
-                lambda b: (
-                    pa.table({"dst": b.column("src")})
-                    if b.num_columns
-                    else pa.schema([("dst", node_type)]).empty_table()
-                ),
-                batch_format="pyarrow",
-            )
-            edges = _drop(
-                shuffle_join(
-                    _drop(e1.materialize(), schema=None), keys_dst, on=["dst"]
-                ).materialize(),
-                schema=edge_schema,
-            )
+            edges = join(join(edges, keys, on=["src"]), keys_dst, on=["dst"])
     raise RuntimeError(
         f"kcore: no fixpoint within {max_rounds} rounds (k={k}) — raise "
         "max_rounds (and the oracle's round count) for this graph"
@@ -779,55 +680,22 @@ def hits_scores(
     numpy scatter-adds — identical integers, none of the per-round
     shuffle floors (measured 18 s of pure overhead on a 211-node
     graph). Above the threshold, per round: two edge ⋈ score
-    `shuffle_join`s + two hash-sum exchanges, nothing driver-held;
+    hash joins + two hash-sum exchanges, nothing driver-held;
     nodes with no in-/out-edges surface as 0 via one final left join
     against the node set. Both paths are result-identical (tested).
     """
-    from crawlray.ops.blocks import drop_empty_blocks as _drop
-    from crawlray.ops.relational import (
-        grouped_count_hash,
-        grouped_sum_hash,
-        shuffle_join,
+    from crawlray.ops.relational import grouped_count_hash, grouped_sum_hash
+
+    ed = typed_map(
+        edges,
+        lambda b: pa.table({"src": b.column(src_col), "dst": b.column(dst_col)}),
     )
-
-    # empty edge list: typed empty result (an empty materialized map
-    # output carries NO schema — ed.schema() is None and everything
-    # downstream raises; round-5 degenerate-input guard)
-    if edges.limit(1).count() == 0:
-        ntype = _node_type_of(edges, src_col)
-        return ray.data.from_arrow(
-            pa.schema(
-                [("node", ntype), ("auth", pa.int64()), ("hub", pa.int64())]
-            ).empty_table()
-        )
-
-    ed = edges.map_batches(
-        lambda b: pa.table(
-            {"src": b.column(src_col), "dst": b.column(dst_col)}
-        ),
-        batch_format="pyarrow",
-    ).materialize()
-    node_type = dict(zip(ed.schema().names, ed.schema().types))["src"]
 
     if ed.count() <= local_threshold:
         import numpy as np
 
-        tbls = [
-            t
-            for t in ray.get(ed.to_arrow_refs())
-            if t.num_columns > 0 and t.num_rows > 0
-        ]
-        if not tbls:
-            return ray.data.from_arrow(
-                pa.schema(
-                    [
-                        ("node", node_type),
-                        ("auth", pa.int64()),
-                        ("hub", pa.int64()),
-                    ]
-                ).empty_table()
-            )
-        et = pa.concat_tables(tbls)
+        et = pa.concat_tables(ray.get(ed.to_arrow_refs()))
+        node_type = et.schema.field("src").type
         src = et.column("src").combine_chunks().to_numpy(zero_copy_only=False)
         dst = et.column("dst").combine_chunks().to_numpy(zero_copy_only=False)
         nodes_all = np.unique(np.concatenate([np.unique(src), np.unique(dst)]))
@@ -859,18 +727,9 @@ def hits_scores(
             batch_format="pyarrow",
         )
     )
-    nodes = _drop(
-        grouped_count_hash(ends, ["node"], alias="_c")
-        .map_batches(
-            lambda b: (
-                b.select(["node"])
-                if b.num_columns
-                else pa.schema([("node", node_type)]).empty_table()
-            ),
-            batch_format="pyarrow",
-        )
-        .materialize(),
-        schema=pa.schema([("node", node_type)]),
+    nodes = typed_map(
+        grouped_count_hash(ends, ["node"], alias="_c"),
+        lambda b: b.select(["node"]),
     )
 
     h = nodes.map_batches(
@@ -889,51 +748,40 @@ def hits_scores(
             lambda b: pa.table({"src": b.column("node"), "h": b.column("h")}),
             batch_format="pyarrow",
         )
-        j1 = shuffle_join(ed, hsrc, on=["src"])
-        a = _drop(
-            grouped_sum_hash(
-                j1.map_batches(
-                    lambda b: b.select(["dst", "h"]), batch_format="pyarrow"
-                ),
-                ["dst"],
-                "h",
-                alias="a",
-            ).materialize(),
-            schema=pa.schema([("dst", node_type), ("a", pa.int64())]),
+        j1 = join(ed, hsrc, on=["src"])
+        a = grouped_sum_hash(
+            j1.map_batches(
+                lambda b: b.select(["dst", "h"]), batch_format="pyarrow"
+            ),
+            ["dst"],
+            "h",
+            alias="a",
         )
-        j2 = shuffle_join(ed, a, on=["dst"])
-        h = _drop(
-            grouped_sum_hash(
-                j2.map_batches(
-                    lambda b: pa.table(
-                        {"node": b.column("src"), "h": b.column("a")}
-                    ),
-                    batch_format="pyarrow",
+        j2 = join(ed, a, on=["dst"])
+        h = grouped_sum_hash(
+            j2.map_batches(
+                lambda b: pa.table(
+                    {"node": b.column("src"), "h": b.column("a")}
                 ),
-                ["node"],
-                "h",
-                alias="h",
-            ).materialize(),
-            schema=pa.schema([("node", node_type), ("h", pa.int64())]),
+                batch_format="pyarrow",
+            ),
+            ["node"],
+            "h",
+            alias="h",
         )
 
     an = a.map_batches(
         lambda b: pa.table({"node": b.column("dst"), "a": b.column("a")}),
         batch_format="pyarrow",
     )
-    out = shuffle_join(
-        shuffle_join(nodes, _drop(an.materialize(), schema=None), on=["node"],
-                     join_type="left_outer"),
+    out = join(
+        join(nodes, an, on=["node"], join_type="left_outer"),
         h,
         on=["node"],
         join_type="left_outer",
     )
 
     def _fin(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [("node", node_type), ("auth", pa.int64()), ("hub", pa.int64())]
-            ).empty_table()
         return pa.table(
             {
                 "node": batch.column("node"),

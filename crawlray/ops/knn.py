@@ -28,6 +28,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from crawlray.ops.exchange import join
+
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1, keepdims=True)
@@ -709,20 +711,6 @@ def srp_pairs_cosine(
     # volume, then one vectorized f64 einsum per batch. Acero hash joins
     # reject list<> payload columns, so vectors ride the join as
     # fixed-size-binary rows (zero-copy f64 encode/decode both ways).
-    # Partition count sized from the actual candidate volume (~64 MiB per
-    # aggregator, same rule as shuffle_join — a fixed max(8, CPU) spun up
-    # 32 aggregators per join on a 27 MB pair set and dominated wall time).
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    try:
-        cand_bytes = (pairs.size_bytes() or 0) + (slim.size_bytes() or 0)
-    except Exception:  # noqa: BLE001 — size unknown for this source
-        cand_bytes = 0
-    nparts = (
-        int(min(max(2, -(-cand_bytes // (64 << 20))),
-                max(cpus, -(-cand_bytes // (256 << 20)))))
-        if cand_bytes
-        else max(8, cpus)
-    )
     bin_type = pa.binary(dim * 8)
 
     def _to_bin(batch: pa.Table) -> pa.Table:
@@ -746,10 +734,7 @@ def srp_pairs_cosine(
         return _k
 
     va = (
-        pairs.join(
-            slimbin, join_type="inner", num_partitions=nparts,
-            on=("id_a",), right_on=("jid",),
-        )
+        join(pairs, slimbin, on=["id_a"], right_on=["jid"])
         .map_batches(_keep(["id_a", "id_b", "vecbin"]), batch_format="pyarrow")
         .map_batches(
             lambda b: b.rename_columns(["id_a", "id_b", "vec_a"]),
@@ -757,10 +742,7 @@ def srp_pairs_cosine(
         )
     )
     vb = (
-        va.join(
-            slimbin, join_type="inner", num_partitions=nparts,
-            on=("id_b",), right_on=("jid",),
-        )
+        join(va, slimbin, on=["id_b"], right_on=["jid"])
         .map_batches(
             _keep(["id_a", "id_b", "vec_a", "vecbin"]), batch_format="pyarrow"
         )

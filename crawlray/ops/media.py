@@ -292,42 +292,6 @@ class MediaFrameSampleStage:
         )
 
 
-def resize_media(
-    ds: ray.data.Dataset,
-    id_col: str,
-    text_col: str,
-    max_dim: int = 256,
-    concurrency: int = 2,
-) -> ray.data.Dataset:
-    """attach payload → decode → actor-pool resize (metadata contract)."""
-    return decode_media(ds, id_col, text_col, concurrency).map_batches(
-        MediaResizeStage,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs={"max_dim": max_dim},
-    )
-
-
-def sample_frames(
-    ds: ray.data.Dataset,
-    id_col: str,
-    text_col: str,
-    stride: int = 2,
-    concurrency: int = 2,
-) -> ray.data.Dataset:
-    """attach payload → decode → explode into sampled frame rows."""
-    return decode_media(ds, id_col, text_col, concurrency).map_batches(
-        MediaFrameSampleStage,
-        batch_format="pyarrow",
-        batch_size=64,
-        concurrency=concurrency,
-        num_cpus=0.5,
-        fn_constructor_kwargs={"stride": stride},
-    )
-
-
 class MediaProfileStage:
     """Fused multimodal profile: image decode + resize contract + audio
     metadata + frame-sample AGGREGATE in ONE actor-pool pass, one output

@@ -24,6 +24,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from crawlray.ops.exchange import hash_exchange, join
+
 _P61 = (1 << 61) - 1
 _MERSENNE = np.uint64(_P61)
 _MASK29 = np.uint64((1 << 29) - 1)
@@ -285,12 +287,11 @@ def _dedup_pairs(cand: ray.data.Dataset) -> tuple[ray.data.Dataset, int]:
 
     Dedup shape (round 4): a two-int64-key `groupby(id_a, id_b)` put 4.1M
     SRP candidate rows through Ray's sort-based shuffle in ~36 s wall; the
-    same volume through ONE hash-bucket exchange — local lexsort-run dedup
-    per block, `_pk = mix64(id_a, id_b) % P` routing, per-partition
-    lexsort-run merge — lands in ~1.7 s (measured, sf0.1). Every stage is
-    vectorized (np.lexsort + run-start mask + np.minimum.reduceat for
-    extra columns such as simhash's `hamming`); routing is a pure function
-    of the pair, so every duplicate meets in exactly one partition.
+    same volume through ONE `hash_exchange` on (id_a, id_b) — local
+    lexsort-run dedup per block, per-partition lexsort-run merge — lands
+    in ~1.7 s (measured, sf0.1). Every stage is vectorized (np.lexsort +
+    run-start mask + np.minimum.reduceat for extra columns such as
+    simhash's `hamming`).
     Candidate volume is bucket-capped upstream, so the materialization is
     bounded by max_bucket², never corpus-sized.
     """
@@ -299,7 +300,6 @@ def _dedup_pairs(cand: ray.data.Dataset) -> tuple[ray.data.Dataset, int]:
     n_dropped = sum(r["id_b"] for r in drop_rows.take_all())  # tiny
     real = cand.filter(expr=f"id_a != {_DROP_SENTINEL}")
     extra = [c for c in cand.schema().names if c not in ("id_a", "id_b")]
-    num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
 
     def _dedup_block(t: pa.Table) -> dict[str, np.ndarray]:
         """Vectorized keep-one-per-(id_a,id_b) with min over extras."""
@@ -320,33 +320,11 @@ def _dedup_pairs(cand: ray.data.Dataset) -> tuple[ray.data.Dataset, int]:
             )
         return cols
 
-    def _local(batch: pa.Table) -> pa.Table:
-        cols = _dedup_block(batch)
-        # multiplicative 64-bit mix so bucket routing is independent of the
-        # band/bucket structure upstream (ids may be arbitrary int64)
-        h = (
-            cols["id_a"].astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            + cols["id_b"].astype(np.uint64)
-        )
-        pk = (h % np.uint64(num_partitions)).astype(np.int32)
-        return pa.table({**{k: pa.array(v) for k, v in cols.items()},
-                         "_pk": pa.array(pk)})
+    def _dedup(t: pa.Table) -> pa.Table:
+        return pa.table({k: pa.array(v) for k, v in _dedup_block(t).items()})
 
-    def _merge(group: pa.Table) -> pa.Table:
-        cols = _dedup_block(group)
-        return pa.table({k: pa.array(v) for k, v in cols.items()})
-
-    pairs = (
-        real.map_batches(_local, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(_merge, batch_format="pyarrow")
-    )
-    return _drop_empty_blocks(pairs.materialize()), n_dropped
-
-
-# shared util (crawlray/ops/blocks.py); the old private name is kept as
-# an alias because half the operator library scrubs hash-shuffle output
-from crawlray.ops.blocks import drop_empty_blocks as _drop_empty_blocks
+    pairs = hash_exchange(real, ["id_a", "id_b"], _dedup, partial=_dedup)
+    return pairs, n_dropped
 
 
 def minhash_lsh_pairs(
@@ -487,14 +465,9 @@ def _verify_jaccard(
     # (same idiom as the graph/SRP broadcast paths):
     #   * small pair set (the regime every verified near-dup pass lives in
     #     after LSH pruning): broadcast the (jid → pair-index) mapping via
-    #     ray.put and tag map-side — no exchange, and it sidesteps a Ray
-    #     Dataset.join failure mode where a hash partition that receives
-    #     ZERO left rows concatenates to a zero-column table and Acero
-    #     dies with "No match for key field" (only reachable when the
-    #     distinct-key count is small vs num_partitions — exactly the
-    #     small regime);
-    #   * large pair set: Dataset.join keyed on jid — dense keys fill
-    #     every partition, bounded per-partition memory.
+    #     ray.put and tag map-side — no exchange;
+    #   * large pair set: a hash join keyed on jid — bounded
+    #     per-partition memory.
     n_pairs = pairs.count()
     if 2 * n_pairs <= _VERIFY_BROADCAST_MAX_HALF_ROWS:
         ptbl = pa.concat_tables(ray.get(pairs.to_arrow_refs())).combine_chunks()
@@ -546,16 +519,7 @@ def _verify_jaccard(
             )
 
         halves = pairs.map_batches(_halves, batch_format="pyarrow")
-        # clamp partitions to the pair volume so every partition reliably
-        # receives rows (empty join partitions are the Acero failure mode
-        # the broadcast branch exists for)
-        nparts = min(
-            max(8, int(ray.cluster_resources().get("CPU", 8))),
-            max(2, n_pairs // 64),
-        )
-        joined = expl.join(
-            halves, join_type="inner", num_partitions=nparts, on=("jid",)
-        ).map_batches(
+        joined = join(expl, halves, on=["jid"]).map_batches(
             lambda b: b.select(["pkey", "s"]), batch_format="pyarrow"
         )
 

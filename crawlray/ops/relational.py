@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from crawlray.ops.exchange import hash_exchange, join
+
 
 def broadcast_join(
     big: ray.data.Dataset,
@@ -43,64 +45,16 @@ def broadcast_join(
     return big.map_batches(_join, batch_format="pyarrow")
 
 
-def shuffle_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: list[str],
-    right_on: list[str] | None = None,
-    join_type: str = "inner",
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """Large-large distributed join: hash-shuffle BOTH sides on the key
-    (`ray.data.Dataset.join`, present since Ray 2.46; each of the
-    `num_partitions` key ranges is joined independently by an aggregator
-    actor, so neither side is ever materialized on one node).
-
-    Chooser — which join to use:
-      * one side fits comfortably in a worker's heap (dimension table,
-        lookup set): `broadcast_join` — no shuffle at all, the big side
-        streams;
-      * both sides large (fact ⋈ fact, e.g. documents ⋈ crawl_log at full
-        corpus scale): this — O(|L|+|R|) network, bounded per-partition
-        memory; raise `num_partitions` until a partition of the LARGER side
-        fits in an aggregator's heap;
-      * key skew: pre-salt the hot keys (append `url_hash_lo % S` to the
-        key columns of both sides for the hot-key subset) before calling.
-
-    Caveat (Ray 2.49): `Dataset.join` crashes when one side has ZERO
-    rows total — every hash partition of that side finalizes as a
-    schema-less empty table and Acero rejects the key field. This
-    wrapper does NOT pre-check emptiness (an early-stopping probe would
-    add a partial plan execution per call, unacceptable in per-round
-    loops like pagerank/CC); callers whose inputs can legitimately be
-    empty short-circuit with a typed result first — see bloom_semi_join,
-    range_join, tfidf, pmi_collocations, connected_components,
-    pagerank, hits_scores for the pattern.
-    """
-    if num_partitions is None:
-        # size-aware default (measured: each hash-shuffle aggregator
-        # partition costs ~60 ms of spin-up, so 32 partitions on a 13 MB
-        # input doubles the wall time for nothing): target ~64 MiB of the
-        # LARGER side per partition, floor 2; for big inputs never fewer
-        # than one per CPU and never more than ~256 MiB per partition.
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        try:
-            bigger = max(left.size_bytes() or 0, right.size_bytes() or 0)
-        except Exception:  # noqa: BLE001 — size unknown for this source
-            bigger = 0
-        if bigger:
-            want = -(-bigger // (64 << 20))
-            cap = max(cpus, -(-bigger // (256 << 20)))
-            num_partitions = int(min(max(2, want), cap))
-        else:
-            num_partitions = max(8, cpus)
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=num_partitions,
-        on=tuple(on),
-        right_on=tuple(right_on) if right_on is not None else None,
-    )
+# Large-large join: hash-shuffle both sides on the key. Chooser — which
+# join to use:
+#   * one side fits comfortably in a worker's heap (dimension table, lookup
+#     set): `broadcast_join` — no shuffle at all, the big side streams;
+#   * both sides large (fact ⋈ fact, e.g. documents ⋈ crawl_log at full
+#     corpus scale): `shuffle_join` — O(|L|+|R|) network, bounded
+#     per-partition memory; raise `num_partitions` until a partition of
+#     the LARGER side fits in an aggregator's heap;
+#   * key skew: `salted_shuffle_join`.
+shuffle_join = join
 
 
 def broadcast_semi_anti(
@@ -129,6 +83,23 @@ def distinct(ds: ray.data.Dataset, cols: list[str]) -> ray.data.Dataset:
     return ds.groupby(cols).count().select_columns(cols)
 
 
+def count_fns(explode, keys: list[str], alias: str):
+    """(partial, merge) of a COUNT(*)-per-`keys` `hash_exchange` over the
+    rows `explode` makes of each input batch: map-side Arrow hash
+    partials, per-partition Arrow hash merge. Fusing the explode into the
+    map side keeps the count typed on an empty input."""
+
+    def _partial(batch: pa.Table) -> pa.Table:
+        g = explode(batch).group_by(keys).aggregate([([], "count_all")])
+        return g.rename_columns(keys + [alias])
+
+    def _merge(group: pa.Table) -> pa.Table:
+        g = group.group_by(keys).aggregate([(alias, "sum")])
+        return g.rename_columns(keys + [alias])
+
+    return _partial, _merge
+
+
 def grouped_count_hash(
     ds: ray.data.Dataset,
     keys: list[str],
@@ -136,62 +107,17 @@ def grouped_count_hash(
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
     """COUNT(*) per key tuple via map-side Arrow hash-aggregation partials
-    + ONE hash-bucket exchange + per-partition Arrow hash merge.
+    + ONE `hash_exchange` + per-partition Arrow hash merge.
 
     Equivalent to `ds.groupby(keys).aggregate(Count(alias))` but avoids
     Ray's sort-based groupby shuffle, which was measured at 20x+ the cost
     of a hash exchange on multi-key row sets (round 4: 36 s -> 1.7 s on
     4.1M two-int64-key rows). Both the per-block partial and the
     per-partition merge are pyarrow `Table.group_by` hash aggregations —
-    no sorting anywhere; routing `_pk` is a vectorized mix of per-column
-    murmur3 (strings) / multiplicative hashes (ints), so every key tuple
-    meets in exactly one partition.
-
-    Caveat (same as every `groupby().map_groups()` shape): empty hash
-    partitions yield zero-column empty blocks — harmless to scans and
-    aggregations, but scrub with `crawlray.ops.blocks.drop_empty_blocks` before
-    feeding the output into a `Dataset.join`.
+    no sorting anywhere.
     """
-    import numpy as np
-
-    from crawlray.murmur3 import murmur3_x64_128_batch
-
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
-    def _pk_of(t: pa.Table) -> pa.Array:
-        acc = np.zeros(t.num_rows, np.uint64)
-        for k in keys:
-            col = t.column(k).combine_chunks()
-            if pa.types.is_string(col.type) or pa.types.is_large_string(
-                col.type
-            ):
-                lo, _hi = murmur3_x64_128_batch(col)
-            else:
-                lo = col.to_numpy(zero_copy_only=False).astype(
-                    np.uint64
-                ) * np.uint64(0x9E3779B97F4A7C15)
-            acc = acc * np.uint64(1099511628211) + lo
-        return pa.array((acc % np.uint64(num_partitions)).astype(np.int32))
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(keys).group_by(keys).aggregate([([], "count_all")])
-        g = g.rename_columns(keys + ["_c"])
-        return g.append_column("_pk", _pk_of(g))
-
-    def _merge(group: pa.Table) -> pa.Table:
-        g = (
-            group.select(keys + ["_c"])
-            .group_by(keys)
-            .aggregate([("_c", "sum")])
-        )
-        return g.rename_columns(keys + [alias])
-
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(_merge, batch_format="pyarrow")
-    )
+    partial, merge = count_fns(lambda b: b.select(keys), keys, alias)
+    return hash_exchange(ds, keys, merge, partial, num_partitions)
 
 
 def grouped_sum_hash(
@@ -204,32 +130,10 @@ def grouped_sum_hash(
 ) -> ray.data.Dataset:
     """SUM(val_col) [+ COUNT(*)] per key tuple — the summing sibling of
     `grouped_count_hash`: map-side pyarrow hash-aggregation partials + ONE
-    hash-bucket exchange + per-partition hash merge (sums of sums, sums of
+    `hash_exchange` + per-partition hash merge (sums of sums, sums of
     counts — both exactly associative for integer `val_col`, which is why
-    the micro-units int64 trick in `ngram_lm_score` exists). No sorting
-    anywhere; same empty-block caveat as `grouped_count_hash`.
+    the micro-units int64 trick in `ngram_lm_score` exists).
     """
-    import numpy as np
-
-    from crawlray.murmur3 import murmur3_x64_128_batch
-
-    if num_partitions is None:
-        num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)))
-
-    def _pk_of(t: pa.Table) -> pa.Array:
-        acc = np.zeros(t.num_rows, np.uint64)
-        for k in keys:
-            col = t.column(k).combine_chunks()
-            if pa.types.is_string(col.type) or pa.types.is_large_string(
-                col.type
-            ):
-                lo, _hi = murmur3_x64_128_batch(col)
-            else:
-                lo = col.to_numpy(zero_copy_only=False).astype(
-                    np.uint64
-                ) * np.uint64(0x9E3779B97F4A7C15)
-            acc = acc * np.uint64(1099511628211) + lo
-        return pa.array((acc % np.uint64(num_partitions)).astype(np.int32))
 
     def _partial(batch: pa.Table) -> pa.Table:
         g = (
@@ -237,26 +141,14 @@ def grouped_sum_hash(
             .group_by(keys)
             .aggregate([(val_col, "sum"), ([], "count_all")])
         )
-        g = g.rename_columns(keys + ["_s", "_c"])
-        return g.append_column("_pk", _pk_of(g))
+        return g.rename_columns(keys + ["_s", "_c"])
 
     def _merge(group: pa.Table) -> pa.Table:
-        g = (
-            group.select(keys + ["_s", "_c"])
-            .group_by(keys)
-            .aggregate([("_s", "sum"), ("_c", "sum")])
-        )
-        out_cols = keys + [alias, count_alias or "_c"]
-        g = g.rename_columns(out_cols)
-        if count_alias is None:
-            g = g.drop_columns(["_c"])
-        return g
+        g = group.group_by(keys).aggregate([("_s", "sum"), ("_c", "sum")])
+        g = g.rename_columns(keys + [alias, count_alias or "_c"])
+        return g if count_alias else g.drop_columns(["_c"])
 
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(_merge, batch_format="pyarrow")
-    )
+    return hash_exchange(ds, keys, _merge, _partial, num_partitions)
 
 
 def topk(
@@ -924,16 +816,8 @@ def salted_shuffle_join(
         ]
         return pa.concat_tables([cold] + reps)
 
-    # repartition the (small, replicated) right side before the join:
-    # groupby-aggregate upstreams emit zero-row blocks with a BARE schema
-    # that map_batches passes through untouched and Dataset.join's
-    # aggregator rejects ("no match for FieldRef" on the key); repartition
-    # merges them away. The left side streams unrepartitioned — parquet
-    # reads never produce bare-schema blocks.
-    rsalted = right.map_batches(_replicate, batch_format="pyarrow").repartition(
-        max(2, num_salts)
-    )
-    joined = shuffle_join(
+    rsalted = right.map_batches(_replicate, batch_format="pyarrow")
+    joined = join(
         lsalted, rsalted, on=[on, "_salt"], join_type="inner",
         num_partitions=num_partitions,
     )
@@ -1379,79 +1263,31 @@ def bloom_semi_join(
         if saturated
         else left.map_batches(_probe, batch_format="pyarrow")
     )
-    # No-candidate short-circuit (exact, and a crash guard): Ray's
-    # hash-shuffle join cannot finalize when one side routes ZERO rows
-    # to every partition (the aggregator's empty partitions carry no
-    # schema and Acero rejects the key field) — which is precisely the
-    # empty-right / zero-overlap / empty-left regimes, e.g. a
-    # decontaminate over a fully clean corpus. With no candidates the
-    # answer is already known: semi → nothing matched; anti → every
-    # left row is bloom-rejected, i.e. DEFINITELY unmatched (no false
-    # negatives), so the result is left itself. limit(1) stops the
-    # probe at the first surviving row, so the non-empty common case
-    # pays one early-stopping scan, not a materialization.
-    if candidates.limit(1).count() == 0:
-        if anti:
-            return left
-        return left.map_batches(
-            lambda b: b.slice(0, 0), batch_format="pyarrow"
-        )
-    # no fixed repartition here (ADVICE r3): shuffle_join's size-aware
+    # no fixed repartition here (ADVICE r3): join's size-aware
     # num_partitions default scales with the right key set; a hardcoded
     # repartition(2) would funnel a large key set into 2 aggregators.
     # right_is_distinct skips the dedup exchange when the caller already
     # guarantees one row per key (e.g. decontaminate feeds the output of
-    # grouped_count_hash) — the verify join is semi/anti-semantics-safe
-    # only under that guarantee, since duplicate right keys would fan out
-    # candidate rows.
-    # hash-exchange dedup, not `distinct()`'s sort-based groupby (the
-    # sort shuffle was measured at 20x+ a hash exchange on key sets of
-    # this shape — same rationale as grouped_count_hash itself);
-    # drop_empty_blocks scrubs the hash exchange's schema-less empty
-    # partitions before they reach Dataset.join
-    if right_is_distinct:
-        rdist = right.select_columns([key])
-    else:
-        from crawlray.ops.blocks import drop_empty_blocks
-
-        # schema from the right side keeps the join alive when every
-        # hash partition is empty (an empty right is a legal semi/anti
-        # input: semi → empty, anti → all of left; this edge predates
-        # the hash-exchange dedup — distinct() emitted ZERO blocks)
-        sch = right.schema()
-        key_schema = pa.schema(
-            [pa.field(key, dict(zip(sch.names, sch.types))[key])]
+    # grouped_count_hash). The dedup is a hash exchange, not `distinct()`'s
+    # sort-based groupby (the sort shuffle was measured at 20x+ a hash
+    # exchange on key sets of this shape).
+    rdist = right.select_columns([key])
+    if not right_is_distinct:
+        rdist = grouped_count_hash(rdist, [key], alias="_c").select_columns(
+            [key]
         )
-        rdist = drop_empty_blocks(
-            grouped_count_hash(right.select_columns([key]), [key], alias="_c")
-            .select_columns([key])
-            .materialize(),
-            schema=key_schema,
-        )
-    rkeys = rdist.map_batches(
-        lambda b: b.append_column(
-            "_rhit", pa.array(np.ones(b.num_rows, np.int8))
-        ),
-        batch_format="pyarrow",
+    # semi/anti joins emit each left row at most once, whatever the
+    # multiplicity of its key on the right
+    verified = join(
+        candidates, rdist, on=[key],
+        join_type="left_anti" if anti else "left_semi",
     )
-    verified = shuffle_join(
-        candidates, rkeys, on=[key],
-        join_type="left_outer" if anti else "inner",
-    )
-    if not anti:
-        return verified.drop_columns(["_rhit"])
-    false_pos = verified.map_batches(
-        lambda b: b.filter(pc.is_null(b.column("_rhit"))).drop_columns(
-            ["_rhit"]
-        ),
-        batch_format="pyarrow",
-    )
-    if saturated:
-        # every left row was a candidate; the outer-join nulls ARE the
+    if not anti or saturated:
+        # saturated: every left row was a candidate, so the verify IS the
         # full anti result — a probe_inv pass would reject ~nothing
-        return false_pos
+        return verified
     definite = left.map_batches(_probe_inv, batch_format="pyarrow")
-    return definite.union(false_pos)
+    return definite.union(verified)
 
 
 def weighted_sample(

@@ -84,11 +84,14 @@ class HLL:
 
 def _hash_column(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """Column → uint64 hashes: splitmix64 for integer columns, murmur3_128
-    low word for strings (same kernel the seen set keys on)."""
+    low word for strings (same kernel the seen set keys on) and for the
+    string form of any other type."""
     typ = col.type
     if pa.types.is_integer(typ):
         vals = col.to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
         return splitmix64(vals)
+    if not (pa.types.is_string(typ) or pa.types.is_large_string(typ)):
+        col = pc.cast(col, pa.string())
     from crawlray.murmur3 import hash_urls_128
 
     lo, _hi = hash_urls_128(col.to_pylist())
@@ -486,19 +489,12 @@ def cm_probe(
 
     def _probe(batch: pa.Table) -> pa.Table:
         c = batch.column(col).combine_chunks()
-        has_nulls = c.null_count > 0
-        if has_nulls:
-            # null keys were ignored at build time (count_min._partial);
-            # probe them as null, not as a spurious hashed key
-            filler = 0 if pa.types.is_integer(c.type) else ""
-            h = _hash_column(c.fill_null(filler))
-        else:
-            h = _hash_column(c)
-        slots = _cm_slots(h, depth, width)
-        est = cm[np.arange(depth)[:, None], slots].min(axis=0)
-        arr: pa.Array = pa.array(est, pa.int64())
-        if has_nulls:
-            arr = pc.if_else(pc.is_valid(c), arr, pa.scalar(None, pa.int64()))
-        return batch.append_column(out_col, arr)
+        # null keys were ignored at build time (count_min._partial): hash
+        # only the valid keys, whatever their type, and probe nulls as null
+        valid = pc.is_valid(c).to_numpy(zero_copy_only=False)
+        slots = _cm_slots(_hash_column(c.filter(pa.array(valid))), depth, width)
+        est = np.zeros(len(c), np.int64)
+        est[valid] = cm[np.arange(depth)[:, None], slots].min(axis=0)
+        return batch.append_column(out_col, pa.array(est, mask=~valid))
 
     return ds.map_batches(_probe, batch_format="pyarrow")

@@ -255,7 +255,7 @@ def range_join(
     """
     if bucket_width <= 0:
         raise ValueError("bucket_width must be positive")
-    from crawlray.ops.relational import shuffle_join
+    from crawlray.ops.exchange import join, typed_map
 
     # Rename colliding right columns up front (Dataset.join has no default
     # suffixing) so the output schema is deterministic.
@@ -264,20 +264,6 @@ def range_join(
         c: (c + "_r" if c in left_names else c) for c in right.schema().names
     }
     ws_name, we_name = rename[right_start], rename[right_end]
-
-    # empty-side short-circuit (round-5 degenerate-input guard): with
-    # zero rows on either side the bucket equi-join routes nothing to
-    # every hash partition and Ray's join aggregator finalizes
-    # schema-less empty partitions that Acero rejects — and the answer
-    # is already known: an inner interval join with an empty side has
-    # no pairs. Typed empty output preserves the documented schema.
-    if left.limit(1).count() == 0 or right.limit(1).count() == 0:
-        lsch, rsch = left.schema(), right.schema()
-        fields = [pa.field(n, t) for n, t in zip(lsch.names, lsch.types)]
-        fields += [
-            pa.field(rename[c], t) for c, t in zip(rsch.names, rsch.types)
-        ]
-        return ray.data.from_arrow(pa.schema(fields).empty_table())
 
     def _bucket_left(batch: pa.Table) -> pa.Table:
         ts = _ts_i64(batch.column(left_ts))
@@ -296,17 +282,18 @@ def range_join(
         parents = np.repeat(np.arange(batch.num_rows, dtype=np.int64), reps)
         # bucket id = b0[parent] + offset-within-run (vectorized cumcount)
         offs = np.arange(len(parents), dtype=np.int64)
-        run_starts = np.concatenate(([0], np.cumsum(reps)[:-1]))
+        run_starts = np.cumsum(reps) - reps
         offs -= np.repeat(run_starts, reps)
         bkt = b0[parents] + offs
         out = batch.take(pa.array(parents))
         out = out.rename_columns([rename[c] for c in out.column_names])
         return out.append_column("_bkt", pa.array(bkt, type=pa.int64()))
 
-    lb = left.map_batches(_bucket_left, batch_format="pyarrow")
-    rb = right.map_batches(_explode_right, batch_format="pyarrow")
-    joined = shuffle_join(
-        lb, rb, on=["_bkt"], num_partitions=num_partitions
+    joined = join(
+        typed_map(left, _bucket_left),
+        typed_map(right, _explode_right),
+        on=["_bkt"],
+        num_partitions=num_partitions,
     )
 
     def _residual(batch: pa.Table) -> pa.Table:
@@ -317,4 +304,4 @@ def range_join(
         )
         return batch.filter(mask).drop_columns(["_bkt"])
 
-    return joined.map_batches(_residual, batch_format="pyarrow")
+    return typed_map(joined, _residual)

@@ -15,7 +15,11 @@ import json
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
+
+from crawlray.ops.exchange import hash_exchange, join, typed_map
+from crawlray.ops.relational import count_fns
 
 # Tiny per-language stopword lists for the n-gram/stopword heuristic
 # language-ID. Deterministic, dependency-free; not a production model.
@@ -43,6 +47,13 @@ def explode_tokens(
     with_len=True additionally carries `dl` (the parent document's token
     count) on every row — computed map-side from the same split, so
     downstream length-normalized scoring (BM25) needs no doc-length join."""
+    return ds.map_batches(
+        _token_exploder(id_col, text_col, with_len), batch_format="pyarrow"
+    )
+
+
+def _token_exploder(id_col: str, text_col: str, with_len: bool = False):
+    """The per-batch kernel of `explode_tokens`."""
 
     def _explode(batch: pa.Table) -> pa.Table:
         toks = split_tokens(batch, text_col).combine_chunks()
@@ -54,7 +65,7 @@ def explode_tokens(
             cols["dl"] = lens.take(parents)
         return pa.table(cols)
 
-    return ds.map_batches(_explode, batch_format="pyarrow")
+    return _explode
 
 
 # GPT-2-style pretokenizer pattern, RE2-compatible (no lookahead — RE2
@@ -351,61 +362,32 @@ def tfidf(
     Distributed shape (no driver rows, vocabulary never broadcast — its
     heavy tail can be huge at corpus scale):
       1. token explode (vectorized split, one row per occurrence);
-      2. (doc, term) count → tf via `grouped_count_hash` — map-side Arrow
-         hash partials + ONE hash-bucket exchange (round 4: Ray's
-         sort-based two-key groupby was the pipeline's dominant cost);
-         tf is MATERIALIZED once because two consumers read it (df and
-         the join) — unmaterialized, the whole explode+count re-executes
-         per consumer;
-      3. (term) count over tf → df (document frequency), same kernel;
-      4. tf ⋈ df on term via the hash-shuffle join — both sides already
-         keyed by term, and df's skew is bounded because it is one row per
-         distinct term.
+      2. (doc, term) count → tf: map-side Arrow hash partials over the
+         exploded batch + ONE `hash_exchange` on (doc, term) (round 4:
+         Ray's sort-based two-key groupby was the pipeline's dominant
+         cost); tf is materialized by the exchange;
+      3. ONE `hash_exchange` of tf on term: each partition holds every
+         tf row of its terms, so df (the number of tf rows per term) and
+         the scores come out of a local Arrow group_by + join — no
+         shuffle join.
     N (corpus size) is the only driver-side scalar (Dataset.count() reads
     metadata). Scores are rounded to `ndigits` so distributed float jitter
     can't flip an external oracle's value hash.
     """
-    from crawlray.ops.blocks import drop_empty_blocks as _drop_empty_blocks
-    from crawlray.ops.relational import grouped_count_hash, shuffle_join
-
     n_docs = ds.count()
-    if n_docs == 0:
-        # typed empty result (round-5 degenerate-input guard): the
-        # tf ⋈ df hash join would otherwise finalize schema-less empty
-        # partitions Acero rejects
-        sch = ds.schema()
-        idt = (
-            dict(zip(sch.names, sch.types))[id_col]
-            if sch is not None and id_col in sch.names
-            else pa.int64()
-        )
-        fields = [
-            pa.field(id_col, idt),
-            pa.field("token", pa.string()),
-            pa.field("tf", pa.int64()),
-            pa.field("df", pa.int64()),
-            pa.field("tfidf", pa.float64()),
-        ]
-        if bm25:
-            fields += [
-                pa.field("dl", pa.int64()),
-                pa.field("bm25", pa.float64()),
-            ]
-        return ray.data.from_arrow(pa.schema(fields).empty_table())
-    toks = explode_tokens(ds, id_col, text_col, with_len=bm25)
     # dl is functionally dependent on id_col, so adding it as a group key
     # changes no group and costs only the extra int64 hash mix per row.
     tf_keys = [id_col, "token", "dl"] if bm25 else [id_col, "token"]
-    tf = _drop_empty_blocks(
-        grouped_count_hash(toks, tf_keys, alias="tf").materialize()
+    partial, merge = count_fns(
+        _token_exploder(id_col, text_col, with_len=bm25), tf_keys, "tf"
     )
-    df = _drop_empty_blocks(
-        grouped_count_hash(tf, ["token"], alias="df").materialize()
-    )
-    avgdl = float(tf.sum("tf")) / float(n_docs) if bm25 else 0.0
-    joined = shuffle_join(tf, df, on=["token"])
+    tf = hash_exchange(ds, tf_keys, merge, partial)
+    # an empty corpus has no average length (and no rows to score)
+    avgdl = float(tf.sum("tf")) / float(n_docs) if bm25 and n_docs else 0.0
 
-    def _score(batch: pa.Table) -> pa.Table:
+    def _score(group: pa.Table) -> pa.Table:
+        df = group.group_by(["token"]).aggregate([([], "count_all")])
+        batch = group.join(df.rename_columns(["token", "df"]), keys="token")
         tfv = batch.column("tf").combine_chunks().to_numpy().astype(np.float64)
         dfv = batch.column("df").combine_chunks().to_numpy().astype(np.float64)
         score = tfv * np.log(float(n_docs) / dfv)
@@ -429,7 +411,7 @@ def tfidf(
             cols["bm25"] = pa.array(np.round(okapi, ndigits))
         return pa.table(cols)
 
-    return joined.map_batches(_score, batch_format="pyarrow")
+    return hash_exchange(tf, ["token"], _score)
 
 
 def explode_bigrams(
@@ -443,7 +425,15 @@ def explode_bigrams(
     whitespace split per batch, flat token buffer indexed by numpy offset
     arithmetic — no Python loop over rows. DuckDB equivalent:
     `FROM toks, UNNEST(range(1, len(t))) u(i)` with t[i] / t[i+1]."""
-    import numpy as np
+    return ds.map_batches(
+        _bigram_exploder(id_col, text_col, extra_cols), batch_format="pyarrow"
+    )
+
+
+def _bigram_exploder(
+    id_col: str, text_col: str, extra_cols: tuple[str, ...] = ()
+):
+    """The per-batch kernel of `explode_bigrams`."""
 
     def _explode(batch: pa.Table) -> pa.Table:
         toks = split_tokens(batch, text_col).combine_chunks()
@@ -467,7 +457,7 @@ def explode_bigrams(
         cols["w2"] = flat.take(pa.array(s + 1, pa.int64()))
         return pa.table(cols)
 
-    return ds.map_batches(_explode, batch_format="pyarrow")
+    return _explode
 
 
 def pmi_collocations(
@@ -504,41 +494,21 @@ def pmi_collocations(
          unigram table, no extra corpus scan).
     Scores are rounded to `ndigits`; the arithmetic parenthesization
     mirrors the DuckDB oracle so doubles are bit-identical."""
-    from crawlray.ops.blocks import drop_empty_blocks as _drop
-    from crawlray.ops.relational import grouped_count_hash, shuffle_join
-
-    bi = explode_bigrams(ds, id_col, text_col)
-    c12 = grouped_count_hash(bi, ["w1", "w2"], alias="c12")
-
-    def _min_count(batch: pa.Table) -> pa.Table:
-        return batch.filter(
-            pc.greater_equal(batch.column("c12"), pa.scalar(min_count))
-        )
-
-    c12 = _drop(c12.map_batches(_min_count, batch_format="pyarrow"))
-    uni = _drop(
-        grouped_count_hash(
-            explode_tokens(ds, id_col, text_col), ["token"], alias="c"
-        ).materialize()
+    c12_partial, c12_sum = count_fns(
+        _bigram_exploder(id_col, text_col), ["w1", "w2"], "c12"
     )
-    tu_raw = uni.sum("c")
-    if tu_raw is None:
-        # empty corpus / no tokens: no unigrams, no collocations —
-        # typed empty result (round-5 degenerate-input guard; the join
-        # path would otherwise crash and float(None) raises)
-        return ray.data.from_arrow(
-            pa.schema(
-                [
-                    ("w1", pa.string()),
-                    ("w2", pa.string()),
-                    ("c12", pa.int64()),
-                    ("c1", pa.int64()),
-                    ("c2", pa.int64()),
-                    ("pmi", pa.float64()),
-                ]
-            ).empty_table()
-        )
-    tu = float(tu_raw)
+
+    def _c12_merge(group: pa.Table) -> pa.Table:
+        g = c12_sum(group)
+        return g.filter(pc.greater_equal(g.column("c12"), pa.scalar(min_count)))
+
+    c12 = hash_exchange(ds, ["w1", "w2"], _c12_merge, c12_partial)
+    uni_partial, uni_merge = count_fns(
+        _token_exploder(id_col, text_col), ["token"], "c"
+    )
+    uni = hash_exchange(ds, ["token"], uni_merge, uni_partial)
+    # an empty corpus has no tokens: TU is unused, there is nothing to score
+    tu = float(uni.sum("c") or 0)
 
     def _as(w: str, c: str):
         def _ren(batch: pa.Table) -> pa.Table:
@@ -547,42 +517,6 @@ def pmi_collocations(
             )
 
         return _ren
-
-    if uni.count() <= broadcast_threshold:
-        import ray as _ray
-
-        tbls = [
-            t
-            for t in _ray.get(uni.to_arrow_refs())
-            if t.num_columns > 0 and t.num_rows > 0
-        ]
-        ut = (
-            pa.concat_tables(tbls).combine_chunks()
-            if tbls
-            else pa.table(
-                {"token": pa.array([], pa.string()), "c": pa.array([], pa.int64())}
-            )
-        )
-        from crawlray.ops.relational import broadcast_join
-
-        j2 = broadcast_join(
-            broadcast_join(
-                c12,
-                pa.table({"w1": ut.column("token"), "c1": ut.column("c")}),
-                ["w1"],
-            ),
-            pa.table({"w2": ut.column("token"), "c2": ut.column("c")}),
-            ["w2"],
-        )
-    else:
-        j1 = shuffle_join(
-            c12, uni.map_batches(_as("w1", "c1"), batch_format="pyarrow"),
-            on=["w1"],
-        )
-        j2 = shuffle_join(
-            j1, uni.map_batches(_as("w2", "c2"), batch_format="pyarrow"),
-            on=["w2"],
-        )
 
     def _score(batch: pa.Table) -> pa.Table:
         c12v = batch.column("c12").combine_chunks().to_numpy().astype(
@@ -606,9 +540,20 @@ def pmi_collocations(
             }
         )
 
-    # hash-join partitions with no rows emit zero-column blocks; scrub so
-    # downstream unions see one stable schema
-    return _drop(j2.map_batches(_score, batch_format="pyarrow"))
+    if uni.count() <= broadcast_threshold:
+        ut = pa.concat_tables(ray.get(uni.to_arrow_refs())).combine_chunks()
+        sides_ref = ray.put((_as("w1", "c1")(ut), _as("w2", "c2")(ut)))
+
+        def _attach_score(batch: pa.Table) -> pa.Table:
+            u1, u2 = ray.get(sides_ref)
+            return _score(batch.join(u1, keys="w1").join(u2, keys="w2"))
+
+        return typed_map(c12, _attach_score)
+    j1 = join(c12, uni.map_batches(_as("w1", "c1"), batch_format="pyarrow"),
+              on=["w1"])
+    j2 = join(j1, uni.map_batches(_as("w2", "c2"), batch_format="pyarrow"),
+              on=["w2"])
+    return typed_map(j2, _score)
 
 
 def ngram_lm_score(
@@ -650,12 +595,7 @@ def ngram_lm_score(
     """
     import numpy as np
 
-    from crawlray.ops.blocks import drop_empty_blocks
-    from crawlray.ops.relational import (
-        grouped_count_hash,
-        grouped_sum_hash,
-        shuffle_join,
-    )
+    from crawlray.ops.relational import grouped_count_hash, grouped_sum_hash
 
     train_set = pa.array(sorted(train_sources), pa.string())
     grams = explode_bigrams(
@@ -667,17 +607,11 @@ def ngram_lm_score(
         return batch.filter(mask).select(["w1", "w2"])
 
     train = grams.map_batches(_train_filter, batch_format="pyarrow")
-    cb = drop_empty_blocks(
-        grouped_count_hash(train, ["w1", "w2"], alias="cb").materialize()
-    )
-    cu = drop_empty_blocks(
-        grouped_count_hash(
-            train.map_batches(
-                lambda b: b.select(["w1"]), batch_format="pyarrow"
-            ),
-            ["w1"],
-            alias="cu",
-        ).materialize()
+    cb = grouped_count_hash(train, ["w1", "w2"], alias="cb")
+    cu = grouped_count_hash(
+        train.map_batches(lambda b: b.select(["w1"]), batch_format="pyarrow"),
+        ["w1"],
+        alias="cu",
     )
     vocab = train.map_batches(
         lambda b: pa.table({"w": b.column("w1")}), batch_format="pyarrow"
@@ -696,11 +630,8 @@ def ngram_lm_score(
     left = grams.map_batches(
         lambda b: b.select([id_col, "w1", "w2"]), batch_format="pyarrow"
     )
-    j1 = shuffle_join(left, cb, on=["w1", "w2"], join_type="left_outer")
-    j2 = shuffle_join(
-        drop_empty_blocks(j1.materialize()), cu, on=["w1"],
-        join_type="left_outer",
-    )
+    j1 = join(left, cb, on=["w1", "w2"], join_type="left_outer")
+    j2 = join(j1, cu, on=["w1"], join_type="left_outer")
 
     def _logprob_micro(batch: pa.Table) -> pa.Table:
         cbv = (
@@ -951,8 +882,7 @@ def nb_quality_score(
 
     import numpy as np
 
-    from crawlray.ops.blocks import drop_empty_blocks
-    from crawlray.ops.relational import grouped_sum_hash, shuffle_join
+    from crawlray.ops.relational import grouped_sum_hash
 
     pos_set = pa.array(sorted(pos_sources), pa.string())
 
@@ -973,10 +903,8 @@ def nb_quality_score(
 
     tok = ds.map_batches(_explode_lab, batch_format="pyarrow").materialize()
 
-    cnt = drop_empty_blocks(
-        grouped_sum_hash(
-            tok, ["token"], "lab", alias="cpos", count_alias="ctot"
-        ).materialize()
+    cnt = grouped_sum_hash(
+        tok, ["token"], "lab", alias="cpos", count_alias="ctot"
     )
 
     # class totals + vocab size: O(#blocks) driver rows off the (already
@@ -1025,7 +953,7 @@ def nb_quality_score(
     left = tok.map_batches(
         lambda b: b.select([id_col, "token"]), batch_format="pyarrow"
     )
-    j = shuffle_join(left, cnt, on=["token"], join_type="left_outer")
+    j = join(left, cnt, on=["token"], join_type="left_outer")
 
     kv = float(k) * float(v)
 
@@ -1099,7 +1027,6 @@ def corpus_diagnostics(
 
     import numpy as np
 
-    from crawlray.ops.blocks import drop_empty_blocks
     from crawlray.ops.relational import (
         broadcast_join,
         grouped_count_hash,
@@ -1116,12 +1043,10 @@ def corpus_diagnostics(
             }
         )
 
-    sc = drop_empty_blocks(
-        grouped_count_hash(
-            ds.map_batches(_stok, batch_format="pyarrow"),
-            [source_col, "token"],
-            alias="c",
-        ).materialize()
+    sc = grouped_count_hash(
+        ds.map_batches(_stok, batch_format="pyarrow"),
+        [source_col, "token"],
+        alias="c",
     )
 
     g1 = grouped_sum_hash(
@@ -1129,13 +1054,6 @@ def corpus_diagnostics(
     )
 
     def _micro(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.table(
-                {
-                    source_col: pa.array([], pa.string()),
-                    "m": pa.array([], pa.int64()),
-                }
-            )
         c = (
             batch.column("c")
             .combine_chunks()
@@ -1169,9 +1087,7 @@ def corpus_diagnostics(
             [(source_col, pa.string()), ("count()", pa.int64())]
         ),
     )
-    j = broadcast_join(
-        drop_empty_blocks(g1.materialize()), g2_tbl, keys=[source_col]
-    )
+    j = broadcast_join(g1, g2_tbl, keys=[source_col])
     j = broadcast_join(j, nd_tbl, keys=[source_col])
 
     def _final(batch: pa.Table) -> pa.Table:
@@ -1696,9 +1612,8 @@ def inverted_index(
     id order — (token, df, postings).
 
     Shape for 100 TB: the only exchange is ONE hash shuffle of the
-    DISTINCT (token, doc) pairs on murmur3(token) % num_partitions (the
-    corpusprep `_bucket_fn` idiom — groupby('_pk') co-locates each term's
-    postings without a global sort); map-side the explode dedups pairs
+    DISTINCT (token, doc) pairs on token (`hash_exchange` co-locates each
+    term's postings without a global sort); map-side the explode dedups pairs
     per batch, which is globally exact because a document is one row and
     never spans batches. The per-partition kernel is fully vectorized:
     one Arrow sort + group_by list-aggregate + a flat cast/binary_join —
@@ -1707,10 +1622,6 @@ def inverted_index(
     Arrow handles as a large_string chunk (callers wanting bounded rows
     can pre-filter ultra-high-df terms with frequent_items).
     """
-    from crawlray.ops.corpusprep import _bucket_fn
-
-    _bucket = _bucket_fn("token", num_partitions)
-
     def _pairs(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern(batch.column(text_col), pattern=" ")
         if isinstance(toks, pa.ChunkedArray):
@@ -1723,7 +1634,7 @@ def inverted_index(
             }
         )
         # per-batch distinct == global distinct (a doc never spans batches)
-        return _bucket(pairs.group_by(["token", id_col]).aggregate([]))
+        return pairs.group_by(["token", id_col]).aggregate([])
 
     def _index(group: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
@@ -1745,9 +1656,10 @@ def inverted_index(
             }
         )
 
-    return (
-        ds.select_columns([id_col, text_col])
-        .map_batches(_pairs, batch_format="pyarrow")
-        .groupby("_pk")
-        .map_groups(_index, batch_format="pyarrow")
+    return hash_exchange(
+        ds.select_columns([id_col, text_col]),
+        ["token"],
+        _index,
+        _pairs,
+        num_partitions,
     )

@@ -377,15 +377,6 @@ def explode_outlinks(batch: pa.Table, max_depth: int | None) -> pa.Table:
     return tbl
 
 
-def make_explode_stage(max_depth: int | None):
-    """Ray-Data-facing wrapper over explode_outlinks (library surface)."""
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return explode_outlinks(batch, max_depth)
-
-    return fn
-
-
 # --------------------------------------------------------------------------
 # fetch + parse + doc write + offer — the stateful heart of the wave
 # --------------------------------------------------------------------------

@@ -80,10 +80,6 @@ def resolve_steps(steps) -> list[Step]:
     return out
 
 
-def registered_steps() -> list[str]:
-    return sorted(_REGISTRY)
-
-
 # --------------------------------------------------------------------------
 # built-in steps
 # --------------------------------------------------------------------------

@@ -260,6 +260,33 @@ def test_bpe_segment_distinct_equals_fused(ray_session, nblocks):
     assert key(joined) == key(fused)
 
 
+def test_bpe_segment_join_path_string_ids(ray_session):
+    """ADVICE bpe.py:620: the giant-vocab join path must not assume int64
+    ids. String ids through broadcast_threshold=0 give the broadcast
+    path's tokens, on a corpus and on an empty corpus."""
+    import ray.data
+
+    from crawlray.ops.bpe import bpe_segment_tokens, bpe_train
+
+    merges = bpe_train(
+        ray.data.from_items([{"text": t} for t in CORPUS]), num_merges=8
+    )
+    corpus = pa.table(
+        {"url": [f"u{i}" for i in range(len(CORPUS))], "text": CORPUS}
+    )
+    for tbl in (corpus, corpus.slice(0, 0)):
+        ds = ray.data.from_arrow(tbl).repartition(3)
+        got = {}
+        for threshold in (1_000_000, 0):
+            rows = bpe_segment_tokens(
+                ds, merges, id_col="url", broadcast_threshold=threshold
+            ).take_all()
+            got[threshold] = sorted((r["url"], r["token"]) for r in rows)
+        assert got[0] == got[1_000_000]
+        assert bool(got[0]) == bool(tbl.num_rows)
+        assert all(isinstance(u, str) for u, _ in got[0])
+
+
 def test_bytes_to_chars_matches_python_encoder(ray_session):
     """The vectorized buffer-level byte translation equals the per-char
     Python reference on ASCII, '|', unicode, and empty strings."""

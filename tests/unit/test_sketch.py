@@ -247,3 +247,16 @@ def test_count_min_null_keys_ignored(ray_session):
     ).to_pandas()
     assert pr["cm_est"].tolist()[:2] == [10, 3]
     assert pr["cm_est"].isna().tolist() == [False, False, True]
+
+    # float and bool keys with nulls: no type-specific null filler exists
+    # for them (ADVICE sketch.py:493), so only the valid keys are hashed
+    for arr, keys, want in (
+        (pa.array([1.5] * 4 + [None] * 2 + [2.5] * 7, pa.float64()),
+         pa.array([2.5, None, 1.5], pa.float64()), [7, None, 4]),
+        (pa.array([True] * 6 + [None] * 3 + [False] * 2, pa.bool_()),
+         pa.array([None, False, True], pa.bool_()), [None, 2, 6]),
+    ):
+        cmx = count_min(ray.data.from_arrow(pa.table({"x": arr})).repartition(2), "x")
+        got = cm_probe(ray.data.from_arrow(pa.table({"x": keys})), cmx, "x")
+        est = got.take_all()
+        assert [r["cm_est"] for r in est] == want
