@@ -206,7 +206,6 @@ def bench_crawl(num_cpus: int) -> dict:
         preloaded_web=(web_refs, n_pages),
         robots_path=os.path.join(WEB_CACHE, "robots.parquet"),
         num_seen_shards=max(2, num_cpus // 2),
-        num_robots_shards=max(1, num_cpus // 8),
         num_host_shards=max(1, num_cpus // 8),
         fetch_batch_size=1024,
         enrich=True,

@@ -1,23 +1,29 @@
-"""HostPolitenessActor — per-host token-bucket admission, host-sharded
-(SURVEY.md O-22; RBC-6). Deterministic under any parallelism (§4.2): the
-admission decision is NOT first-come-first-served — each wave the actor
-collects the full multiset of candidate disc_keys per host (offer phase),
-then admits the B lowest unique disc_keys per host (decide phase), exactly
-what the sequential oracle does walking the wave in disc_key order.
-Offers are deduplicated at decide time, so Ray task retries re-offering the
-same (host, disc_key) are no-ops.
+"""HostPolitenessActor — the host shard: robots rules + per-host token-bucket
+admission (SURVEY.md O-21/O-22; RBC-6). Every host routes to one shard by
+`host_shard_of`; the shard holds that host's robots rules (a RobotsRules
+helper), token bucket and fetch counter, so the crawl keeps one host-keyed
+actor pool and one routing rule.
+
+Deterministic under any parallelism (§4.2): the admission decision is NOT
+first-come-first-served — each wave the actor collects the full multiset of
+candidate order keys per host (mark phase), then admits the B lowest unique
+keys per host (decide phase), exactly what the sequential oracle does
+walking the wave in disc_key order. Offers and denied keys are
+deduplicated at decide time, so Ray task retries re-marking the same
+(host, key) are no-ops.
 
 Bucket semantics: refill to burst at wave start (the RBC-6 exact-match
 config, memoryless) or `carryover=True` for a classic token bucket
 (tokens = min(burst, tokens + rate)) — pluggable without touching the
 admission protocol.
 
-Hot-path shape: offer() is O(1) buffer appends; decide_and_drain() is ONE
-RPC per shard per wave that does the whole combine vectorized (numpy
-lexsort + group boundaries — the per-host Python loop runs once per ACTIVE
-HOST, not per offered row) and returns counts, the per-host admission
-thresholds (broadcast to the gate tasks — no per-block threshold RPCs),
-and the admitted keys (driver-side seq assignment)."""
+Hot-path shape: mark() evaluates the robots mask and appends to buffers;
+decide_and_drain() is ONE RPC per shard per wave that does the whole
+combine vectorized (numpy lexsort + group boundaries — the per-host Python
+loop runs once per ACTIVE HOST, not per offered row) and returns counts,
+the per-host admission thresholds (broadcast to the gate tasks — no
+per-block threshold RPCs), the admitted keys and the robots-denied keys
+(driver-side seq assignment)."""
 
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from crawlray.actors.robots import RobotsRules
 from crawlray.murmur3 import murmur3_32
 
 NO_ADMIT = np.int64(np.iinfo(np.int64).min)  # threshold meaning "admit none"
@@ -39,9 +46,13 @@ class HostPolitenessActor:
     def __init__(
         self,
         shard_id: int,
+        num_shards: int,
         rate: float,
         burst: float,
         carryover: bool = False,
+        robots: pa.Table | None = None,
+        user_agent: str = "*",
+        backend_factory=None,
     ):
         self.shard_id = shard_id
         self.rate = rate
@@ -49,31 +60,53 @@ class HostPolitenessActor:
         self.carryover = carryover
         self.tokens: dict[str, float] = {}  # host -> tokens after last wave
         self.fetched_total: dict[str, int] = {}
-        self._offer_hosts: list[list[str]] = []
+        self._offer_hosts: list[pa.Array] = []
         self._offer_keys: list[np.ndarray] = []
+        self._denied_keys: list[np.ndarray] = []
+        # robots bodies of this shard's hosts only. Callers pass the robots
+        # table's ObjectRef: top-level actor args arrive resolved, zero-copy
+        bodies: dict[str, str] = {}
+        if robots is not None:
+            bodies = {
+                h: b
+                for h, b in zip(
+                    robots.column("host").to_pylist(), robots.column("body").to_pylist()
+                )
+                if host_shard_of(h, num_shards) == shard_id
+            }
+        backend = backend_factory() if backend_factory is not None else None
+        self.robots = RobotsRules(bodies, user_agent, backend)
 
-    def begin_wave(self, wave: int) -> None:
-        self._offer_hosts = []
-        self._offer_keys = []
-
-    def offer(self, hosts, disc_keys) -> None:
-        # O(1): buffer; the combine runs vectorized at decide_and_drain.
-        # hosts stay ARROW (pa.Array wire format) end to end — the combine
-        # dictionary-encodes them so the sort runs on int codes, never on a
-        # numpy string array (measured as the decide barrier's main cost).
-        if isinstance(hosts, list):
-            hosts = pa.array(hosts, pa.string())
-        self._offer_hosts.append(hosts)
-        self._offer_keys.append(np.asarray(disc_keys, dtype=np.int64))
+    def mark(self, hosts: pa.Array, urls: pa.Array, okeys: np.ndarray) -> np.ndarray:
+        """One block's rows for this shard: returns the robots `allowed`
+        mask, banks the denied order keys and buffers the allowed rows as
+        admission offers. O(rows) appends; the combine runs vectorized at
+        decide_and_drain. hosts stay ARROW end to end — the combine
+        dictionary-encodes them so the sort runs on int codes, never on a
+        numpy string array (measured as the decide barrier's main cost)."""
+        allowed = self.robots.allowed(hosts, urls)
+        okeys = np.asarray(okeys, dtype=np.int64)
+        if not allowed.all():
+            self._denied_keys.append(okeys[~allowed])
+        if allowed.any():
+            self._offer_hosts.append(hosts.filter(pa.array(allowed)))
+            self._offer_keys.append(okeys[allowed])
+        return allowed
 
     def decide_and_drain(self):
-        """One RPC per wave: admit the B lowest unique disc_keys per host.
+        """One RPC per wave: admit the B lowest unique order keys per host.
 
         Returns (admitted_total, offered_total, hosts: list[str],
-        thresholds: np.int64 array aligned with hosts, admitted_keys:
-        np.int64 array). Resets the offer buffers."""
+        thresholds: np.int64 array aligned with hosts, admitted_keys,
+        denied_keys: sorted unique np.int64 arrays). Resets the buffers."""
+        denied = (
+            np.unique(np.concatenate(self._denied_keys))
+            if self._denied_keys
+            else np.empty(0, np.int64)
+        )
+        self._denied_keys = []
         if not self._offer_keys:
-            return 0, 0, [], np.empty(0, np.int64), np.empty(0, np.int64)
+            return 0, 0, [], np.empty(0, np.int64), np.empty(0, np.int64), denied
         harr = pa.chunked_array(self._offer_hosts).combine_chunks()
         enc = harr.dictionary_encode()
         uhosts = enc.dictionary.to_pylist()
@@ -124,7 +157,7 @@ class HostPolitenessActor:
         admitted_keys = (
             np.concatenate(admitted_parts) if admitted_parts else np.empty(0, np.int64)
         )
-        return admitted_total, int(len(keys)), out_hosts, out_thr, admitted_keys
+        return admitted_total, int(len(keys)), out_hosts, out_thr, admitted_keys, denied
 
     def host_state(self) -> dict:
         """Checkpoint payload: bucket levels + fetch counters."""

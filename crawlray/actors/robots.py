@@ -1,13 +1,12 @@
-"""RobotsCacheActor — sharded robots.txt cache + batch evaluation
-(SURVEY.md O-21; RBC-6: robots fetched before a host's first fetch, cached
-forever; a URL disallowed for user-agent '*' is logged robots_denied).
+"""RobotsRules — robots.txt cache + batch evaluation (SURVEY.md O-21; RBC-6:
+robots fetched before a host's first fetch, cached forever; a URL
+disallowed for user-agent '*' is logged robots_denied).
 
-Sharding: hash(host) % num_shards (same murmur3_32 the engine uses
-elsewhere), so each host's rules live on exactly one actor and are parsed
-once. The backend "fetch" of robots.txt is a lookup into the robots table
-for the synthetic web (the table ref is read zero-copy from the object
-store once per actor); an HttpBackend would fetch on miss with the same
-interface.
+A plain object, no Ray: each HostPolitenessActor owns one, holding the
+bodies of the hosts that route to its shard (`host_shard_of`), so each
+host's rules live in exactly one process and are parsed once. The synthetic
+web's robots "fetch" is a lookup into the robots table; with a live backend
+(e.g. HttpBackend) a body-cache miss fetches robots.txt through it once.
 """
 
 from __future__ import annotations
@@ -16,45 +15,19 @@ import urllib.robotparser
 
 import numpy as np
 import pyarrow as pa
-import ray
-
-from crawlray.murmur3 import murmur3_32
 
 
-def robots_shard_of(host: str, num_shards: int) -> int:
-    return murmur3_32(host.encode()) % num_shards
-
-
-@ray.remote(num_cpus=0)
-class RobotsCacheActor:
-    def __init__(
-        self,
-        shard_id: int,
-        num_shards: int,
-        robots_ref=None,
-        user_agent: str = "*",
-        backend_factory=None,
-    ):
-        self.shard_id = shard_id
+class RobotsRules:
+    def __init__(self, bodies: dict[str, str], user_agent: str = "*", backend=None):
         self.user_agent = user_agent
-        self._denied_keys: list[np.ndarray] = []
+        self._bodies = bodies
         self._parsed: dict[str, urllib.robotparser.RobotFileParser] = {}
         self._verdicts: dict[str, int] = {}  # 1=always-allow, -1=always-deny, 0=per-url
-        self._bodies: dict[str, str] = {}
-        # live-fetch path (RBC-6 "fetched before a host's first fetch"):
-        # on a body-cache miss the shard fetches robots.txt through the
-        # backend ONCE and caches it forever — each host lives on exactly
-        # one shard, so there is exactly one fetch per host per crawl
-        self._backend = backend_factory() if backend_factory is not None else None
-        if robots_ref is not None:
-            # ObjectRefs passed as top-level actor args arrive pre-resolved;
-            # nested refs (e.g. inside kwargs dicts) need the explicit get.
-            tbl = ray.get(robots_ref) if isinstance(robots_ref, ray.ObjectRef) else robots_ref
-            hosts = tbl.column("host").to_pylist()
-            bodies = tbl.column("body").to_pylist()
-            for h, b in zip(hosts, bodies):
-                if robots_shard_of(h, num_shards) == shard_id:
-                    self._bodies[h] = b
+        # live-fetch path (RBC-6 "fetched before a host's first fetch"): on
+        # a body-cache miss fetch robots.txt through the backend ONCE and
+        # cache it forever — each host lives on exactly one host shard, so
+        # there is exactly one fetch per host per crawl
+        self._backend = backend
 
     def _rules(self, host: str) -> urllib.robotparser.RobotFileParser:
         rp = self._parsed.get(host)
@@ -98,22 +71,13 @@ class RobotsCacheActor:
             self._verdicts[host] = v
         return v
 
-    def begin_wave(self, wave: int) -> None:
-        self._denied_keys: list[np.ndarray] = []
-
-    def allowed(
-        self, hosts, urls, disc_keys: np.ndarray | None = None
-    ) -> np.ndarray:
-        """hosts/urls: pa.Array (arrow wire format) or plain lists.
+    def allowed(self, hosts: pa.Array, urls: pa.Array) -> np.ndarray:
+        """Boolean mask over the rows of (hosts, urls) Arrow arrays.
 
         Vectorized: dictionary-encode hosts, evaluate one verdict per
         UNIQUE host, and broadcast. Only rows of path-dependent hosts pay
         the per-URL robotparser walk (and only those URL strings are ever
         converted to Python)."""
-        if isinstance(hosts, list):
-            hosts = pa.array(hosts, pa.string())
-        if isinstance(hosts, pa.ChunkedArray):
-            hosts = hosts.combine_chunks()
         enc = hosts.dictionary_encode()
         uniq = enc.dictionary.to_pylist()
         verd = np.array([self._verdict(h) for h in uniq], dtype=np.int8)
@@ -122,27 +86,9 @@ class RobotsCacheActor:
         out = v > 0
         mixed = np.nonzero(v == 0)[0]
         if len(mixed):
-            if isinstance(urls, list):
-                murls = [urls[i] for i in mixed]
-            else:
-                murls = urls.take(pa.array(mixed, pa.int64())).to_pylist()
+            murls = urls.take(pa.array(mixed, pa.int64())).to_pylist()
             for j, i in enumerate(mixed):
                 out[i] = self._rules(uniq[idx[i]]).can_fetch(
                     self.user_agent, murls[j]
                 )
-        if disc_keys is not None:
-            # accumulate this wave's denied keys so the driver can assign seq
-            # without a distributed sort (drained at drain_denied; duplicates
-            # from task retries removed there)
-            self._denied_keys.append(np.asarray(disc_keys)[~out])
         return out
-
-    def drain_denied(self) -> np.ndarray:
-        if not getattr(self, "_denied_keys", None):
-            return np.empty(0, dtype=np.int64)
-        out = np.unique(np.concatenate(self._denied_keys))
-        self._denied_keys = []
-        return out
-
-    def cached_hosts(self) -> list[str]:
-        return sorted(self._bodies)

@@ -4,11 +4,13 @@ Replaces the reference's single-process BFS loop (`while queue: url =
 queue.popleft(); ...` — see oracle/bfs_crawler.py, the normative stand-in
 for the absent reference snapshot, SURVEY.md §0) with an iterative-batch
 wave loop: each BFS wave fans out as plain Ray tasks over Arrow block refs
-plus key-routed RPCs to the stateful actors (seen shards, robots,
-politeness). See crawlray/stages.py's module docstring for why the hot loop
-uses tasks instead of per-wave Ray Data streaming executions (measured
-driver floors) — the crawl's public outputs are still `ray.data.Dataset`s
-and every library operator is Dataset-based.
+plus key-routed RPCs to the stateful actors. A crawl starts three actor
+pools: seen shards (keyed by URL hash), host shards (keyed by
+`host_shard_of`; each holds its hosts' robots rules, token buckets and
+fetch counters) and fetchers. See crawlray/stages.py's module docstring
+for why the hot loop uses tasks instead of per-wave Ray Data streaming
+executions (measured driver floors) — the crawl's public outputs are still
+`ray.data.Dataset`s and every library operator is Dataset-based.
 
 Determinism under parallelism (§4.2): crawl order is never derived from
 execution timing — `seq` ranks disc_key (a pure function of the crawl
@@ -20,19 +22,21 @@ Per-wave dataflow (stage ids from SURVEY.md §2; 2 task rounds + 2 RPC
 barriers per wave, no streaming executions):
 
     frontier_w (unique URLs, already in the seen set; list of block refs)
-      ├─ A  mark_block_task per block: robots mask + politeness offers
-      │     (O-21/22; actors bank denied + offered disc_keys)
-      ├─ [driver] decide_and_drain(): ONE RPC per politeness shard returns
+      ├─ A  mark_block_task per block: ONE `mark` RPC per host shard
+      │     returns the robots mask; the shard banks the denied keys and
+      │     the allowed rows' politeness offers (O-21/22)
+      ├─ [driver] decide_and_drain(): ONE RPC per host shard returns
       │     counts + per-host admission thresholds (broadcast to B) +
-      │     admitted keys; robots shards return denied keys; seq = rank in
-      │     the sorted logged key-set (O-33 without a distributed sort)
+      │     admitted keys + denied keys; seq = rank in the sorted logged
+      │     key-set (O-33 without a distributed sort)
       ├─ B  fetch_block_task per block: vectorized gate + searchsorted seq
       │     + sub-batch fan-out over the persistent fetcher pool
       │     (O-23/14/15). Fetchers buffer spans locally (written to the
       │     wave's parquet partition at end_wave — spans never transit the
       │     object store) and offer outlinks directly to the seen shards
       │     (O-30 map side + O-26 routing fused into fetch)
-      ├─ end_wave(): fetchers flush docs + await offer delivery
+      ├─ end_wave(): fetchers flush docs + await offer delivery, and
+      │     return their wave counters (O-24), which the driver sums
       └─ finish_wave(): seen shards resolve within-wave dedup + cross-wave
             admission (min-combine); new frontier = actor-returned Arrow
             blocks → derive cols → ∪ deferred → greedy block compaction
@@ -54,7 +58,6 @@ import ray
 import ray.data
 
 from crawlray.actors.politeness import HostPolitenessActor
-from crawlray.actors.robots import RobotsCacheActor
 from crawlray.actors.seen import SeenShardActor
 from crawlray.kernels.url import canonicalize, in_scope
 from crawlray.schema import DOCUMENTS, LINK_STRIDE
@@ -189,7 +192,6 @@ def _run_crawl_attempt(
     max_depth: int | None = None,
     max_pages: int | None = None,
     num_seen_shards: int = 4,
-    num_robots_shards: int = 2,
     num_host_shards: int = 2,
     fetch_concurrency=None,
     fetch_batch_size: int = 512,
@@ -214,8 +216,9 @@ def _run_crawl_attempt(
     (never inits here).
 
     `_fault_hook(wave, actors)`: test-only fault injector called at the top
-    of every wave iteration with the live actor handles (keys: seen, robots,
-    polite, fetchers); hooks must self-disarm or the recovered run re-dies.
+    of every wave iteration with the live actor handles (keys: seen, polite
+    (the host shards), fetchers); hooks must self-disarm or the recovered
+    run re-dies.
     `_actor_holder`: out-param dict run_crawl uses to kill this attempt's
     actors if the attempt aborts mid-wave.
 
@@ -311,24 +314,18 @@ def _run_crawl_attempt(
         SeenShardActor.remote(i, cuckoo_capacity=max(1 << 14, n_pages * 2))
         for i in range(num_seen_shards)
     ]
-    robots_actors = [
-        RobotsCacheActor.remote(
-            i, num_robots_shards, robots_ref, user_agent, backend_factory
-        )
-        for i in range(num_robots_shards)
-    ]
     polite_actors = [
         HostPolitenessActor.remote(
-            i, rate=float(budget_per_host), burst=float(budget_per_host),
-            carryover=carryover_tokens,
+            i, num_host_shards, rate=float(budget_per_host),
+            burst=float(budget_per_host), carryover=carryover_tokens,
+            robots=robots_ref, user_agent=user_agent,
+            backend_factory=backend_factory,
         )
         for i in range(num_host_shards)
     ]
-    from crawlray.actors.metrics import MetricsActor
-
-    metrics_actor = MetricsActor.remote()
-    if _resume_state is not None and _resume_state.get("counters"):
-        ray.get(metrics_actor.load.remote(_resume_state["counters"]))
+    # O-24 counters: fetchers return per-wave totals from end_wave and the
+    # driver sums them here; resume seeds them from the committed meta.json
+    counters: dict = dict((_resume_state or {}).get("counters") or {})
 
     _t_actors = time.time()
     fetched_total = 0
@@ -416,16 +413,12 @@ def _run_crawl_attempt(
             doc_root, i, max_pages is not None,
             web_index,
             doc_steps or None,
-            metrics_actor,
             backend_factory,
         )
         for i in range(n_fetchers)
     ]
     if _actor_holder is not None:
-        _actor_holder["actors"] = (
-            seen_actors + robots_actors + polite_actors
-            + fetcher_actors + [metrics_actor]
-        )
+        _actor_holder["actors"] = seen_actors + polite_actors + fetcher_actors
     # shipped once; each mark task reads them zero-copy from the store
     fsteps_ref = ray.put(frontier_steps) if frontier_steps else None
     policy_ref = ray.put(priority_policy) if priority_policy is not None else None
@@ -446,7 +439,6 @@ def _run_crawl_attempt(
             "max_depth": max_depth,
             "max_pages": max_pages,
             "num_seen_shards": num_seen_shards,
-            "num_robots_shards": num_robots_shards,
             "num_host_shards": num_host_shards,
             "carryover_tokens": carryover_tokens,
             "user_agent": user_agent,
@@ -487,7 +479,6 @@ def _run_crawl_attempt(
                 wave,
                 {
                     "seen": seen_actors,
-                    "robots": robots_actors,
                     "polite": polite_actors,
                     "fetchers": fetcher_actors,
                 },
@@ -501,25 +492,15 @@ def _run_crawl_attempt(
         # A: robots mask + politeness offers, one task per frontier block
         live = [r for r, c in zip(frontier_refs, frontier_counts) if c > 0]
         marked_refs = [
-            mark_block_task.remote(
-                r, robots_actors, polite_actors, wave, fsteps_ref, policy_ref
-            )
+            mark_block_task.remote(r, polite_actors, wave, fsteps_ref, policy_ref)
             for r in live
         ]
         ray.wait(marked_refs, num_returns=len(marked_refs), fetch_local=False)
         _t = _tick("  mark", _t)
 
-        # barrier RPC round: one decide_and_drain per politeness shard
-        # (counts + thresholds + admitted keys in ONE call), one
-        # drain_denied per robots shard
-        # one fused ray.get round for both actor pools (they are
-        # independent; two sequential gets paid two RPC round trips)
-        _both = ray.get(
-            [p.decide_and_drain.remote() for p in polite_actors]
-            + [r.drain_denied.remote() for r in robots_actors]
-        )
-        pol_res = _both[: len(polite_actors)]
-        denied_keys = _both[len(polite_actors):]
+        # barrier RPC round: one decide_and_drain per host shard (counts +
+        # thresholds + admitted keys + robots-denied keys in ONE call)
+        pol_res = ray.get([p.decide_and_drain.remote() for p in polite_actors])
         _t = _tick("  decide", _t)
         n_admitted = sum(r[0] for r in pol_res)
         n_offered = sum(r[1] for r in pol_res)
@@ -533,13 +514,8 @@ def _run_crawl_attempt(
         else:
             thr_hosts = np.empty(0, dtype="<U1")
             thr_vals = np.empty(0, np.int64)
-        logged_keys = np.sort(
-            np.concatenate(
-                [k.astype(np.int64) for k in denied_keys]
-                + [r[4] for r in pol_res]
-                or [np.empty(0, np.int64)]
-            )
-        )
+        # admitted + robots-denied keys of every shard
+        logged_keys = np.sort(np.concatenate([k for r in pol_res for k in r[4:]]))
         thr_hosts_ref = ray.put(thr_hosts)
         thr_vals_ref = ray.put(thr_vals)
         keys_ref = ray.put(logged_keys)
@@ -613,7 +589,9 @@ def _run_crawl_attempt(
 
         # fetchers flush: resolve (possibly cut) offers, await delivery,
         # write this wave's document parquet partition
-        ray.get([f.end_wave.remote(wave, cut_seq) for f in fetcher_actors])
+        for wc in ray.get([f.end_wave.remote(wave, cut_seq) for f in fetcher_actors]):
+            for k, v in wc.items():
+                counters[k] = counters.get(k, 0) + v
         all_log_refs.extend(log_refs)
         _t = _tick("end_wave", _t)
 
@@ -642,6 +620,7 @@ def _run_crawl_attempt(
                 "fetched": wave_fetched,
                 "deferred": n_deferred,
                 "discovered_new": n_new,
+                "counters": dict(counters),
             }
         )
         if checkpointer is not None:
@@ -649,9 +628,6 @@ def _run_crawl_attempt(
             # on storage before _SUCCESS commits (they overlap the
             # finish/derive phase above, so this join is usually free)
             ray.get([f.wait_writes.remote() for f in fetcher_actors])
-            # checkpoint path already pays RPC rounds: include the O-24
-            # counter snapshot so it persists with the committed wave
-            metrics["waves"][-1]["counters"] = ray.get(metrics_actor.snapshot.remote())
             checkpointer.commit_wave(
                 wave=wave,
                 frontier_next=(
@@ -687,9 +663,9 @@ def _run_crawl_attempt(
         documents = ray.data.from_arrow(DOCUMENTS.empty_table())
     metrics["fetched_total"] = fetched_total
     metrics["doc_root"] = doc_root
-    # final counter snapshot (O-24) + seen-set cardinality estimate (O-32):
-    # one RPC round each, after the wave loop — never inside it
-    metrics["counters"] = ray.get(metrics_actor.snapshot.remote())
+    # final counters (O-24) + seen-set cardinality estimate (O-32; one RPC
+    # round after the wave loop — never inside it)
+    metrics["counters"] = counters
     from crawlray.ops.sketch import HLL
 
     merged_hll = HLL(12)
@@ -722,7 +698,7 @@ def _run_crawl_attempt(
         fetched_total=fetched_total,
         metrics=metrics,
         _seen_actors=seen_actors,
-        _all_actors=seen_actors + robots_actors + polite_actors + [metrics_actor],
+        _all_actors=seen_actors + polite_actors,
     )
 
 
@@ -973,7 +949,6 @@ def resume_crawl(
         max_depth=cfg["max_depth"],
         max_pages=cfg["max_pages"],
         num_seen_shards=new_shards,
-        num_robots_shards=cfg["num_robots_shards"],
         num_host_shards=cfg["num_host_shards"],
         carryover_tokens=cfg["carryover_tokens"],
         user_agent=cfg["user_agent"],

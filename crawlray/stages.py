@@ -22,9 +22,9 @@ through task returns is only the small crawl-log projection.
 Stage functions that talk to stateful actors group their batch rows by the
 target shard and issue ONE batched RPC per shard per batch — key-routed
 RPCs instead of a Ray Data shuffle (SURVEY.md O-26). All stages are
-retry-safe: robots lookups are read-only, politeness offers and seen-shard
-offers are min-combine idempotent, and fetchers deduplicate re-sent chunks
-by (wave, first disc_key).
+retry-safe: a re-sent host-shard mark re-banks keys that decide_and_drain
+deduplicates, seen-shard offers are min-combine idempotent, and fetchers
+deduplicate re-sent chunks by (wave, first disc_key).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import pyarrow.parquet as pq
 import ray
 
 from crawlray.actors.politeness import NO_ADMIT, host_shard_of
-from crawlray.actors.robots import robots_shard_of
 from crawlray.backend import SyntheticBackend
 from crawlray.kernels.html import parse_page
 from crawlray.kernels.url import url_host
@@ -112,19 +111,18 @@ def _group_by_shard(shards: np.ndarray) -> dict[int, np.ndarray]:
 
 def mark_block(
     batch: pa.Table,
-    robots_actors,
-    polite_actors,
+    host_actors,
     wave: int = 0,
     frontier_steps=None,
     policy=None,
 ) -> pa.Table:
     """Applies the registered frontier steps, assigns each row's ORDER KEY
-    (`okey`, from the priority policy — O-48; BFS default = disc_key), adds
-    an `allowed` robots mask, and registers politeness offers for allowed
-    rows — two batched RPC fan-outs. The robots actors bank the denied
-    okeys and the politeness actors the offered okeys, so after
-    decide_and_drain() the driver recovers the wave's full logged key-set
-    from the actors without touching the data again."""
+    (`okey`, from the priority policy — O-48; BFS default = disc_key), and
+    sends each host shard its rows in ONE batched `mark` RPC, which returns
+    the robots `allowed` mask. The host shards bank the denied okeys and
+    the offered okeys of allowed rows, so after decide_and_drain() the
+    driver recovers the wave's full logged key-set from the actors without
+    touching the data again."""
     for st in frontier_steps or ():
         batch = st(batch)
     n = batch.num_rows
@@ -138,57 +136,39 @@ def mark_block(
         else np.asarray(policy(batch, wave), dtype=np.int64)
     )
     batch = batch.append_column("okey", pa.array(okey, pa.int64()))
-    n_r = len(robots_actors)
-    n_p = len(polite_actors)
     host_arr = batch.column("host").combine_chunks()
     url_arr = batch.column("url").combine_chunks()
     # shard routing hashes each UNIQUE host once (dictionary-encode), not
     # each row: a frontier block has ~1000x more rows than hosts, and the
     # pure-python murmur3 per row was a measured mark-phase floor
     enc = host_arr.dictionary_encode()
-    uniq_hosts = enc.dictionary.to_pylist()
-    codes = enc.indices.to_numpy().astype(np.int64)
-
+    sh_u = np.array(
+        [host_shard_of(h, len(host_actors)) for h in enc.dictionary.to_pylist()],
+        dtype=np.int64,
+    )
+    groups = _group_by_shard(sh_u[enc.indices.to_numpy()])
     # RPC payloads are ARROW slices, not python string lists: arrow arrays
     # pickle with out-of-band buffers (one memcpy), while list[str] pays
     # per-string pickling — measured as a large, contention-sensitive cost
-    rsh_u = np.array([robots_shard_of(h, n_r) for h in uniq_hosts], dtype=np.int64)
-    rshards = rsh_u[codes]
-    rgroups = _group_by_shard(rshards)
     futs = {
-        s: robots_actors[s].allowed.remote(
+        s: host_actors[s].mark.remote(
             host_arr.take(pa.array(idxs, pa.int64())),
             url_arr.take(pa.array(idxs, pa.int64())),
             okey[idxs],
         )
-        for s, idxs in rgroups.items()
+        for s, idxs in groups.items()
     }
     allowed = np.zeros(n, dtype=bool)
-    for s, idxs in rgroups.items():
+    for s, idxs in groups.items():
         allowed[idxs] = ray.get(futs[s])
-
-    aidx = np.nonzero(allowed)[0]
-    if len(aidx):
-        psh_u = np.array(
-            [host_shard_of(h, n_p) for h in uniq_hosts], dtype=np.int64
-        )
-        pshards = psh_u[codes[aidx]]
-        ofuts = [
-            polite_actors[s].offer.remote(
-                host_arr.take(pa.array(aidx[idxs], pa.int64())), okey[aidx[idxs]]
-            )
-            for s, idxs in _group_by_shard(pshards).items()
-        ]
-        ray.get(ofuts)
     return batch.append_column("allowed", pa.array(allowed))
 
 
 @ray.remote(num_cpus=0.5)
 def mark_block_task(
-    block: pa.Table, robots_actors, polite_actors, wave: int = 0,
-    frontier_steps=None, policy=None,
+    block: pa.Table, host_actors, wave: int = 0, frontier_steps=None, policy=None
 ) -> pa.Table:
-    return mark_block(block, robots_actors, polite_actors, wave, frontier_steps, policy)
+    return mark_block(block, host_actors, wave, frontier_steps, policy)
 
 
 # --------------------------------------------------------------------------
@@ -420,7 +400,6 @@ class FetchParseStage:
         defer_offers: bool = False,
         web_index_refs: tuple | None = None,
         doc_steps=None,
-        metrics_actor=None,
         backend_factory=None,
     ):
         if backend_factory is not None:
@@ -472,10 +451,11 @@ class FetchParseStage:
         self._offer_buf_rows = 0
         self.OFFER_FLUSH_ROWS = 16384
         self.doc_steps = list(doc_steps or ())  # registered document steps
-        self.metrics_actor = metrics_actor  # O-24 counter sink (optional)
-        self._wave_fetched = 0
-        self._wave_errors = 0
-        self._busy_pushed = 0.0
+        # seqs of this wave's fetched / error rows: end_wave counts them
+        # after the budget cut (O-24 counters ride its return value)
+        self._fetched_seqs: list[np.ndarray] = []
+        self._error_seqs: list[np.ndarray] = []
+        self._busy_reported = 0.0
         self._doc_buf: list[pa.Table] = []
         self._link_buf: list[pa.Table] = []  # only when defer_offers
         self._pending_offers: list = []
@@ -708,8 +688,10 @@ class FetchParseStage:
         # all-fetched chunks (the common case on a healthy crawl) skip the
         # filter copy — it would duplicate every span byte in the chunk
         fetched = full if _nf == full.num_rows else full.filter(_fmask)
-        self._wave_fetched += fetched.num_rows
-        self._wave_errors += full.num_rows - fetched.num_rows
+        seq = full.column("seq").to_numpy()
+        ok = _fmask.to_numpy(zero_copy_only=False)
+        self._fetched_seqs.append(seq[ok])
+        self._error_seqs.append(seq[~ok])
         if fetched.num_rows:
             doc_tbl = pa.table(
                 {
@@ -798,10 +780,12 @@ class FetchParseStage:
             errs, self._write_errors = self._write_errors, []
             raise errs[0]
 
-    def end_wave(self, wave: int, cut_seq: int | None = None) -> int:
+    def end_wave(self, wave: int, cut_seq: int | None = None) -> dict:
         """Flush this actor's wave state: resolve deferred offers (budget
         path), await offer delivery, write the doc buffer to the wave's
-        parquet partition. Returns the number of documents written."""
+        parquet partition. Returns the wave's counters (O-24): pages
+        fetched and fetch errors up to the budget cut, documents written,
+        and seconds spent in fetch_parse_wave since the last end_wave."""
         if self._link_buf:
             links = pa.concat_tables(self._link_buf)
             self._link_buf = []
@@ -840,20 +824,21 @@ class FetchParseStage:
                 self._write_threads.append(t)
                 n = docs.num_rows
         self._chunks_done = set()
-        if self.metrics_actor is not None:
-            # fire-and-forget: counters must never add a wave barrier
-            self.metrics_actor.incr.remote(
-                {
-                    "pages_fetched": self._wave_fetched,
-                    "fetch_errors": self._wave_errors,
-                    "docs_written": n,
-                    "fetcher_busy_s": round(self._busy - self._busy_pushed, 3),
-                }
-            )
-            self._wave_fetched = 0
-            self._wave_errors = 0
-            self._busy_pushed = self._busy
-        return n
+
+        def _count(parts: list[np.ndarray]) -> int:
+            seqs = np.concatenate(parts) if parts else np.empty(0, np.int64)
+            return int(len(seqs) if cut_seq is None else np.count_nonzero(seqs <= cut_seq))
+
+        counters = {
+            "pages_fetched": _count(self._fetched_seqs),
+            "fetch_errors": _count(self._error_seqs),
+            "docs_written": n,
+            "fetcher_busy_s": round(self._busy - self._busy_reported, 3),
+        }
+        self._fetched_seqs = []
+        self._error_seqs = []
+        self._busy_reported = self._busy
+        return counters
 
 
 # 0.5 CPU per fetcher: the pool oversubscribes slightly so fetch (I/O-ish)

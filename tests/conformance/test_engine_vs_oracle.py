@@ -43,9 +43,8 @@ def test_engine_matches_oracle(shape, n_urls, n_hosts, cfg, ray_session):
     web = SynthWeb(seed=42, shape=shape, n_urls=n_urls, n_hosts=n_hosts)
     seeds = web.default_seeds()
     ora = crawl(seeds, SyntheticBackend.from_web(web), CrawlConfig(**cfg))
-    eng = run_crawl(seeds, web=web, num_seen_shards=3, num_robots_shards=2,
-                    num_host_shards=2, fetch_batch_size=16, fetch_concurrency=2,
-                    **cfg)
+    eng = run_crawl(seeds, web=web, num_seen_shards=3, num_host_shards=2,
+                    fetch_batch_size=16, fetch_concurrency=2, **cfg)
     try:
         # 1. crawl_log bit-for-bit
         got = _sorted_log(eng.crawl_log_table())
@@ -77,20 +76,29 @@ def test_engine_matches_oracle(shape, n_urls, n_hosts, cfg, ray_session):
         eng.shutdown()
 
 
-def test_parallelism_invariance(ray_session):
+@pytest.mark.parametrize(
+    "shape,n_urls,n_hosts",
+    [("zipf_hosts", 60, 5), ("robots_blocked", 90, 8)],
+    ids=["zipf_hosts", "robots_blocked"],
+)
+def test_parallelism_invariance(shape, n_urls, n_hosts, ray_session):
     """Same web, different shard counts / batch sizes → identical output
-    (the §4.2 determinism property the N→4N scaling criterion rides on)."""
+    (the §4.2 determinism property the N→4N scaling criterion rides on).
+    Robots bodies are split by host shard, so on robots_blocked a denied
+    host whose body loaded on the wrong shard changes the log."""
     from crawlray.job import run_crawl
 
-    web = SynthWeb(seed=7, shape="zipf_hosts", n_urls=60, n_hosts=5)
+    web = SynthWeb(seed=7, shape=shape, n_urls=n_urls, n_hosts=n_hosts)
     seeds = web.default_seeds()
     kw = dict(budget_per_host=2, max_depth=8)
-    a = run_crawl(seeds, web=web, num_seen_shards=1, num_robots_shards=1,
-                  num_host_shards=1, fetch_batch_size=4, **kw)
-    b = run_crawl(seeds, web=web, num_seen_shards=5, num_robots_shards=3,
-                  num_host_shards=4, fetch_batch_size=64, **kw)
+    a = run_crawl(seeds, web=web, num_seen_shards=1, num_host_shards=1,
+                  fetch_batch_size=4, **kw)
+    b = run_crawl(seeds, web=web, num_seen_shards=5, num_host_shards=4,
+                  fetch_batch_size=64, **kw)
     ta, tb = _sorted_log(a.crawl_log_table()), _sorted_log(b.crawl_log_table())
     assert ta.equals(tb)
+    if shape == "robots_blocked":
+        assert "robots_denied" in tb.column("status").to_pylist()
     assert a.seen_urls() == b.seen_urls()
     a.shutdown()
     b.shutdown()

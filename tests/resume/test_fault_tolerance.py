@@ -27,10 +27,20 @@ def _log_sorted(ds) -> pa.Table:
     )
 
 
-def test_actor_death_mid_crawl_recovers_bit_identical(ray_session, tmp_path):
+@pytest.mark.parametrize(
+    "shape,n_hosts,victims",
+    [("zipf_hosts", 6, ("seen", "fetchers")), ("robots_blocked", 8, ("polite",))],
+    ids=["seen+fetcher", "host_shard"],
+)
+def test_actor_death_mid_crawl_recovers_bit_identical(
+    shape, n_hosts, victims, ray_session, tmp_path
+):
+    """Kill actors at the top of wave 2. `host_shard` kills a host shard,
+    which holds robots rules and token buckets, on a web whose robots deny
+    rows in wave 2 and later."""
     from crawlray.job import run_crawl
 
-    web = SynthWeb(seed=13, shape="zipf_hosts", n_urls=120, n_hosts=6)
+    web = SynthWeb(seed=13, shape=shape, n_urls=120, n_hosts=n_hosts)
     seeds = web.default_seeds()
     cfg = dict(budget_per_host=2, max_depth=8)
     ora = crawl(seeds, SyntheticBackend.from_web(web), CrawlConfig(**cfg))
@@ -39,15 +49,15 @@ def test_actor_death_mid_crawl_recovers_bit_identical(ray_session, tmp_path):
                   fetch_concurrency=2, fetch_batch_size=16, **cfg)
     a.shutdown()
 
-    # kill one seen shard AND one fetcher at the top of wave 2 — the wave's
-    # RPCs then hit dead actors and the recovery path must engage
+    # kill the first actor of each victim pool at the top of wave 2 — the
+    # wave's RPCs then hit dead actors and the recovery path must engage
     killed = {"done": False}
 
     def hook(wave, actors):
         if wave == 2 and not killed["done"]:
             killed["done"] = True
-            ray.kill(actors["seen"][0], no_restart=True)
-            ray.kill(actors["fetchers"][0], no_restart=True)
+            for pool in victims:
+                ray.kill(actors[pool][0], no_restart=True)
 
     b = run_crawl(seeds, web=web, out_dir=str(tmp_path / "b"),
                   fetch_concurrency=2, fetch_batch_size=16,

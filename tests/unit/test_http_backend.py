@@ -96,7 +96,7 @@ def test_oracle_crawl_over_http(http_host):
 def test_engine_crawl_over_http_matches_oracle(http_host, ray_session):
     """The DISTRIBUTED engine crawling over real HTTP (backend_factory
     path: no webgraph tables anywhere — fetchers build HttpBackend in
-    __init__, robots shards live-fetch robots.txt on miss) must equal the
+    __init__, host shards live-fetch robots.txt on miss) must equal the
     single-process oracle over the same server bit-for-bit."""
     from crawlray.backend import HttpBackend
     from crawlray.job import run_crawl
@@ -113,7 +113,6 @@ def test_engine_crawl_over_http_matches_oracle(http_host, ray_session):
         backend_factory=factory,
         budget_per_host=10,
         num_seen_shards=2,
-        num_robots_shards=2,
         num_host_shards=2,
         fetch_concurrency=2,
         seen_capacity=1 << 14,
