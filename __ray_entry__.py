@@ -215,8 +215,8 @@ def _join_agg(sf_dir: str):
 
 def _shuffle_join(sf_dir: str):
     """O-27 at scale: large-large shuffle hash join lineitem ⋈ orders (both
-    fact tables; neither side broadcast — `Dataset.join` hash-partitions
-    both and joins each partition independently)."""
+    fact tables; neither side broadcast — `exchange.join` hash-partitions
+    both and joins each partition independently in its own task)."""
     from crawlray.ops.relational import shuffle_join
 
     li = _rd(

@@ -157,10 +157,17 @@ def bytes_to_chars(col: pa.Array | pa.ChunkedArray) -> pa.Array:
     out[pos] = _B0[used]
     two = out_len == 2
     out[pos[two] + 1] = _B1[used[two]]
-    new_offs = oo[offs - offs[0]].astype(np.int32)
+    new_offs = _int32_offsets(oo[offs - offs[0]])
     return pa.StringArray.from_buffers(
         n, pa.py_buffer(new_offs.tobytes()), pa.py_buffer(out.tobytes())
     )
+
+
+def _int32_offsets(offsets: np.ndarray) -> np.ndarray:
+    """int64 → Arrow `string` (int32) offsets; raises past 2 GiB of data."""
+    if offsets[-1] >= 2**31:
+        raise ValueError(f"bytes_to_chars: {offsets[-1]} bytes overflow int32 offsets")
+    return offsets.astype(np.int32)
 
 
 def wrap_symbols(col: pa.Array | pa.ChunkedArray) -> pa.Array:
@@ -432,6 +439,9 @@ def bpe_segment_tokens(
     (zero-copy plasma read, zero extra shuffle, output preserves
     document order); larger vocabs → ONE hash join on the word key
     (row order not guaranteed — token MULTISET per doc is identical).
+    Distinct mode runs the input lineage twice (vocab, then map-back):
+    materialize a costly or nondeterministic input first (a broadcast
+    map-back raises on a word the vocab lacks).
 
     `mode="fused"`: K vectorized replace passes over the whole corpus
     per batch — the exact shape the DuckDB oracle replays
@@ -537,9 +547,11 @@ def bpe_segment_tokens(
             vt = ray.get(vt_ref)  # zero-copy plasma read, once per task
             parents, words = _explode_occurrences(batch)
             enc = words.dictionary_encode()
-            # vocab was built from this very dataset, so every distinct
-            # word resolves (index_in returns no nulls here)
             pos = pc.index_in(enc.dictionary, value_set=vt.column("word"))
+            if pos.null_count:  # the lineage changed between its two runs
+                raise ValueError(
+                    f"bpe_segment_tokens: {pos.null_count} words missing from the vocab"
+                )
             seg_per_distinct = vt.column("seg").combine_chunks().take(pos)
             occ_seg = seg_per_distinct.take(enc.indices)
             ids = batch.column(id_col).take(parents)

@@ -670,7 +670,8 @@ def _island_merge(
             close = (pos[1:] - pos[:-1]) <= n
             new_isl[1:] = ~(same_doc & close)
         starts = np.flatnonzero(new_isl)
-        ends = np.append(starts[1:], len(pos))
+        # an empty partition has no islands (and no last island to end)
+        ends = np.append(starts[1:], len(pos))[: len(starts)]
         return pa.table(
             {
                 id_col: ids.take(pa.array(starts, pa.int64())),

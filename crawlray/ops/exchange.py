@@ -1,21 +1,18 @@
 """The one hash exchange and the one join of the operator library.
 
-Ray Data 2.49.2 has three behaviours that every exchange and join would
-otherwise have to work around (measured, not documented by Ray):
-
-* `groupby(...).map_groups(f)` writes a (0 rows, 0 columns) block for
-  each empty partition without calling `f`;
-* `map_batches(f)` never calls `f` on a 0-row block and emits a
-  schema-less block in its place, so an empty input loses its schema;
-* `Dataset.join` raises `ArrowInvalid: No match ... for key field` when
-  a side has zero rows in total (even with a schema), or when a side's
-  zero-column blocks meet a join partition its real rows do not reach.
+Both are plain Ray tasks over block refs, with no Ray Data shuffle and
+no actor: one map task per non-empty input block cuts its rows into one
+slice per partition by `route`, and one reduce task per partition
+concatenates its slices and runs the caller's `merge` (for a join,
+`pyarrow.Table.join`). Every reduce runs on a typed table, even a 0-row
+one: a side with no rows enters as the empty table of its schema.
 
 Everything here returns datasets that are materialized, hold no 0-row
-blocks, and carry a schema even when they are empty, so no operator
-module needs to know about the above. `route` is the only rule that maps
-key values to partitions and `partition_count` the only rule that sizes
-an exchange.
+blocks, and carry a schema even when they are empty. The one Ray Data
+2.49.2 quirk left is `typed_map`'s: `map_batches(f)` never calls `f` on
+a 0-row block and emits a schema-less block in its place. `route` is the
+only rule that maps key values to partitions and `partition_count` the
+only rule that sizes an exchange.
 """
 
 from __future__ import annotations
@@ -27,17 +24,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 from crawlray.murmur3 import _fmix64_vec, murmur3_x64_128_batch
 
 Fn = Callable[[pa.Table], pa.Table]
 
-_PK = "_pk"  # the routing column; never visible outside this module
 _MIX = np.uint64(0x9E3779B97F4A7C15)
-# join types whose result keeps the rows of the other side when one side is
-# empty, keyed by the side that must be non-empty
-_KEEPS_LEFT = {"left_outer", "full_outer", "left_anti"}
-_KEEPS_RIGHT = {"right_outer", "full_outer", "right_anti"}
+# join types whose result keeps the unmatched rows of the left / right side
+_KEEPS = ({"left_outer", "full_outer", "left_anti"},
+          {"right_outer", "full_outer", "right_anti"})
 
 
 def partition_count(*datasets: ray.data.Dataset) -> int:
@@ -45,11 +41,8 @@ def partition_count(*datasets: ray.data.Dataset) -> int:
     largest input per partition, at least 2, never fewer than one per CPU
     once an input passes CPUs x 256 MiB. With no sized input, max(8, CPUs).
 
-    Each partition costs ~60 ms of aggregator spin-up, so a fixed
-    max(8, CPUs) on small inputs is mostly overhead (measured: 32
-    partitions on a 27 MB input dominated the wall time). `size_bytes`
-    is metadata on a materialized dataset but executes a lazy one, so
-    pass only materialized datasets.
+    `size_bytes` is metadata on a materialized dataset but executes a
+    lazy one, so pass only materialized datasets.
     """
     cpus = int(ray.cluster_resources().get("CPU", 8))
     size = max((ds.size_bytes() or 0 for ds in datasets), default=0)
@@ -89,41 +82,22 @@ def hash_exchange(
     partial: Fn | None = None,
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    """Run `partial` on every input batch (map side), send each of its
+    """Run `partial` on every input block (map side), send each of its
     rows to the partition `route` picks for `keys`, and run `merge` once
     per partition on all rows routed there: every key tuple is complete
-    inside exactly one `merge` call. `merge` must accept an empty table.
-    Without `num_partitions` the input is materialized and sized by
-    `partition_count`.
+    inside exactly one `merge` call. `merge` runs on every partition, so
+    it must accept an empty table. The input is materialized; without
+    `num_partitions` it is sized by `partition_count`.
 
     The output is materialized, has no 0-row blocks, and when it has no
     rows it still carries the schema of `merge(partial(empty input))`.
     """
-    if num_partitions is None:
-        ds = ds.materialize()
-        num_partitions = partition_count(ds)
-
-    def _route(batch: pa.Table) -> pa.Table:
-        if partial is not None:
-            batch = partial(batch)
-        return batch.append_column(_PK, route(batch, keys, num_partitions))
-
-    def _merge(group: pa.Table) -> pa.Table:
-        return merge(group.drop_columns([_PK]))
-
-    def _typed_empty() -> pa.Table | None:
-        t = _empty_table(ds)
-        if t is None:
-            return None
-        return merge(partial(t) if partial is not None else t)
-
-    out = (
-        ds.map_batches(_route, batch_format="pyarrow")
-        .groupby(_PK)
-        .map_groups(_merge, batch_format="pyarrow")
-        .materialize()
-    )
-    return _without_empty_blocks(out, _typed_empty)
+    ds = ds.materialize()
+    refs = _typed_blocks(ds)
+    if refs is None:  # no rows and no schema: nothing to type a result with
+        return ds
+    n = num_partitions or partition_count(ds)
+    return _shuffle([(refs, keys)], partial, merge, n)
 
 
 def join(
@@ -134,71 +108,55 @@ def join(
     join_type: str = "inner",
     num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    """Hash-shuffle join of two datasets (`ray.data.Dataset.join`; each
-    of the `num_partitions` key ranges joins independently, so neither
-    side is ever held on one node). Columns and types are those of
-    `pyarrow.Table.join` with the same arguments.
-
-    Both sides are materialized first so their row counts are metadata.
-    A side with zero rows is answered here without a shuffle; otherwise
-    only non-empty blocks reach `Dataset.join`. The result is
-    materialized, has no 0-row blocks, and is typed when empty.
+    """Hash-partitioned join: both sides (materialized first) are routed
+    on their keys into `num_partitions` partitions that join
+    independently, so no task holds a whole side. Columns and types are
+    those of `pyarrow.Table.join` with the same arguments. The result is
+    materialized, has no 0-row blocks, and is typed when empty. A 0-row
+    side with no schema is the result, or raises if the result must keep
+    the other side's rows.
     """
-    left = _without_empty_blocks(left.materialize(), lambda: None)
-    right = _without_empty_blocks(right.materialize(), lambda: None)
+    left, right = left.materialize(), right.materialize()
     right_on = list(right_on or on)
+    sides = [_typed_blocks(left), _typed_blocks(right)]
+    if None in sides:  # a 0-row side with no schema: nothing types a result
+        i = sides.index(None)
+        if join_type in _KEEPS[1 - i] and (right, left)[i].count():
+            side = ("left", "right")[i]
+            raise ValueError(f"join: empty {side} side has no schema ({join_type})")
+        return (left, right)[i]
     how = join_type.replace("_", " ")
 
     def _local(lt: pa.Table, rt: pa.Table) -> pa.Table:
         return lt.join(rt, keys=list(on), right_keys=right_on, join_type=how)
 
-    def _typed_empty() -> pa.Table | None:
-        lt, rt = _empty_table(left), _empty_table(right)
-        if lt is None or rt is None:
-            return None
-        return _local(lt, rt)
-
-    n_left, n_right = left.count(), right.count()
-    if n_left and n_right:
-        out = left.join(
-            right,
-            join_type=join_type,
-            num_partitions=num_partitions or partition_count(left, right),
-            on=tuple(on),
-            right_on=tuple(right_on),
-        ).materialize()
-        return _without_empty_blocks(out, _typed_empty)
-    if n_left and join_type in _KEEPS_LEFT:
-        rt = _empty_table(right)
-        if rt is None:
-            raise ValueError(f"join: empty right side has no schema ({join_type})")
-        return left.map_batches(
-            lambda b: _local(b, rt), batch_format="pyarrow"
-        ).materialize()
-    if n_right and join_type in _KEEPS_RIGHT:
-        lt = _empty_table(left)
-        if lt is None:
-            raise ValueError(f"join: empty left side has no schema ({join_type})")
-        return right.map_batches(
-            lambda b: _local(lt, b), batch_format="pyarrow"
-        ).materialize()
-    empty = _typed_empty()
-    if empty is None:  # a schema-less empty side: nothing to type it with
-        return right if n_left else left
-    return ray.data.from_arrow(empty)
+    n = num_partitions or partition_count(left, right)
+    return _shuffle([(sides[0], list(on)), (sides[1], right_on)], None, _local, n)
 
 
 def typed_map(ds: ray.data.Dataset, fn: Fn) -> ray.data.Dataset:
     """`ds.map_batches(fn)`, materialized, without 0-row blocks, and
     typed by `fn(empty input)` when it has no rows (Ray emits a
     schema-less block for an empty input without calling `fn`)."""
-
-    def _typed_empty() -> pa.Table | None:
-        t = _empty_table(ds)
-        return fn(t) if t is not None else None
-
     out = ds.map_batches(fn, batch_format="pyarrow").materialize()
-    return _without_empty_blocks(out, _typed_empty)
+    if refs := _row_blocks(out):
+        return out if len(refs) == out.num_blocks() else ray.data.from_arrow_refs(refs)
+    t = _empty_table(ds)
+    return ray.data.from_arrow(fn(t)) if t is not None else out
+
+
+def _row_blocks(ds: ray.data.Dataset) -> list[ray.ObjectRef]:
+    """Refs of the blocks of materialized `ds` that hold rows."""
+    return [r for b in ds.iter_internal_ref_bundles() for r, m in b.blocks if m.num_rows]
+
+
+def _typed_blocks(ds: ray.data.Dataset) -> list[ray.ObjectRef] | None:
+    """The blocks of materialized `ds` that hold rows; if none do, its
+    empty table as the one block, or None when `ds` has no schema."""
+    if refs := _row_blocks(ds):
+        return refs
+    t = _empty_table(ds)
+    return None if t is None else [ray.put(t)]
 
 
 def _empty_table(ds: ray.data.Dataset) -> pa.Table | None:
@@ -208,22 +166,48 @@ def _empty_table(ds: ray.data.Dataset) -> pa.Table | None:
     return pa.schema(list(zip(sch.names, sch.types))).empty_table()
 
 
-def _without_empty_blocks(
-    mat: ray.data.Dataset, typed_empty: Callable[[], pa.Table | None]
-) -> ray.data.Dataset:
-    """`mat` (materialized) minus its 0-row blocks, read from block
-    metadata only. With no rows left, `typed_empty()` is the result."""
-    refs, total = [], 0
-    for bundle in mat.iter_internal_ref_bundles():
-        for ref, meta in bundle.blocks:
-            total += 1
-            if meta.num_rows:
-                refs.append(ref)
-    if not refs:
-        empty = typed_empty()
-        if empty is not None:
-            return ray.data.from_arrow(empty)
-        return mat
-    if len(refs) == total:
-        return mat
-    return ray.data.from_arrow_refs(refs)
+def _shuffle(sides: list[tuple[list[ray.ObjectRef], list[str]]], partial: Fn | None,
+             reduce: Callable[..., pa.Table], n: int) -> ray.data.Dataset:
+    """Route every block of every side (block refs, routing keys) into
+    `n` partitions and run `reduce(side 0 rows, side 1 rows, ...)` once
+    per partition. Returns the non-empty outputs, or one empty output
+    when all are empty."""
+    fns = ray.put((partial, reduce))
+    split = _split.options(num_returns=n)
+    parts = [[split.remote(r, fns, keys, n) for r in refs] for refs, keys in sides]
+    sizes = [len(side) for side in parts]
+    outs = [  # with n == 1 a split returns its one slice, not a list
+        _reduce.remote(fns, sizes, *(b[i] if n > 1 else b for side in parts for b in side))
+        for i in range(n)
+    ]
+    counts = ray.get([c for _, c in outs])
+    return ray.data.from_arrow_refs(
+        [t for (t, _), c in zip(outs, counts) if c] or [outs[0][0]]
+    )
+
+
+@ray.remote
+def _split(block, fns, keys: list[str], n: int):
+    """One input block → `partial(block)`'s rows cut into `n` slices in
+    partition order (one slice, not a list of one, when n == 1)."""
+    t = BlockAccessor.for_block(block).to_arrow()
+    if fns[0] is not None:
+        t = fns[0](t)
+    pid = route(t, keys, n).to_numpy()
+    order = np.argsort(pid, kind="stable")
+    cuts = np.searchsorted(pid[order], np.arange(n + 1))
+    t = t.take(order)
+    out = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    return out if n > 1 else out[0]
+
+
+@ray.remote(num_returns=2)
+def _reduce(fns, sizes: list[int], *parts: pa.Table):
+    """One partition: concatenate each side's slices (`sizes` of them per
+    side) and run the exchange's reduce on the side tables."""
+    cuts = np.cumsum([0, *sizes])
+    out = fns[1](*(
+        pa.concat_tables(parts[a:b], promote_options="permissive")
+        for a, b in zip(cuts[:-1], cuts[1:])
+    ))
+    return out, out.num_rows

@@ -36,7 +36,7 @@ _MASK61 = np.uint64(_P61)
 _DROP_SENTINEL = -(1 << 62)
 
 # _verify_jaccard: broadcast the (jid -> pair) mapping when the candidate
-# half-row count fits this budget; larger sets take the Dataset.join path.
+# half-row count fits this budget; larger sets take the shuffle-join path.
 # Module-level so tests can force the join path on small corpora.
 _VERIFY_BROADCAST_MAX_HALF_ROWS = 2_000_000
 
@@ -408,7 +408,7 @@ def _verify_jaccard(
        consumer; ADVICE r2) and the candidate-id set is broadcast once;
     2. ONLY candidate docs are re-shingled inside `map_batches` and exploded
        to (jid, s) shingle rows — a corpus scan, no shuffle, no driver rows;
-    3. pairs explode to two half-rows (jid, pkey); ONE `Dataset.join` on jid
+    3. pairs explode to two half-rows (jid, pkey); ONE `exchange.join` on jid
        tags each side's shingles with its pair key; `groupby(pkey, s).count`
        marks intersection shingles (count == 2 — per-doc shingles are
        distinct); a final Arrow-native `groupby(pkey)` aggregate yields

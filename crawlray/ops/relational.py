@@ -9,7 +9,7 @@ seen-set semantics of O-26).
 Scale notes baked into each op:
   * small sides are broadcast once via `ray.put` and joined per batch with
     Arrow kernels — never re-shipped per batch, never a shuffle;
-  * large-large joins go through `Dataset.join` (hash shuffle both sides);
+  * large-large joins go through `exchange.join` (hash-partition both sides);
   * aggregates use Ray Data's partial+final tree aggregation (no driver
     materialization of the big side).
 """
@@ -52,7 +52,7 @@ def broadcast_join(
 #   * both sides large (fact ⋈ fact, e.g. documents ⋈ crawl_log at full
 #     corpus scale): `shuffle_join` — O(|L|+|R|) network, bounded
 #     per-partition memory; raise `num_partitions` until a partition of
-#     the LARGER side fits in an aggregator's heap;
+#     the LARGER side fits in one reduce task's heap;
 #   * key skew: `salted_shuffle_join`.
 shuffle_join = join
 
@@ -1265,7 +1265,7 @@ def bloom_semi_join(
     )
     # no fixed repartition here (ADVICE r3): join's size-aware
     # num_partitions default scales with the right key set; a hardcoded
-    # repartition(2) would funnel a large key set into 2 aggregators.
+    # repartition(2) would funnel a large key set into 2 reduce tasks.
     # right_is_distinct skips the dedup exchange when the caller already
     # guarantees one row per key (e.g. decontaminate feeds the output of
     # grouped_count_hash). The dedup is a hash exchange, not `distinct()`'s

@@ -485,9 +485,9 @@ def pmi_collocations(
          pagerank broadcast-chooser pattern, O(1) metadata check on the
          materialized table): a vocabulary of at most
          `broadcast_threshold` rows is pulled once and broadcast-joined
-         (zero further shuffles — two chained Dataset.join aggregator
-         pools cost seconds of spin-up that a 31-row vocab never
-         earns, measured round 5: 4.2 s → sub-second); above the
+         (zero further shuffles — two chained shuffle joins cost
+         seconds that a 31-row vocab never earns, measured round 5
+         with Ray's aggregator-actor join: 4.2 s → sub-second); above the
          threshold both joins run as hash shuffle joins (unigram side
          is one row per distinct term, so its skew is bounded);
       3. TU is the one driver scalar (summed off the materialized

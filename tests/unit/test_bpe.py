@@ -314,6 +314,40 @@ def test_bytes_to_chars_matches_python_encoder(ray_session):
     assert "|" not in byte_encode("|")
 
 
+def test_bytes_to_chars_offset_overflow_raises():
+    """Output offsets past 2 GiB raise instead of wrapping to negative
+    int32 (a synthetic offsets array stands in for a 1 GiB buffer)."""
+    import numpy as np
+
+    from crawlray.ops.bpe import _int32_offsets
+
+    ok = _int32_offsets(np.array([0, 5, 2**31 - 1], np.int64))
+    assert ok.dtype == np.int32 and ok[-1] == 2**31 - 1
+    with pytest.raises(ValueError, match="overflow"):
+        _int32_offsets(np.array([0, 5, 2**31], np.int64))
+
+
+def test_bpe_segment_nondeterministic_lineage_fails_loudly(ray_session):
+    """Distinct mode runs its input lineage twice. When the second run
+    yields words the vocab (built by the first) lacks, the broadcast
+    map-back raises instead of dropping those occurrences."""
+    import uuid
+
+    from crawlray.ops.bpe import bpe_segment_tokens
+
+    def _fresh_words(batch: pa.Table) -> pa.Table:
+        words = [
+            "".join(chr(97 + int(c, 16)) for c in uuid.uuid4().hex)
+            for _ in range(batch.num_rows)
+        ]
+        return pa.table({"doc_id": batch.column("id"), "text": words})
+
+    ds = ray.data.range(4).map_batches(_fresh_words, batch_format="pyarrow")
+    merges = pa.table({"left": ["a"], "right": ["b"], "merged": ["ab"]})
+    with pytest.raises(Exception, match="missing from the vocab"):
+        bpe_segment_tokens(ds, merges).take_all()
+
+
 def test_bpe_byte_level_train_matches_reference(ray_session):
     """byte_level=True trains on arbitrary text (punctuation, case,
     unicode) — parity vs the sequential Sennrich reference run in the

@@ -462,6 +462,31 @@ def test_dup_spans_hand_cases(ray_session):
     ]
 
 
+def test_span_ops_on_corpus_without_repeats_are_typed(ray_session):
+    """No gram repeats inside the corpus or reaches the benchmark: both
+    span ops return a typed 0-row result (the island merge runs on empty
+    partitions instead of indexing past their end)."""
+    import pyarrow as pa
+
+    from crawlray.ops.corpusprep import decontaminate_spans, dup_spans
+
+    docs = ray.data.from_pandas(
+        pd.DataFrame(
+            {"doc_id": [1, 2], "text": ["a b c d e f g", "h i j k l m n"]}
+        )
+    )
+    bench = ray.data.from_pandas(
+        pd.DataFrame({"doc_id": [9], "text": ["o p q r s t u"]})
+    )
+    for out, count_col in (
+        (dup_spans(docs, "doc_id", "text", n=5), "n_dup_grams"),
+        (decontaminate_spans(docs, bench, n=5), "n_grams"),
+    ):
+        assert out.count() == 0
+        assert out.schema().names == ["doc_id", "span_start", "span_end", count_col]
+        assert list(out.schema().types)[1:] == [pa.int64()] * 3
+
+
 def test_dup_spans_matches_brute_force_on_corpus(ray_session):
     """dup_spans over the driver's documents table == a single-process
     brute-force reference (global gram counts + interval merge), and is

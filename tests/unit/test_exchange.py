@@ -5,7 +5,9 @@ The join cases are the Ray 2.49 shapes on which `Dataset.join` raises
 with a schema), and a side whose real rows miss some join partitions
 while zero-column blocks from empty exchange partitions sit next to them.
 Every result is checked, rows and schema, against a local
-`pyarrow.Table.join` of the same inputs."""
+`pyarrow.Table.join` of the same inputs. The later cases pin the
+map/reduce contract: `merge` runs on every partition, one partition
+works, and pandas blocks are read as Arrow."""
 
 import ast
 import pathlib
@@ -24,6 +26,11 @@ BIG = pa.table(
     {"k": pa.array(np.arange(100), pa.int64()),
      "x": pa.array([f"x{i}" for i in range(100)])}
 )
+
+
+# a right side with a duplicate key and a key the left side lacks
+SMALL = pa.table({"k": pa.array([3, 7, 7, 500], pa.int64()),
+                  "y": pa.array([1, 2, 3, 4], pa.int64())})
 
 
 def _one_row_exchange(ds):
@@ -139,6 +146,79 @@ def test_hash_exchange_empty_input_is_typed(ray_session):
     assert list(out.schema().types) == [pa.string(), pa.int64()]
 
 
+@pytest.mark.parametrize("num_partitions", [1, 16])
+def test_hash_exchange_runs_merge_on_every_partition(ray_session, num_partitions):
+    """`merge` runs once per partition, on a typed table even where no
+    key routes (3 distinct keys into 16 partitions), and one partition
+    takes every row."""
+    import ray.data
+
+    from crawlray.ops.exchange import hash_exchange
+
+    def _rows_per_partition(t: pa.Table) -> pa.Table:
+        return pa.table({"rows": [t.num_rows], "names": [",".join(t.schema.names)]})
+
+    t = BIG.append_column("g", pa.array(np.arange(100) % 3, pa.int64()))
+    ds = ray.data.from_arrow(t).repartition(4)
+    got = hash_exchange(
+        ds, ["g"], _rows_per_partition, num_partitions=num_partitions
+    ).to_pandas()
+    assert len(got) == num_partitions
+    assert set(got["names"]) == {"k,x,g"}
+    assert got["rows"].sum() == 100
+    assert (got["rows"] > 0).sum() == min(3, num_partitions)
+
+
+@pytest.mark.parametrize("join_type", JOIN_TYPES)
+def test_join_single_partition(ray_session, join_type):
+    import ray.data
+
+    from crawlray.ops.exchange import join
+
+    got = join(ray.data.from_arrow(BIG).repartition(3), ray.data.from_arrow(SMALL),
+               on=["k"], join_type=join_type, num_partitions=1)
+    _check(got, BIG, SMALL, join_type)
+
+
+@pytest.mark.parametrize("join_type", JOIN_TYPES)
+def test_pandas_blocks_exchange_and_join(ray_session, join_type):
+    """`from_pandas` inputs arrive as pandas blocks; both primitives
+    read them as Arrow."""
+    import ray.data
+
+    from crawlray.ops.exchange import hash_exchange, join
+
+    def _count(t: pa.Table) -> pa.Table:
+        return t.group_by(["k"]).aggregate([([], "count_all")])
+
+    left = ray.data.from_pandas([BIG.slice(0, 60).to_pandas(), BIG.slice(60).to_pandas()])
+    right = ray.data.from_pandas(SMALL.to_pandas())
+    _check(join(left, right, on=["k"], join_type=join_type, num_partitions=4),
+           BIG, SMALL, join_type)
+    counts = hash_exchange(right, ["k"], _count, num_partitions=4).to_pandas()
+    assert dict(zip(counts["k"], counts["count_all"])) == {3: 1, 7: 2, 500: 1}
+
+
+@pytest.mark.parametrize("num_partitions", [1, 4])
+def test_grouped_sum_hash_with_count_matches_pandas(ray_session, num_partitions):
+    import ray.data
+
+    from crawlray.ops.relational import grouped_sum_hash
+
+    rng = np.random.default_rng(5)
+    t = pa.table({"a": pa.array(rng.integers(0, 9, 500), pa.int64()),
+                  "b": [f"b{v}" for v in rng.integers(0, 4, 500)],
+                  "v": pa.array(rng.integers(-50, 50, 500), pa.int64())})
+    got = grouped_sum_hash(
+        ray.data.from_arrow(t).repartition(5), ["a", "b"], "v",
+        alias="s", count_alias="c", num_partitions=num_partitions,
+    ).to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
+    want = (t.to_pandas().groupby(["a", "b"])["v"].agg(s="sum", c="count")
+            .reset_index())
+    assert list(got.columns) == ["a", "b", "s", "c"]
+    assert got.to_dict("list") == want.to_dict("list")
+
+
 def _calls(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -149,11 +229,11 @@ def test_only_exchange_module_joins_or_routes():
     """No operator module other than exchange.py calls `.join(` on a
     Dataset (pyarrow `Table.join` and `str.join` pass: they take `keys=`
     or a single iterable), groups on the routing column, or imports the
-    removed block scrub."""
+    removed block scrub. exchange.py itself runs its own map and reduce
+    tasks: it calls no `Dataset.join`, no `groupby` and no `map_groups`."""
     offenders = []
     for path in sorted(OPS.glob("*.py")):
-        if path.name == "exchange.py":
-            continue
+        own = path.name == "exchange.py"
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -167,6 +247,8 @@ def test_only_exchange_module_joins_or_routes():
                 kw & {"join_type", "on", "num_partitions"} and "keys" not in kw
             ):
                 offenders.append(f"{path.name}:{call.lineno} calls Dataset.join")
+            if own and call.func.attr in ("groupby", "map_groups"):
+                offenders.append(f"{path.name}:{call.lineno} calls {call.func.attr}")
             if call.func.attr == "groupby" and any(
                 isinstance(a, ast.Constant) and a.value == "_pk" for a in call.args
             ):
