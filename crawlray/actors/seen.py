@@ -27,8 +27,42 @@ import pyarrow as pa
 import ray
 
 from crawlray.cuckoo import CuckooFilter
+from crawlray.kernels.url import url_host
 from crawlray.murmur3 import murmur3_x64_128_batch
 from crawlray.ops.sketch import HLL
+from crawlray.schema import unpack_disc_depth
+
+
+# an offer partial / a wave's new URLs: one row per URL, min pack + hashes
+_NEW_ROWS = pa.schema(
+    [("url", pa.string()), ("pack", pa.int64()), ("lo", pa.uint64()), ("hi", pa.uint64())]
+)
+
+
+def _min_combine(rows: pa.Table) -> pa.Table:
+    """One `_NEW_ROWS` row per URL with its min pack. lo/hi are functions of
+    url, so "min" just picks the (identical) value while the C++ group_by
+    dedups in one pass."""
+    comb = rows.group_by(["url"]).aggregate([("pack", "min"), ("lo", "min"), ("hi", "min")])
+    return comb.select(["url", "pack_min", "lo_min", "hi_min"]).rename_columns(_NEW_ROWS.names)
+
+
+def derive_frontier_block(new: pa.Table, shard_id: int) -> pa.Table:
+    """New-URL rows (`_NEW_ROWS`) of seen shard `shard_id` → full FRONTIER
+    columns. Host parse + unpack run once per unique new URL. Offers are
+    routed by lo % num_shards, so every row's `shard` is `shard_id`."""
+    disc, depth = unpack_disc_depth(new.column("pack").to_numpy())
+    return pa.table(
+        {
+            "url": new.column("url"),
+            "host": pa.array([url_host(u) for u in new.column("url").to_pylist()], pa.string()),
+            "depth": pa.array(depth.astype(np.int32), pa.int32()),
+            "disc_key": pa.array(disc, pa.int64()),
+            "url_hash_lo": new.column("lo"),
+            "url_hash_hi": new.column("hi"),
+            "shard": pa.array(np.full(new.num_rows, shard_id, np.uint32), pa.uint32()),
+        }
+    )
 
 
 @ray.remote(num_cpus=0)
@@ -120,65 +154,42 @@ class SeenShardActor:
         self._offer_lo = []
         self._offer_hi = []
         self._offer_rows = 0
-        # lo/hi are functions of url, so "min" just picks the (identical)
-        # value while the C++ group_by dedups in one pass
-        comb = offers.group_by(["url"]).aggregate(
-            [("pack", "min"), ("lo", "min"), ("hi", "min")]
-        )
-        lo = comb.column("lo_min").to_numpy()
-        hi = comb.column("hi_min").to_numpy()
+        part = _min_combine(offers)
+        lo = part.column("lo").to_numpy()
+        hi = part.column("hi").to_numpy()
         keep = np.ones(len(lo), dtype=bool)
         maybe = self.cuckoo.maybe_contains_many(lo, hi)
         for i in np.nonzero(maybe)[0]:
             if (int(lo[i]), int(hi[i])) in self.exact:
                 keep[i] = False
-        part = pa.table(
-            {
-                "url": comb.column("url"),
-                "pack": comb.column("pack_min"),
-                "lo": pa.array(lo, pa.uint64()),
-                "hi": pa.array(hi, pa.uint64()),
-            }
-        )
         if not keep.all():
             part = part.filter(pa.array(keep))
         if part.num_rows:
             self._partials.append(part)
 
-    def finish_wave(self) -> pa.Table:
-        """Resolve the wave's offers → Arrow block of NEW frontier rows
-        (url, pack, url_hash_lo, url_hash_hi), sorted by url.
+    @ray.method(num_returns=2)
+    def finish_wave(self) -> tuple[pa.Table, int]:
+        """Resolve the wave's offers → (block of NEW frontier rows with the
+        full FRONTIER columns, sorted by url; its row count).
 
         Merges the pre-combined partials (group_by min — a URL offered in
-        several flush windows appears in several partials) and admits the
-        surviving URLs to the cuckoo+exact store. Imports used here must
+        several flush windows appears in several partials), admits the
+        surviving URLs to the cuckoo+exact store, and derives host, depth,
+        disc_key and shard here (`derive_frontier_block`). Deriving in the
+        shard that already holds the rows saves a task per shard per wave
+        and a copy of every new row through the object store; the separate
+        row count lets the driver size the next frontier without fetching
+        the block. Imports used here (and in `derive_frontier_block`) must
         sit at module top: this runs in the actor process, where a lazy
         `import crawlray...` fails when the class was shipped by-value
         (driver cwd outside the repo)."""
         self._precombine()
-        if not self._partials:
-            return pa.table(
-                {
-                    "url": pa.array([], pa.string()),
-                    "pack": pa.array([], pa.int64()),
-                    "url_hash_lo": pa.array([], pa.uint64()),
-                    "url_hash_hi": pa.array([], pa.uint64()),
-                }
-            )
-        allp = (
-            self._partials[0]
-            if len(self._partials) == 1
-            else pa.concat_tables(self._partials)
-        )
+        comb = _min_combine(pa.concat_tables(self._partials or [_NEW_ROWS.empty_table()]))
         self._partials = []
-        comb = allp.group_by(["url"]).aggregate(
-            [("pack", "min"), ("lo", "min"), ("hi", "min")]
-        )
         comb = comb.take(pa.compute.sort_indices(comb.column("url")))
         urls_u = comb.column("url").to_pylist()
-        packs_u = comb.column("pack_min")
-        lo = comb.column("lo_min").to_numpy()
-        hi = comb.column("hi_min").to_numpy()
+        lo = comb.column("lo").to_numpy()
+        hi = comb.column("hi").to_numpy()
         # admission loop: every row here is NEW (filtered at precombine and
         # the exact set is static during the wave); keep the historical
         # first-in-url-order-wins behavior under (astronomically unlikely)
@@ -193,18 +204,10 @@ class SeenShardActor:
             self.cuckoo.add(k[0], k[1])
             self.delta_urls.append(u)
             self.delta_hashes.append(k)
-        out = pa.table(
-            {
-                "url": comb.column("url"),
-                "pack": packs_u,
-                "url_hash_lo": comb.column("lo_min"),
-                "url_hash_hi": comb.column("hi_min"),
-            }
-        )
         if not keep.all():
-            out = out.filter(pa.array(keep))
+            comb = comb.filter(pa.array(keep))
         self.hll.add_hashes(lo[keep])
-        return out
+        return derive_frontier_block(comb, self.shard_id), comb.num_rows
 
     def check_and_add(
         self, urls: list[str], lo: np.ndarray, hi: np.ndarray

@@ -4,14 +4,23 @@ A wave is the transaction unit. Layout under the checkpoint root:
 
     root/config.json                     crawl config + hash (validated on resume)
     root/wave=00000/
-        documents/*.parquet              this wave's DOCUMENTS rows
-        crawl_log/*.parquet              this wave's CRAWL_LOG rows
-        frontier/*.parquet               frontier for wave W+1 (resume input)
+        documents/*.parquet              this wave's DOCUMENTS rows, one file
+                                         per fetcher (written by the fetchers)
+        crawl_log/part-0.parquet         this wave's CRAWL_LOG rows
+        frontier/part-0.parquet          frontier for wave W+1 (resume input)
         seen_delta/shard=K.parquet       URLs first seen during this wave, per shard
         host_state/shard=K.parquet       token-bucket levels + fetch counters
         meta.json                        lineage: wave, parent, seq_base/fetched
                                          counters after the wave, config hash
         _SUCCESS                         commit marker, written last
+
+`crawl_log` and `frontier` are each written, typed even when empty, by one
+plain Ray task from the wave's block refs: a commit starts no Ray Data
+execution and so pays no per-execution driver floor (stages.py docstring).
+One file per wave assumes a wave fits one worker: the task holds the whole
+wave's log (~100-150 B per fetched page) or next frontier (about the same
+per new URL) at once, e.g. ~150 MB for a wave of 10^6 pages. Waves far
+past that want one file per block ref, written by one task each.
 
 Exactly-once: all files land in the wave dir before `_SUCCESS`; resume reads
 the newest committed wave, deletes newer uncommitted dirs, re-ingests the
@@ -33,9 +42,39 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from crawlray.schema import FRONTIER
+from crawlray.schema import DOCUMENTS, FRONTIER
+from crawlray.stages import FRONTIER_COLS, LOG_SCHEMA
 
-_FRONTIER_COLS = ["url", "host", "depth", "disc_key", "url_hash_lo", "url_hash_hi", "shard"]
+_FRONTIER_SCHEMA = pa.schema([FRONTIER.field(c) for c in FRONTIER_COLS])
+
+
+@ray.remote(num_cpus=0.25)
+def _write_part_task(path: str, schema: pa.Schema, *blocks: pa.Table) -> None:
+    """Write the blocks as one `schema`-typed parquet file (0 rows if none)."""
+    parts = [b.select(schema.names).cast(schema) for b in blocks if b.num_rows]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    pq.write_table(pa.concat_tables(parts) if parts else schema.empty_table(), path)
+
+
+def result_datasets(log_refs: list, doc_files: list[str]):
+    """A crawl's public (crawl_log, documents) Datasets, typed when empty.
+    crawl_log wraps the log block refs; documents reads `doc_files` lazily,
+    so those files must stay until it is consumed."""
+    import ray.data
+
+    crawl_log = (
+        ray.data.from_arrow_refs(log_refs)
+        if log_refs
+        else ray.data.from_arrow(LOG_SCHEMA.empty_table())
+    )
+    # doc files carry (doc_id, seq, spans, enrichment…) — the public
+    # DOCUMENTS surface is (doc_id, spans); column-pruned at the read
+    documents = (
+        ray.data.read_parquet(doc_files, columns=["doc_id", "spans"])
+        if doc_files
+        else ray.data.from_arrow(DOCUMENTS.empty_table())
+    )
+    return crawl_log, documents
 
 
 def config_hash(cfg: dict) -> str:
@@ -57,8 +96,8 @@ class Checkpointer:
     def commit_wave(
         self,
         wave: int,
-        frontier_next,
-        wave_log,
+        frontier_refs: list,
+        log_refs: list,
         seen_actors,
         polite_actors,
         metrics: dict,
@@ -72,16 +111,15 @@ class Checkpointer:
         # before any fetcher writes).
         d = self._wave_dir(wave)
         os.makedirs(d, exist_ok=True)
-        wave_log.write_parquet(os.path.join(d, "crawl_log"))
-        fdir = os.path.join(d, "frontier")
-        os.makedirs(fdir, exist_ok=True)
-        if frontier_next is not None:
-            frontier_next.select_columns(_FRONTIER_COLS).write_parquet(fdir)
-        else:
-            pq.write_table(
-                pa.schema([FRONTIER.field(c) for c in _FRONTIER_COLS]).empty_table(),
-                os.path.join(fdir, "empty.parquet"),
+        # the two block writes run while the driver collects the actors'
+        # seen deltas and host state below
+        writes = [
+            _write_part_task.remote(os.path.join(d, sub, "part-0.parquet"), schema, *refs)
+            for sub, schema, refs in (
+                ("crawl_log", LOG_SCHEMA, log_refs),
+                ("frontier", _FRONTIER_SCHEMA, frontier_refs),
             )
+        ]
         sdir = os.path.join(d, "seen_delta")
         os.makedirs(sdir, exist_ok=True)
         for i, t in enumerate(ray.get([a.dump_delta.remote() for a in seen_actors])):
@@ -99,6 +137,7 @@ class Checkpointer:
                 ),
                 os.path.join(hdir, f"shard={i}.parquet"),
             )
+        ray.get(writes)
         with open(os.path.join(d, "meta.json"), "w") as f:
             json.dump(
                 {
@@ -145,43 +184,43 @@ class Checkpointer:
             return json.load(f)
 
     @staticmethod
+    def wave_files(root: str, waves, sub: str) -> list[str]:
+        """Parquet files under `sub` of each listed wave dir, in wave order."""
+        out = []
+        for w in waves:
+            d = os.path.join(root, f"wave={w:05d}", sub)
+            if os.path.isdir(d):
+                out.extend(
+                    os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")
+                )
+        return out
+
+    @staticmethod
+    def log_refs(root: str, waves) -> list:
+        """Object refs of the listed waves' crawl_log files, in wave order.
+        The driver reads them and puts them in the object store: a crawl_log
+        file is small (~100-150 B per page), and reading them by tasks or
+        `read_parquet` cost ~1.3 s more per resume in traced crawl_durable
+        runs on a 4-CPU Ray session (a worker start-up, or parquet metadata
+        task rounds past 24 files)."""
+        return [
+            ray.put(pq.read_table(p).cast(LOG_SCHEMA))
+            for p in Checkpointer.wave_files(root, waves, "crawl_log")
+        ]
+
+    @staticmethod
     def read_results(root: str):
-        """Assemble full crawl_log + documents datasets from committed waves."""
-        import ray.data
-
+        """Full crawl_log + documents datasets from the committed waves."""
         waves = Checkpointer.committed_waves(root)
-
-        def _files(sub: str) -> list[str]:
-            out = []
-            for w in waves:
-                d = os.path.join(root, f"wave={w:05d}", sub)
-                if os.path.isdir(d):
-                    out.extend(
-                        os.path.join(d, f)
-                        for f in sorted(os.listdir(d))
-                        if f.endswith(".parquet")
-                    )
-            return out
-
-        logs = _files("crawl_log")
-        docs = _files("documents")
-        log_ds = ray.data.read_parquet(logs) if logs else None
-        # doc files carry (doc_id, seq, spans, enrichment…) — the public
-        # DOCUMENTS surface is (doc_id, spans); column-pruned at the read
-        doc_ds = (
-            ray.data.read_parquet(docs, columns=["doc_id", "spans"]) if docs else None
+        return result_datasets(
+            Checkpointer.log_refs(root, waves),
+            Checkpointer.wave_files(root, waves, "documents"),
         )
-        return log_ds, doc_ds
 
     @staticmethod
     def read_seen_urls(root: str) -> set[str]:
         out: set[str] = set()
-        for w in Checkpointer.committed_waves(root):
-            sdir = os.path.join(root, f"wave={w:05d}", "seen_delta")
-            for f in os.listdir(sdir):
-                out.update(
-                    pq.read_table(os.path.join(sdir, f), columns=["url"])
-                    .column("url")
-                    .to_pylist()
-                )
+        waves = Checkpointer.committed_waves(root)
+        for path in Checkpointer.wave_files(root, waves, "seen_delta"):
+            out.update(pq.read_table(path, columns=["url"]).column("url").to_pylist())
         return out

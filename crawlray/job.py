@@ -19,7 +19,9 @@ admission from the B-lowest-disc_keys rule. Any num_cpus reproduces the
 oracle bit-for-bit; that is what the N→4N scaling criterion rides on.
 
 Per-wave dataflow (stage ids from SURVEY.md §2; 2 task rounds + 2 RPC
-barriers per wave, no streaming executions):
+barriers per wave, no streaming executions — with `out_dir` too: the
+commit is plain tasks plus RPCs, and only the rare budget cut runs Ray
+Data):
 
     frontier_w (unique URLs, already in the seen set; list of block refs)
       ├─ A  mark_block_task per block: ONE `mark` RPC per host shard
@@ -37,9 +39,19 @@ barriers per wave, no streaming executions):
       │     (O-30 map side + O-26 routing fused into fetch)
       ├─ end_wave(): fetchers flush docs + await offer delivery, and
       │     return their wave counters (O-24), which the driver sums
-      └─ finish_wave(): seen shards resolve within-wave dedup + cross-wave
-            admission (min-combine); new frontier = actor-returned Arrow
-            blocks → derive cols → ∪ deferred → greedy block compaction
+      ├─ finish_wave(): seen shards resolve within-wave dedup + cross-wave
+      │     admission (min-combine) and return their new rows as FRONTIER
+      │     blocks (host/depth/disc_key/shard derived in the shard) + row
+      │     counts; new frontier = those blocks ∪ deferred → greedy block
+      │     compaction
+      └─ [out_dir] commit_wave(): one write task each for the wave's
+            crawl_log and next frontier (block refs, no Ray Data), seen
+            deltas + host state by RPC, then meta.json and `_SUCCESS`
+
+After the loop crawl_log is the loop's log blocks; a resumed crawl puts
+its earlier waves' committed crawl_log files, read back, in front.
+A fresh checkpointed crawl refuses a root that already holds committed
+waves.
 """
 
 from __future__ import annotations
@@ -59,15 +71,14 @@ import ray.data
 
 from crawlray.actors.politeness import HostPolitenessActor
 from crawlray.actors.seen import SeenShardActor
+from crawlray.checkpoint import Checkpointer, result_datasets
 from crawlray.kernels.url import canonicalize, in_scope
-from crawlray.schema import DOCUMENTS, LINK_STRIDE
+from crawlray.schema import LINK_STRIDE
 from crawlray.stages import (
-    FRONTIER_COLS,
     LOG_SCHEMA,
     SEEN_ROUTING_VERSION,
     FetcherActor,
     concat_blocks_task,
-    derive_block_task,
     fetch_block_task,
     filter_log_cut_task,
     frontier_table_from_urls,
@@ -169,17 +180,6 @@ class CrawlResult:
         self._all_actors = []
 
 
-def _doc_files(doc_root: str, waves: list[int]) -> list[str]:
-    out = []
-    for w in waves:
-        d = os.path.join(doc_root, f"wave={w:05d}", "documents")
-        if os.path.isdir(d):
-            out.extend(
-                os.path.join(d, f) for f in sorted(os.listdir(d)) if f.endswith(".parquet")
-            )
-    return out
-
-
 def _run_crawl_attempt(
     seeds: list[str],
     web=None,
@@ -249,6 +249,14 @@ def _run_crawl_attempt(
         raise ValueError("budget_per_host must be >= 1 (RBC-1)")
     if max_depth is not None and max_depth >= (1 << 10):
         raise ValueError("max_depth must fit the (disc_key, depth) packing")
+    if _resume_state is None and out_dir is not None and Checkpointer.committed_waves(out_dir):
+        # a fresh crawl would rewrite only the waves it reaches, leaving the
+        # older crawl's later waves committed under a different config —
+        # resume_crawl would continue from them and the outputs mix crawls
+        raise ValueError(
+            f"checkpoint root {out_dir} already holds committed waves; "
+            f"continue it with resume_crawl or start in an empty directory"
+        )
     if web is not None:
         webgraph = web.webgraph_table()
         robots = web.robots_table()
@@ -432,8 +440,6 @@ def _run_crawl_attempt(
 
     checkpointer = None
     if out_dir is not None:
-        from crawlray.checkpoint import Checkpointer
-
         cfg = {
             "budget_per_host": budget_per_host,
             "max_depth": max_depth,
@@ -595,16 +601,10 @@ def _run_crawl_attempt(
         all_log_refs.extend(log_refs)
         _t = _tick("end_wave", _t)
 
-        # seen shards resolve the wave's discoveries; derive frontier cols
-        fin_refs = [a.finish_wave.remote() for a in seen_actors]
-        if _profile:  # profiling-only barrier to split finish vs derive
-            ray.wait(fin_refs, num_returns=len(fin_refs), fetch_local=False)
-            _t = _tick("  finish", _t)
-        derived = [
-            derive_block_task.remote(f, num_seen_shards) for f in fin_refs
-        ]
-        d_counts = ray.get([d[1] for d in derived])
-        pairs = list(zip([d[0] for d in derived], d_counts)) + def_pairs
+        # seen shards resolve the wave's discoveries into FRONTIER blocks
+        fins = [a.finish_wave.remote() for a in seen_actors]
+        d_counts = ray.get([f[1] for f in fins])
+        pairs = list(zip([f[0] for f in fins], d_counts)) + def_pairs
         frontier_refs, frontier_counts = _compact_refs(pairs, frontier_rows_per_block)
         n_frontier_next = sum(frontier_counts)
         n_new = sum(d_counts)
@@ -630,10 +630,8 @@ def _run_crawl_attempt(
             ray.get([f.wait_writes.remote() for f in fetcher_actors])
             checkpointer.commit_wave(
                 wave=wave,
-                frontier_next=(
-                    ray.data.from_arrow_refs(frontier_refs) if n_frontier_next else None
-                ),
-                wave_log=ray.data.from_arrow_refs(log_refs),
+                frontier_refs=frontier_refs,
+                log_refs=log_refs,
                 seen_actors=seen_actors,
                 polite_actors=polite_actors,
                 metrics=metrics["waves"][-1],
@@ -649,18 +647,15 @@ def _run_crawl_attempt(
         n_frontier = n_frontier_next
         wave += 1
 
-    # assemble public outputs
-    if all_log_refs:
-        crawl_log = ray.data.from_arrow_refs(all_log_refs)
-    else:
-        crawl_log = ray.data.from_arrow(LOG_SCHEMA.empty_table())
-    # join the background doc writes before reading the partition back
+    # assemble public outputs: this attempt's log blocks, preceded for a
+    # resumed crawl by its earlier waves' committed logs read back;
+    # documents from every wave's doc partition (joined writes first)
+    first = 0 if checkpointer is not None else wave0
     ray.get([f.wait_writes.remote() for f in fetcher_actors])
-    doc_files = _doc_files(doc_root, list(range(wave0, waves_done)))
-    if doc_files:
-        documents = ray.data.read_parquet(doc_files, columns=["doc_id", "spans"])
-    else:
-        documents = ray.data.from_arrow(DOCUMENTS.empty_table())
+    crawl_log, documents = result_datasets(
+        Checkpointer.log_refs(doc_root, range(first, wave0)) + all_log_refs,
+        Checkpointer.wave_files(doc_root, range(first, waves_done), "documents"),
+    )
     metrics["fetched_total"] = fetched_total
     metrics["doc_root"] = doc_root
     # final counters (O-24) + seen-set cardinality estimate (O-32; one RPC
@@ -761,8 +756,6 @@ def run_crawl(seeds: list[str], **kwargs) -> CrawlResult:
                 ray.kill(a, no_restart=True)
             except Exception:
                 pass
-        from crawlray.checkpoint import Checkpointer
-
         if Checkpointer.committed_waves(out_dir):
             return resume_crawl(
                 out_dir,
@@ -810,7 +803,7 @@ def resume_crawl(
     actors from the committed seen-deltas + host state, and continues the
     wave loop. Invariant (tested): run(0..end) ≡ run(0..k) + resume(k..end)
     bit-for-bit. The returned result's crawl_log/documents are assembled
-    from ALL committed waves (pre- and post-resume).
+    by the attempt from ALL committed waves, pre- and post-resume.
 
     `num_seen_shards` resumes into a DIFFERENT seen-shard count than the
     checkpoint was written with (Megaphone-style re-shard on resume,
@@ -824,8 +817,6 @@ def resume_crawl(
     import json as _json
 
     import pyarrow.parquet as _pq
-
-    from crawlray.checkpoint import Checkpointer
 
     with open(os.path.join(out_dir, "config.json")) as f:
         cfg = _json.load(f)["config"]
@@ -887,59 +878,42 @@ def resume_crawl(
     frontier_tbl = _pq.read_table(
         os.path.join(out_dir, f"wave={last:05d}", "frontier")
     )
-    seen_hashes: dict[int, tuple[list, list]] = {}
-    for w in waves:
-        sdir = os.path.join(out_dir, f"wave={w:05d}", "seen_delta")
-        for fname in os.listdir(sdir):
-            shard_id = int(fname.split("=")[1].split(".")[0])
-            t = _pq.read_table(os.path.join(sdir, fname))
-            lo, hi = seen_hashes.setdefault(shard_id, ([], []))
-            lo.extend(t.column("url_hash_lo").to_pylist())
-            hi.extend(t.column("url_hash_hi").to_pylist())
-    new_shards = (
-        int(num_seen_shards)
-        if num_seen_shards is not None
-        else int(cfg["num_seen_shards"])
+    # seen routing is lo % N, a pure function of the stored 128-bit hash:
+    # bucketing the committed deltas and the frontier's shard column by
+    # lo % new_shards restores them, and re-shards them when N changes
+    new_shards = int(
+        num_seen_shards if num_seen_shards is not None else cfg["num_seen_shards"]
     )
-    if new_shards != cfg["num_seen_shards"]:
-        # re-shard: re-bucket every committed (lo, hi) pair by lo % M and
-        # recompute the frontier's shard column — the only two places the
-        # shard count is materialized in checkpoint state
-        all_lo: list[int] = []
-        all_hi: list[int] = []
-        for lo, hi in seen_hashes.values():
-            all_lo.extend(lo)
-            all_hi.extend(hi)
-        lo_arr = np.array(all_lo, np.uint64)
-        hi_arr = np.array(all_hi, np.uint64)
-        buckets = (lo_arr % np.uint64(new_shards)).astype(np.int64)
-        seen_hashes = {
-            int(s): (lo_arr[buckets == s].tolist(), hi_arr[buckets == s].tolist())
-            for s in np.unique(buckets)
-        }
-        fr_shard = pa.array(
-            (
-                frontier_tbl.column("url_hash_lo").to_numpy().astype(np.uint64)
-                % np.uint64(new_shards)
-            ).astype(np.uint32),
-            pa.uint32(),
-        )
-        frontier_tbl = frontier_tbl.set_column(
-            frontier_tbl.schema.get_field_index("shard"), "shard", fr_shard
-        )
+    deltas = pa.concat_tables(
+        [
+            _pq.read_table(path, columns=["url_hash_lo", "url_hash_hi"])
+            for path in Checkpointer.wave_files(out_dir, waves, "seen_delta")
+        ]
+    )
+    lo_arr = deltas.column("url_hash_lo").to_numpy()
+    hi_arr = deltas.column("url_hash_hi").to_numpy()
+    buckets = lo_arr % np.uint64(new_shards)
+    seen_hashes = {
+        int(s): (lo_arr[buckets == s].tolist(), hi_arr[buckets == s].tolist())
+        for s in np.unique(buckets)
+    }
+    fr_lo = frontier_tbl.column("url_hash_lo").to_numpy()
+    frontier_tbl = frontier_tbl.set_column(
+        frontier_tbl.schema.get_field_index("shard"),
+        "shard",
+        pa.array((fr_lo % np.uint64(new_shards)).astype(np.uint32), pa.uint32()),
+    )
 
     host_state: dict[int, dict] = {}
-    hdir = os.path.join(out_dir, f"wave={last:05d}", "host_state")
-    for fname in os.listdir(hdir):
-        shard_id = int(fname.split("=")[1].split(".")[0])
-        t = _pq.read_table(os.path.join(hdir, fname))
-        host_state[shard_id] = {
+    for path in Checkpointer.wave_files(out_dir, [last], "host_state"):
+        t = _pq.read_table(path)
+        host_state[int(os.path.basename(path)[len("shard=") : -len(".parquet")])] = {
             "hosts": t.column("host").to_pylist(),
             "tokens": t.column("tokens").to_pylist(),
             "fetched": t.column("fetched_total").to_pylist(),
         }
 
-    res = run_crawl(
+    return run_crawl(
         seeds=[],
         webgraph=webgraph,
         robots=robots,
@@ -972,9 +946,3 @@ def resume_crawl(
             "counters": meta.get("metrics", {}).get("counters"),
         },
     )
-    log_ds, doc_ds = Checkpointer.read_results(out_dir)
-    if log_ds is not None:
-        res.crawl_log = log_ds
-    if doc_ds is not None:
-        res.documents = doc_ds
-    return res

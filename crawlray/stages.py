@@ -7,10 +7,12 @@ execution costs a 0.2–0.5 s driver floor and the wave loop needed ~6 of
 them per wave — pure fixed cost that capped N→4N scaling efficiency at
 0.40. The wave loop is exactly the case the Dataset API cannot express
 without that cost: an iterative loop over shared mutable actor state (the
-sharded seen set, politeness buckets). Ray Data remains the IR everywhere
-else — blocks are Arrow tables in the object store, the crawl's public
-outputs are `ray.data.Dataset`s, and every library operator (ops/) is
-Dataset-based.
+sharded seen set, politeness buckets). The per-wave checkpoint commit
+follows the same rule (crawlray/checkpoint.py): plain write tasks over the
+wave's block refs, no `Dataset.write_parquet`. Ray Data remains the IR
+everywhere else — blocks are Arrow tables in the object store, the
+crawl's public outputs are `ray.data.Dataset`s, and every library
+operator (ops/) is Dataset-based.
 
 Data-volume design (the second round-1 scale fix): parsed span payloads
 never transit the object store. Fetcher actors buffer their own documents
@@ -42,7 +44,7 @@ from crawlray.backend import SyntheticBackend
 from crawlray.kernels.html import parse_page
 from crawlray.kernels.url import url_host
 from crawlray.murmur3 import hash_urls_128, murmur3_x64_128_batch
-from crawlray.schema import LINK_STRIDE, SPAN_STRUCT, pack_disc_depth, unpack_disc_depth
+from crawlray.schema import LINK_STRIDE, SPAN_STRUCT, pack_disc_depth
 
 FRONTIER_COLS = ["url", "host", "depth", "disc_key", "url_hash_lo", "url_hash_hi", "shard"]
 
@@ -988,36 +990,8 @@ def gather_log_task(*chunk_tbls: pa.Table):
 
 
 # --------------------------------------------------------------------------
-# frontier derivation + compaction helpers
+# frontier compaction + budget-cut helpers
 # --------------------------------------------------------------------------
-
-
-def derive_frontier_block(batch: pa.Table, num_seen_shards: int) -> pa.Table:
-    """Shard-actor finish_wave output (url, pack, hashes) → full FRONTIER
-    columns. Host parse + unpack run once per unique new URL."""
-    urls = batch.column("url").to_pylist()
-    disc, depth = unpack_disc_depth(batch.column("pack").to_numpy())
-    hosts = [url_host(u) for u in urls]
-    shards = (
-        batch.column("url_hash_lo").to_numpy() % np.uint64(num_seen_shards)
-    ).astype(np.uint32)
-    return pa.table(
-        {
-            "url": batch.column("url"),
-            "host": pa.array(hosts, pa.string()),
-            "depth": pa.array(depth.astype(np.int32), pa.int32()),
-            "disc_key": pa.array(disc, pa.int64()),
-            "url_hash_lo": batch.column("url_hash_lo"),
-            "url_hash_hi": batch.column("url_hash_hi"),
-            "shard": pa.array(shards, pa.uint32()),
-        }
-    )
-
-
-@ray.remote(num_cpus=0.25, num_returns=2)
-def derive_block_task(block: pa.Table, num_seen_shards: int):
-    t = derive_frontier_block(block, num_seen_shards)
-    return t, t.num_rows
 
 
 @ray.remote(num_cpus=0.25)
