@@ -12,6 +12,7 @@ here (or in crawlray) calls ``ray.init()`` / ``ray.shutdown()``.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from collections.abc import Callable
@@ -36,6 +37,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
+
+from crawlray.ops.exchange import typed_map
 
 
 def _rd(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -281,17 +284,14 @@ def _left_outer_join(sf_dir: str):
 
         return _f
 
-    left = shuffle_join(
+    left = typed_map(shuffle_join(
         cust, f_orders, on=["c_custkey"], right_on=["o_custkey"],
         join_type="left_outer",
-    ).map_batches(_fill("left"), batch_format="pyarrow")
-    full = shuffle_join(
-        cust.filter(expr="c_mktsegment == 'BUILDING'"),
-        f_orders,
-        on=["c_custkey"],
-        right_on=["o_custkey"],
-        join_type="full_outer",
-    ).map_batches(_fill("full"), batch_format="pyarrow")
+    ), _fill("left"))
+    full = typed_map(shuffle_join(
+        cust.filter(expr="c_mktsegment == 'BUILDING'"), f_orders,
+        on=["c_custkey"], right_on=["o_custkey"], join_type="full_outer",
+    ), _fill("full"))
     return left.union(full)
 
 
@@ -353,9 +353,7 @@ def _pagerank(sf_dir: str):
             ]
         )
 
-    return pr.map_batches(_tag_pr, batch_format="pyarrow").union(
-        ht.map_batches(_melt_hits, batch_format="pyarrow")
-    )
+    return typed_map(pr, _tag_pr).union(typed_map(ht, _melt_hits))
 
 
 def _anti_join(sf_dir: str):
@@ -462,15 +460,14 @@ def _session_windows(sf_dir: str):
 
         return _m
 
-    plain = session_windows(
+    plain = typed_map(session_windows(
         _rd(sf_dir, "events", columns=["user_id", "ts"]),
         key="user_id", ts_col="ts", gap_seconds=1800,
-    ).map_batches(_norm("user_id", "plain"), batch_format="pyarrow")
-    salted = salted_session_windows(
+    ), _norm("user_id", "plain"))
+    salted = typed_map(salted_session_windows(
         _rd(sf_dir, "events", columns=["event_type", "ts"]),
-        key="event_type", ts_col="ts", gap_seconds=600,
-        bucket_seconds=3600.0,
-    ).map_batches(_norm("event_type", "salted"), batch_format="pyarrow")
+        key="event_type", ts_col="ts", gap_seconds=600, bucket_seconds=3600.0,
+    ), _norm("event_type", "salted"))
     return plain.union(salted)
 
 
@@ -507,11 +504,9 @@ def _set_ops(sf_dir: str):
 
         return _m
 
-    exc = set_op(views, buys, ["user_id", "day"], op="except").map_batches(
-        _tag("except"), batch_format="pyarrow"
-    )
-    its = set_op(views, buys, ["user_id", "day"], op="intersect").map_batches(
-        _tag("intersect"), batch_format="pyarrow"
+    exc, its = (
+        typed_map(set_op(views, buys, ["user_id", "day"], op=op), _tag(op))
+        for op in ("except", "intersect")
     )
     return exc.union(its)
 
@@ -661,9 +656,7 @@ def _rollup(sf_dir: str):
     rollup = cube.filter(
         expr="l_returnflag != '(all)' or l_linestatus == '(all)'"
     )
-    out = cube.map_batches(_tag("cube"), batch_format="pyarrow").union(
-        rollup.map_batches(_tag("rollup"), batch_format="pyarrow")
-    )
+    out = typed_map(cube, _tag("cube")).union(typed_map(rollup, _tag("rollup")))
     return _round_cols(out, {"sum_v": 2})
 
 
@@ -742,12 +735,8 @@ def _decontaminate(sf_dir: str):
             }
         )
 
-    flagged = decontaminate(cand, None, n=8, bench_grams=bg).map_batches(
-        _norm_docs, batch_format="pyarrow"
-    )
-    spans = decontaminate_spans(
-        cand, None, n=8, bench_grams=bg
-    ).map_batches(_norm_spans, batch_format="pyarrow")
+    flagged = typed_map(decontaminate(cand, None, n=8, bench_grams=bg), _norm_docs)
+    spans = typed_map(decontaminate_spans(cand, None, n=8, bench_grams=bg), _norm_spans)
     return flagged.union(spans)
 
 
@@ -851,37 +840,28 @@ def _samples(sf_dir: str):
 
         return _m
 
-    h = hash_sample(
-        docs, key="doc_id", buckets_kept=25, digest_col="_md5"
-    ).map_batches(_tag("hash"), batch_format="pyarrow")
-    s = stratified_sample(
-        docs,
-        group_col="source",
-        key_col="doc_id",
-        n_per_group=10,
-        digest_col="_md5",
-    ).map_batches(_tag("stratified"), batch_format="pyarrow")
+    h = typed_map(
+        hash_sample(docs, key="doc_id", buckets_kept=25, digest_col="_md5"),
+        _tag("hash"),
+    )
+    s = typed_map(stratified_sample(
+        docs, group_col="source", key_col="doc_id", n_per_group=10, digest_col="_md5",
+    ), _tag("stratified"))
 
     def _norm_orders(batch: pa.Table) -> pa.Table:
-        return pa.table(
+        return _tag("weighted")(pa.table(
             {
                 "doc_id": pc.cast(batch.column("o_orderkey"), pa.int64()),
                 "source": pa.array(
                     ["orders"] * batch.num_rows, pa.string()
                 ),
             }
-        )
+        ))
 
-    w = (
-        weighted_sample(
-            _rd(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"]),
-            key_col="o_orderkey",
-            weight_col="o_totalprice",
-            k=100,
-        )
-        .map_batches(_norm_orders, batch_format="pyarrow")
-        .map_batches(_tag("weighted"), batch_format="pyarrow")
-    )
+    w = typed_map(weighted_sample(
+        _rd(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"]),
+        key_col="o_orderkey", weight_col="o_totalprice", k=100,
+    ), _norm_orders)
 
     # kind='mixture': the data-mixing sampler. Each source's keep-rate is
     # derived deterministically from md5(source)'s first hex char
@@ -899,13 +879,9 @@ def _samples(sf_dir: str):
         s: int(_hl.md5(s.encode("utf-8")).hexdigest()[0], 16) * 17 / 256
         for s in srcs
     }
-    m = mixture_sample(
-        docs,
-        source_col="source",
-        key_col="doc_id",
-        rates=rates,
-        digest_col="_md5",
-    ).map_batches(_tag("mixture"), batch_format="pyarrow")
+    m = typed_map(mixture_sample(
+        docs, source_col="source", key_col="doc_id", rates=rates, digest_col="_md5",
+    ), _tag("mixture"))
 
     # kind='split_<name>': deterministic 80/10/10 train/val/test
     # assignment (hash_split) — every doc labeled, kind carries the label
@@ -925,12 +901,10 @@ def _samples(sf_dir: str):
             }
         )
 
-    sp = hash_split(
-        docs,
-        key="doc_id",
-        splits=[("train", 205), ("val", 25), ("test", 26)],
+    sp = typed_map(hash_split(
+        docs, key="doc_id", splits=[("train", 205), ("val", 25), ("test", 26)],
         digest_col="_md5",
-    ).map_batches(_fold_split, batch_format="pyarrow")
+    ), _fold_split)
 
     # kind='epoch<k>': fractional-epoch repeat mixing (epoch_mixture) —
     # e_source = 0.5 + hex(md5(source)[0])·0.25 ∈ [0.5, 4.25], so some
@@ -957,13 +931,9 @@ def _samples(sf_dir: str):
             }
         )
 
-    ep = epoch_mixture(
-        docs,
-        source_col="source",
-        key_col="doc_id",
-        epochs=eps,
-        digest_col="_md5",
-    ).map_batches(_fold_epoch, batch_format="pyarrow")
+    ep = typed_map(epoch_mixture(
+        docs, source_col="source", key_col="doc_id", epochs=eps, digest_col="_md5",
+    ), _fold_epoch)
     return h.union(s).union(w).union(m).union(sp).union(ep)
 
 
@@ -987,13 +957,11 @@ def _salted_shuffle_join(sf_dir: str):
     (5 keys, each ~20% of rows — maximal skew). Hot-key left rows cycle
     over 8 salts, the right side replicates per salt; result is the exact
     unsalted inner join."""
-    from crawlray.ops.relational import salted_shuffle_join
+    from crawlray.ops.relational import grouped_count_hash, salted_shuffle_join
 
     ev = _rd(sf_dir, "events", columns=["event_id", "event_type"])
-    dim = (
-        _rd(sf_dir, "events", columns=["event_type"])
-        .groupby("event_type")
-        .aggregate(Count(alias_name="type_n"))
+    dim = grouped_count_hash(
+        _rd(sf_dir, "events", columns=["event_type"]), ["event_type"], alias="type_n"
     )
     out = salted_shuffle_join(ev, dim, on="event_type", num_salts=8)
     return out.select_columns(["event_id", "event_type", "type_n"])
@@ -1088,8 +1056,8 @@ def _windowed_agg(sf_dir: str):
 
         return _m
 
-    return tumbling.map_batches(_tag("tumbling"), batch_format="pyarrow").union(
-        hopping.map_batches(_tag("hopping"), batch_format="pyarrow")
+    return typed_map(tumbling, _tag("tumbling")).union(
+        typed_map(hopping, _tag("hopping"))
     )
 
 
@@ -1152,7 +1120,7 @@ def _simhash(sf_dir: str):
             "hamming": pairs.column("hamming").cast(pa.int64()),
         }
     )
-    sig = sims.map_batches(_sig, batch_format="pyarrow")
+    sig = typed_map(sims, _sig)
     return sig.union(ray.data.from_arrow(pairs_arm))
 
 
@@ -1236,15 +1204,9 @@ def _flatten_tokens(sf_dir: str):
             }
         )
 
-    flat = explode_tokens(docs).map_batches(
-        _norm_flat, batch_format="pyarrow"
-    )
-    idx = inverted_index(docs, num_partitions=16).map_batches(
-        _norm_idx, batch_format="pyarrow"
-    )
-    pmi = pmi_collocations(docs, min_count=2).map_batches(
-        _norm_pmi, batch_format="pyarrow"
-    )
+    flat = typed_map(explode_tokens(docs), _norm_flat)
+    idx = typed_map(inverted_index(docs, num_partitions=16), _norm_idx)
+    pmi = typed_map(pmi_collocations(docs, min_count=2), _norm_pmi)
 
     merges = bpe_train(docs, num_merges=_BPE_K)
     n_m = merges.num_rows
@@ -1285,9 +1247,7 @@ def _flatten_tokens(sf_dir: str):
             }
         )
 
-    bvoc = bpe_vocab_counts(docs, merges).map_batches(
-        _norm_bvoc, batch_format="pyarrow"
-    )
+    bvoc = typed_map(bpe_vocab_counts(docs, merges), _norm_bvoc)
     return (
         flat.union(idx)
         .union(pmi)
@@ -1398,11 +1358,11 @@ def _quality_score(sf_dir: str):
         return pa.concat_tables(parts)
 
     return (
-        model.map_batches(_melt_model, batch_format="pyarrow")
-        .union(sig.map_batches(_melt_sig, batch_format="pyarrow"))
-        .union(ppl.map_batches(_melt_ppl, batch_format="pyarrow"))
-        .union(dsir.map_batches(_melt_dsir, batch_format="pyarrow"))
-        .union(nb.map_batches(_melt_nb, batch_format="pyarrow"))
+        typed_map(model, _melt_model)
+        .union(typed_map(sig, _melt_sig))
+        .union(typed_map(ppl, _melt_ppl))
+        .union(typed_map(dsir, _melt_dsir))
+        .union(typed_map(nb, _melt_nb))
     )
 
 
@@ -1799,20 +1759,14 @@ def _dedup_clusters(sf_dir: str):
 
         return _t
 
-    comp = connected_components(pds).map_batches(
-        _tag("comp", "component"), batch_format="pyarrow"
-    )
-    tri = triangle_counts(pds).map_batches(
-        _tag("tri", "n_tri"), batch_format="pyarrow"
-    )
+    comp = typed_map(connected_components(pds), _tag("comp", "component"))
+    tri = typed_map(triangle_counts(pds), _tag("tri", "n_tri"))
     # max_rounds=10 keeps the engine's peel bound COUPLED to the oracle's
     # R=10 fixed replay rounds (_dedup_clusters_oracle): a graph needing
     # more rounds now raises loudly in the engine instead of producing a
     # confusing parity mismatch against the oracle's non-fixpoint degrees
     # (ADVICE r4).
-    kc = kcore(pds, k=2, max_rounds=10).map_batches(
-        _tag("kcore", "deg"), batch_format="pyarrow"
-    )
+    kc = typed_map(kcore(pds, k=2, max_rounds=10), _tag("kcore", "deg"))
     return comp.union(tri).union(kc)
 
 
@@ -1883,12 +1837,8 @@ def _dup_spans(sf_dir: str):
             }
         )
 
-    spans = dup_spans(docs, n=5, hits=hits).map_batches(
-        _norm_spans, batch_format="pyarrow"
-    )
-    clean = remove_dup_spans(docs, n=5, hits=hits).map_batches(
-        _norm_clean, batch_format="pyarrow"
-    )
+    spans = typed_map(dup_spans(docs, n=5, hits=hits), _norm_spans)
+    clean = typed_map(remove_dup_spans(docs, n=5, hits=hits), _norm_clean)
     return spans.union(clean)
 
 
@@ -2004,14 +1954,10 @@ def _minhash_signatures(sf_dir: str):
             }
         )
 
-    keep_arm = (
-        fuzzy_dedup_keep(docs, pairs=pairs)
-        .select_columns(["doc_id"])
-        .map_batches(_keep_tag, batch_format="pyarrow")
+    keep_arm = typed_map(
+        fuzzy_dedup_keep(docs, pairs=pairs).select_columns(["doc_id"]), _keep_tag
     )
-    return (
-        sig_arm.union(ray.data.from_arrow(pair_arm)).union(keep_arm)
-    )
+    return sig_arm.union(ray.data.from_arrow(pair_arm)).union(keep_arm)
 
 
 def _ivf_pairs(sf_dir: str):
@@ -2135,9 +2081,7 @@ def _cdc(sf_dir: str):
             }
         )
 
-    chunks = cdc_chunks(docs).map_batches(
-        _norm_chunks, batch_format="pyarrow"
-    )
+    chunks = typed_map(cdc_chunks(docs), _norm_chunks)
     # cdc_dup_pairs returns a (small) driver-side Arrow pair table
     pairs = ray.data.from_arrow(
         _norm_pairs(cdc_dup_pairs(docs, min_shared=3))
@@ -2213,7 +2157,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # the whole oracled surface fits the window); the 7 rows-only queries
     # (pytest-parity instead of SQL: k-means training / Gaussian
     # hyperplanes / the live crawl have no DuckDB counterpart) follow.
-    return {
+    qs = {
         # -- relational core ------------------------------------------
         "q1_agg": _q1_agg,
         "groupby_counts": _groupby_counts,
@@ -2282,6 +2226,26 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "srp_cross_dedup": _srp_cross_dedup,
         "crawl_smoke": _crawl_smoke,
     }
+    return {name: _keep_columns(fn) for name, fn in qs.items()}
+
+
+def _keep_columns(query: Callable[[str], Any]) -> Callable[[str], Any]:
+    """`query`, except that a Dataset result with no rows comes back as
+    the empty Arrow table of its schema: `Dataset.to_pandas()` drops every
+    column of a dataset without rows, so a typed empty result would
+    compare as having none."""
+
+    @functools.wraps(query)
+    def _q(sf_dir: str):
+        out = query(sf_dir)
+        if isinstance(out, ray.data.Dataset):
+            out = out.materialize()
+            sch = out.schema()
+            if sch is not None and not out.count():
+                return pa.schema(list(zip(sch.names, sch.types))).empty_table()
+        return out
+
+    return _q
 
 
 def _flatten_tokens_oracle() -> str:

@@ -6,6 +6,9 @@ slice per partition by `route`, and one reduce task per partition
 concatenates its slices and runs the caller's `merge` (for a join,
 `pyarrow.Table.join`). Every reduce runs on a typed table, even a 0-row
 one: a side with no rows enters as the empty table of its schema.
+`group_map` is the per-group form of the exchange: each partition is
+sorted and cut into its key groups (`sorted_runs`), and a kernel runs
+once per group, or once on the empty table of a partition with no rows.
 
 Everything here returns datasets that are materialized, hold no 0-row
 blocks, and carry a schema even when they are empty. The one Ray Data
@@ -132,6 +135,49 @@ def join(
 
     n = num_partitions or partition_count(left, right)
     return _shuffle([(sides[0], list(on)), (sides[1], right_on)], None, _local, n)
+
+
+def group_map(ds: ray.data.Dataset, keys: list[str], fn: Fn) -> ray.data.Dataset:
+    """`fn` once per distinct tuple of `keys` on all of its rows (nulls
+    form one group), as one `hash_exchange`. A partition with no rows
+    calls `fn` on its empty table instead, so `fn` must accept 0 rows;
+    the result is typed by it when `ds` has no rows."""
+
+    def _merge(t: pa.Table) -> pa.Table:
+        if not t.num_rows:
+            return fn(t)
+        t, new = sorted_runs(t, keys)
+        cuts = [*np.flatnonzero(new), t.num_rows]
+        # one chunk: a table of one chunk per group is slow to ship and scan
+        return pa.concat_tables(
+            [fn(t.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])],
+            promote_options="default",
+        ).combine_chunks()
+
+    # the reduce makes one Python call per group, so it is CPU-bound
+    # however few bytes it holds: give every CPU a partition
+    ds = ds.materialize()
+    n = max(int(ray.cluster_resources().get("CPU", 8)), partition_count(ds))
+    return hash_exchange(ds, keys, _merge, num_partitions=n)
+
+
+def sorted_runs(
+    t: pa.Table, keys: list[str], then: list[str] = ()
+) -> tuple[pa.Table, np.ndarray]:
+    """`t` sorted by `keys` and then by `then` (ascending, nulls last),
+    and per row whether its `keys` tuple differs from the previous row's
+    (two nulls are equal). Row 0 always starts a run."""
+    t = t.take(pc.sort_indices(t, [(c, "ascending") for c in [*keys, *then]]))
+    n = t.num_rows
+    new = np.zeros(n, bool)
+    new[:1] = True
+    for k in keys:
+        col = t.column(k).combine_chunks()
+        a, b = col.slice(1), col.slice(0, max(n - 1, 0))
+        ne = pc.fill_null(pc.not_equal(a, b), True)
+        both_null = pc.and_(pc.is_null(a), pc.is_null(b))
+        new[1:] |= pc.and_not(ne, both_null).to_numpy(zero_copy_only=False)
+    return t, new
 
 
 def typed_map(ds: ray.data.Dataset, fn: Fn) -> ray.data.Dataset:

@@ -12,11 +12,11 @@ Patterns:
   holds refs and final pairs only, never corpus rows. O(n²) flops are
   inherent to the EXACT problem; the subquadratic approximation is
   `ivf_bucket_assign` + `ivf_search_knn`.
-- `ivf_search_knn`: nearest-centroid bucketing (one groupby shuffle), then
+- `ivf_search_knn`: nearest-centroid bucketing (one `group_map` exchange), then
   per-bucket local top-k for the queries probing that bucket.
 - `srp_pairs_cosine`: signed-random-projection LSH (Charikar 2002) — the
   second sub-quadratic near-dup path: sign-bit signatures under broadcast
-  Gaussian hyperplanes, banded bucket groupby, exact f64 verification of
+  Gaussian hyperplanes, banded bucket `group_map`, exact f64 verification of
   candidates via two hash joins (vectors ride the join as fixed-size
   binary). Precision exact, recall tunable via (n_bits, bands).
 """
@@ -28,7 +28,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from crawlray.ops.exchange import join
+from crawlray.ops.exchange import group_map, join
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -392,7 +392,7 @@ def ivf_bucket_assign(
     """IVF scale path: assign each vector to its nearest centroid bucket.
 
     Downstream ANN then probes only the closest bucket(s):
-    `groupby("bucket")` co-locates candidates so the per-bucket search is
+    `group_map` on "bucket" co-locates candidates so the per-bucket search is
     local. Centroids are broadcast once. Pass centroids="train" to fit
     `n_centroids` spherical k-means centroids first (train_ivf_centroids).
     """
@@ -430,7 +430,7 @@ def ivf_search_knn(
     """Approximate top-k via IVF probing — the sub-quadratic ANN path.
 
     Each query probes its `nprobe` nearest centroid buckets; the bucketed
-    corpus (one groupby shuffle) runs a local vectorized top-k per bucket
+    corpus (one `group_map` exchange) runs a local vectorized top-k per bucket
     for exactly the queries probing it. Candidate volume is
     O(queries × nprobe × k); recall depends on centroid quality/nprobe
     (tested ≥ the brute-force baseline's recall floor in
@@ -449,7 +449,8 @@ def ivf_search_knn(
     assigned = ivf_bucket_assign(ds, centroids, id_col, vec_col)
 
     def _probe(group: pa.Table) -> pa.Table:
-        bucket = group.column("bucket")[0].as_py()
+        # buckets are >= 0, so a 0-row partition's -1 matches no probe
+        bucket = group.column("bucket")[0].as_py() if group.num_rows else -1
         q = ray.get(q_ref)
         all_qids = ray.get(qid_ref)
         probes = ray.get(probes_ref)
@@ -475,7 +476,7 @@ def ivf_search_knn(
             }
         )
 
-    cand = assigned.groupby("bucket").map_groups(_probe, batch_format="pyarrow")
+    cand = group_map(assigned, ["bucket"], _probe)
     return _merge_topk(cand, k)
 
 
@@ -489,7 +490,7 @@ def ivf_pairs_cosine(
 ) -> pa.Table:
     """APPROXIMATE cosine near-dup pairs — the sub-quadratic scale path.
 
-    Vectors are IVF-bucketed by nearest centroid (one groupby shuffle);
+    Vectors are IVF-bucketed by nearest centroid (one `group_map` exchange);
     only SAME-BUCKET pairs are compared, each bucket locally with the
     f32-scan / f64-rescore block kernel. Cost is Σ|bucket|² instead of n²:
     with B balanced buckets that is n²/B flops and no cross-bucket network
@@ -506,11 +507,7 @@ def ivf_pairs_cosine(
         sub = group.select([id_col, vec_col])
         return _block_pair_inline(sub, threshold, id_col, vec_col)
 
-    out = (
-        assigned.groupby("bucket")
-        .map_groups(_bucket_pairs, batch_format="pyarrow")
-        .take_all()
-    )
+    out = group_map(assigned, ["bucket"], _bucket_pairs).take_all()
     out.sort(key=lambda r: (r["id_a"], r["id_b"]))
     return pa.Table.from_pylist(
         out, schema=pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
@@ -521,7 +518,7 @@ def _block_pair_inline(
     tbl: pa.Table, threshold: float, id_col: str, vec_col: str
 ) -> pa.Table:
     """Same-block qualifying pairs (the _block_pair_task kernel, callable
-    inside a map_groups task rather than as its own Ray task)."""
+    inside a per-bucket kernel rather than as its own Ray task)."""
     ids = tbl.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
     m = _normalize(_batch_matrix(tbl, vec_col))
     sims32 = m.astype(np.float32) @ m.astype(np.float32).T
@@ -565,7 +562,7 @@ def srp_pairs_cosine(
     recall depends on (n_bits, bands).
 
     Scale shape: one signature scan (f32 matmul per batch against a
-    broadcast hyperplane matrix), one groupby over (band, bucket), pair
+    broadcast hyperplane matrix), one `group_map` over (band, bucket), pair
     dedup via Arrow-native aggregate, then TWO hash joins that attach each
     candidate pair's vectors and one vectorized einsum per batch — no
     per-pair Python, no driver-side corpus. Work is O(n·n_bits·dim) +
@@ -618,9 +615,7 @@ def srp_pairs_cosine(
         ids = group.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         return _pairs_table(*_pairs_in_group(ids, max_bucket))
 
-    cand = buckets.groupby(["band", "bucket"]).map_groups(
-        _pairs_in_bucket, batch_format="pyarrow"
-    )
+    cand = group_map(buckets, ["band", "bucket"], _pairs_in_bucket)
     pairs, n_dropped = _dedup_pairs(cand)
     if n_dropped:
         print(
@@ -791,7 +786,7 @@ def srp_cross_join(
     Shape: right ids are offset above left's max id (one cheap max-agg on
     the slim left projection), the tagged sides UNION into one stream, and
     the whole `srp_pairs_cosine` machinery runs unchanged — one signature
-    scan under shared hyperplanes, one (band, bucket) groupby, candidate
+    scan under shared hyperplanes, one (band, bucket) `group_map`, candidate
     dedup — EXCEPT that candidates are filtered to cross-side pairs
     (exactly one id below the offset) BEFORE the exact-verify stage, so
     same-side near-dups never ship vectors or pay the einsum. Output
@@ -960,7 +955,7 @@ def semantic_dedup(
     Shape at scale (the reason this beats all-pairs embedding dedup):
     candidate comparisons happen only within a k-means cluster, so cost is
     O(sum_c |c|·kept_c·dim) instead of O(n²·dim); the only exchange is the
-    bucket groupby. Centroid training is the existing
+    bucket `group_map`. Centroid training is the existing
     `train_ivf_centroids` (parallelism-invariant hash sample + map-side
     combined Lloyd), so the whole op's output is a pure function of the
     data — invariant to block layout (tested at two repartitions).
@@ -1030,7 +1025,7 @@ def semantic_dedup(
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
         m = _normalize(_batch_matrix(group, vec_col))[order]
-        keeps, reps = [], []
+        keeps, reps = [np.empty(0, bool)], [np.empty(0, np.int64)]
         for lo in range(0, len(ids), max_cluster_rows):
             hi = min(lo + max_cluster_rows, len(ids))
             k_seg, r_seg = _greedy_segment(ids[lo:hi], m[lo:hi])
@@ -1044,9 +1039,7 @@ def semantic_dedup(
             }
         )
 
-    return assigned.groupby("bucket").map_groups(
-        _dedup_cluster, batch_format="pyarrow"
-    )
+    return group_map(assigned, ["bucket"], _dedup_cluster)
 
 
 @ray.remote

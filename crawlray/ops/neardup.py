@@ -3,7 +3,7 @@ MinHash+LSH, SimHash, n-gram Jaccard; SURVEY.md O-39).
 
 Pipeline shape (the 100 TB path — no full-dataset materialization anywhere):
   shingle → minhash (vectorized exact universal hashing mod 2^61-1) → band →
-  LSH bucket groupby (shuffle #1, keyed by (band, bucket)) → vectorized
+  LSH bucket `group_map` (exchange #1, keyed by (band, bucket)) → vectorized
   candidate pairs within size-capped buckets (oversize buckets are truncated
   DETERMINISTICALLY and the drop count is surfaced, never silent) → pair
   dedup groupby (shuffle #2) → exact n-gram Jaccard verify as a distributed
@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import hash_exchange, join
+from crawlray.ops.exchange import group_map, hash_exchange, join
 
 _P61 = (1 << 61) - 1
 _MERSENNE = np.uint64(_P61)
@@ -370,9 +370,7 @@ def minhash_lsh_pairs(
         ids = group.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         return _pairs_table(*_pairs_in_group(ids, max_bucket))
 
-    cand = buckets.groupby(["band", "bucket"]).map_groups(
-        _pairs_in_bucket, batch_format="pyarrow"
-    )
+    cand = group_map(buckets, ["band", "bucket"], _pairs_in_bucket)
     pairs, n_dropped = _dedup_pairs(cand)
     if n_dropped:
         print(
@@ -719,10 +717,8 @@ def simhash_dup_pairs(
             ham = np.concatenate([ham, [-1]])
         return tbl.append_column("hamming", pa.array(ham.astype(np.int32), pa.int32()))
 
-    cand = (
-        sims.map_batches(_bands, batch_format="pyarrow")
-        .groupby(["band", "key"])
-        .map_groups(_pairs, batch_format="pyarrow")
+    cand = group_map(
+        sims.map_batches(_bands, batch_format="pyarrow"), ["band", "key"], _pairs
     )
     pairs, n_dropped = _dedup_pairs(cand)
     if n_dropped:
@@ -908,7 +904,7 @@ def cdc_dup_pairs(
 
     Docs sharing ≥ min_shared rolling-hash chunk fingerprints are emitted as
     (id_a, id_b, shared_chunks). Same distributed shape as the LSH pipeline:
-    chunk rows → groupby(chunk_fp) co-locates each fingerprint's holders →
+    chunk rows → `group_map` on chunk_fp co-locates each fingerprint's holders →
     vectorized within-bucket pairs (size-capped, drops surfaced) → a pair
     groupby counts DISTINCT shared fingerprints. Catches partially
     overlapping docs (shared boilerplate, quoted passages, edited copies)
@@ -924,11 +920,9 @@ def cdc_dup_pairs(
         )
         return _pairs_table(*_pairs_in_group(ids, max_bucket))
 
-    # materialize once — cand is consumed twice (sentinel scan + pair count);
-    # a lazy cand would re-run the whole CDC chunking per consumer (ADVICE r2)
-    cand = chunks.groupby("chunk_fp").map_groups(
-        _pairs, batch_format="pyarrow"
-    ).materialize()
+    # group_map's output is materialized — cand is consumed twice (sentinel
+    # scan + pair count) and must not re-run the CDC chunking per consumer
+    cand = group_map(chunks, ["chunk_fp"], _pairs)
     drop_rows = cand.filter(expr=f"id_a == {_DROP_SENTINEL}")
     n_dropped = sum(r["id_b"] for r in drop_rows.take_all())  # tiny
     if n_dropped:

@@ -16,12 +16,13 @@ Scale notes baked into each op:
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import hash_exchange, join
+from crawlray.ops.exchange import group_map, hash_exchange, join, sorted_runs
 
 
 def broadcast_join(
@@ -264,8 +265,6 @@ def hash_split(
     Python) for production volume, same contract. Zero shuffle either
     way — one stateless map_batches.
     """
-    import numpy as np
-
     if hash_fn not in ("md5", "murmur3"):
         raise ValueError("hash_fn must be 'md5' or 'murmur3'")
     names = [n for n, _ in splits]
@@ -409,8 +408,6 @@ def epoch_mixture(
     """
     import hashlib
 
-    import numpy as np
-
     def _parts(e: float) -> tuple[int, str]:
         e = max(0.0, float(e))
         base = int(np.floor(e))
@@ -487,8 +484,6 @@ def hash_sample_fast(
     from crawlray.murmur3 import murmur3_x64_128_batch
 
     def _sample(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         col = batch.column(key)
         if not pa.types.is_string(col.type) and not pa.types.is_large_string(
             col.type
@@ -512,7 +507,7 @@ def stratified_sample(
     n smallest md5(key) — a balanced per-source/per-language training-data
     sample that is a pure function of the data (stable across runs,
     parallelism and engines; DuckDB expresses it as ROW_NUMBER() OVER
-    (PARTITION BY group ORDER BY md5(key), key) <= n). One groupby shuffle;
+    (PARTITION BY group ORDER BY md5(key), key) <= n). One `group_map`;
     the per-group kernel is the vectorized `grouped_topk` argsort. The md5
     order is uniform-random-like per key, so each group's sample is
     unbiased; `key_col` doubles as the tie-break for identical digests.
@@ -536,7 +531,7 @@ def stratified_sample(
         )
         return group.take(order.slice(0, n_per_group)).drop_columns(["_dig"])
 
-    return withdig.groupby(group_col).map_groups(_take_n, batch_format="pyarrow")
+    return group_map(withdig, [group_col], _take_n)
 
 
 def grouped_topk(
@@ -550,12 +545,11 @@ def grouped_topk(
     """Top-k rows per group (SQL: QUALIFY ROW_NUMBER() OVER (PARTITION BY
     group ORDER BY order_col [DESC]) <= k).
 
-    One groupby shuffle co-locates each group; the per-group kernel is a
+    One `group_map` exchange co-locates each group; the per-group kernel is a
     vectorized argsort + head-k — group sizes bound the memory, never the
     dataset. Pass `tiebreak_col` (unique within groups) for a deterministic
     winner when order_col has ties.
     """
-    import numpy as np
 
     def _topk(group: pa.Table) -> pa.Table:
         v = group.column(order_col).to_numpy(zero_copy_only=False)
@@ -565,71 +559,64 @@ def grouped_topk(
         order = np.lexsort(tuple(keys))
         return group.take(pa.array(order[:k]))
 
-    return ds.groupby(group_cols).map_groups(_topk, batch_format="pyarrow")
+    return group_map(ds, group_cols, _topk)
 
 
-def _session_windows_grouped(
-    ds: ray.data.Dataset,
-    group_cols: list[str],
-    ts_col: str,
-    gap_seconds: float,
-) -> ray.data.Dataset:
-    """Sessionization kernel grouped on an arbitrary key-column list.
+def _gap_cuts(
+    t0: pa.ChunkedArray, t1: pa.ChunkedArray, gap_seconds: float
+) -> np.ndarray:
+    """Per consecutive row pair i, i+1: whether t0[i+1] - t1[i] exceeds
+    `gap_seconds`. Timestamps compare in integer microseconds, numeric
+    columns as float seconds; a gap of exactly `gap_seconds` is no cut."""
+    a, b = t0.to_numpy()[1:], t1.to_numpy()[:-1]
+    if a.dtype.kind == "M":  # datetime64 → compare in microseconds
+        d = (a - b).astype("timedelta64[us]").astype(np.int64)
+        return d > int(gap_seconds * 1_000_000)
+    if a.dtype.kind in "iuf":  # numeric → values are seconds
+        return (a.astype(np.float64) - b.astype(np.float64)) > float(gap_seconds)
+    raise TypeError(
+        f"session_windows: ts column has unsupported dtype {a.dtype} "
+        "(need timestamp or numeric seconds)"
+    )
 
-    `session_windows` passes [key]; `salted_session_windows` passes
-    [key, "_tb"] so a hot key's time buckets sessionize in parallel.
-    Output: (*group_cols, session_id, n_events, t_start, t_end).
-    """
-    import numpy as np
 
-    gap_us = int(gap_seconds * 1_000_000)
+def _session_rows(
+    t: pa.Table, keys: list[str], key_new: np.ndarray, new: np.ndarray,
+    weight: np.ndarray, t_start: pa.ChunkedArray, t_end: pa.ChunkedArray,
+) -> pa.Table:
+    """One row per session of `t`, which is sorted by (keys, time): a
+    session starts where `new` is set and a key group where `key_new`
+    is. `session_id` counts from 0 within each key group; `n_events`
+    sums `weight` over the session's rows; `t_start`/`t_end` are taken
+    at its first/last row."""
+    starts = np.flatnonzero(new)
+    ends = np.flatnonzero(np.append(new[1:], True)) if len(new) else starts
+    first = np.flatnonzero(key_new[starts])  # each key group's first session
+    i = np.arange(len(starts))
+    sid = i - first[np.searchsorted(first, i, side="right") - 1]
+    n_events = np.add.reduceat(weight, starts) if len(starts) else weight[:0]
+    starts, ends = pa.array(starts), pa.array(ends)
+    return pa.table({
+        **{k: t.column(k).take(starts) for k in keys},
+        "session_id": pa.array(sid, pa.int64()),
+        "n_events": pa.array(n_events, pa.int64()),
+        "t_start": t_start.take(starts),
+        "t_end": t_end.take(ends),
+    })
 
-    def _sess(group: pa.Table) -> pa.Table:
-        ts = group.column(ts_col).to_numpy()
-        order = np.argsort(ts, kind="stable")
-        ts_s = ts[order]
-        n = len(ts_s)
-        if n == 0:
-            out = {c: group.column(c).slice(0, 0) for c in group_cols}
-            out.update(
-                {
-                    "session_id": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "t_start": pa.array(ts_s),
-                    "t_end": pa.array(ts_s),
-                }
-            )
-            return pa.table(out)
-        if ts_s.dtype.kind == "M":  # datetime64 → compare in microseconds
-            gaps = np.diff(ts_s).astype("timedelta64[us]").astype(np.int64)
-            new = np.concatenate([[True], gaps > gap_us])
-        elif ts_s.dtype.kind in "iuf":  # numeric → values are seconds
-            gaps = np.diff(ts_s.astype(np.float64))
-            new = np.concatenate([[True], gaps > float(gap_seconds)])
-        else:
-            raise TypeError(
-                f"session_windows: ts_col {ts_col!r} has unsupported dtype "
-                f"{ts_s.dtype} (need timestamp or numeric seconds)"
-            )
-        sess = np.cumsum(new) - 1
-        counts = np.bincount(sess)
-        start_idx = np.nonzero(new)[0]
-        end_idx = np.nonzero(np.concatenate([new[1:], [True]]))[0]
-        zeros = pa.array(np.zeros(len(counts), np.int64))
-        out = {c: group.column(c).take(zeros) for c in group_cols}
-        out.update(
-            {
-                "session_id": pa.array(
-                    np.arange(len(counts), dtype=np.int64), pa.int64()
-                ),
-                "n_events": pa.array(counts.astype(np.int64), pa.int64()),
-                "t_start": pa.array(ts_s[start_idx]),
-                "t_end": pa.array(ts_s[end_idx]),
-            }
-        )
-        return pa.table(out)
 
-    return ds.groupby(group_cols).map_groups(_sess, batch_format="pyarrow")
+def _sessionize(
+    t: pa.Table, keys: list[str], ts_col: str, gap_seconds: float
+) -> pa.Table:
+    """Sessions of every key group of one exchange partition: sort by
+    (keys, ts); a session starts where the key tuple changes or the gap
+    to the previous event exceeds `gap_seconds`.
+    Output: (*keys, session_id, n_events, t_start, t_end)."""
+    t, key_new = sorted_runs(t, keys, [ts_col])
+    ts = t.column(ts_col)
+    new = key_new.copy()
+    new[1:] |= _gap_cuts(ts, ts, gap_seconds)
+    return _session_rows(t, keys, key_new, new, np.ones(t.num_rows, np.int64), ts, ts)
 
 
 def session_windows(
@@ -642,8 +629,9 @@ def session_windows(
     shape (sessionization) as a batch operator.
 
     Events for one key more than `gap_seconds` apart start a new session.
-    ONE groupby(key) shuffle co-locates each key's events; per-group work is
-    a vectorized sort + diff + bincount (no per-event Python). Session ids
+    ONE `hash_exchange` on key co-locates each key's events; each
+    partition is sessionized whole by one vectorized sort on (key, ts) +
+    diff (no per-key or per-event Python). Session ids
     are 0-based in time order, so output is a pure function of the data —
     deterministic under any parallelism (equal timestamps share a session
     regardless of sort-tie order). `ts_col` may be a timestamp column (gaps
@@ -651,7 +639,10 @@ def session_windows(
     — numeric deltas are NOT reinterpreted as timedelta64[us] (ADVICE r2).
     Output: (key, session_id, n_events, t_start, t_end).
     """
-    return _session_windows_grouped(ds, [key], ts_col, gap_seconds)
+    return hash_exchange(
+        ds, [key], lambda t: _sessionize(t, [key], ts_col, gap_seconds),
+        lambda b: b.select([key, ts_col]),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -725,7 +716,6 @@ def _salt_batch_fn(key: str, hot_ref, num_salts: int):
     sub-groups, everything else gets salt 0. Any salt assignment yields
     identical final results for merge-decomposable kernels — the cycle is
     just the cheapest balanced spread."""
-    import numpy as np
 
     def _salt(batch: pa.Table) -> pa.Table:
         hot = ray.get(hot_ref)
@@ -797,8 +787,6 @@ def salted_shuffle_join(
     )
 
     def _replicate(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
         hot = ray.get(hot_ref)
         mask = pc.is_in(batch.column(on), value_set=hot).to_numpy(
             zero_copy_only=False
@@ -846,8 +834,6 @@ def salted_session_windows(
     unsalted operator's. Per-task memory is bounded by the hot key's
     densest time bucket instead of its whole history.
     """
-    import numpy as np
-
     if bucket_seconds is None:
         bucket_seconds = gap_seconds * 1024.0
     if hot_keys is None:
@@ -868,51 +854,23 @@ def salted_session_windows(
             )
             secs = _to_seconds(batch.column(ts_col).to_numpy())
             b[mask] = np.floor(secs[mask] / bucket_seconds).astype(np.int64)
-        return batch.append_column("_tb", pa.array(b, pa.int64()))
+        return batch.select([key, ts_col]).append_column("_tb", pa.array(b, pa.int64()))
 
-    bucketed = ds.map_batches(_bucket, batch_format="pyarrow")
-    local = _session_windows_grouped(bucketed, [key, "_tb"], ts_col, gap_seconds)
-
-    def _merge(group: pa.Table) -> pa.Table:
-        ts0 = group.column("t_start").to_numpy()
-        ts1 = group.column("t_end").to_numpy()
-        n = group.column("n_events").to_numpy(zero_copy_only=False)
-        if ts0.dtype.kind == "M":
-            # compare in integer microseconds — bit-identical to the
-            # unsalted kernel's boundary behavior (gap == gap_seconds
-            # does NOT start a new session)
-            ts0c = ts0.astype("datetime64[us]").astype(np.int64)
-            ts1c = ts1.astype("datetime64[us]").astype(np.int64)
-            gap = int(gap_seconds * 1_000_000)
-        else:
-            ts0c = ts0.astype(np.float64)
-            ts1c = ts1.astype(np.float64)
-            gap = float(gap_seconds)
-        order = np.lexsort((ts1c, ts0c))
-        ts0c, ts1c, n = ts0c[order], ts1c[order], n[order]
-        new = np.concatenate([[True], (ts0c[1:] - ts1c[:-1]) > gap])
-        seg = np.nonzero(new)[0]
-        counts = np.add.reduceat(n, seg)
-        t_start_col = group.column("t_start").take(pa.array(order[seg]))
-        end_idx = np.concatenate([seg[1:] - 1, [len(ts1c) - 1]])
-        t_end_col = group.column("t_end").take(pa.array(order[end_idx]))
-        return pa.table(
-            {
-                key: group.column(key).take(
-                    pa.array(np.zeros(len(seg), np.int64))
-                ),
-                "session_id": pa.array(
-                    np.arange(len(seg), dtype=np.int64), pa.int64()
-                ),
-                "n_events": pa.array(counts.astype(np.int64), pa.int64()),
-                "t_start": t_start_col,
-                "t_end": t_end_col,
-            }
-        )
-
-    return local.drop_columns(["_tb"]).groupby(key).map_groups(
-        _merge, batch_format="pyarrow"
+    local = hash_exchange(
+        ds, [key, "_tb"], lambda t: _sessionize(t, [key, "_tb"], ts_col, gap_seconds),
+        _bucket,
     )
+
+    def _merge(t: pa.Table) -> pa.Table:
+        # the same gap rule over (t_start, t_end) of the bucket sessions
+        t, key_new = sorted_runs(t, [key], ["t_start", "t_end"])
+        t0, t1 = t.column("t_start"), t.column("t_end")
+        new = key_new.copy()
+        new[1:] |= _gap_cuts(t0, t1, gap_seconds)
+        n = t.column("n_events").to_numpy()
+        return _session_rows(t, [key], key_new, new, n, t0, t1)
+
+    return hash_exchange(local, [key], _merge)
 
 
 def hopping_window_agg(
@@ -936,8 +894,6 @@ def hopping_window_agg(
     DuckDB oracle's floor(epoch(ts))); numeric ts columns are taken as
     seconds. Output: (window_start: int64 epoch-seconds, n, total_value).
     """
-    import numpy as np
-
     from ray.data.aggregate import Count, Sum
 
     w = int(window_seconds)
@@ -1001,7 +957,7 @@ def window_shift_cum(
     below already requires for determinism), under which RANK ==
     ROW_NUMBER and CUME_DIST == row/n, exactly the SQL values.
 
-    One groupby shuffle co-locates each partition; the per-group kernel is
+    One `group_map` exchange co-locates each partition; the per-group kernel is
     one vectorized Arrow sort + numpy shifted views + cumsum — group sizes
     bound the memory, never the dataset. Pass a unique tie-break column
     last in `order_cols` so the frame order (and therefore LAG/LEAD and
@@ -1012,7 +968,6 @@ def window_shift_cum(
     as NULL (not NaN), and the running SUM ignores NULL rows (the frame's
     sum is NULL only while no non-null value has been seen yet).
     """
-    import numpy as np
 
     def _kernel(group: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
@@ -1028,10 +983,10 @@ def window_shift_cum(
         v = col.to_numpy(zero_copy_only=False).astype(np.float64)
         v_filled = np.where(null_mask, 0.0, v)
         n = len(v)
-        lag = np.concatenate(([0.0], v_filled[:-1]))
-        lead = np.concatenate((v_filled[1:], [0.0]))
-        lag_mask = np.concatenate(([True], null_mask[:-1]))
-        lead_mask = np.concatenate((null_mask[1:], [True])) if n else null_mask
+        lag = np.concatenate(([0.0], v_filled))[:n]
+        lead = np.concatenate((v_filled, [0.0]))[1:]
+        lag_mask = np.concatenate(([True], null_mask))[:n]
+        lead_mask = np.concatenate((null_mask, [True]))[1:]
         rs = np.cumsum(v_filled)
         rs_mask = np.cumsum(~null_mask) == 0  # NULL until a value appears
         r = np.arange(1, n + 1, dtype=np.int64)
@@ -1060,7 +1015,7 @@ def window_shift_cum(
             }
         )
 
-    return ds.groupby(key).map_groups(_kernel, batch_format="pyarrow")
+    return group_map(ds, [key], _kernel)
 
 
 def grouping_sets_agg(
@@ -1196,8 +1151,6 @@ def bloom_semi_join(
     verify join instead (identical results — the verify is always exact).
     This is the regime a saturated-contamination `decontaminate` hits.
     """
-    import numpy as np
-
     from crawlray.murmur3 import murmur3_x64_128_batch
 
     if num_bits % 64:
@@ -1312,8 +1265,6 @@ def weighted_sample(
     top-k either way.
     """
     import hashlib
-
-    import numpy as np
 
     if hash_fn not in ("md5", "murmur3"):
         raise ValueError("hash_fn must be 'md5' or 'murmur3'")
@@ -1448,10 +1399,9 @@ def group_rank(
     descending: bool = False,
 ) -> ray.data.Dataset:
     """RANK / DENSE_RANK / ROW_NUMBER per partition (SQL window ranks):
-    one groupby shuffle; the per-group kernel is one vectorized argsort +
+    one `group_map` exchange; the per-group kernel is one vectorized argsort +
     tie-run detection (numpy). rank/dense_rank order by `order_col` alone
     (ties share a rank); row_number breaks ties with `tiebreak_col`."""
-    import numpy as np
 
     def _kernel(group: pa.Table) -> pa.Table:
         direction = "descending" if descending else "ascending"
@@ -1479,7 +1429,7 @@ def group_rank(
             }
         )
 
-    return ds.groupby(key).map_groups(_kernel, batch_format="pyarrow")
+    return group_map(ds, [key], _kernel)
 
 
 def unpivot(
@@ -1539,7 +1489,6 @@ def moments(
     aggregate semantics. Scale: one streaming map pass; only one tiny
     partial row per block ever reaches the driver.
     """
-    import numpy as np
 
     two = y_col is not None
     cols = [x_col] + ([y_col] if two else [])

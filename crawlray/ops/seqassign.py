@@ -20,6 +20,8 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from crawlray.ops.exchange import group_map
+
 
 def rank_cut_seq(log_ds: ray.data.Dataset, r: int) -> int:
     """seq of the r-th (1-based) 'fetched' row in ascending seq order —
@@ -114,8 +116,8 @@ def grouped_quantiles(
 ) -> ray.data.Dataset:
     """Per-group exact quantiles (quantile_cont linear interpolation).
 
-    One groupby shuffle co-locates each group; per-group work is one numpy
-    quantile over the group's values. Group sizes bound memory — use the
+    One `group_map` exchange co-locates each group; per-group work is one
+    numpy quantile over the group's values. Group sizes bound memory — use the
     global `exact_quantiles` (sort + rank-select) when a single group is
     itself too large for one task. Output: group cols + one `q<NN>` column
     per requested quantile.
@@ -124,12 +126,13 @@ def grouped_quantiles(
     def _q(group: pa.Table) -> pa.Table:
         v = group.column(col).to_numpy(zero_copy_only=False).astype(np.float64)
         out = {c: group.column(c).slice(0, 1) for c in group_cols}
-        vals = np.quantile(v, qs)  # linear interpolation == quantile_cont
+        # linear interpolation == quantile_cont; a 0-row group gives 0 rows
+        vals = np.quantile(v, qs)[:, None] if len(v) else np.empty((len(qs), 0))
         for q, val in zip(qs, vals):
-            out[f"q{int(round(q * 100)):02d}"] = pa.array([float(val)])
+            out[f"q{int(round(q * 100)):02d}"] = pa.array(val, pa.float64())
         return pa.table(out)
 
-    return ds.groupby(group_cols).map_groups(_q, batch_format="pyarrow")
+    return group_map(ds, group_cols, _q)
 
 
 def sort_and_zip_index(

@@ -21,6 +21,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from crawlray.ops.exchange import group_map
+
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -344,7 +346,7 @@ def approx_distinct_by(
 
     Map-side: each block emits ONE register row per group present in the
     block (2^p bytes each — the per-block summary is bounded by
-    groups-per-block, never rows). One groupby shuffle then merges
+    groups-per-block, never rows). One `group_map` exchange then merges
     registers per group with the commutative register-max, so task
     retries and block order cannot skew estimates. Use when the group
     count is large enough that per-group exact distincts (a full
@@ -377,12 +379,14 @@ def approx_distinct_by(
         return pa.table(
             {
                 group_col: group.column(group_col).slice(0, 1),
-                "estimate": pa.array([h.estimate()], pa.float64()),
+                "estimate": pa.array(
+                    [h.estimate()] if group.num_rows else [], pa.float64()
+                ),
             }
         )
 
     parts = ds.map_batches(_partial, batch_format="pyarrow")
-    out = parts.groupby(group_col).map_groups(_merge, batch_format="pyarrow")
+    out = group_map(parts, [group_col], _merge)
     return pa.Table.from_pylist(out.take_all())
 
 

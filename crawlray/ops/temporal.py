@@ -1,7 +1,8 @@
 """Temporal joins the Dataset API lacks: as-of join and range (interval)
 join (task brief: "when the reference has an operator Ray Data lacks
 (as-of join, range join, ...) implement it as a composition of map_batches +
-groupby().map_groups + sort ... and document the partitioning assumption").
+groupby().map_groups + sort ... and document the partitioning assumption";
+the per-key grouping is `exchange.group_map`).
 
 The reference engine (single-process BFS loop, SURVEY.md §0) has no temporal
 algebra; these cover the time-series surface of the driver's events/orders
@@ -9,7 +10,7 @@ tables and are SQL-oracled against DuckDB's native ASOF JOIN / inequality
 join.
 
 Partitioning assumptions (documented per the brief):
-  * `asof_join` shuffles BOTH sides once on the `by` key (one groupby);
+  * `asof_join` shuffles BOTH sides once on the `by` key (one `group_map`);
     the per-group kernel is a vectorized numpy searchsorted, so per-task
     memory is bounded by the largest single key group — salt hot keys
     upstream (ops.relational.sample_hot_keys) if one entity dominates.
@@ -32,6 +33,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+
+from crawlray.ops.exchange import group_map
 
 
 def _ts_i64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -70,7 +73,7 @@ def asof_join(
     at-or-after (forward) the left row's `on`.
 
     Shape: both sides are tagged and unioned into one padded schema, ONE
-    groupby(`by`) shuffle co-locates each key, and the per-group kernel
+    `group_map` exchange on `by` co-locates each key, and the per-group kernel
     sorts the right rows once and binary-searches all left rows against
     them (numpy searchsorted — vectorized, no per-row Python). Memory per
     task is bounded by the largest `by` group, never the dataset.
@@ -174,7 +177,7 @@ def asof_join(
             out = out.filter(pa.array(valid))
         return out
 
-    return both.groupby(by).map_groups(_kernel, batch_format="pyarrow")
+    return group_map(both, [by], _kernel)
 
 
 def asof_join_broadcast(

@@ -83,10 +83,11 @@ def resumable_write(
 
     Rows hash-partition on murmur3(key_col) % num_partitions — a pure
     function of the DATA, so re-runs at any parallelism produce identical
-    partition contents. Each partition is written by its own task as
-    `part=<i>/data.<fmt>` via write-tmp-then-rename with a `_SUCCESS`
-    marker committed LAST (the crawl checkpoint's idempotent-transaction
-    pattern, SURVEY §4.4, generalized to any dataset): a crashed run
+    partition contents. Each partition is written by one call of an
+    `exchange.group_map` kernel on `_part` as `part=<i>/data.<fmt>` via
+    write-tmp-then-rename with a `_SUCCESS` marker committed LAST (the
+    crawl checkpoint's idempotent-transaction pattern, SURVEY §4.4,
+    generalized to any dataset): a crashed run
     leaves either a committed partition or junk-without-marker, and the
     re-run rewrites exactly the unmarked partitions. Rows within a
     partition are sorted by key for a deterministic file.
@@ -98,8 +99,12 @@ def resumable_write(
     import pyarrow.compute as pc_  # noqa: N813 — avoid shadowing callers
 
     from crawlray.murmur3 import murmur3_x64_128_batch
+    from crawlray.ops.exchange import group_map
 
     fmt = fmt or DEFAULT_FORMAT
+    manifest_schema = pa.schema(
+        [("part", pa.int32()), ("rows", pa.int64()), ("skipped", pa.bool_())]
+    )
     os.makedirs(out_dir, exist_ok=True)
 
     def _assign(batch: pa.Table) -> pa.Table:
@@ -113,6 +118,8 @@ def resumable_write(
         return batch.append_column("_part", pa.array(part, pa.int32()))
 
     def _write_part(group: pa.Table) -> pa.Table:
+        if not group.num_rows:
+            return manifest_schema.empty_table()
         part = int(group.column("_part")[0].as_py())
         pdir = os.path.join(out_dir, f"part={part}")
         marker = os.path.join(pdir, "_SUCCESS")
@@ -145,16 +152,8 @@ def resumable_write(
             }
         )
 
-    manifest = (
-        ds.map_batches(_assign, batch_format="pyarrow")
-        .groupby("_part")
-        .map_groups(_write_part, batch_format="pyarrow")
-        .take_all()
-    )
+    manifest = group_map(
+        ds.map_batches(_assign, batch_format="pyarrow"), ["_part"], _write_part
+    ).take_all()
     manifest.sort(key=lambda r: r["part"])
-    return pa.Table.from_pylist(
-        manifest,
-        schema=pa.schema(
-            [("part", pa.int32()), ("rows", pa.int64()), ("skipped", pa.bool_())]
-        ),
-    )
+    return pa.Table.from_pylist(manifest, schema=manifest_schema)

@@ -96,3 +96,22 @@ def test_query_matches_oracle(name, con, ray_session):
         )
     a, b = _normalize(res), _normalize(want)
     pd.testing.assert_frame_equal(a, b, check_dtype=False, check_exact=False, rtol=1e-9, atol=1e-9)
+
+
+def test_decontaminate_without_shared_grams_is_typed(tmp_path, ray_session):
+    """A corpus in which no 8-gram occurs in two documents: nothing is
+    contaminated, and the empty result still has the query's columns:
+    each arm's tagging map runs on a typed 0-row table, and an empty
+    result comes back as an Arrow table, whose columns survive
+    `to_pandas()`."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    docs = pa.table({
+        "doc_id": pa.array(range(64), pa.int64()),
+        "text": [" ".join(f"w{d}x{i}" for i in range(20)) for d in range(64)],
+    })
+    pq.write_table(docs, tmp_path / "documents.parquet")
+    out = _to_pandas(entrymod.queries()["decontaminate"](str(tmp_path)))
+    assert len(out) == 0
+    assert sorted(out.columns) == ["a", "b", "kind", "v"]

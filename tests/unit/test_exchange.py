@@ -219,6 +219,31 @@ def test_grouped_sum_hash_with_count_matches_pandas(ray_session, num_partitions)
     assert got.to_dict("list") == want.to_dict("list")
 
 
+def test_group_map_calls_fn_once_per_key_group(ray_session):
+    """Every call sees exactly one key tuple (two nulls are equal), every
+    group is seen by one call, and a 0-row input is typed by `fn`."""
+    import ray.data
+
+    from crawlray.ops.exchange import group_map
+
+    t = pa.table({"a": pa.array([1, None, 1, 2, None, 2, 1], pa.int64()),
+                  "b": ["x", "y", "x", None, "y", None, "z"],
+                  "v": pa.array(range(7), pa.int64())})
+
+    def _summary(g: pa.Table) -> pa.Table:
+        assert len(set(zip(g["a"].to_pylist(), g["b"].to_pylist()))) <= 1
+        return g.group_by(["a", "b"]).aggregate([("v", "sum"), ([], "count_all")])
+
+    got = group_map(ray.data.from_arrow(t).repartition(3), ["a", "b"], _summary)
+    rows = [(r["a"], r["b"], r["v_sum"], r["count_all"]) for r in got.take_all()]
+    assert sorted(rows, key=repr) == sorted(
+        [(1, "x", 2, 2), (None, "y", 5, 2), (2, None, 8, 2), (1, "z", 6, 1)], key=repr
+    )
+    empty = group_map(ray.data.from_arrow(t.slice(0, 0)), ["a", "b"], _summary)
+    assert empty.count() == 0
+    assert empty.schema().names == _summary(t.slice(0, 0)).column_names
+
+
 def _calls(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -230,8 +255,15 @@ def test_only_exchange_module_joins_or_routes():
     Dataset (pyarrow `Table.join` and `str.join` pass: they take `keys=`
     or a single iterable), groups on the routing column, or imports the
     removed block scrub. exchange.py itself runs its own map and reduce
-    tasks: it calls no `Dataset.join`, no `groupby` and no `map_groups`."""
+    tasks: it calls no `Dataset.join`, no `groupby` and no `map_groups`.
+    No operator module, storage.py or the driver entry calls
+    `map_groups`: per-group work goes through `exchange.group_map`."""
     offenders = []
+    for path in [*sorted(OPS.glob("*.py")), OPS.parent / "storage.py",
+                 OPS.parents[1] / "__ray_entry__.py"]:
+        for call in _calls(ast.parse(path.read_text())):
+            if call.func.attr == "map_groups":
+                offenders.append(f"{path.name}:{call.lineno} calls map_groups")
     for path in sorted(OPS.glob("*.py")):
         own = path.name == "exchange.py"
         tree = ast.parse(path.read_text())
