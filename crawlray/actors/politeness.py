@@ -1,11 +1,13 @@
-"""HostPolitenessActor — the host shard: robots rules + per-host token-bucket
+"""HostPoliteness — the host shard: robots rules + per-host token-bucket
 admission (SURVEY.md O-21/O-22; RBC-6). Every host routes to one shard by
 `host_shard_of`; the shard holds that host's robots rules (a RobotsRules
-helper), token bucket and fetch counter, so the crawl keeps one host-keyed
-actor pool and one routing rule.
+helper), token bucket and fetch counter. A plain object, no Ray: host
+shard i lives in the crawl's shard actor i (`SeenShardActor.init_host_shard`),
+so host and seen shards share one actor pool and a crawl starts
+max(seen, host) shard processes instead of their sum.
 
 Deterministic under any parallelism (§4.2): the admission decision is NOT
-first-come-first-served — each wave the actor collects the full multiset of
+first-come-first-served — each wave the shard collects the full multiset of
 candidate order keys per host (mark phase), then admits the B lowest unique
 keys per host (decide phase), exactly what the sequential oracle does
 walking the wave in disc_key order. Offers and denied keys are
@@ -18,7 +20,7 @@ config, memoryless) or `carryover=True` for a classic token bucket
 admission protocol.
 
 Hot-path shape: mark() evaluates the robots mask and appends to buffers;
-decide_and_drain() is ONE RPC per shard per wave that does the whole
+decide_and_drain() is ONE RPC per shard per wave and does the whole
 combine vectorized (numpy lexsort + group boundaries — the per-host Python
 loop runs once per ACTIVE HOST, not per offered row) and returns counts,
 the per-host admission thresholds (broadcast to the gate tasks — no
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from crawlray.actors.robots import RobotsRules
 from crawlray.murmur3 import murmur3_32
@@ -41,8 +42,7 @@ def host_shard_of(host: str, num_shards: int) -> int:
     return murmur3_32(host.encode(), seed=7) % num_shards
 
 
-@ray.remote(num_cpus=0)
-class HostPolitenessActor:
+class HostPoliteness:
     def __init__(
         self,
         shard_id: int,
@@ -63,8 +63,9 @@ class HostPolitenessActor:
         self._offer_hosts: list[pa.Array] = []
         self._offer_keys: list[np.ndarray] = []
         self._denied_keys: list[np.ndarray] = []
-        # robots bodies of this shard's hosts only. Callers pass the robots
-        # table's ObjectRef: top-level actor args arrive resolved, zero-copy
+        # robots bodies of this shard's hosts only. The owning actor gets
+        # the robots table's ObjectRef as a top-level argument: it arrives
+        # resolved, zero-copy
         bodies: dict[str, str] = {}
         if robots is not None:
             bodies = {

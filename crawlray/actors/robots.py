@@ -2,7 +2,7 @@
 robots fetched before a host's first fetch, cached forever; a URL
 disallowed for user-agent '*' is logged robots_denied).
 
-A plain object, no Ray: each HostPolitenessActor owns one, holding the
+A plain object, no Ray: each HostPoliteness host shard owns one, holding the
 bodies of the hosts that route to its shard (`host_shard_of`), so each
 host's rules live in exactly one process and are parsed once. The synthetic
 web's robots "fetch" is a lookup into the robots table; with a live backend

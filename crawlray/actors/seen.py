@@ -18,6 +18,19 @@ task retry). `begin_wave` rotates the wave-local set.
 Scale note (§7.7-H2): at 10^10 URLs the exact sets hold ~160 GB across all
 shards — shard count scales with cluster size; per-wave URL deltas are
 flushed to parquet by the checkpointer rather than accumulating strings.
+
+Shard pool: the same actor also carries host shard `shard_id`
+(`init_host_shard`, a `HostPoliteness`) when the crawl has that many host
+shards, so a crawl starts max(seen shards, host shards) shard actors; actor
+i with i >= the seen-shard count is a host shard only, with an empty seen
+state. Each Ray worker process costs ~1 s of CPU to start (measured on a
+4-core box), and the host shard's mark/decide RPCs and the seen shard's
+offer/finish RPCs fall in different wave phases, so sharing a process costs
+the wave loop nothing. The start-up RPCs (`check_and_add` for the seeds,
+`ingest` on resume) take Arrow tables: a process's first Arrow table costs
+~0.5 s of imports in Ray's serializer (pandas, ray.data), and this way every
+seen shard pays them while the fetchers start, not inside wave 0's
+`finish_wave` barrier.
 """
 
 from __future__ import annotations
@@ -26,6 +39,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from crawlray.actors.politeness import HostPoliteness
 from crawlray.cuckoo import CuckooFilter
 from crawlray.kernels.url import url_host
 from crawlray.murmur3 import murmur3_x64_128_batch
@@ -92,6 +106,31 @@ class SeenShardActor:
         self.delta_urls: list[str] = []
         self.delta_hashes: list[tuple[int, int]] = []
         self.current_wave = -1
+        self.host: HostPoliteness | None = None
+
+    # ---- host shard `shard_id` (see the module docstring) ----------------
+
+    def init_host_shard(self, num_host_shards: int, rate: float, burst: float,
+                        carryover: bool, robots: pa.Table | None, user_agent: str,
+                        backend_factory=None) -> None:
+        """Make this actor host shard `shard_id` of `num_host_shards`. Pass
+        the robots table's ObjectRef: a top-level argument arrives resolved."""
+        self.host = HostPoliteness(
+            self.shard_id, num_host_shards, rate, burst, carryover, robots,
+            user_agent, backend_factory,
+        )
+
+    def mark(self, hosts: pa.Array, urls: pa.Array, okeys: np.ndarray) -> np.ndarray:
+        return self.host.mark(hosts, urls, okeys)
+
+    def decide_and_drain(self):
+        return self.host.decide_and_drain()
+
+    def host_state(self) -> dict:
+        return self.host.host_state()
+
+    def load_host_state(self, hosts: list[str], tokens: list[float], fetched: list[int]) -> None:
+        self.host.load_host_state(hosts, tokens, fetched)
 
     def begin_wave(self, wave: int) -> None:
         self.current_wave = wave
@@ -209,13 +248,16 @@ class SeenShardActor:
         self.hll.add_hashes(lo[keep])
         return derive_frontier_block(comb, self.shard_id), comb.num_rows
 
-    def check_and_add(
-        self, urls: list[str], lo: np.ndarray, hi: np.ndarray
-    ) -> np.ndarray:
-        """Returns a bool mask: True where the URL was NOT seen before (new).
+    def check_and_add(self, rows: pa.Table) -> np.ndarray:
+        """Seed registration: this shard's (url, url_hash_lo, url_hash_hi)
+        rows, possibly none. Returns a bool mask: True where the URL was NOT
+        seen before (new).
 
         Adds all new URLs to the set. Idempotent within the current wave.
         """
+        urls = rows.column("url").to_pylist()
+        lo = rows.column("url_hash_lo").to_numpy()
+        hi = rows.column("url_hash_hi").to_numpy()
         n = len(urls)
         new = np.zeros(n, dtype=bool)
         maybe = self.cuckoo.maybe_contains_many(
@@ -263,14 +305,16 @@ class SeenShardActor:
         self.delta_hashes = []
         return t
 
-    def ingest(self, lo: list[int], hi: list[int]) -> int:
-        """Checkpoint resume: re-ingest previously dumped hashes."""
-        for a, b in zip(lo, hi):
-            k = (int(a), int(b))
+    def ingest(self, hashes: pa.Table) -> int:
+        """Checkpoint resume: re-ingest this shard's previously dumped
+        (url_hash_lo, url_hash_hi) rows, possibly none."""
+        lo = hashes.column("url_hash_lo").to_numpy()
+        hi = hashes.column("url_hash_hi").to_numpy()
+        for k in zip(lo.tolist(), hi.tolist()):
             if k not in self.exact:
                 self.exact.add(k)
                 self.cuckoo.add(k[0], k[1])
-        self.hll.add_hashes(np.asarray(lo, dtype=np.uint64))
+        self.hll.add_hashes(lo)
         return len(self.exact)
 
     def hll_registers(self) -> bytes:

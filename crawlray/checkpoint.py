@@ -33,6 +33,7 @@ tests/resume/.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -41,6 +42,9 @@ import shutil
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
+import ray.data
+from ray.data import ReadTask
+from ray.data.block import BlockMetadata
 
 from crawlray.schema import DOCUMENTS, FRONTIER
 from crawlray.stages import FRONTIER_COLS, LOG_SCHEMA
@@ -56,21 +60,61 @@ def _write_part_task(path: str, schema: pa.Schema, *blocks: pa.Table) -> None:
     pq.write_table(pa.concat_tables(parts) if parts else schema.empty_table(), path)
 
 
+class DocFilesDatasource(ray.data.Datasource):
+    """A crawl's doc files as the public DOCUMENTS columns: one read task
+    per file, reading (doc_id, spans) — the files also carry seq and the
+    enrichment columns. Each task's row count and schema come from the
+    file's footer, read here on the driver, so `count()` reads no data and
+    planning starts no remote work. `ray.data.read_parquet` instead starts
+    remote footer tasks past 24 files and `_sample_fragment` tasks always
+    (a crawl_durable run writes 75 doc files)."""
+
+    def __init__(self, files: list[str]):
+        # (path, rows, uncompressed bytes of all columns — an upper bound on
+        # the read's —, the read's schema) per file
+        self._parts = []
+        for path in files:
+            m = pq.read_metadata(path)
+            schema = m.schema.to_arrow_schema()
+            self._parts.append((
+                path,
+                m.num_rows,
+                sum(m.row_group(i).total_byte_size for i in range(m.num_row_groups)),
+                pa.schema([schema.field(c) for c in DOCUMENTS.names]),
+            ))
+
+    def estimate_inmemory_data_size(self) -> int:
+        return sum(p[2] for p in self._parts)
+
+    def get_read_tasks(self, parallelism: int) -> list[ReadTask]:
+        return [
+            ReadTask(
+                functools.partial(_read_doc_file, path),
+                BlockMetadata(
+                    num_rows=rows, size_bytes=size, exec_stats=None, input_files=[path]
+                ),
+                schema=schema,
+            )
+            for path, rows, size, schema in self._parts
+        ]
+
+
+def _read_doc_file(path: str) -> list[pa.Table]:
+    return [pq.read_table(path, columns=DOCUMENTS.names)]
+
+
 def result_datasets(log_refs: list, doc_files: list[str]):
     """A crawl's public (crawl_log, documents) Datasets, typed when empty.
-    crawl_log wraps the log block refs; documents reads `doc_files` lazily,
-    so those files must stay until it is consumed."""
-    import ray.data
-
+    crawl_log wraps the log block refs; documents reads `doc_files` lazily
+    through `DocFilesDatasource`, so those files must stay until it is
+    consumed, and its `count()` reads only their footers, on the driver."""
     crawl_log = (
         ray.data.from_arrow_refs(log_refs)
         if log_refs
         else ray.data.from_arrow(LOG_SCHEMA.empty_table())
     )
-    # doc files carry (doc_id, seq, spans, enrichment…) — the public
-    # DOCUMENTS surface is (doc_id, spans); column-pruned at the read
     documents = (
-        ray.data.read_parquet(doc_files, columns=["doc_id", "spans"])
+        ray.data.read_datasource(DocFilesDatasource(doc_files))
         if doc_files
         else ray.data.from_arrow(DOCUMENTS.empty_table())
     )
@@ -99,7 +143,7 @@ class Checkpointer:
         frontier_refs: list,
         log_refs: list,
         seen_actors,
-        polite_actors,
+        host_actors,
         metrics: dict,
         seq_base: int,
         fetched_total: int,
@@ -126,7 +170,7 @@ class Checkpointer:
             pq.write_table(t, os.path.join(sdir, f"shard={i}.parquet"))
         hdir = os.path.join(d, "host_state")
         os.makedirs(hdir, exist_ok=True)
-        for i, st in enumerate(ray.get([a.host_state.remote() for a in polite_actors])):
+        for i, st in enumerate(ray.get([a.host_state.remote() for a in host_actors])):
             pq.write_table(
                 pa.table(
                     {

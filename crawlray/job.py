@@ -4,10 +4,17 @@ Replaces the reference's single-process BFS loop (`while queue: url =
 queue.popleft(); ...` — see oracle/bfs_crawler.py, the normative stand-in
 for the absent reference snapshot, SURVEY.md §0) with an iterative-batch
 wave loop: each BFS wave fans out as plain Ray tasks over Arrow block refs
-plus key-routed RPCs to the stateful actors. A crawl starts three actor
-pools: seen shards (keyed by URL hash), host shards (keyed by
-`host_shard_of`; each holds its hosts' robots rules, token buckets and
-fetch counters) and fetchers. See crawlray/stages.py's module docstring
+plus key-routed RPCs to the stateful actors. A crawl starts two actor
+pools, both before its first blocking call so that their process start-ups
+overlap:
+- max(num_seen_shards, num_host_shards) shard actors. Actor i is seen shard
+  i (keyed by URL hash) for i < num_seen_shards and host shard i (keyed by
+  `host_shard_of`; its hosts' robots rules, token buckets and fetch
+  counters) for i < num_host_shards — actors/seen.py says why one pool;
+- the fetchers.
+Each leg records where its wall time went in `metrics["leg"]`, and each
+wave its driver-measured `wave_s`, which the checkpoint's meta.json keeps.
+See crawlray/stages.py's module docstring
 for why the hot loop uses tasks instead of per-wave Ray Data streaming
 executions (measured driver floors) — the crawl's public outputs are still
 `ray.data.Dataset`s and every library operator is Dataset-based.
@@ -69,7 +76,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.actors.politeness import HostPolitenessActor
 from crawlray.actors.seen import SeenShardActor
 from crawlray.checkpoint import Checkpointer, result_datasets
 from crawlray.kernels.url import canonicalize, in_scope
@@ -217,10 +223,11 @@ def _run_crawl_attempt(
 
     `_fault_hook(wave, actors)`: test-only fault injector called at the top
     of every wave iteration with the live actor handles (keys: seen, polite
-    (the host shards), fetchers); hooks must self-disarm or the recovered
-    run re-dies.
-    `_actor_holder`: out-param dict run_crawl uses to kill this attempt's
-    actors if the attempt aborts mid-wave.
+    (the host shards: the first num_host_shards actors of the shard pool,
+    so they are seen shards too), fetchers); hooks must self-disarm or the
+    recovered run re-dies.
+    `_actor_holder`: out-param dict, filled as soon as the actors exist,
+    that run_crawl uses to kill this attempt's actors if the attempt fails.
 
     `web`: a SynthWeb (tables generated driver-side) — or pass `webgraph` /
     `robots` Arrow tables, or `webgraph_path` (directory of parquet files,
@@ -261,7 +268,10 @@ def _run_crawl_attempt(
         webgraph = web.webgraph_table()
         robots = web.robots_table()
 
-    # ---- webgraph into the object store (parallel read for the path form)
+    # ---- webgraph into the object store (parallel read for the path form).
+    # Nothing here blocks on Ray: the path and preloaded forms fingerprint
+    # their blocks once every actor has been asked to start
+    web_fp = None
     if backend_factory is not None:
         # backend-agnostic crawl (O-46): pages come from the factory-built
         # backend (e.g. HttpBackend) — no webgraph tables exist. Seen-set
@@ -277,10 +287,6 @@ def _run_crawl_attempt(
         # work — a real crawler doesn't load the web per run; both scaling
         # levels pre-load identically so the RATIO is unaffected either way)
         webgraph_refs, n_pages = preloaded_web
-        fp_tbl = pa.concat_tables(
-            [ray.get(webgraph_refs[0]), ray.get(webgraph_refs[-1])]
-        )
-        web_fp = _webgraph_fingerprint(fp_tbl)
     elif webgraph_path is not None:
         files = sorted(
             os.path.join(webgraph_path, f)
@@ -299,10 +305,6 @@ def _run_crawl_attempt(
 
         webgraph_refs = [_read_pq.remote(f) for f in files]
         n_pages = sum(_pq.read_metadata(f).num_rows for f in files)
-        fp_tbl = pa.concat_tables(
-            [ray.get(webgraph_refs[0]), ray.get(webgraph_refs[-1])]
-        )
-        web_fp = _webgraph_fingerprint(fp_tbl)
     elif webgraph is not None:
         webgraph_refs = [ray.put(webgraph)]
         n_pages = webgraph.num_rows
@@ -316,79 +318,28 @@ def _run_crawl_attempt(
 
         robots = _pq.read_table(robots_path)
     robots_ref = ray.put(robots) if robots is not None else None
-    _t_loaded = time.time()
 
-    seen_actors = [
-        SeenShardActor.remote(i, cuckoo_capacity=max(1 << 14, n_pages * 2))
-        for i in range(num_seen_shards)
-    ]
-    polite_actors = [
-        HostPolitenessActor.remote(
-            i, num_host_shards, rate=float(budget_per_host),
-            burst=float(budget_per_host), carryover=carryover_tokens,
-            robots=robots_ref, user_agent=user_agent,
-            backend_factory=backend_factory,
+    # ---- every actor is asked to start before the first blocking call, so
+    # their process start-ups (~1 s of CPU each) overlap one another, the
+    # index build and the bootstrap/ingest RPCs that wait on them.
+    # One shard pool: actor i is seen shard i for i < num_seen_shards and
+    # host shard i for i < num_host_shards (SeenShardActor docstring); a
+    # host-only actor holds no URLs, so it gets the smallest filter
+    shard_actors = [
+        SeenShardActor.remote(
+            i, cuckoo_capacity=max(1 << 14, n_pages * 2 if i < num_seen_shards else 0)
         )
-        for i in range(num_host_shards)
+        for i in range(max(num_seen_shards, num_host_shards))
     ]
-    # O-24 counters: fetchers return per-wave totals from end_wave and the
-    # driver sums them here; resume seeds them from the committed meta.json
-    counters: dict = dict((_resume_state or {}).get("counters") or {})
-
-    _t_actors = time.time()
-    fetched_total = 0
-    seq_base = 0
-    wave = 0
-    if _resume_state is None:
-        # ---- bootstrap: seeds (RBC-4) — canonicalize, scope, dedup keeping
-        # the first occurrence (driver-side: seed lists are small by definition)
-        seed_urls, seed_keys, seed_depths = [], [], []
-        seed_seen: set[str] = set()
-        for i, s in enumerate(seeds):
-            c = canonicalize(s)
-            if c is None or not in_scope(c) or c in seed_seen:
-                continue
-            seed_seen.add(c)
-            seed_urls.append(c)
-            seed_keys.append(-LINK_STRIDE + i)
-            seed_depths.append(0)
-        ray.get([a.begin_wave.remote(0) for a in seen_actors])
-        frontier_tbl = frontier_table_from_urls(
-            seed_urls, seed_keys, seed_depths, num_seen_shards
+    seen_actors = shard_actors[:num_seen_shards]
+    host_actors = shard_actors[:num_host_shards]
+    host_inits = [
+        a.init_host_shard.remote(
+            num_host_shards, float(budget_per_host), float(budget_per_host),
+            carryover_tokens, robots_ref, user_agent, backend_factory,
         )
-        if frontier_tbl.num_rows:
-            # register seeds in the seen set
-            shards = frontier_tbl.column("shard").to_numpy()
-            futs = {}
-            for s in sorted(set(shards.tolist())):
-                idx = np.nonzero(shards == s)[0]
-                futs[s] = seen_actors[s].check_and_add.remote(
-                    [seed_urls[i] for i in idx],
-                    frontier_tbl.column("url_hash_lo").to_numpy()[idx],
-                    frontier_tbl.column("url_hash_hi").to_numpy()[idx],
-                )
-            ray.get(list(futs.values()))
-    else:
-        # ---- resume: re-ingest seen deltas, host state, stored frontier
-        frontier_tbl = _resume_state["frontier_tbl"]
-        wave = _resume_state["wave0"]
-        seq_base = _resume_state["seq_base"]
-        fetched_total = _resume_state["fetched_total"]
-        ingests = []
-        for shard_id, (lo, hi) in _resume_state["seen_hashes"].items():
-            ingests.append(seen_actors[shard_id].ingest.remote(lo, hi))
-        ray.get(ingests)
-        loads = []
-        for shard_id, st in _resume_state["host_state"].items():
-            loads.append(
-                polite_actors[shard_id].load_host_state.remote(
-                    st["hosts"], st["tokens"], st["fetched"]
-                )
-            )
-        ray.get(loads)
-
-    frontier_refs, frontier_counts = _split_refs(frontier_tbl, frontier_rows_per_block)
-    n_frontier = frontier_tbl.num_rows
+        for a in host_actors
+    ]
 
     # documents land on disk, written by the fetcher actors per wave —
     # partitioned, resumable output; span payloads never transit plasma.
@@ -426,7 +377,67 @@ def _run_crawl_attempt(
         for i in range(n_fetchers)
     ]
     if _actor_holder is not None:
-        _actor_holder["actors"] = seen_actors + polite_actors + fetcher_actors
+        _actor_holder["actors"] = shard_actors + fetcher_actors
+
+    if web_fp is None:
+        web_fp = _webgraph_fingerprint(
+            pa.concat_tables([ray.get(webgraph_refs[0]), ray.get(webgraph_refs[-1])])
+        )
+    _t_started = time.time()
+
+    # O-24 counters: fetchers return per-wave totals from end_wave and the
+    # driver sums them here; resume seeds them from the committed meta.json
+    counters: dict = dict((_resume_state or {}).get("counters") or {})
+    fetched_total = 0
+    seq_base = 0
+    wave = 0
+    if _resume_state is None:
+        # ---- bootstrap: seeds (RBC-4) — canonicalize, scope, dedup keeping
+        # the first occurrence (driver-side: seed lists are small by definition)
+        seed_urls, seed_keys, seed_depths = [], [], []
+        seed_seen: set[str] = set()
+        for i, s in enumerate(seeds):
+            c = canonicalize(s)
+            if c is None or not in_scope(c) or c in seed_seen:
+                continue
+            seed_seen.add(c)
+            seed_urls.append(c)
+            seed_keys.append(-LINK_STRIDE + i)
+            seed_depths.append(0)
+        frontier_tbl = frontier_table_from_urls(
+            seed_urls, seed_keys, seed_depths, num_seen_shards
+        )
+        # register the seeds in the seen set: every shard gets its rows,
+        # possibly none (SeenShardActor docstring). The host shards must
+        # exist before the first mark task, whose RPCs come from other callers
+        seed_rows = frontier_tbl.select(["url", "url_hash_lo", "url_hash_hi"])
+        shards = frontier_tbl.column("shard").to_numpy()
+        boot = host_inits + [a.begin_wave.remote(0) for a in seen_actors] + [
+            a.check_and_add.remote(seed_rows.filter(pa.array(shards == s)))
+            for s, a in enumerate(seen_actors)
+        ]
+        ray.get(boot)
+    else:
+        # ---- resume: re-ingest seen deltas, host state, stored frontier
+        frontier_tbl = _resume_state["frontier_tbl"]
+        wave = _resume_state["wave0"]
+        seq_base = _resume_state["seq_base"]
+        fetched_total = _resume_state["fetched_total"]
+        boot = host_inits + [
+            a.ingest.remote(t) for a, t in zip(seen_actors, _resume_state["seen_deltas"])
+        ]
+        # each actor runs its own calls in order: load after init_host_shard
+        for shard_id, st in _resume_state["host_state"].items():
+            boot.append(
+                host_actors[shard_id].load_host_state.remote(
+                    st["hosts"], st["tokens"], st["fetched"]
+                )
+            )
+        ray.get(boot)
+    _t_booted = time.time()
+
+    frontier_refs, frontier_counts = _split_refs(frontier_tbl, frontier_rows_per_block)
+    n_frontier = frontier_tbl.num_rows
     # shipped once; each mark task reads them zero-copy from the store
     fsteps_ref = ray.put(frontier_steps) if frontier_steps else None
     policy_ref = ray.put(priority_policy) if priority_policy is not None else None
@@ -437,6 +448,7 @@ def _run_crawl_attempt(
     waves_done = wave
     wave0 = wave
     stop = False
+    commit_s = 0.0
 
     checkpointer = None
     if out_dir is not None:
@@ -462,15 +474,6 @@ def _run_crawl_attempt(
             print(f"#   w{wave} {label}: {now - t0:.2f}s", file=sys.stderr, flush=True)
         return now
 
-    if _profile:
-        print(
-            f"#   preloop: {time.time() - _t_start:.2f}s "
-            f"(load {_t_loaded - _t_start:.2f}s, actors {_t_actors - _t_loaded:.2f}s, "
-            f"rest {time.time() - _t_actors:.2f}s)",
-            file=sys.stderr,
-            flush=True,
-        )
-
     while not stop:
         if n_frontier == 0:
             break
@@ -479,13 +482,13 @@ def _run_crawl_attempt(
         # stop before issuing any fetches.
         if max_pages is not None and fetched_total >= max_pages:
             break
-        _t = time.time()
+        _t = _t_wave = time.time()
         if _fault_hook is not None:
             _fault_hook(
                 wave,
                 {
                     "seen": seen_actors,
-                    "polite": polite_actors,
+                    "polite": host_actors,
                     "fetchers": fetcher_actors,
                 },
             )
@@ -498,7 +501,7 @@ def _run_crawl_attempt(
         # A: robots mask + politeness offers, one task per frontier block
         live = [r for r, c in zip(frontier_refs, frontier_counts) if c > 0]
         marked_refs = [
-            mark_block_task.remote(r, polite_actors, wave, fsteps_ref, policy_ref)
+            mark_block_task.remote(r, host_actors, wave, fsteps_ref, policy_ref)
             for r in live
         ]
         ray.wait(marked_refs, num_returns=len(marked_refs), fetch_local=False)
@@ -506,7 +509,7 @@ def _run_crawl_attempt(
 
         # barrier RPC round: one decide_and_drain per host shard (counts +
         # thresholds + admitted keys + robots-denied keys in ONE call)
-        pol_res = ray.get([p.decide_and_drain.remote() for p in polite_actors])
+        pol_res = ray.get([p.decide_and_drain.remote() for p in host_actors])
         _t = _tick("  decide", _t)
         n_admitted = sum(r[0] for r in pol_res)
         n_offered = sum(r[1] for r in pol_res)
@@ -621,23 +624,27 @@ def _run_crawl_attempt(
                 "deferred": n_deferred,
                 "discovered_new": n_new,
                 "counters": dict(counters),
+                # driver wall seconds from the wave's start to its commit
+                "wave_s": round(time.time() - _t_wave, 4),
             }
         )
         if checkpointer is not None:
             # durability fence: the wave's background doc writes must be
             # on storage before _SUCCESS commits (they overlap the
             # finish/derive phase above, so this join is usually free)
+            _t_commit = time.time()
             ray.get([f.wait_writes.remote() for f in fetcher_actors])
             checkpointer.commit_wave(
                 wave=wave,
                 frontier_refs=frontier_refs,
                 log_refs=log_refs,
                 seen_actors=seen_actors,
-                polite_actors=polite_actors,
+                host_actors=host_actors,
                 metrics=metrics["waves"][-1],
                 seq_base=seq_base,
                 fetched_total=fetched_total,
             )
+            commit_s += time.time() - _t_commit
 
         waves_done = wave + 1
         if stop_after_wave is not None and wave >= stop_after_wave:
@@ -647,6 +654,7 @@ def _run_crawl_attempt(
         n_frontier = n_frontier_next
         wave += 1
 
+    _t_loop = time.time()
     # assemble public outputs: this attempt's log blocks, preceded for a
     # resumed crawl by its earlier waves' committed logs read back;
     # documents from every wave's doc partition (joined writes first)
@@ -686,6 +694,17 @@ def _run_crawl_attempt(
             ray.kill(a)
         except Exception:
             pass
+    # where the leg's wall time went: asking every actor to start (and
+    # loading the web), the bootstrap or resume ingest (which waits for the
+    # shard actors to come up), the wave loop (its commits are `commit_s`
+    # of it) and building the outputs
+    metrics["leg"] = {
+        "startup_s": round(_t_started - _t_start, 4),
+        "bootstrap_s": round(_t_booted - _t_started, 4),
+        "loop_s": round(_t_loop - _t_booted, 4),
+        "commit_s": round(commit_s, 4),
+        "output_s": round(time.time() - _t_loop, 4),
+    }
     return CrawlResult(
         crawl_log=crawl_log,
         documents=documents,
@@ -693,7 +712,7 @@ def _run_crawl_attempt(
         fetched_total=fetched_total,
         metrics=metrics,
         _seen_actors=seen_actors,
-        _all_actors=seen_actors + polite_actors,
+        _all_actors=shard_actors,
     )
 
 
@@ -739,6 +758,16 @@ def run_crawl(seeds: list[str], **kwargs) -> CrawlResult:
         try:
             return _run_crawl_attempt(seeds, _actor_holder=holder, **kwargs)
         except Exception as err:  # noqa: BLE001 — filtered just below
+            # kill the failed attempt's actors first, whatever the error: a
+            # re-raised error's frames hold their handles, so a caller that
+            # keeps the exception (pytest.raises, a REPL, a log) would keep
+            # their CPUs; a recovery must not meet a zombie fetcher writing
+            # into the wave dir it is about to re-run
+            for a in holder.pop("actors", []):
+                try:
+                    ray.kill(a, no_restart=True)
+                except Exception:
+                    pass
             if not _is_actor_death(err) or recoveries <= 0 or out_dir is None:
                 raise
             recoveries -= 1
@@ -749,13 +778,6 @@ def run_crawl(seeds: list[str], **kwargs) -> CrawlResult:
                 file=sys.stderr,
                 flush=True,
             )
-        # kill the aborted attempt's surviving actors so no zombie fetcher
-        # writes into the wave dir the recovery is about to re-run
-        for a in holder.pop("actors", []):
-            try:
-                ray.kill(a, no_restart=True)
-            except Exception:
-                pass
         if Checkpointer.committed_waves(out_dir):
             return resume_crawl(
                 out_dir,
@@ -890,13 +912,8 @@ def resume_crawl(
             for path in Checkpointer.wave_files(out_dir, waves, "seen_delta")
         ]
     )
-    lo_arr = deltas.column("url_hash_lo").to_numpy()
-    hi_arr = deltas.column("url_hash_hi").to_numpy()
-    buckets = lo_arr % np.uint64(new_shards)
-    seen_hashes = {
-        int(s): (lo_arr[buckets == s].tolist(), hi_arr[buckets == s].tolist())
-        for s in np.unique(buckets)
-    }
+    buckets = deltas.column("url_hash_lo").to_numpy() % np.uint64(new_shards)
+    seen_deltas = [deltas.filter(pa.array(buckets == s)) for s in range(new_shards)]
     fr_lo = frontier_tbl.column("url_hash_lo").to_numpy()
     frontier_tbl = frontier_tbl.set_column(
         frontier_tbl.schema.get_field_index("shard"),
@@ -941,7 +958,7 @@ def resume_crawl(
             "wave0": last + 1,
             "seq_base": meta["seq_base_after"],
             "fetched_total": meta["fetched_total_after"],
-            "seen_hashes": seen_hashes,
+            "seen_deltas": seen_deltas,
             "host_state": host_state,
             "counters": meta.get("metrics", {}).get("counters"),
         },

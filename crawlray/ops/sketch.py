@@ -19,9 +19,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
-from crawlray.ops.exchange import group_map
+from crawlray.ops.exchange import group_map, typed_map
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -385,9 +386,10 @@ def approx_distinct_by(
             }
         )
 
-    parts = ds.map_batches(_partial, batch_format="pyarrow")
-    out = group_map(parts, [group_col], _merge)
-    return pa.Table.from_pylist(out.take_all())
+    # typed_map types a 0-row input's partials, so every exchange output
+    # block is a typed (group, estimate) table, even with no rows
+    out = group_map(typed_map(ds, _partial), [group_col], _merge)
+    return pa.concat_tables(ray.get(out.to_arrow_refs()))
 
 
 # --------------------------------------------------------------------------

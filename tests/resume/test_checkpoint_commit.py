@@ -147,3 +147,49 @@ def test_actor_death_before_first_commit_retries_fresh(ray_session, tmp_path):
         assert _log_sorted(res.crawl_log).to_pylist() == ora.crawl_log.to_pylist()
     finally:
         res.shutdown()
+
+
+def test_documents_typed_when_the_crawl_writes_none(ray_session):
+    from crawlray.job import run_crawl
+    from crawlray.schema import DOCUMENTS
+
+    res = run_crawl(["not a url"], web=_web(), **RUN, **CFG)
+    try:
+        assert res.waves == 0
+        assert res.documents.count() == 0
+        schema = res.documents.schema()
+        assert list(zip(schema.names, schema.types)) == list(zip(DOCUMENTS.names, DOCUMENTS.types))
+    finally:
+        res.shutdown()
+
+
+def test_documents_past_24_files_start_no_parquet_metadata_tasks(ray_session, tmp_path):
+    """`read_parquet` fetches footers in remote tasks past 24 files and
+    samples fragments in remote tasks; the documents dataset reads its
+    footers on the driver, so `count()` is metadata-only and no such task
+    runs in the crawl or in reading the documents back."""
+    import time
+
+    from crawlray.job import run_crawl
+
+    t0 = time.time()
+    # a 40-page chain crawls in 28 waves, each writing at least one doc file
+    web = SynthWeb(seed=13, shape="chain", n_urls=40, n_hosts=2)
+    out = str(tmp_path / "ckpt")
+    res = run_crawl(web.default_seeds(), web=web, out_dir=out, budget_per_host=2, **RUN)
+    try:
+        files = Checkpointer.wave_files(out, Checkpointer.committed_waves(out), "documents")
+        assert len(files) > 24
+        n = res.documents.count()
+        assert n == sum(pq.read_metadata(f).num_rows for f in files)
+        rows = res.documents.take_all()
+        assert len(rows) == n == _oracle(web, budget_per_host=2).documents.num_rows
+        assert set(rows[0]) == {"doc_id", "spans"}
+        names = {
+            e.get("cat", "") + " " + e.get("name", "")
+            for e in ray.timeline()
+            if e.get("ts", 0) / 1e6 >= t0
+        }
+        assert not [x for x in names if "fetch_func" in x or "_sample_fragment" in x]
+    finally:
+        res.shutdown()

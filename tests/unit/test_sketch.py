@@ -166,6 +166,17 @@ def test_approx_distinct_by_accuracy_and_invariance(ray_session):
     assert got2 == got  # register-max merge: block-layout invariant
 
 
+def test_approx_distinct_by_on_empty_input_is_typed(ray_session):
+    import ray.data
+
+    from crawlray.ops.sketch import approx_distinct_by
+
+    empty = pa.table({"g": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
+    out = approx_distinct_by(ray.data.from_arrow(empty), "g", "v")
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("g", pa.string()), ("estimate", pa.float64())])
+
+
 def test_count_min_overcount_bound_and_invariance(ray_session):
     """CM never undercounts (est >= true, deterministically), sums to N
     per row, and — being a LINEAR sketch — the counter matrix is
