@@ -1652,7 +1652,7 @@ def _knn_ann(sf_dir: str):
         )
 
     # cross-dataset similarity join: right = the vec_id%7==0 slice (small
-    # -> broadcast path), left = the full corpus, streaming output
+    # -> broadcast path), left = the full corpus
     def _mod7(b: pa.Table) -> pa.Table:
         v = b.column("vec_id")
         return b.filter(

@@ -14,8 +14,9 @@ Everything here returns datasets that are materialized, hold no 0-row
 blocks, and carry a schema even when they are empty. The one Ray Data
 2.49.2 quirk left is `typed_map`'s: `map_batches(f)` never calls `f` on
 a 0-row block and emits a schema-less block in its place. `route` is the
-only rule that maps key values to partitions and `partition_count` the
-only rule that sizes an exchange.
+only rule that maps key values to partitions, `partition_count` the
+only rule that sizes an exchange, and `BROADCAST_BYTES` the one size
+below which a side is broadcast instead of exchanged.
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ from ray.data.block import BlockAccessor
 from crawlray.murmur3 import _fmix64_vec, murmur3_x64_128_batch
 
 Fn = Callable[[pa.Table], pa.Table]
+
+BROADCAST_BYTES = 32 << 20
+"""A side or payload of fewer bytes (materialized `size_bytes()`) is
+`ray.put` once and read by every task; a larger one goes through `join`
+or block pairs. It is safe: one broadcast is a single object-store copy
+per node that tasks read without copying, and 32 MiB is an eighth of the
+smallest object store in use (256 MiB, perfbench), so the copy fits next
+to the exchange blocks in flight without spilling."""
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # join types whose result keeps the unmatched rows of the left / right side

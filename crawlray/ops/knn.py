@@ -6,29 +6,42 @@ Patterns:
   task computes a vectorized numpy matmul for its batch and emits only its
   local top-k candidates, so the merge volume is O(#batches × queries × k),
   independent of corpus size.
-- `similar_pairs_cosine` (exact threshold pairs): block-pair task matrix —
-  the corpus is staged as bounded Arrow block refs in the object store and
-  every (block_i, block_j) pair is compared by its own Ray task; the driver
-  holds refs and final pairs only, never corpus rows. O(n²) flops are
-  inherent to the EXACT problem; the subquadratic approximation is
-  `ivf_bucket_assign` + `ivf_search_knn`.
+- `cosine_pairs` is the one threshold-pair kernel (f32 screen, f64
+  rescore). `similar_pairs_cosine` (exact threshold pairs) runs it on
+  every (block_i, block_j) pair through `pairs.block_pairs`: the corpus
+  is staged as bounded Arrow block refs in the object store and the
+  driver holds refs and final pairs only, never corpus rows. O(n²) flops
+  are inherent to the EXACT problem; the subquadratic approximations are
+  `ivf_pairs_cosine` (the same kernel per IVF bucket) and
+  `srp_pairs_cosine`. `cross_similar_join` runs it left × right.
 - `ivf_search_knn`: nearest-centroid bucketing (one `group_map` exchange), then
   per-bucket local top-k for the queries probing that bucket.
 - `srp_pairs_cosine`: signed-random-projection LSH (Charikar 2002) — the
-  second sub-quadratic near-dup path: sign-bit signatures under broadcast
-  Gaussian hyperplanes, banded bucket `group_map`, exact f64 verification of
-  candidates via two hash joins (vectors ride the join as fixed-size
-  binary). Precision exact, recall tunable via (n_bits, bands).
+  second sub-quadratic near-dup path: sign-bit signatures under seeded
+  Gaussian hyperplanes, banded bucket candidates through `pairs.lsh_pairs`,
+  exact f64 verification of candidates through `pairs.verify` (normalized
+  vectors are broadcast, or joined to the pairs past
+  `exchange.BROADCAST_BYTES`). Precision exact, recall tunable via
+  (n_bits, bands).
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import group_map, join
+from crawlray.ops import exchange
+from crawlray.ops.exchange import _row_blocks, group_map, typed_map
+from crawlray.ops.pairs import (
+    as_dataset, band_rows, block_pairs, collect, lsh_pairs, orient, pack, unpack, verify,
+)
+
+_PAIRS = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -163,45 +176,27 @@ def knn_cosine(
     return _merge_topk(cand, k)
 
 
-@ray.remote
-def _block_pair_task(
-    tbl_i: pa.Table,
-    tbl_j: pa.Table,
-    same: bool,
-    threshold: float,
-    id_col: str,
-    vec_col: str,
-) -> pa.Table:
-    """All pairs with cosine ≥ threshold between two corpus blocks.
+def cosine_pairs(ta: pa.Table, tb: pa.Table, threshold: float) -> pa.Table:
+    """(id_a, id_b, sim) of every row pair of two (id, vector) tables, by
+    position, with cosine ≥ threshold.
 
-    Each unordered row pair lives in exactly one (i ≤ j) block pair, so
-    emitting (min_id, max_id) yields every qualifying pair exactly once."""
-    ids_i = tbl_i.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-    ids_j = tbl_j.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-    m_i = _normalize(_batch_matrix(tbl_i, vec_col))
-    m_j = _normalize(_batch_matrix(tbl_j, vec_col))
-    # the O(|i|·|j|) scan runs in float32 (this numpy's dgemm path is ~250x
-    # slower than sgemm), with a dimension-scaled margin (_f32_margin) so no
-    # true pair can be lost at any embedding dim; the small candidate set is
-    # then re-verified with exact float64 dot products, so the output is
-    # identical to an all-f64 scan
-    sims32 = m_i.astype(np.float32) @ m_j.astype(np.float32).T
-    bi, bj = np.nonzero(sims32 >= np.float32(threshold) - _f32_margin(m_i.shape[1]))
-    if len(bi):
-        exact = np.einsum("ij,ij->i", m_i[bi], m_j[bj])
-        keep = exact >= threshold
-        bi, bj = bi[keep], bj[keep]
-    a, b = ids_i[bi], ids_j[bj]
-    if same:
-        keep = a < b
-        a, b = a[keep], b[keep]
-    else:
-        keep = a != b
-        a, b = a[keep], b[keep]
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        a, b = lo, hi
-    return pa.table({"id_a": pa.array(a, pa.int64()), "id_b": pa.array(b, pa.int64())})
+    The O(|a|·|b|) scan runs in float32 (this numpy's dgemm path is ~250x
+    slower than sgemm), with a dimension-scaled margin (_f32_margin) so no
+    true pair can be lost at any embedding dim; the small candidate set is
+    then re-verified with exact float64 dot products, so the output is
+    identical to an all-f64 scan."""
+    ids_a = ta.column(0).to_numpy(zero_copy_only=False).astype(np.int64)
+    ids_b = tb.column(0).to_numpy(zero_copy_only=False).astype(np.int64)
+    bi = bj = np.empty(0, np.int64)
+    sim = np.empty(0)
+    if len(ids_a) and len(ids_b):
+        ma, mb = _normalize(_batch_matrix(ta, 1)), _normalize(_batch_matrix(tb, 1))
+        sims32 = ma.astype(np.float32) @ mb.astype(np.float32).T
+        bi, bj = np.nonzero(sims32 >= np.float32(threshold) - _f32_margin(ma.shape[1]))
+        sim = np.einsum("ij,ij->i", ma[bi], mb[bj])
+        keep = sim >= threshold
+        bi, bj, sim = bi[keep], bj[keep], sim[keep]
+    return pa.table({"id_a": ids_a[bi], "id_b": ids_b[bj], "sim": sim})
 
 
 def similar_pairs_cosine(
@@ -214,35 +209,16 @@ def similar_pairs_cosine(
     """All pairs (id_a < id_b) with cosine ≥ threshold — embedding near-dup.
 
     EXACT and distributed: the (id, vec) projection is staged as bounded
-    object-store blocks; one Ray task per (i ≤ j) block pair does the
-    vectorized matmul and emits only qualifying pairs. The driver holds
+    object-store blocks; one Ray task per (i ≤ j) block pair runs
+    `cosine_pairs` and emits only qualifying pairs. The driver holds
     block refs and the final (small) pair set — the corpus is never
     materialized driver-side. Work is O(n²) flops spread over
     P(P+1)/2 tasks, the inherent cost of the exact answer; use
     `ivf_search_knn` for the approximate sub-quadratic path.
     """
-    # materialize the slim projection ONCE: count() then repartition() on
-    # the lazy dataset would execute the upstream read twice
-    slim = ds.select_columns([id_col, vec_col]).materialize()
-    n = slim.count()  # metadata on a materialized dataset — no re-execution
-    nb = max(1, -(-n // rows_per_block))
-    refs = list(slim.repartition(nb).to_arrow_refs())
-    tasks = [
-        _block_pair_task.remote(refs[i], refs[j], i == j, threshold, id_col, vec_col)
-        for i in range(len(refs))
-        for j in range(i, len(refs))
-    ]
-    parts = [t for t in ray.get(tasks) if t.num_rows]
-    if not parts:
-        return pa.table(
-            {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}
-        )
-    tbl = pa.concat_tables(parts)
-    import pyarrow.compute as pc
-
-    return tbl.take(
-        pc.sort_indices(tbl, sort_keys=[("id_a", "ascending"), ("id_b", "ascending")])
-    )
+    refs = block_pairs(partial(cosine_pairs, threshold=threshold),
+                       ds.select_columns([id_col, vec_col]), rows_per_block=rows_per_block)
+    return collect(refs, _PAIRS)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -505,36 +481,9 @@ def ivf_pairs_cosine(
 
     def _bucket_pairs(group: pa.Table) -> pa.Table:
         sub = group.select([id_col, vec_col])
-        return _block_pair_inline(sub, threshold, id_col, vec_col)
+        return orient(cosine_pairs(sub, sub, threshold), "lt")
 
-    out = group_map(assigned, ["bucket"], _bucket_pairs).take_all()
-    out.sort(key=lambda r: (r["id_a"], r["id_b"]))
-    return pa.Table.from_pylist(
-        out, schema=pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
-    )
-
-
-def _block_pair_inline(
-    tbl: pa.Table, threshold: float, id_col: str, vec_col: str
-) -> pa.Table:
-    """Same-block qualifying pairs (the _block_pair_task kernel, callable
-    inside a per-bucket kernel rather than as its own Ray task)."""
-    ids = tbl.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-    m = _normalize(_batch_matrix(tbl, vec_col))
-    sims32 = m.astype(np.float32) @ m.astype(np.float32).T
-    bi, bj = np.nonzero(sims32 >= np.float32(threshold) - _f32_margin(m.shape[1]))
-    if len(bi):
-        exact = np.einsum("ij,ij->i", m[bi], m[bj])
-        keep = exact >= threshold
-        bi, bj = bi[keep], bj[keep]
-    a, b = ids[bi], ids[bj]
-    keep = a < b
-    return pa.table(
-        {
-            "id_a": pa.array(a[keep], pa.int64()),
-            "id_b": pa.array(b[keep], pa.int64()),
-        }
-    )
+    return collect(group_map(assigned, ["bucket"], _bucket_pairs), _PAIRS)
 
 
 def srp_pairs_cosine(
@@ -546,8 +495,6 @@ def srp_pairs_cosine(
     bands: int = 8,
     seed: int = 7,
     max_bucket: int = 4096,
-    broadcast_bytes: int = 256 << 20,
-    cross_base: int | None = None,
 ) -> pa.Table:
     """Embedding near-dup pairs via signed-random-projection (SRP) LSH —
     the sub-quadratic scale path alongside `ivf_pairs_cosine`.
@@ -559,212 +506,57 @@ def srp_pairs_cosine(
     pairs almost surely share ≥1 band while far pairs rarely do. Candidate
     pairs from shared (band, bucket) groups (size-capped, drops surfaced)
     are verified with EXACT float64 cosine, so precision is exact and only
-    recall depends on (n_bits, bands).
+    recall depends on (n_bits, bands). Output (id_a, id_b, sim), sim
+    rounded to 6 decimals.
 
-    Scale shape: one signature scan (f32 matmul per batch against a
-    broadcast hyperplane matrix), one `group_map` over (band, bucket), pair
-    dedup via Arrow-native aggregate, then TWO hash joins that attach each
-    candidate pair's vectors and one vectorized einsum per batch — no
-    per-pair Python, no driver-side corpus. Work is O(n·n_bits·dim) +
-    O(candidate volume), vs O(n²·dim) for `similar_pairs_cosine`.
+    Scale shape: one signature scan (f32 matmul per batch against the
+    seeded hyperplane matrix), `pairs.lsh_pairs` over (band, bucket) with
+    its pair-dedup exchange, then `pairs.verify`: the candidate ids'
+    normalized vectors are broadcast (or joined to the pairs when large)
+    and one vectorized einsum per slice of pairs — no per-pair Python, no
+    driver-side corpus. Work is O(n·n_bits·dim) + O(candidate volume), vs
+    O(n²·dim) for `similar_pairs_cosine`.
     """
+    return _srp_pairs(ds, threshold, id_col, vec_col, n_bits, bands, seed, max_bucket)
+
+
+def _srp_pairs(ds, threshold, id_col, vec_col, n_bits, bands, seed, max_bucket, keep=None):
+    """`srp_pairs_cosine`, with `keep` filtering the candidate pairs
+    before they are verified."""
     if n_bits % bands != 0:
         raise ValueError("n_bits must be divisible by bands")
     r = n_bits // bands
     if r > 63:
         raise ValueError("bits per band must fit an int64 bucket key")
-    from crawlray.ops.neardup import _dedup_pairs, _pairs_in_group, _pairs_table
-
     slim = ds.select_columns([id_col, vec_col]).materialize()
-    first = slim.take(1)
-    empty = pa.table(
-        {
-            "id_a": pa.array([], pa.int64()),
-            "id_b": pa.array([], pa.int64()),
-            "sim": pa.array([], pa.float64()),
-        }
-    )
-    if not first:
-        return empty
-    dim = len(first[0][vec_col])
-    rng = np.random.default_rng(seed)
-    hyper = rng.standard_normal((dim, n_bits)).astype(np.float32)
-    hyper_ref = ray.put(hyper)
     weights = (np.uint64(1) << np.arange(r, dtype=np.uint64)).astype(np.int64)
 
     def _bucketize(batch: pa.Table) -> pa.Table:
-        planes = ray.get(hyper_ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         x = _batch_matrix(batch, vec_col).astype(np.float32)
-        bits = (x @ planes) >= 0  # sign bits are scale-invariant: cos geometry
-        n = batch.num_rows
-        keys = np.empty((n, bands), dtype=np.int64)
-        for bnd in range(bands):
-            keys[:, bnd] = bits[:, bnd * r : (bnd + 1) * r].astype(np.int64) @ weights
-        return pa.table(
-            {
-                id_col: pa.array(np.repeat(ids, bands), pa.int64()),
-                "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
-                "bucket": pa.array(keys.reshape(-1)),
-            }
-        )
+        planes = np.random.default_rng(seed).standard_normal((x.shape[1], n_bits))
+        bits = (x @ planes.astype(np.float32)) >= 0  # sign bits: cos geometry
+        keys = [bits[:, i * r : (i + 1) * r].astype(np.int64) @ weights for i in range(bands)]
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        return band_rows(ids, np.stack(keys, axis=1), "bucket")
 
-    buckets = slim.map_batches(_bucketize, batch_format="pyarrow")
+    pairs = lsh_pairs(typed_map(slim, _bucketize), ["band", "bucket"], "id", max_bucket,
+                      "srp_pairs_cosine", keep=keep)
 
-    def _pairs_in_bucket(group: pa.Table) -> pa.Table:
-        ids = group.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return _pairs_table(*_pairs_in_group(ids, max_bucket))
+    def _encode(rows: pa.Table) -> pa.Array:
+        return pack(_normalize(_batch_matrix(rows, vec_col)))
 
-    cand = group_map(buckets, ["band", "bucket"], _pairs_in_bucket)
-    pairs, n_dropped = _dedup_pairs(cand)
-    if n_dropped:
-        print(
-            f"# srp_pairs_cosine: {n_dropped} ids dropped from oversize SRP "
-            f"buckets (max_bucket={max_bucket}) — recall is bounded, not exact"
-        )
-    if cross_base is not None:
-        # srp_cross_join support: keep only cross-side candidates (exactly
-        # one id below the base) BEFORE the exact verify, so same-side
-        # candidate pairs never pay vector shipping / einsum. id_a < id_b
-        # always, so cross pairs are precisely id_a < base <= id_b.
-        import pyarrow.compute as pc
+    refs = verify(pairs, slim, id_col, _encode, partial(_pair_cosine, threshold=threshold))
+    return collect(refs, pa.schema([*_PAIRS, ("sim", pa.float64())]))
 
-        _cb = int(cross_base)
 
-        def _cross_only(batch: pa.Table) -> pa.Table:
-            return batch.filter(
-                pc.and_(
-                    pc.less(batch.column("id_a"), _cb),
-                    pc.greater_equal(batch.column("id_b"), _cb),
-                )
-            )
-
-        pairs = pairs.map_batches(_cross_only, batch_format="pyarrow")
-    if pairs.count() == 0:
-        return empty
-
-    # exact-verify. Adaptive chooser (same idiom as pagerank/CC): when the
-    # whole normalized corpus matrix fits a broadcast budget, ray.put it
-    # ONCE and verify candidate pairs by direct row indexing per batch —
-    # the join path would ship each dim*8-byte vector once PER CANDIDATE
-    # PAIR (measured at sf0.1: ~1.8 GB through two exchanges for a 1 MB
-    # corpus matrix). The join path below remains for corpora past the
-    # budget, where no single worker should hold the matrix.
-    n_vec = slim.count()
-    if n_vec * dim * 8 <= broadcast_bytes:
-        full = pa.concat_tables(ray.get(slim.to_arrow_refs()))
-        all_ids = full.column(id_col).to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        order = np.argsort(all_ids, kind="stable")
-        ids_sorted = all_ids[order]
-        # _batch_matrix flattens without boxing each element as a Python
-        # float — to_pylist here would transiently cost 5-10x the matrix
-        # bytes on the driver, right when n_vec*dim*8 is AT the budget
-        mat_sorted = _normalize(_batch_matrix(full, vec_col)[order])
-        mat_ref = ray.put((ids_sorted, mat_sorted))
-
-        def _verify_bcast(batch: pa.Table) -> pa.Table:
-            ids_s, m = ray.get(mat_ref)
-            ia = np.searchsorted(
-                ids_s,
-                batch.column("id_a").to_numpy(zero_copy_only=False).astype(
-                    np.int64
-                ),
-            )
-            ib = np.searchsorted(
-                ids_s,
-                batch.column("id_b").to_numpy(zero_copy_only=False).astype(
-                    np.int64
-                ),
-            )
-            sim = np.einsum("ij,ij->i", m[ia], m[ib])
-            keep = np.nonzero(sim >= threshold)[0]
-            kp = pa.array(keep)
-            return pa.table(
-                {
-                    "id_a": batch.column("id_a").take(kp),
-                    "id_b": batch.column("id_b").take(kp),
-                    "sim": pa.array(np.round(sim[keep], 6), pa.float64()),
-                }
-            )
-
-        out = pairs.map_batches(_verify_bcast, batch_format="pyarrow").take_all()
-        out.sort(key=lambda rrow: (rrow["id_a"], rrow["id_b"]))
-        return pa.Table.from_pylist(
-            out,
-            schema=pa.schema(
-                [
-                    ("id_a", pa.int64()),
-                    ("id_b", pa.int64()),
-                    ("sim", pa.float64()),
-                ]
-            ),
-        )
-
-    # join path: attach vec_a / vec_b with two hash joins over candidate
-    # volume, then one vectorized f64 einsum per batch. Acero hash joins
-    # reject list<> payload columns, so vectors ride the join as
-    # fixed-size-binary rows (zero-copy f64 encode/decode both ways).
-    bin_type = pa.binary(dim * 8)
-
-    def _to_bin(batch: pa.Table) -> pa.Table:
-        m = np.ascontiguousarray(_batch_matrix(batch, vec_col))
-        arr = pa.FixedSizeBinaryArray.from_buffers(
-            bin_type, batch.num_rows, [None, pa.py_buffer(m.tobytes())]
-        )
-        return pa.table({"jid": batch.column(id_col), "vecbin": arr})
-
-    def _bin_matrix(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        flat = np.frombuffer(col.buffers()[1], dtype=np.float64)
-        start = col.offset * dim
-        return flat[start : start + len(col) * dim].reshape(len(col), dim)
-
-    slimbin = slim.map_batches(_to_bin, batch_format="pyarrow")
-
-    def _keep(cols):
-        def _k(batch: pa.Table) -> pa.Table:
-            return batch.select(list(cols))
-        return _k
-
-    va = (
-        join(pairs, slimbin, on=["id_a"], right_on=["jid"])
-        .map_batches(_keep(["id_a", "id_b", "vecbin"]), batch_format="pyarrow")
-        .map_batches(
-            lambda b: b.rename_columns(["id_a", "id_b", "vec_a"]),
-            batch_format="pyarrow",
-        )
-    )
-    vb = (
-        join(va, slimbin, on=["id_b"], right_on=["jid"])
-        .map_batches(
-            _keep(["id_a", "id_b", "vec_a", "vecbin"]), batch_format="pyarrow"
-        )
-    )
-
-    def _exact(batch: pa.Table) -> pa.Table:
-        ma = _normalize(_bin_matrix(batch.column("vec_a")))
-        mb = _normalize(_bin_matrix(batch.column("vecbin")))
-        sim = np.einsum("ij,ij->i", ma, mb)
-        keep = np.nonzero(sim >= threshold)[0]
-        kp = pa.array(keep)
-        return pa.table(
-            {
-                "id_a": batch.column("id_a").take(kp),
-                "id_b": batch.column("id_b").take(kp),
-                "sim": pa.array(np.round(sim[keep], 6), pa.float64()),
-            }
-        )
-
-    out = vb.map_batches(_exact, batch_format="pyarrow").take_all()
-    out.sort(key=lambda rrow: (rrow["id_a"], rrow["id_b"]))
-    return pa.Table.from_pylist(
-        out,
-        schema=pa.schema(
-            [("id_a", pa.int64()), ("id_b", pa.int64()), ("sim", pa.float64())]
-        ),
-    )
+def _pair_cosine(t: pa.Table, threshold: float) -> pa.Table:
+    """Exact f64 cosine of each pair's normalized vectors (packed in p_a /
+    p_b), kept at ≥ threshold and rounded to 6 decimals."""
+    ma, mb = (unpack(t.column(c), np.float64)[0].reshape(t.num_rows, -1) for c in ("p_a", "p_b"))
+    sim = np.einsum("ij,ij->i", ma, mb)
+    keep = np.flatnonzero(sim >= threshold)
+    return pa.table({"id_a": t.column("id_a").take(keep), "id_b": t.column("id_b").take(keep),
+                     "sim": np.round(sim[keep], 6)})
 
 
 def srp_cross_join(
@@ -794,18 +586,11 @@ def srp_cross_join(
     construction, recall governed by (n_bits, bands) as in
     `srp_pairs_cosine`. Requires non-negative left ids (the offset trick).
     """
-    import pyarrow.compute as pc
-
     l_slim = left.select_columns([left_id_col, vec_col]).materialize()
     lmax = l_slim.max(left_id_col)
-    if lmax is None:
-        return pa.table(
-            {
-                "left_id": pa.array([], pa.int64()),
-                "right_id": pa.array([], pa.int64()),
-                "sim": pa.array([], pa.float64()),
-            }
-        )
+    if lmax is None:  # no left rows, so no cross pair
+        return pa.schema([("left_id", pa.int64()), ("right_id", pa.int64()),
+                          ("sim", pa.float64())]).empty_table()
     if lmax < 0:
         raise ValueError("srp_cross_join requires non-negative left ids")
     base = int(lmax) + 1
@@ -820,21 +605,16 @@ def srp_cross_join(
             }
         )
 
+    def _cross(t: pa.Table) -> pa.Table:
+        # id_a < id_b always, so cross pairs are precisely id_a < base <= id_b
+        return t.filter(pc.and_(pc.less(t.column("id_a"), base),
+                                pc.greater_equal(t.column("id_b"), base)))
+
     lifted = right.select_columns([right_id_col, vec_col]).map_batches(
         _lift, batch_format="pyarrow"
     )
-    uni = l_slim.union(lifted)
-    pairs = srp_pairs_cosine(
-        uni,
-        threshold,
-        id_col=left_id_col,
-        vec_col=vec_col,
-        n_bits=n_bits,
-        bands=bands,
-        seed=seed,
-        max_bucket=max_bucket,
-        cross_base=base,
-    )
+    pairs = _srp_pairs(l_slim.union(lifted), threshold, left_id_col, vec_col, n_bits,
+                       bands, seed, max_bucket, keep=_cross)
     # cross pairs are (id_a < base <= id_b); map the right side back down
     return pa.table(
         {
@@ -1042,40 +822,6 @@ def semantic_dedup(
     return group_map(assigned, ["bucket"], _dedup_cluster)
 
 
-@ray.remote
-def _cross_pair_task(
-    tbl_l: pa.Table,
-    tbl_r: pa.Table,
-    threshold: float,
-    left_id_col: str,
-    right_id_col: str,
-    vec_col: str,
-    exclude_equal_ids: bool,
-) -> pa.Table:
-    """Cross-side variant of `_block_pair_task`: every (left, right) pair
-    with cosine >= threshold between one left block and one right block,
-    ids kept DIRECTIONAL (left_id, right_id) — no min/max fold. Same
-    f32-scan / dimension-margined f64-rescore pattern, so output equals an
-    all-f64 scan."""
-    ids_l = tbl_l.column(left_id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-    ids_r = tbl_r.column(right_id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-    m_l = _normalize(_batch_matrix(tbl_l, vec_col))
-    m_r = _normalize(_batch_matrix(tbl_r, vec_col))
-    sims32 = m_l.astype(np.float32) @ m_r.astype(np.float32).T
-    bi, bj = np.nonzero(sims32 >= np.float32(threshold) - _f32_margin(m_l.shape[1]))
-    if len(bi):
-        exact = np.einsum("ij,ij->i", m_l[bi], m_r[bj])
-        keep = exact >= threshold
-        bi, bj = bi[keep], bj[keep]
-    a, b = ids_l[bi], ids_r[bj]
-    if exclude_equal_ids and len(a):
-        keep = a != b
-        a, b = a[keep], b[keep]
-    return pa.table(
-        {"left_id": pa.array(a, pa.int64()), "right_id": pa.array(b, pa.int64())}
-    )
-
-
 def cross_similar_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -1084,7 +830,6 @@ def cross_similar_join(
     right_id_col: str = "vec_id",
     vec_col: str = "embedding",
     exclude_equal_ids: bool = False,
-    broadcast_rows: int = 100_000,
     rows_per_block: int = 8192,
 ) -> ray.data.Dataset:
     """EXACT cross-dataset similarity join: every (left_id, right_id) pair
@@ -1092,80 +837,38 @@ def cross_similar_join(
     against the existing corpus" primitive (directional output, unlike the
     within-corpus `similar_pairs_cosine`).
 
-    Two shapes, chosen by the right side's row count:
-    - broadcast (right <= `broadcast_rows`): the slim right side is pulled
-      once, `ray.put` once, and probed inside ONE `map_batches` pass over
-      left — zero shuffle, left streams with backpressure, output is a
-      lazy Dataset. This is the production shape when deduping an
-      incremental batch (small right) against a huge corpus (left).
+    Two shapes, chosen by the slim right side's size in bytes against
+    `exchange.BROADCAST_BYTES`:
+    - broadcast (right smaller): the slim right side is `ray.put` once
+      and probed inside ONE `map_batches` pass over left — zero shuffle.
+      This is the production shape when deduping an incremental batch
+      (small right) against a huge corpus (left).
     - block-pair (right larger): both slim sides stage as bounded
       object-store blocks; one Ray task per (left_block x right_block)
-      does the f32-screen / f64-rescore matmul. O(|L|x|R|) flops — the
-      inherent exact cost; result blocks stay in the object store
-      (`from_arrow_refs`), never folded driver-side.
+      (`pairs.block_pairs`). O(|L|x|R|) flops — the inherent exact cost;
+      result blocks stay in the object store, never folded driver-side.
 
-    Both paths share `_cross_pair_task`'s kernel semantics, so the answer
-    is identical to an all-f64 scan (dimension-scaled f32 margin).
+    Both paths run `cosine_pairs`, so the answer is identical to an
+    all-f64 scan (dimension-scaled f32 margin). The result is
+    materialized, and typed (left_id, right_id) when empty.
     """
+    schema = pa.schema([("left_id", pa.int64()), ("right_id", pa.int64())])
+
+    def _kernel(a: pa.Table, b: pa.Table) -> pa.Table:
+        return cosine_pairs(a, b, threshold).select([0, 1]).rename_columns(schema.names)
+
+    l_slim = left.select_columns([left_id_col, vec_col])
     r_slim = right.select_columns([right_id_col, vec_col]).materialize()
-    n_right = r_slim.count()
+    r_blocks = _row_blocks(r_slim)
+    if not r_blocks:
+        return as_dataset([], schema)
+    if (r_slim.size_bytes() or 0) >= exchange.BROADCAST_BYTES:
+        return as_dataset(
+            block_pairs(_kernel, l_slim, r_slim, rows_per_block, exclude_equal_ids), schema)
+    r_ref = ray.put(pa.concat_tables(ray.get(r_blocks)))
+    mode = "ne" if exclude_equal_ids else None
 
-    if n_right <= broadcast_rows:
-        r_tbl = pa.concat_tables(
-            [pa.table(b) for b in r_slim.iter_batches(batch_format="pyarrow")]
-        )
-        ids_r = (
-            r_tbl.column(right_id_col)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        m_r = _normalize(_batch_matrix(r_tbl, vec_col))
-        margin = _f32_margin(m_r.shape[1])
-        r_ref = ray.put((ids_r, m_r.astype(np.float32), m_r))
+    def _probe(batch: pa.Table) -> pa.Table:
+        return orient(_kernel(batch, ray.get(r_ref)), mode)
 
-        def _probe(batch: pa.Table) -> pa.Table:
-            rid, r32, r64 = ray.get(r_ref)
-            ids_l = (
-                batch.column(left_id_col)
-                .to_numpy(zero_copy_only=False)
-                .astype(np.int64)
-            )
-            m_l = _normalize(_batch_matrix(batch, vec_col))
-            sims32 = m_l.astype(np.float32) @ r32.T
-            bi, bj = np.nonzero(sims32 >= np.float32(threshold) - margin)
-            if len(bi):
-                exact = np.einsum("ij,ij->i", m_l[bi], r64[bj])
-                keep = exact >= threshold
-                bi, bj = bi[keep], bj[keep]
-            a, b = ids_l[bi], rid[bj]
-            if exclude_equal_ids and len(a):
-                keep = a != b
-                a, b = a[keep], b[keep]
-            return pa.table(
-                {
-                    "left_id": pa.array(a, pa.int64()),
-                    "right_id": pa.array(b, pa.int64()),
-                }
-            )
-
-        return left.select_columns([left_id_col, vec_col]).map_batches(
-            _probe, batch_format="pyarrow"
-        )
-
-    l_slim = left.select_columns([left_id_col, vec_col]).materialize()
-    n_left = l_slim.count()
-    refs_l = list(
-        l_slim.repartition(max(1, -(-n_left // rows_per_block))).to_arrow_refs()
-    )
-    refs_r = list(
-        r_slim.repartition(max(1, -(-n_right // rows_per_block))).to_arrow_refs()
-    )
-    out_refs = [
-        _cross_pair_task.remote(
-            ri, rj, threshold, left_id_col, right_id_col, vec_col,
-            exclude_equal_ids,
-        )
-        for ri in refs_l
-        for rj in refs_r
-    ]
-    return ray.data.from_arrow_refs(out_refs)
+    return as_dataset(_row_blocks(typed_map(l_slim, _probe)), schema)

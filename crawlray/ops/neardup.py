@@ -2,43 +2,42 @@
 MinHash+LSH, SimHash, n-gram Jaccard; SURVEY.md O-39).
 
 Pipeline shape (the 100 TB path — no full-dataset materialization anywhere):
-  shingle → minhash (vectorized exact universal hashing mod 2^61-1) → band →
-  LSH bucket `group_map` (exchange #1, keyed by (band, bucket)) → vectorized
-  candidate pairs within size-capped buckets (oversize buckets are truncated
-  DETERMINISTICALLY and the drop count is surfaced, never silent) → pair
-  dedup groupby (shuffle #2) → exact n-gram Jaccard verify as a distributed
-  pass over CANDIDATE volume only: the candidate-id set is broadcast once
-  (`ray.put`), candidate docs are re-shingled inside `map_batches`, and the
-  per-pair Jaccard is computed under a groupby keyed by pair. The driver
-  only ever holds final verified pairs and O(#candidates) id lists — the
-  corpus itself is never `take_all()`'d.
+the LSH operators keep only their signature and similarity kernels and
+run on `ops.pairs`: shingle → minhash (vectorized exact universal hashing
+mod 2^61-1) → band → LSH bucket `group_map` (keyed by (band, bucket)) →
+vectorized candidate pairs within size-capped buckets (oversize buckets
+are truncated DETERMINISTICALLY and the drop count is surfaced, never
+silent) → pair dedup `hash_exchange` on (id_a, id_b) → exact n-gram
+Jaccard verify over CANDIDATE volume only: candidate docs are
+re-shingled, each pair gets both docs' sorted shingle-hash arrays (a
+broadcast, or two joins past `exchange.BROADCAST_BYTES`), and one sort
+of the pair-tagged shingles per slice of pairs counts every
+intersection. The driver only ever holds final verified pairs and the
+candidate-id set — the corpus itself is never pulled to the driver.
+SimHash and CDC share the same candidate path; `ngram_jaccard_pairs` is
+the exact block-pair baseline.
 """
 
 from __future__ import annotations
 
 import zlib
+from functools import partial
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
-from crawlray.ops.exchange import group_map, hash_exchange, join
+from crawlray.ops.exchange import typed_map
+from crawlray.ops.pairs import (
+    band_rows, block_pairs, collect, lsh_pairs, pack, unpack, verify,
+)
 
 _P61 = (1 << 61) - 1
 _MERSENNE = np.uint64(_P61)
 _MASK29 = np.uint64((1 << 29) - 1)
 _MASK61 = np.uint64(_P61)
-
-# Deterministic sentinel id for drop-accounting rows emitted by the bucket
-# pair generator (filtered out + summed before pairs are used).
-_DROP_SENTINEL = -(1 << 62)
-
-# _verify_jaccard: broadcast the (jid -> pair) mapping when the candidate
-# half-row count fits this budget; larger sets take the shuffle-join path.
-# Module-level so tests can force the join path on small corpora.
-_VERIFY_BROADCAST_MAX_HALF_ROWS = 2_000_000
+_JACCARD = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()), ("jaccard", pa.float64())])
 
 
 def _mulmod_mersenne(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,28 +200,10 @@ def minhash_signatures(
     DuckDB-oracle-able — the permutation math (a·x + b mod 2^61−1) is
     identical in both modes and expressible in HUGEINT SQL.
     """
-    if hash_mode not in ("crc32mix", "md5"):
-        raise ValueError("hash_mode must be 'crc32mix' or 'md5'")
-    shingle_fn = (
-        _shingle_hashes_batch if hash_mode == "crc32mix"
-        else _shingle_hashes_batch_md5
-    )
-    a, b = _perm_params(num_perm)
+    shingles = _shingle_fn(hash_mode)
 
     def _sig(batch: pa.Table) -> pa.Table:
-        sigs = np.empty((batch.num_rows, num_perm), dtype=np.uint64)
-        shs = shingle_fn(batch.column(text_col).to_pylist())
-        for i, sh in enumerate(shs):
-            if len(sh) == 0:
-                sigs[i] = 0
-                continue
-            # chunk huge shingle sets so the (k × |sh|) temporaries stay small
-            mins = np.full(num_perm, _P61, dtype=np.uint64)
-            for off in range(0, len(sh), 16384):
-                chunk = sh[off : off + 16384]
-                v = _mulmod_mersenne(a[:, None], chunk[None, :], b[:, None])
-                np.minimum(mins, v.min(axis=1), out=mins)
-            sigs[i] = mins
+        sigs = _signatures(shingles(batch.column(text_col).to_pylist()), num_perm)
         return pa.table(
             {
                 id_col: batch.column(id_col),
@@ -233,10 +214,28 @@ def minhash_signatures(
     return ds.map_batches(_sig, batch_format="pyarrow")
 
 
-def _sig_matrix(batch: pa.Table, num_perm: int) -> np.ndarray:
-    lists = batch.column("sig").combine_chunks()
-    flat = lists.flatten().to_numpy(zero_copy_only=False).astype(np.uint64)
-    return flat.reshape(batch.num_rows, num_perm)
+def _shingle_fn(hash_mode: str):
+    if hash_mode not in ("crc32mix", "md5"):
+        raise ValueError("hash_mode must be 'crc32mix' or 'md5'")
+    return _shingle_hashes_batch if hash_mode == "crc32mix" else _shingle_hashes_batch_md5
+
+
+def _signatures(shs: list[np.ndarray], num_perm: int) -> np.ndarray:
+    """(len(shs), num_perm) minhash matrix of per-doc shingle-hash sets
+    (a doc with no shingle gets all zeros)."""
+    a, b = _perm_params(num_perm)
+    sigs = np.zeros((len(shs), num_perm), dtype=np.uint64)
+    for i, sh in enumerate(shs):
+        if len(sh) == 0:
+            continue
+        # chunk huge shingle sets so the (k × |sh|) temporaries stay small
+        mins = np.full(num_perm, _P61, dtype=np.uint64)
+        for off in range(0, len(sh), 16384):
+            chunk = sh[off : off + 16384]
+            v = _mulmod_mersenne(a[:, None], chunk[None, :], b[:, None])
+            np.minimum(mins, v.min(axis=1), out=mins)
+        sigs[i] = mins
+    return sigs
 
 
 def _band_bucket_hash(chunk: np.ndarray) -> np.ndarray:
@@ -248,83 +247,6 @@ def _band_bucket_hash(chunk: np.ndarray) -> np.ndarray:
         h = (h ^ chunk[:, c]) * prime
         h = (h ^ (chunk[:, c] >> np.uint64(32))) * prime
     return h.view(np.int64)
-
-
-def _pairs_in_group(
-    ids: np.ndarray, max_bucket: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """All (a<b) pairs among sorted ids, vectorized; buckets above max_bucket
-    are truncated to their max_bucket smallest ids (deterministic) and the
-    number of dropped ids is returned for accounting (never silent)."""
-    ids = np.sort(ids)
-    dropped = 0
-    if len(ids) > max_bucket:
-        dropped = len(ids) - max_bucket
-        ids = ids[:max_bucket]
-    if len(ids) < 2:
-        return np.empty(0, np.int64), np.empty(0, np.int64), dropped
-    iu, ju = np.triu_indices(len(ids), k=1)
-    return ids[iu], ids[ju], dropped
-
-
-def _pairs_table(
-    id_a: np.ndarray, id_b: np.ndarray, dropped: int
-) -> pa.Table:
-    if dropped:
-        id_a = np.concatenate([id_a, [_DROP_SENTINEL]])
-        id_b = np.concatenate([id_b, [dropped]])
-    return pa.table(
-        {"id_a": pa.array(id_a, pa.int64()), "id_b": pa.array(id_b, pa.int64())}
-    )
-
-
-def _dedup_pairs(cand: ray.data.Dataset) -> tuple[ray.data.Dataset, int]:
-    """Distinct (id_a, id_b) pairs + total dropped-id count from sentinels.
-
-    `cand` is materialized ONCE here (it is consumed twice: the sentinel
-    scan and the pair dedup — without this the whole upstream signature +
-    LSH pipeline re-executes per consumer; ADVICE r2).
-
-    Dedup shape (round 4): a two-int64-key `groupby(id_a, id_b)` put 4.1M
-    SRP candidate rows through Ray's sort-based shuffle in ~36 s wall; the
-    same volume through ONE `hash_exchange` on (id_a, id_b) — local
-    lexsort-run dedup per block, per-partition lexsort-run merge — lands
-    in ~1.7 s (measured, sf0.1). Every stage is vectorized (np.lexsort +
-    run-start mask + np.minimum.reduceat for extra columns such as
-    simhash's `hamming`).
-    Candidate volume is bucket-capped upstream, so the materialization is
-    bounded by max_bucket², never corpus-sized.
-    """
-    cand = cand.materialize()
-    drop_rows = cand.filter(expr=f"id_a == {_DROP_SENTINEL}")
-    n_dropped = sum(r["id_b"] for r in drop_rows.take_all())  # tiny
-    real = cand.filter(expr=f"id_a != {_DROP_SENTINEL}")
-    extra = [c for c in cand.schema().names if c not in ("id_a", "id_b")]
-
-    def _dedup_block(t: pa.Table) -> dict[str, np.ndarray]:
-        """Vectorized keep-one-per-(id_a,id_b) with min over extras."""
-        a = t.column("id_a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t.column("id_b").to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.lexsort((b, a))
-        a, b = a[order], b[order]
-        new_run = np.empty(len(a), bool)
-        if len(a):
-            new_run[0] = True
-            new_run[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        starts = np.nonzero(new_run)[0]
-        cols: dict[str, np.ndarray] = {"id_a": a[starts], "id_b": b[starts]}
-        for c in extra:
-            v = t.column(c).to_numpy(zero_copy_only=False)[order]
-            cols[c] = (
-                np.minimum.reduceat(v, starts) if len(starts) else v[:0]
-            )
-        return cols
-
-    def _dedup(t: pa.Table) -> pa.Table:
-        return pa.table({k: pa.array(v) for k, v in _dedup_block(t).items()})
-
-    pairs = hash_exchange(real, ["id_a", "id_b"], _dedup, partial=_dedup)
-    return pairs, n_dropped
 
 
 def minhash_lsh_pairs(
@@ -344,220 +266,48 @@ def minhash_lsh_pairs(
     more than the candidate-id list and the final verified pairs.
     hash_mode="md5" makes the whole pipeline (signatures, band
     candidates, exact-Jaccard verify) DuckDB-reproducible."""
-    rows_per_band = num_perm // bands
-    sigs = minhash_signatures(ds, id_col, text_col, num_perm, hash_mode)
+    r = num_perm // bands
+    shingles = _shingle_fn(hash_mode)
 
     def _bucketize(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        mat = _sig_matrix(batch, num_perm)
+        sigs = _signatures(shingles(batch.column(text_col).to_pylist()), num_perm)
+        keys = [_band_bucket_hash(sigs[:, i * r : (i + 1) * r]) for i in range(bands)]
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        buckets = np.empty((n, bands), dtype=np.int64)
-        for bnd in range(bands):
-            buckets[:, bnd] = _band_bucket_hash(
-                mat[:, bnd * rows_per_band : (bnd + 1) * rows_per_band]
-            )
-        return pa.table(
-            {
-                id_col: pa.array(np.repeat(ids, bands)),
-                "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), n)),
-                "bucket": pa.array(buckets.reshape(-1)),
-            }
-        )
+        return band_rows(ids, np.stack(keys, axis=1), "bucket")
 
-    buckets = sigs.map_batches(_bucketize, batch_format="pyarrow")
+    pairs = lsh_pairs(typed_map(ds, _bucketize), ["band", "bucket"], "id",
+                      max_bucket, "minhash_lsh_pairs")
 
-    def _pairs_in_bucket(group: pa.Table) -> pa.Table:
-        ids = group.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        return _pairs_table(*_pairs_in_group(ids, max_bucket))
+    def _encode(docs: pa.Table) -> pa.Array:
+        return pack(shingles(docs.column(text_col).to_pylist()))
 
-    cand = group_map(buckets, ["band", "bucket"], _pairs_in_bucket)
-    pairs, n_dropped = _dedup_pairs(cand)
-    if n_dropped:
-        print(
-            f"# minhash_lsh_pairs: {n_dropped} ids dropped from oversize LSH "
-            f"buckets (max_bucket={max_bucket}) — recall is bounded, not exact"
-        )
-
-    verified = _verify_jaccard(
-        ds, pairs, id_col, text_col, jaccard_threshold, hash_mode
-    )
-    out = verified.take_all()  # final result set only
-    out.sort(key=lambda r: (r["id_a"], r["id_b"]))
-    return pa.Table.from_pylist(
-        out,
-        schema=pa.schema(
-            [("id_a", pa.int64()), ("id_b", pa.int64()), ("jaccard", pa.float64())]
-        ),
-    )
+    refs = verify(pairs, ds, id_col, _encode,
+                  partial(_jaccard_verify, threshold=jaccard_threshold))
+    return collect(refs, _JACCARD)
 
 
-def _verify_jaccard(
-    ds: ray.data.Dataset,
-    pairs: ray.data.Dataset,
-    id_col: str,
-    text_col: str,
-    threshold: float,
-    hash_mode: str = "crc32mix",
-) -> ray.data.Dataset:
-    """Exact n-gram Jaccard over candidate pairs, distributed + vectorized.
-
-    1. `pairs` is materialized (consumed three times below — unique×2 and
-       the halves explode; without it the upstream LSH pipeline re-runs per
-       consumer; ADVICE r2) and the candidate-id set is broadcast once;
-    2. ONLY candidate docs are re-shingled inside `map_batches` and exploded
-       to (jid, s) shingle rows — a corpus scan, no shuffle, no driver rows;
-    3. pairs explode to two half-rows (jid, pkey); ONE `exchange.join` on jid
-       tags each side's shingles with its pair key; `groupby(pkey, s).count`
-       marks intersection shingles (count == 2 — per-doc shingles are
-       distinct); a final Arrow-native `groupby(pkey)` aggregate yields
-       union = row count and intersection = sum(count == 2), from which
-       jaccard = inter / union.
-    Every stage is an Arrow-native join or vectorized aggregate — round 2's
-    one-Python-call-per-pair `map_groups` is gone (VERDICT r2 items 1–2).
-    All shuffles run over candidate volume only.
-    """
-    from ray.data.aggregate import Count, Sum
-
-    pairs = pairs.materialize()
-    # Dataset.unique returns None (not []) on a zero-row dataset — a
-    # candidate-free corpus must yield zero pairs, not a TypeError
-    need_a = pairs.unique("id_a") or []
-    need_b = pairs.unique("id_b") or []
-    need = np.array(sorted(set(need_a) | set(need_b)), dtype=np.int64)
-    empty = pa.table(
-        {
-            "id_a": pa.array([], pa.int64()),
-            "id_b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64()),
-        }
-    )
-    if len(need) == 0:
-        return ray.data.from_arrow(empty)
-    need_ref = ray.put(need)
-
-    def _cand_shingles(batch: pa.Table) -> pa.Table:
-        want = ray.get(need_ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        pos = np.searchsorted(want, ids)
-        pos[pos >= len(want)] = 0
-        mask = want[pos] == ids
-        sel = np.nonzero(mask)[0]
-        texts = batch.column(text_col).take(pa.array(sel)).to_pylist()
-        shs = (
-            _shingle_hashes_batch(texts)
-            if hash_mode == "crc32mix"
-            else _shingle_hashes_batch_md5(texts)
-        )
-        counts = np.array([len(s) for s in shs], dtype=np.int64)
-        s = np.concatenate(shs) if shs else np.empty(0, np.uint64)
-        return pa.table(
-            {
-                "jid": pa.array(np.repeat(ids[sel], counts), pa.int64()),
-                "s": pa.array(s.astype(np.int64), pa.int64()),
-            }
-        )
-
-    expl = ds.map_batches(_cand_shingles, batch_format="pyarrow")
-
-    # Attach each shingle row to its candidate pair(s). Adaptive chooser
-    # (same idiom as the graph/SRP broadcast paths):
-    #   * small pair set (the regime every verified near-dup pass lives in
-    #     after LSH pruning): broadcast the (jid → pair-index) mapping via
-    #     ray.put and tag map-side — no exchange;
-    #   * large pair set: a hash join keyed on jid — bounded
-    #     per-partition memory.
-    n_pairs = pairs.count()
-    if 2 * n_pairs <= _VERIFY_BROADCAST_MAX_HALF_ROWS:
-        ptbl = pa.concat_tables(ray.get(pairs.to_arrow_refs())).combine_chunks()
-        pa_ids = ptbl.column("id_a").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        pb_ids = ptbl.column("id_b").to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        jids = np.concatenate([pa_ids, pb_ids])
-        pkeys = np.tile(np.arange(n_pairs, dtype=np.int64), 2)
-        order = np.argsort(jids, kind="stable")
-        map_ref = ray.put((jids[order], pkeys[order], pa_ids, pb_ids))
-
-        def _tag(batch: pa.Table) -> pa.Table:
-            jid_sorted, pk_sorted, _, _ = ray.get(map_ref)
-            j = batch.column("jid").to_numpy(zero_copy_only=False).astype(
-                np.int64
-            )
-            lo = np.searchsorted(jid_sorted, j, side="left")
-            hi = np.searchsorted(jid_sorted, j, side="right")
-            counts = hi - lo
-            total = int(counts.sum())
-            row_rep = np.repeat(np.arange(len(j)), counts)
-            starts = np.cumsum(counts) - counts
-            pos = lo[row_rep] + (np.arange(total) - starts[row_rep])
-            return pa.table(
-                {
-                    "pkey": pa.array(pk_sorted[pos], pa.int64()),
-                    "s": batch.column("s").take(pa.array(row_rep)),
-                }
-            )
-
-        joined = expl.map_batches(_tag, batch_format="pyarrow")
-    else:
-        map_ref = None
-
-        def _halves(batch: pa.Table) -> pa.Table:
-            a = batch.column("id_a").to_numpy(zero_copy_only=False)
-            b = batch.column("id_b").to_numpy(zero_copy_only=False)
-            pk = [f"{x}_{y}" for x, y in zip(a, b)]
-            return pa.table(
-                {
-                    "jid": pa.array(
-                        np.concatenate([a, b]).astype(np.int64), pa.int64()
-                    ),
-                    "pkey": pa.array(pk + pk, pa.string()),
-                }
-            )
-
-        halves = pairs.map_batches(_halves, batch_format="pyarrow")
-        joined = join(expl, halves, on=["jid"]).map_batches(
-            lambda b: b.select(["pkey", "s"]), batch_format="pyarrow"
-        )
-
-    per_shingle = joined.groupby(["pkey", "s"]).count()
-
-    def _mark(batch: pa.Table) -> pa.Table:
-        is_both = pc.cast(pc.equal(batch.column("count()"), 2), pa.int64())
-        return pa.table({"pkey": batch.column("pkey"), "is_both": is_both})
-
-    stats = (
-        per_shingle.map_batches(_mark, batch_format="pyarrow")
-        .groupby("pkey")
-        .aggregate(Count(alias_name="u"), Sum("is_both", alias_name="i"))
-    )
-
-    def _final(batch: pa.Table) -> pa.Table:
-        u = batch.column("u").to_numpy(zero_copy_only=False).astype(np.float64)
-        i = batch.column("i").to_numpy(zero_copy_only=False).astype(np.float64)
-        j = np.where(u > 0, i / np.maximum(u, 1.0), 0.0)
-        keep = np.nonzero(j >= threshold)[0]
-        if map_ref is not None:
-            _, _, pa_ids, pb_ids = ray.get(map_ref)
-            pk = batch.column("pkey").take(pa.array(keep)).to_numpy(
-                zero_copy_only=False
-            ).astype(np.int64)
-            ia, ib = pa_ids[pk], pb_ids[pk]
-        else:
-            pk = batch.column("pkey").take(pa.array(keep)).to_pylist()
-            split = [p.split("_") for p in pk]
-            ia = np.array([int(x[0]) for x in split], np.int64)
-            ib = np.array([int(x[1]) for x in split], np.int64)
-        return pa.table(
-            {
-                "id_a": pa.array(ia, pa.int64()),
-                "id_b": pa.array(ib, pa.int64()),
-                "jaccard": pa.array(np.round(j[keep], 4), pa.float64()),
-            }
-        )
-
-    return stats.map_batches(_final, batch_format="pyarrow")
+def _jaccard_verify(t: pa.Table, threshold: float) -> pa.Table:
+    """Exact Jaccard of each pair's distinct shingle-hash sets (packed in
+    p_a / p_b), kept at ≥ threshold and rounded to 4 decimals. One sort of
+    the pair-tagged shingles of both sides finds every intersection: a
+    (pair, shingle) that occurs twice is in both sets. A pair whose docs
+    have no shingle at all has no union and is never kept."""
+    va, la = unpack(t.column("p_a"), np.uint64)
+    vb, lb = unpack(t.column("p_b"), np.uint64)
+    tag = np.repeat(np.tile(np.arange(t.num_rows), 2), np.concatenate([la, lb]))
+    val = np.concatenate([va, vb])
+    order = np.lexsort((val, tag))
+    tag, val = tag[order], val[order]
+    both = (tag[1:] == tag[:-1]) & (val[1:] == val[:-1])
+    inter = np.bincount(tag[1:][both], minlength=t.num_rows).astype(np.float64)
+    union = (la + lb) - inter
+    jac = inter / np.maximum(union, 1.0)
+    keep = np.flatnonzero((union > 0) & (jac >= threshold))
+    return pa.table({
+        "id_a": t.column("id_a").take(keep),
+        "id_b": t.column("id_b").take(keep),
+        "jaccard": np.round(jac[keep], 4),
+    })
 
 
 def _simhash_md5_batch(texts: list[str], n: int = 3) -> np.ndarray:
@@ -640,15 +390,6 @@ def simhash_table(
 _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def _hamming_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Hamming distances between two uint64 vectors, vectorized
-    (byte-view XOR + popcount lookup): (len(a), len(b)) uint16."""
-    x = a[:, None] ^ b[None, :]
-    return _POPCOUNT8[x.view(np.uint8).reshape(len(a), len(b), 8)].sum(
-        axis=2, dtype=np.uint16
-    )
-
-
 def simhash_dup_pairs(
     ds: ray.data.Dataset,
     id_col: str = "doc_id",
@@ -665,7 +406,7 @@ def simhash_dup_pairs(
     Per-bucket verification is vectorized (XOR byte-view + popcount table,
     chunked so memory stays O(chunk × bucket)); buckets above max_bucket are
     deterministically truncated with the drop count surfaced, and pair dedup
-    across bands is a distributed groupby — the driver only ever holds the
+    across bands is one hash exchange — the driver only ever holds the
     final pair set. `sims` lets callers reuse an already-computed signature
     dataset (e.g. when emitting signatures AND pairs from one pass).
     """
@@ -673,68 +414,22 @@ def simhash_dup_pairs(
         sims = simhash_table(ds, id_col, text_col, hash_mode=hash_mode)
 
     def _bands(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         vals = batch.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        keys = np.empty((n, 4), dtype=np.int64)
-        for bnd in range(4):
-            keys[:, bnd] = ((vals >> np.uint64(16 * bnd)) & np.uint64(0xFFFF)).astype(
-                np.int64
-            )
-        return pa.table(
-            {
-                id_col: pa.array(np.repeat(ids, 4)),
-                "band": pa.array(np.tile(np.arange(4, dtype=np.int32), n)),
-                "key": pa.array(keys.reshape(-1)),
-                "simhash": pa.array(np.repeat(vals, 4), pa.uint64()),
-            }
-        )
+        keys = (vals[:, None] >> (np.arange(4, dtype=np.uint64) * np.uint64(16))) & np.uint64(0xFFFF)
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        return band_rows(ids, keys.astype(np.int64), "key", simhash=vals)
 
-    def _pairs(group: pa.Table) -> pa.Table:
-        ids = group.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        sh = group.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.argsort(ids)
-        ids, sh = ids[order], sh[order]
-        dropped = 0
-        if len(ids) > max_bucket:
-            dropped = len(ids) - max_bucket
-            ids, sh = ids[:max_bucket], sh[:max_bucket]
-        out_a, out_b, out_d = [], [], []
-        for i0 in range(0, len(ids), 256):  # chunked: memory O(256 × bucket)
-            i1 = min(i0 + 256, len(ids))
-            d = _hamming_matrix(sh[i0:i1], sh)
-            ii, jj = np.nonzero(d <= max_hamming)
-            keep = (ii + i0) < jj  # upper triangle only
-            out_a.append(ids[ii[keep] + i0])
-            out_b.append(ids[jj[keep]])
-            out_d.append(d[ii[keep], jj[keep]].astype(np.int64))
-        id_a = np.concatenate(out_a) if out_a else np.empty(0, np.int64)
-        id_b = np.concatenate(out_b) if out_b else np.empty(0, np.int64)
-        dist = np.concatenate(out_d) if out_d else np.empty(0, np.int64)
-        tbl = _pairs_table(id_a, id_b, dropped)
-        ham = dist
-        if dropped:
-            ham = np.concatenate([ham, [-1]])
-        return tbl.append_column("hamming", pa.array(ham.astype(np.int32), pa.int32()))
+    def _hamming(bucket: pa.Table, ra: np.ndarray, rb: np.ndarray):
+        sh = bucket.column("simhash").to_numpy(zero_copy_only=False)
+        x = (sh[ra] ^ sh[rb]).view(np.uint8).reshape(-1, 8)
+        d = _POPCOUNT8[x].sum(axis=1, dtype=np.int32)
+        keep = d <= max_hamming
+        return keep, {"hamming": d[keep]}
 
-    cand = group_map(
-        sims.map_batches(_bands, batch_format="pyarrow"), ["band", "key"], _pairs
-    )
-    pairs, n_dropped = _dedup_pairs(cand)
-    if n_dropped:
-        print(
-            f"# simhash_dup_pairs: {n_dropped} ids dropped from oversize "
-            f"buckets (max_bucket={max_bucket}) — recall is bounded, not exact"
-        )
-    rows = pairs.take_all()  # final result set only
-    rows.sort(key=lambda r: (r["id_a"], r["id_b"]))
-    return pa.table(
-        {
-            "id_a": pa.array([r["id_a"] for r in rows], pa.int64()),
-            "id_b": pa.array([r["id_b"] for r in rows], pa.int64()),
-            "hamming": pa.array([r["hamming"] for r in rows], pa.int32()),
-        }
-    )
+    pairs = lsh_pairs(typed_map(sims, _bands), ["band", "key"], "id", max_bucket,
+                      "simhash_dup_pairs", score=_hamming, reduce={"hamming": np.minimum})
+    return collect(pairs, pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                                     ("hamming", pa.int32())]))
 
 
 # --------------------------------------------------------------------------
@@ -754,82 +449,27 @@ def _shingle_strings(text: str, n: int = 3) -> list[str]:
     return sorted({" ".join(toks[i : i + n]) for i in range(len(toks) - n + 1)})
 
 
-@ray.remote
-def _jaccard_block_pair_task(
-    tbl_i: pa.Table, tbl_j: pa.Table, same: bool, threshold: float
-) -> pa.Table:
-    """All (id_a < id_b) pairs between two shingled blocks with Jaccard ≥
-    threshold. Intersection counts come from ONE Arrow (Acero) hash join on
-    the shingle value + a C++ group_by — no Python per-pair loop."""
-    def _explode(t: pa.Table, side: str) -> pa.Table:
-        lists = t.column("sh").combine_chunks()
-        ids = t.column("id").to_numpy(zero_copy_only=False)
-        counts = np.asarray(lists.value_lengths())
-        return pa.table(
-            {
-                f"id_{side}": pa.array(np.repeat(ids, counts), pa.int64()),
-                "s": lists.flatten(),
-            }
-        )
+def _jaccard_block(ta: pa.Table, tb: pa.Table, threshold: float) -> pa.Table:
+    """(id_a, id_b, jaccard) of every row pair of two (id, shingle list)
+    blocks with Jaccard ≥ threshold, rounded to 6 decimals. Intersection
+    counts come from ONE Arrow (Acero) hash join on the shingle value + a
+    C++ group_by — no Python per-pair loop."""
 
-    ea = _explode(tbl_i, "a")
-    eb = _explode(tbl_j, "b")
-    empty = pa.table(
-        {
-            "id_a": pa.array([], pa.int64()),
-            "id_b": pa.array([], pa.int64()),
-            "jaccard": pa.array([], pa.float64()),
-        }
-    )
-    if ea.num_rows == 0 or eb.num_rows == 0:
-        return empty
-    inter = (
-        ea.join(eb, keys=["s"], join_type="inner")
-        .group_by(["id_a", "id_b"])
-        .aggregate([("s", "count")])
-    )
-    if same:
-        inter = inter.filter(
-            pa.compute.less(inter.column("id_a"), inter.column("id_b"))
-        )
-    if inter.num_rows == 0:
-        return empty
-    counts_i = {
-        int(i): int(c)
-        for i, c in zip(
-            tbl_i.column("id").to_pylist(),
-            np.asarray(tbl_i.column("sh").combine_chunks().value_lengths()),
-        )
-    }
-    counts_j = {
-        int(i): int(c)
-        for i, c in zip(
-            tbl_j.column("id").to_pylist(),
-            np.asarray(tbl_j.column("sh").combine_chunks().value_lengths()),
-        )
-    }
-    ia = inter.column("id_a").to_numpy(zero_copy_only=False).astype(np.int64)
-    ib = inter.column("id_b").to_numpy(zero_copy_only=False).astype(np.int64)
-    ic = inter.column("s_count").to_numpy(zero_copy_only=False).astype(np.float64)
-    ca = np.array([counts_i[int(x)] for x in ia], np.float64)
-    cb = np.array([counts_j[int(x)] for x in ib], np.float64)
-    jac = ic / (ca + cb - ic)
-    keep = jac >= threshold
-    ia, ib, jac = ia[keep], ib[keep], jac[keep]
-    if not same:
-        # ids are not ordered ACROSS blocks; emit (min, max). A duplicate id
-        # appearing in both blocks would self-pair — drop those.
-        neq = ia != ib
-        ia, ib, jac = ia[neq], ib[neq], jac[neq]
-        lo, hi = np.minimum(ia, ib), np.maximum(ia, ib)
-        ia, ib = lo, hi
-    return pa.table(
-        {
-            "id_a": pa.array(ia, pa.int64()),
-            "id_b": pa.array(ib, pa.int64()),
-            "jaccard": pa.array(np.round(jac, 6), pa.float64()),
-        }
-    )
+    def _side(t: pa.Table, s: str) -> tuple[pa.Table, pa.Table]:
+        lists = t.column(1).combine_chunks()
+        ids = t.column(0).to_numpy(zero_copy_only=False).astype(np.int64)
+        n = np.asarray(lists.value_lengths())
+        return (pa.table({f"id_{s}": np.repeat(ids, n), "s": lists.flatten()}),
+                pa.table({f"id_{s}": ids, f"n_{s}": n.astype(np.float64)}))
+
+    (ea, na), (eb, nb) = _side(ta, "a"), _side(tb, "b")
+    t = (ea.join(eb, keys="s").group_by(["id_a", "id_b"]).aggregate([("s", "count")])
+         .join(na, keys="id_a").join(nb, keys="id_b"))
+    c = t.column("s_count").to_numpy(zero_copy_only=False).astype(np.float64)
+    jac = c / (t.column("n_a").to_numpy() + t.column("n_b").to_numpy() - c)
+    keep = np.flatnonzero(jac >= threshold)
+    return pa.table({"id_a": t.column("id_a").take(keep), "id_b": t.column("id_b").take(keep),
+                     "jaccard": np.round(jac[keep], 6)})
 
 
 def ngram_jaccard_pairs(
@@ -851,45 +491,16 @@ def ngram_jaccard_pairs(
     """
 
     def _sh(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "id": pa.array(
-                    batch.column(id_col).to_numpy(zero_copy_only=False), pa.int64()
-                ),
-                "sh": pa.array(
-                    [
-                        _shingle_strings(t or "", n)
-                        for t in batch.column(text_col).to_pylist()
-                    ],
-                    pa.list_(pa.string()),
-                ),
-            }
-        )
+        texts = batch.column(text_col).to_pylist()
+        return pa.table({
+            "id": pa.array(batch.column(id_col).to_numpy(zero_copy_only=False), pa.int64()),
+            "sh": pa.array([_shingle_strings(t or "", n) for t in texts],
+                           pa.list_(pa.string())),
+        })
 
-    shingled = ds.map_batches(_sh, batch_format="pyarrow").materialize()
-    nrows = shingled.count()
-    nb = max(1, -(-nrows // rows_per_block))
-    refs = list(shingled.repartition(nb).to_arrow_refs())
-    tasks = [
-        _jaccard_block_pair_task.remote(refs[i], refs[j], i == j, threshold)
-        for i in range(len(refs))
-        for j in range(i, len(refs))
-    ]
-    parts = [t for t in ray.get(tasks) if t.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "id_a": pa.array([], pa.int64()),
-                "id_b": pa.array([], pa.int64()),
-                "jaccard": pa.array([], pa.float64()),
-            }
-        )
-    import pyarrow.compute as pc
-
-    tbl = pa.concat_tables(parts)
-    return tbl.take(
-        pc.sort_indices(tbl, sort_keys=[("id_a", "ascending"), ("id_b", "ascending")])
-    )
+    refs = block_pairs(partial(_jaccard_block, threshold=threshold),
+                       ds.map_batches(_sh, batch_format="pyarrow"), rows_per_block=rows_per_block)
+    return collect(refs, _JACCARD)
 
 
 def cdc_dup_pairs(
@@ -905,48 +516,22 @@ def cdc_dup_pairs(
     Docs sharing ≥ min_shared rolling-hash chunk fingerprints are emitted as
     (id_a, id_b, shared_chunks). Same distributed shape as the LSH pipeline:
     chunk rows → `group_map` on chunk_fp co-locates each fingerprint's holders →
-    vectorized within-bucket pairs (size-capped, drops surfaced) → a pair
-    groupby counts DISTINCT shared fingerprints. Catches partially
+    vectorized within-bucket pairs (size-capped, drops surfaced) → the pair
+    dedup exchange sums DISTINCT shared fingerprints (ids are uniqued within
+    a bucket, so each bucket adds 1 per pair). Catches partially
     overlapping docs (shared boilerplate, quoted passages, edited copies)
     that whole-document and shingle-set methods under-score.
     """
     from crawlray.ops.textqa import cdc_chunks
 
-    chunks = cdc_chunks(ds, id_col, text_col, **cdc_kwargs)
+    def _one(bucket: pa.Table, ra: np.ndarray, rb: np.ndarray):
+        return slice(None), {"shared_chunks": np.ones(len(ra), np.int64)}
 
-    def _pairs(group: pa.Table) -> pa.Table:
-        ids = np.unique(
-            group.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-        )
-        return _pairs_table(*_pairs_in_group(ids, max_bucket))
+    def _enough(t: pa.Table) -> pa.Table:
+        return t.filter(pc.greater_equal(t.column("shared_chunks"), int(min_shared)))
 
-    # group_map's output is materialized — cand is consumed twice (sentinel
-    # scan + pair count) and must not re-run the CDC chunking per consumer
-    cand = group_map(chunks, ["chunk_fp"], _pairs)
-    drop_rows = cand.filter(expr=f"id_a == {_DROP_SENTINEL}")
-    n_dropped = sum(r["id_b"] for r in drop_rows.take_all())  # tiny
-    if n_dropped:
-        print(
-            f"# cdc_dup_pairs: {n_dropped} ids dropped from oversize "
-            f"fingerprint buckets (max_bucket={max_bucket})"
-        )
-
-    # shared-fingerprint count per pair = one Arrow-native groupby COUNT
-    # (each fingerprint bucket contributes ≤1 row per pair, ids are uniqued
-    # within the bucket) — not a Python map_groups call per pair (VERDICT r2)
-    counted = (
-        cand.filter(expr=f"id_a != {_DROP_SENTINEL}")
-        .groupby(["id_a", "id_b"])
-        .count()
-        .rename_columns({"count()": "shared_chunks"})
-        .filter(expr=f"shared_chunks >= {int(min_shared)}")
-    )
-    rows = counted.take_all()  # final result set only
-    rows.sort(key=lambda r: (r["id_a"], r["id_b"]))
-    return pa.table(
-        {
-            "id_a": pa.array([r["id_a"] for r in rows], pa.int64()),
-            "id_b": pa.array([r["id_b"] for r in rows], pa.int64()),
-            "shared_chunks": pa.array([r["shared_chunks"] for r in rows], pa.int64()),
-        }
-    )
+    pairs = lsh_pairs(cdc_chunks(ds, id_col, text_col, **cdc_kwargs), ["chunk_fp"], id_col,
+                      max_bucket, "cdc_dup_pairs", score=_one,
+                      reduce={"shared_chunks": np.add}, keep=_enough)
+    return collect(pairs, pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
+                                     ("shared_chunks", pa.int64())]))

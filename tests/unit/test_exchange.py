@@ -19,6 +19,9 @@ import pytest
 
 OPS = pathlib.Path(__file__).resolve().parents[2] / "crawlray" / "ops"
 
+# the modules of the near-duplicate pair operators
+PAIR_OPS = ("neardup.py", "knn.py", "pairs.py")
+
 # the join types every caller uses: plain, outer, and bloom_semi_join's
 JOIN_TYPES = ["inner", "left_outer", "left_semi", "left_anti"]
 
@@ -257,7 +260,9 @@ def test_only_exchange_module_joins_or_routes():
     removed block scrub. exchange.py itself runs its own map and reduce
     tasks: it calls no `Dataset.join`, no `groupby` and no `map_groups`.
     No operator module, storage.py or the driver entry calls
-    `map_groups`: per-group work goes through `exchange.group_map`."""
+    `map_groups`: per-group work goes through `exchange.group_map`. The
+    pair operators (neardup.py, knn.py, pairs.py) call no Dataset
+    `groupby`: their pairs dedup in `exchange.hash_exchange`."""
     offenders = []
     for path in [*sorted(OPS.glob("*.py")), OPS.parent / "storage.py",
                  OPS.parents[1] / "__ray_entry__.py"]:
@@ -279,7 +284,7 @@ def test_only_exchange_module_joins_or_routes():
                 kw & {"join_type", "on", "num_partitions"} and "keys" not in kw
             ):
                 offenders.append(f"{path.name}:{call.lineno} calls Dataset.join")
-            if own and call.func.attr in ("groupby", "map_groups"):
+            if (own or path.name in PAIR_OPS) and call.func.attr in ("groupby", "map_groups"):
                 offenders.append(f"{path.name}:{call.lineno} calls {call.func.attr}")
             if call.func.attr == "groupby" and any(
                 isinstance(a, ast.Constant) and a.value == "_pk" for a in call.args

@@ -207,11 +207,12 @@ def test_srp_pairs_precision_exact_and_recall_high(ray_session):
     assert len(set(got_pairs)) >= 0.8 * len(want)
 
 
-def test_srp_pairs_broadcast_equals_join_path(ray_session):
-    """The adaptive exact-verify chooser: the broadcast path (corpus
-    matrix ray.put once, direct row indexing) and the join path (vectors
-    ride two hash joins as fixed-size-binary) must emit IDENTICAL pairs
-    and sims — broadcast_bytes=0 forces the join path."""
+def test_srp_pairs_broadcast_equals_join_path(ray_session, monkeypatch):
+    """The exact-verify chooser: the broadcast path (candidate vectors
+    ray.put once, looked up by id) and the join path (vectors ride two
+    hash joins as binary) must emit IDENTICAL pairs and sims —
+    `exchange.BROADCAST_BYTES` = 0 forces the join path."""
+    from crawlray.ops import exchange
     from crawlray.ops.knn import srp_pairs_cosine
 
     rng = np.random.RandomState(3)
@@ -219,9 +220,8 @@ def test_srp_pairs_broadcast_equals_join_path(ray_session):
     m = np.vstack([m, m[:15] + 0.01 * rng.randn(15, 16)])
     ds, _ = _ds(m)
     bcast = srp_pairs_cosine(ds, 0.9, n_bits=64, bands=8, seed=7)
-    joined = srp_pairs_cosine(
-        ds, 0.9, n_bits=64, bands=8, seed=7, broadcast_bytes=0
-    )
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
+    joined = srp_pairs_cosine(ds, 0.9, n_bits=64, bands=8, seed=7)
     assert bcast.to_pylist() == joined.to_pylist()
     assert bcast.num_rows > 0  # non-vacuous
 
@@ -271,7 +271,8 @@ def test_sq8_quantized_knn_recall_and_compression(ray_session):
         assert abs(r["sim"] - true) < 32 * (1 / 127.0)  # loose bound
 
 
-def test_cross_similar_join_both_paths_match_brute(ray_session):
+def test_cross_similar_join_both_paths_match_brute(ray_session, monkeypatch):
+    from crawlray.ops import exchange
     from crawlray.ops.knn import cross_similar_join
 
     m, _ = _vecs(n=150, seed=6)
@@ -296,10 +297,11 @@ def test_cross_similar_join_both_paths_match_brute(ray_session):
         }
 
     want = _brute_cross(0.8)
-    for kwargs in (
-        {"broadcast_rows": 100_000},           # broadcast path
-        {"broadcast_rows": 0, "rows_per_block": 32},  # block-pair path
+    for budget, kwargs in (
+        (1 << 40, {}),                   # broadcast path
+        (0, {"rows_per_block": 32}),     # block-pair path
     ):
+        monkeypatch.setattr(exchange, "BROADCAST_BYTES", budget)
         out = cross_similar_join(ds_l, ds_r, threshold=0.8, **kwargs)
         got = {
             (a, b)
@@ -308,7 +310,7 @@ def test_cross_similar_join_both_paths_match_brute(ray_session):
                 batch["left_id"].to_pylist(), batch["right_id"].to_pylist()
             )
         }
-        assert got == want, kwargs
+        assert got == want, budget
 
 
 def test_cross_similar_join_exclude_equal_ids(ray_session):

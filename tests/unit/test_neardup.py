@@ -64,14 +64,13 @@ def test_minhash_lsh_finds_planted_dups(ray_session):
 
 
 def test_minhash_verify_join_path_equals_broadcast(ray_session, monkeypatch):
-    """_verify_jaccard's adaptive chooser: forcing the Dataset.join path
-    (broadcast budget 0) must yield the same verified pairs as the
-    broadcast tag path. A dup-heavy corpus keeps the candidate jid set
-    dense enough to fill every join partition (with the pair-volume
-    partition clamp)."""
+    """The verify chooser: forcing the join path (broadcast budget
+    `exchange.BROADCAST_BYTES` = 0) must yield the same verified pairs as
+    the broadcast path. A dup-heavy corpus keeps the candidate id set
+    dense enough to fill every join partition."""
     import ray.data
 
-    from crawlray.ops import neardup
+    from crawlray.ops import exchange
 
     base = _corpus()
     # replicate the planted-dup block across many ids so the candidate
@@ -87,7 +86,7 @@ def test_minhash_verify_join_path_equals_broadcast(ray_session, monkeypatch):
     )
     ds = ray.data.from_arrow(tbl)
     bcast = minhash_lsh_pairs(ds, jaccard_threshold=0.5).to_pylist()
-    monkeypatch.setattr(neardup, "_VERIFY_BROADCAST_MAX_HALF_ROWS", 0)
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
     joined = minhash_lsh_pairs(ds, jaccard_threshold=0.5).to_pylist()
     assert bcast == joined
     assert len(bcast) > 50  # non-vacuous: replicated dups make many pairs
