@@ -36,9 +36,9 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Count, Max, Min, Sum
 
-from crawlray.ops.exchange import typed_map
+from crawlray.ops.exchange import aggregate, typed_map
 
 
 def _rd(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -103,20 +103,20 @@ def _q1_agg(sf_dir: str):
         columns=["l_returnflag", "l_linestatus", "l_quantity",
                  "l_extendedprice", "l_discount"],
     )
-    out = ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("l_quantity", alias_name="sum_qty"),
-        Sum("l_extendedprice", alias_name="sum_price"),
-        Mean("l_discount", alias_name="avg_disc"),
-        Count(alias_name="n"),
-    )
+    out = aggregate(ds, ["l_returnflag", "l_linestatus"], {
+        "sum_qty": ("l_quantity", "sum"),
+        "sum_price": ("l_extendedprice", "sum"),
+        "avg_disc": ("l_discount", "mean"),
+        "n": (None, "count"),
+    })
     return _round_cols(out, {"sum_qty": 2, "sum_price": 2, "avg_disc": 6})
 
 
 def _groupby_counts(sf_dir: str):
     """O-28: per-key counts + sums over events."""
     ds = _rd(sf_dir, "events", columns=["event_type", "value"])
-    out = ds.groupby("event_type").aggregate(
-        Count(alias_name="n"), Sum("value", alias_name="total_value")
+    out = aggregate(
+        ds, ["event_type"], {"n": (None, "count"), "total_value": ("value", "sum")}
     )
     return _round_cols(out, {"total_value": 3})
 
@@ -210,8 +210,9 @@ def _join_agg(sf_dir: str):
     ).rename_columns(["o_custkey", "c_mktsegment"])
     orders = _rd(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     joined = broadcast_join(orders, cust, keys=["o_custkey"])
-    out = joined.groupby("c_mktsegment").aggregate(
-        Sum("o_totalprice", alias_name="revenue"), Count(alias_name="n_orders")
+    out = aggregate(
+        joined, ["c_mktsegment"],
+        {"revenue": ("o_totalprice", "sum"), "n_orders": (None, "count")},
     )
     return _round_cols(out, {"revenue": 2})
 
@@ -316,9 +317,7 @@ def _pagerank(sf_dir: str):
         dst = pa.array(sk % 211, pa.int64())
         return pa.table({"src": src, "dst": dst}).filter(pc.not_equal(src, dst))
 
-    edges = li.map_batches(_edges, batch_format="pyarrow").groupby(
-        ["src", "dst"]
-    ).count().select_columns(["src", "dst"]).materialize()
+    edges = aggregate(li, ["src", "dst"], {}, _edges)
     pr = _round_cols(pagerank(edges, n_iters=4, damping=0.85), {"rank": 8})
 
     def _tag_pr(batch: pa.Table) -> pa.Table:
@@ -472,7 +471,7 @@ def _session_windows(sf_dir: str):
 
 
 def _set_ops(sf_dir: str):
-    """SQL EXCEPT + INTERSECT, one tagged groupby each (no join), merged
+    """SQL EXCEPT + INTERSECT, one tagged aggregate each (no join), merged
     into one tagged result so both set operators get a driver row inside
     the 50-entry CORRECTNESS window (VERDICT r3 item 1): (user, day)
     pairs with a view but no purchase (op='except') and pairs with both
@@ -515,7 +514,7 @@ def _pivot_unpivot(sf_dir: str):
     """PIVOT then UNPIVOT round-trip in one query (consolidated from two
     separate driver entries per the VERDICT-r3 window-packing pattern —
     both kernels still execute and oracle-check): events pivot to one
-    summed value column per event type (one groupby), then melt back to
+    summed value column per event type (one aggregate), then melt back to
     long form (pure map, no shuffle)."""
     from crawlray.ops.relational import pivot_agg, unpivot
 
@@ -604,8 +603,8 @@ def _group_rank(sf_dir: str):
 
 def _window_functions(sf_dir: str):
     """SQL window functions (LAG / LEAD / running SUM / ROW_NUMBER /
-    PERCENT_RANK / CUME_DIST / NTILE over a partition): one groupby(user)
-    shuffle, vectorized per-group kernel — the unique (ts, event_id)
+    PERCENT_RANK / CUME_DIST / NTILE over a partition): one hash exchange
+    on user, vectorized per-group kernel — the unique (ts, event_id)
     order makes the rank family exact."""
     from crawlray.ops.relational import window_shift_cum
 
@@ -743,7 +742,7 @@ def _decontaminate(sf_dir: str):
 def _asof_join(sf_dir: str):
     """Custom temporal operator Ray Data lacks (task brief): distributed
     as-of join — each non-purchase event picks up the latest at-or-before
-    purchase by the same user. One groupby(user) shuffle; vectorized
+    purchase by the same user. One hash exchange on user; vectorized
     searchsorted kernel per group."""
     from crawlray.ops.temporal import asof_join
 
@@ -957,11 +956,12 @@ def _salted_shuffle_join(sf_dir: str):
     (5 keys, each ~20% of rows — maximal skew). Hot-key left rows cycle
     over 8 salts, the right side replicates per salt; result is the exact
     unsalted inner join."""
-    from crawlray.ops.relational import grouped_count_hash, salted_shuffle_join
+    from crawlray.ops.relational import salted_shuffle_join
 
     ev = _rd(sf_dir, "events", columns=["event_id", "event_type"])
-    dim = grouped_count_hash(
-        _rd(sf_dir, "events", columns=["event_type"]), ["event_type"], alias="type_n"
+    dim = aggregate(
+        _rd(sf_dir, "events", columns=["event_type"]), ["event_type"],
+        {"type_n": (None, "count")},
     )
     out = salted_shuffle_join(ev, dim, on="event_type", num_salts=8)
     return out.select_columns(["event_id", "event_type", "type_n"])
@@ -1001,10 +1001,8 @@ def _paragraph_dedup(sf_dir: str):
 
 
 def _distinct_types(sf_dir: str):
-    """O-31: distinct values via groupby shuffle."""
-    from crawlray.ops.relational import distinct
-
-    return distinct(_rd(sf_dir, "events", columns=["event_type"]), ["event_type"])
+    """O-31: distinct values via one hash exchange."""
+    return aggregate(_rd(sf_dir, "events", columns=["event_type"]), ["event_type"], {})
 
 
 def _union_all(sf_dir: str):
@@ -1030,10 +1028,9 @@ def _windowed_agg(sf_dir: str):
         secs = pc.divide(pc.cast(floor, pa.int64()), 1_000_000)
         return pa.table({"window_start": secs, "value": batch.column("value")})
 
-    tumbling = (
-        ev.map_batches(_bucket, batch_format="pyarrow")
-        .groupby("window_start")
-        .aggregate(Count(alias_name="n"), Sum("value", alias_name="total_value"))
+    tumbling = aggregate(
+        ev, ["window_start"], {"n": (None, "count"), "total_value": ("value", "sum")},
+        _bucket,
     )
     hopping = hopping_window_agg(
         ev, ts_col="ts", value_col="value", window_seconds=3600, hop_seconds=900
@@ -1067,7 +1064,7 @@ def _json_props(sf_dir: str):
     from crawlray.ops.textqa import parse_json_field
 
     ds = parse_json_field(_rd(sf_dir, "events", columns=["props"]), "props", "k", "k")
-    return ds.groupby("k").aggregate(Count(alias_name="n"))
+    return aggregate(ds, ["k"], {"n": (None, "count")})
 
 
 def _simhash(sf_dir: str):
@@ -1376,14 +1373,13 @@ def _approx_distinct(sf_dir: str):
     AND both sketches' accuracy contracts. The global row carries
     event_type='(all)'. (±2% is also unit-asserted across cardinalities
     in tests/unit/test_sketch.py.)"""
-    from crawlray.ops.relational import distinct
     from crawlray.ops.sketch import approx_distinct, approx_distinct_by
 
     ev = _rd(sf_dir, "events", columns=["event_type", "user_id"])
     ests = approx_distinct_by(ev, "event_type", "user_id")
-    exact = (
-        ev.groupby(["event_type", "user_id"]).count()
-        .groupby("event_type").aggregate(Count(alias_name="n_exact"))
+    exact = aggregate(
+        aggregate(ev, ["event_type", "user_id"], {}), ["event_type"],
+        {"n_exact": (None, "count")},
     )
     ex = {r["event_type"]: r["n_exact"] for r in exact.take_all()}
     rows = []
@@ -1399,7 +1395,7 @@ def _approx_distinct(sf_dir: str):
             }
         )
     g_est = approx_distinct(ev, "user_id")
-    g_exact = distinct(ev.select_columns(["user_id"]), ["user_id"]).count()
+    g_exact = aggregate(ev, ["user_id"], {}).count()
     rows.append(
         {
             "event_type": "(all)",
@@ -1543,8 +1539,8 @@ def _pack_bins(sf_dir: str):
 
 
 def _tfidf(sf_dir: str):
-    """TF-IDF + Okapi BM25 per (doc, term): token explode → tf groupby →
-    df groupby → term-keyed shuffle join; vocabulary never broadcast or
+    """TF-IDF + Okapi BM25 per (doc, term): token explode → tf count →
+    one term-keyed exchange for df and the scores; vocabulary never broadcast or
     driver-held. BM25's doc length `dl` rides map-side through the explode
     (no doc-length join); avgdl is summed off the already-materialized tf
     — so BM25 adds ZERO shuffles to the TF-IDF plan."""
@@ -3341,7 +3337,7 @@ def oracle_sql() -> dict[str, str]:
             SELECT d.doc_id, LENGTH(text) AS n_chars2,
                    LEN(str_split(text, ' ')) AS n_tokens,
                    len(regexp_extract_all(text,
-                       '''(?:[sdmt]|ll|ve|re)| ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\s'']+|\s+')) AS n_bpe_tokens,
+                       '''(?:[sdmt]|ll|ve|re)| ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\\s'']+|\\s+')) AS n_bpe_tokens,
                    MD5(text) AS fp,
                    rep1.top_token_frac,
                    COALESCE(rep2.dup_2gram_frac, 0.0) AS dup_2gram_frac,

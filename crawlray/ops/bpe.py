@@ -5,7 +5,7 @@ Byte-pair-encoding merge-rule learning (Sennrich et al., ACL 2016 —
 Data stages, the tokenizer-training step of an LLM data pipeline:
 
   1. ONE pass over the corpus folds it to a WORD-FREQUENCY table
-     (`grouped_count_hash`) — every later round touches only the
+     (an `exchange.aggregate` count) — every later round touches only the
      vocabulary, never the corpus, which is exactly what makes BPE
      training tractable at 100 TB (the vocab is millions of rows where
      the corpus is trillions of tokens).
@@ -17,18 +17,17 @@ Data stages, the tokenizer-training step of an LLM data pipeline:
      parallelism-invariant), then applies the merge to the word table
      with ONE vectorized `replace_substring` pass. Driver state is one
      (pair, count) row per round.
-  3. Segmentation (default `mode="distinct"`, the 100 TB path — VERDICT
-     r4 item 1): fold the input to its DISTINCT word table (one hash
-     exchange), apply the K merge rules to each distinct word ONCE
-     (vocab-sized work, not corpus-sized), then map the segmentations
-     back onto every word occurrence — dictionary-encode each corpus
-     batch and `index_in` against the broadcast vocab (zero extra
-     shuffle) when the vocab fits the object store, or ONE
-     `shuffle_join` on the word key when it doesn't. Total work is
-     O(corpus) for the explode + O(K · vocab) for the merges, versus
-     the previous O(K · corpus) of K corpus-wide replace passes (kept
-     as `mode="fused"`, the shape the DuckDB oracle replays; both modes
-     are result-identical — tested).
+  3. Segmentation (the 100 TB path — VERDICT r4 item 1): fold the input
+     to its DISTINCT word table (one hash exchange), apply the K merge
+     rules to each distinct word ONCE (vocab-sized work, not
+     corpus-sized), then map the segmentations back onto every word
+     occurrence — dictionary-encode each corpus batch and `index_in`
+     against the broadcast vocab (zero extra shuffle) when the vocab
+     `fits_broadcast`, or ONE `shuffle_join` on the word key when it
+     doesn't. Total work is O(corpus) for the explode + O(K · vocab) for
+     the merges, versus O(K · corpus) for K corpus-wide replace passes
+     (the shape the DuckDB oracle replays; the tests keep it as the
+     reference and check the two are result-identical).
 
 Symbol-string representation (what makes a merge ONE literal replace,
 in Arrow and in SQL): every symbol is wrapped in pipes and symbols are
@@ -64,6 +63,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+
+from crawlray.ops.exchange import (
+    aggregate,
+    aggregate_fns,
+    fits_broadcast,
+    hash_exchange,
+    join,
+)
 
 _MERGE_SCHEMA = pa.schema(
     [
@@ -211,9 +218,6 @@ def bpe_word_table(
     the corpus. Default mode keeps the oracle's exact token admission
     (whitespace split, `^[a-z]+$` filter, no lowering); byte-level
     admits every whitespace-delimited word via the byte alphabet."""
-    from crawlray.ops.exchange import hash_exchange
-    from crawlray.ops.relational import count_fns
-
     def _toks(batch: pa.Table) -> pa.Table:
         if byte_level:
             flat = pc.list_flatten(
@@ -227,7 +231,7 @@ def bpe_word_table(
         keep = pc.match_substring_regex(toks, "^[a-z]+$")
         return pa.table({"token": toks.filter(keep)})
 
-    partial, count = count_fns(_toks, ["token"], "freq")
+    partial, count = aggregate_fns(["token"], {"freq": (None, "count")}, _toks)
 
     def _wrap(group: pa.Table) -> pa.Table:
         freqs = count(group)
@@ -296,7 +300,6 @@ def bpe_train(
     materialized base, pair explode, ONE small hash exchange, per-block
     top-1 partials, O(#partitions) driver rows. Both paths are
     result-identical (tested)."""
-    from crawlray.ops.relational import grouped_sum_hash
     from crawlray.ops.textqa import explode_bigrams
 
     def _top1(batch: pa.Table) -> pa.Table:
@@ -375,8 +378,8 @@ def bpe_train(
 
             cur = words.map_batches(_apply_all, batch_format="pyarrow")
         pairs = explode_bigrams(cur, id_col="freq", text_col="sym")
-        counts = grouped_sum_hash(
-            pairs, ["w1", "w2"], "freq", alias="cnt", num_partitions=8
+        counts = aggregate(
+            pairs, ["w1", "w2"], {"cnt": ("freq", "sum")}, num_partitions=8
         )
         cand = counts.map_batches(_top1, batch_format="pyarrow").take_all()
         if not cand:
@@ -396,17 +399,6 @@ def bpe_train(
     return pa.Table.from_pylist(merges, schema=_MERGE_SCHEMA)
 
 
-def _clean_and_wrap(col: pa.Array | pa.ChunkedArray) -> pa.Array:
-    """Fused-mode segmentation preprocessing: lowercase, strip
-    non-[a-z ], wrap every remaining char (spaces become the '| |'
-    symbol, which no learned rule can merge across — rules never
-    contain the space symbol)."""
-    cleaned = pc.replace_substring_regex(
-        pc.utf8_lower(col), pattern="[^a-z ]", replacement=""
-    )
-    return wrap_symbols(cleaned)
-
-
 def _rules_of(merges: pa.Table) -> list[tuple[str, str]]:
     return [
         ("|" + lf + "| |" + rt + "|", "|" + mg + "|")
@@ -423,74 +415,29 @@ def bpe_segment_tokens(
     merges: pa.Table,
     id_col: str = "doc_id",
     text_col: str = "text",
-    mode: str = "distinct",
     byte_level: bool = False,
-    broadcast_threshold: int = 1_000_000,
 ) -> ray.data.Dataset:
     """Tokenize a corpus with learned merge rules → (id, token) rows.
 
-    `mode="distinct"` (default — the scale path, VERDICT r4 item 1):
-    the input folds to its DISTINCT word table (one hash exchange), the
-    K rules apply to each distinct word ONCE (O(K · vocab) total, not
-    O(K · corpus)), and the per-word segmentations map back onto every
-    occurrence. Map-back is adaptive: vocab ≤ `broadcast_threshold`
-    rows → the (word, seg) table is `ray.put` ONCE and every corpus
-    batch resolves its words via dictionary-encode + `index_in`
+    The scale path (VERDICT r4 item 1): the input folds to its DISTINCT
+    word table (one hash exchange), the K rules apply to each distinct
+    word ONCE (O(K · vocab) total, not O(K · corpus)), and the per-word
+    segmentations map back onto every occurrence. Map-back is adaptive:
+    a (word, seg) table that `fits_broadcast` is `ray.put` ONCE and
+    every corpus batch resolves its words via dictionary-encode + `index_in`
     (zero-copy plasma read, zero extra shuffle, output preserves
     document order); larger vocabs → ONE hash join on the word key
     (row order not guaranteed — token MULTISET per doc is identical).
-    Distinct mode runs the input lineage twice (vocab, then map-back):
-    materialize a costly or nondeterministic input first (a broadcast
-    map-back raises on a word the vocab lacks).
-
-    `mode="fused"`: K vectorized replace passes over the whole corpus
-    per batch — the exact shape the DuckDB oracle replays
-    (`__ray_entry__._flatten_tokens` bseg CTE); zero shuffles, O(K ·
-    corpus) work. Result-identical to "distinct" (rules never merge
-    across the word separator — tested at multiple block counts).
+    It runs the input lineage twice (vocab, then map-back): materialize
+    a costly or nondeterministic input first (a broadcast map-back
+    raises on a word the vocab lacks). The result equals K vectorized
+    replace passes over the whole text, the shape the DuckDB oracle
+    replays (`__ray_entry__._flatten_tokens` bseg CTE): rules never
+    merge across the word separator (tested at multiple block counts).
 
     byte-level tokens are emitted in the mapped-symbol alphabet
     (lossless); use `byte_decode` to render them."""
     rules = _rules_of(merges)
-
-    if mode == "fused":
-
-        def _seg(batch: pa.Table) -> pa.Table:
-            text = batch.column(text_col).combine_chunks()
-            if byte_level:
-                sym = wrap_symbols(
-                    bytes_to_chars(
-                        pc.replace_substring_regex(
-                            text, pattern=r"\s+", replacement=" "
-                        )
-                    )
-                )
-            else:
-                sym = _clean_and_wrap(text)
-            for pat, rep in rules:
-                sym = pc.replace_substring(sym, pattern=pat, replacement=rep)
-            toks = pc.split_pattern(sym, pattern=" ")
-            parents = pc.list_parent_indices(toks)
-            flat = pc.list_flatten(toks)
-            # the wrapped space symbol '| |' splits into two bare '|'
-            # pieces (it contains the delimiter); they and empties trim
-            # to '' — one post-trim non-empty filter drops them all
-            trimmed = pc.utf8_trim(flat, characters="|")
-            keep = pc.not_equal(trimmed, pa.scalar(""))
-            return pa.table(
-                {
-                    id_col: batch.column(id_col).take(parents).filter(keep),
-                    "token": trimmed.filter(keep),
-                }
-            )
-
-        return ds.map_batches(_seg, batch_format="pyarrow")
-
-    if mode != "distinct":
-        raise ValueError(f"mode must be 'distinct' or 'fused', got {mode!r}")
-
-    from crawlray.ops.exchange import hash_exchange, join
-    from crawlray.ops.relational import count_fns
 
     def _words_only(batch: pa.Table) -> pa.Table:
         flat = pc.list_flatten(
@@ -502,17 +449,16 @@ def bpe_segment_tokens(
             w = bytes_to_chars(w)
         return pa.table({"word": w})
 
-    partial, count = count_fns(_words_only, ["word"], "freq")
+    partial, distinct = aggregate_fns(["word"], {}, _words_only)
 
     def _seg_vocab(group: pa.Table) -> pa.Table:
-        words = count(group).column("word").combine_chunks()
+        words = distinct(group).column("word").combine_chunks()
         sym = wrap_symbols(words)
         for pat, rep in rules:
             sym = pc.replace_substring(sym, pattern=pat, replacement=rep)
         return pa.table({"word": words, "seg": sym})
 
     segd = hash_exchange(ds, ["word"], _seg_vocab, partial)
-    n_vocab = segd.count()
 
     def _explode_occurrences(batch: pa.Table):
         """batch → (parents: row index per word occurrence, words)."""
@@ -539,7 +485,7 @@ def bpe_segment_tokens(
         toks = pc.utf8_trim(pc.list_flatten(tok_lists), characters="|")
         return pa.table({id_col: ids.take(tparents), "token": toks})
 
-    if n_vocab <= broadcast_threshold:
+    if fits_broadcast(segd.size_bytes() or 0):
         vt = pa.concat_tables(ray.get(segd.to_arrow_refs())).combine_chunks()
         vt_ref = ray.put(vt)
 
@@ -585,22 +531,9 @@ def bpe_vocab_counts(
     merges: pa.Table,
     id_col: str = "doc_id",
     text_col: str = "text",
-    mode: str = "distinct",
     byte_level: bool = False,
 ) -> ray.data.Dataset:
     """Corpus-wide BPE token counts under learned rules → (token, n):
     segmentation + ONE hash-count exchange."""
-    from crawlray.ops.relational import grouped_count_hash
-
-    return grouped_count_hash(
-        bpe_segment_tokens(
-            ds,
-            merges,
-            id_col=id_col,
-            text_col=text_col,
-            mode=mode,
-            byte_level=byte_level,
-        ),
-        ["token"],
-        alias="n",
-    )
+    segs = bpe_segment_tokens(ds, merges, id_col, text_col, byte_level=byte_level)
+    return aggregate(segs, ["token"], {"n": (None, "count")})

@@ -46,8 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from crawlray.ops.exchange import hash_exchange
-from crawlray.ops.relational import count_fns
+from crawlray.ops.exchange import aggregate, aggregate_fns, hash_exchange
 
 
 def _count_tokens(
@@ -613,7 +612,7 @@ def dup_spans(
 
     Distributed shape (mirrors `decontaminate` — no driver rows, no
     all-pairs work):
-      1. gram frequency: `grouped_count_hash` over the gram stream —
+      1. gram frequency: an `aggregate` count over the gram stream —
          map-side Arrow hash partials + ONE hash exchange whose volume is
          distinct-grams-per-block, not the raw token stream;
       2. the duplicated-gram set (count >= min_count — a small fraction of
@@ -714,7 +713,7 @@ def _gram_set(grams: ray.data.Dataset, min_count: int = 1) -> ray.data.Dataset:
     """Distinct `gram` values occurring >= min_count times: map-side
     Arrow hash partials + one hash exchange → one `gram` column."""
 
-    partial, count = count_fns(lambda b: b.select(["gram"]), ["gram"], "n")
+    partial, count = aggregate_fns(["gram"], {"n": (None, "count")})
 
     def _merge(group: pa.Table) -> pa.Table:
         g = count(group)
@@ -947,7 +946,7 @@ def decontaminate(
     anti-joins on the result (or inspects it) to drop contaminated docs.
 
     Shape at scale: the benchmark gram set dedupes through a hash-bucket
-    exchange (grouped_count_hash — no sort shuffle); the RAW corpus gram
+    exchange (`aggregate` — no sort shuffle); the RAW corpus gram
     stream is probed by the Bloom semi-join FIRST (O(#blocks) bitmap
     partials OR-merged on the driver, broadcast probe, exact hash-join
     verify of candidates only) and only the surviving hits pay the
@@ -957,7 +956,7 @@ def decontaminate(
     moves the biggest shuffle (44M pairs → hit volume) behind the
     filter; at saturation (everything matches) cost is unchanged.
     """
-    from crawlray.ops.relational import bloom_semi_join, grouped_count_hash
+    from crawlray.ops.relational import bloom_semi_join
 
     if bench_grams is None:
         bench_grams = benchmark_grams(benchmark, id_col, text_col, n)
@@ -967,8 +966,8 @@ def decontaminate(
         # skip bloom_semi_join's internal dedup exchange
         right_is_distinct=True,
     )
-    hits = grouped_count_hash(hits_raw, [id_col, "gram"])
-    return grouped_count_hash(hits, [id_col], alias="n_hits")
+    hits = aggregate(hits_raw, [id_col, "gram"], {})
+    return aggregate(hits, [id_col], {"n_hits": (None, "count")})
 
 
 def decontaminate_spans(

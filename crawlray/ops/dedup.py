@@ -1,11 +1,8 @@
 """Exact deduplication operators (SURVEY.md O-30/O-38).
 
-Two kernels:
-
-* `dedup_min_pack` — the crawl engine's within-wave frontier dedup: when the
-  winning row is fully derivable from (key, packed winner value), a single
-  arrow-native `groupby(key).min(pack)` shuffle suffices. This is the
-  scale path (one shuffle, fully vectorized, no per-group Python).
+The crawl engine's within-wave frontier dedup (keep the winning row per
+URL, re-derived from a packed winner value) is the seen-shard actors'
+offer/finish min-combine (crawlray/actors), not an operator here.
 
 * `dedup_keep_first` — generic full-row "keep first by order column" dedup
   for arbitrary schemas. Sort-based and scale-safe:
@@ -126,30 +123,6 @@ def dedup_keep_first_hash(
         return _keep_first_in_block(group.take(idx), key)
 
     return hash_exchange(ds, [key], _kf, num_partitions=num_partitions)
-
-
-def dedup_min_pack(ds: ray.data.Dataset, key: str, pack: str) -> ray.data.Dataset:
-    """Per key, the minimum packed value — single vectorized shuffle.
-
-    Pre-combines within each batch (map-side combiner) so the shuffle moves
-    one row per (batch, key) instead of one per input row — the standard
-    partial-aggregation defense against shuffle volume and key skew
-    (SURVEY.md §4.3). Output columns: [key, pack].
-    """
-
-    def _precombine(batch: pa.Table) -> pa.Table:
-        g = batch.group_by([key]).aggregate([(pack, "min")])
-        # pyarrow names the aggregate f"{pack}_min"; restore original names
-        cols = {key: g.column(key), pack: g.column(f"{pack}_min")}
-        return pa.table(cols)
-
-    pre = ds.map_batches(_precombine, batch_format="pyarrow")
-    agg = pre.groupby(key).min(pack)
-
-    def _rename(b: pa.Table) -> pa.Table:
-        return pa.table({key: b.column(key), pack: b.column(f"min({pack})")})
-
-    return agg.map_batches(_rename, batch_format="pyarrow")
 
 
 def fuzzy_dedup_keep(

@@ -6,17 +6,19 @@ slice per partition by `route`, and one reduce task per partition
 concatenates its slices and runs the caller's `merge` (for a join,
 `pyarrow.Table.join`). Every reduce runs on a typed table, even a 0-row
 one: a side with no rows enters as the empty table of its schema.
-`group_map` is the per-group form of the exchange: each partition is
-sorted and cut into its key groups (`sorted_runs`), and a kernel runs
-once per group, or once on the empty table of a partition with no rows.
+`aggregate` is the grouped aggregate on the exchange: Arrow `group_by`
+partials on the map side, one merge per partition. `group_map` is the
+per-group form: each partition is sorted and cut into its key groups
+(`sorted_runs`), and a kernel runs once per group, or once on the empty
+table of a partition with no rows.
 
 Everything here returns datasets that are materialized, hold no 0-row
 blocks, and carry a schema even when they are empty. The one Ray Data
 2.49.2 quirk left is `typed_map`'s: `map_batches(f)` never calls `f` on
 a 0-row block and emits a schema-less block in its place. `route` is the
 only rule that maps key values to partitions, `partition_count` the
-only rule that sizes an exchange, and `BROADCAST_BYTES` the one size
-below which a side is broadcast instead of exchanged.
+only rule that sizes an exchange, and `fits_broadcast` the one rule
+that broadcasts a side instead of exchanging it.
 """
 
 from __future__ import annotations
@@ -35,17 +37,25 @@ from crawlray.murmur3 import _fmix64_vec, murmur3_x64_128_batch
 Fn = Callable[[pa.Table], pa.Table]
 
 BROADCAST_BYTES = 32 << 20
-"""A side or payload of fewer bytes (materialized `size_bytes()`) is
-`ray.put` once and read by every task; a larger one goes through `join`
-or block pairs. It is safe: one broadcast is a single object-store copy
-per node that tasks read without copying, and 32 MiB is an eighth of the
-smallest object store in use (256 MiB, perfbench), so the copy fits next
-to the exchange blocks in flight without spilling."""
+"""The size below which `fits_broadcast` broadcasts a side. It is safe:
+one broadcast is a single object-store copy per node that tasks read
+without copying, and 32 MiB is an eighth of the smallest object store in
+use (256 MiB, perfbench), so the copy fits next to the exchange blocks
+in flight without spilling."""
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # join types whose result keeps the unmatched rows of the left / right side
 _KEEPS = ({"left_outer", "full_outer", "left_anti"},
           {"right_outer", "full_outer", "right_anti"})
+
+
+def fits_broadcast(nbytes: float) -> bool:
+    """The one broadcast-or-shuffle rule: a side of `nbytes` (a
+    materialized `size_bytes()`, or an estimate of rows x row bytes) is
+    `ray.put` once and read by every task when it is below
+    `BROADCAST_BYTES`; a larger one goes through `join`, `aggregate` or
+    block pairs, so no task holds all of it."""
+    return nbytes < BROADCAST_BYTES
 
 
 def partition_count(*datasets: ray.data.Dataset) -> int:
@@ -144,6 +154,59 @@ def join(
 
     n = num_partitions or partition_count(left, right)
     return _shuffle([(sides[0], list(on)), (sides[1], right_on)], None, _local, n)
+
+
+def aggregate_fns(
+    keys: list[str], aggs: dict[str, tuple[str | None, str]], explode: Fn | None = None
+) -> tuple[Fn, Fn]:
+    """(partial, merge) of `aggregate`, for callers that compose their own
+    `hash_exchange` merge (a filter or a transform after the merge)."""
+    specs = []  # (partial column, its Arrow aggregation, how partials merge)
+    for alias, (col, fn) in aggs.items():
+        if fn == "count":
+            specs.append((alias, ([], "count_all"), "sum"))
+        elif fn == "mean":
+            specs += [(alias, (col, "sum"), "sum"), (alias + "#n", (col, "count"), "sum")]
+        else:  # sum, min and max merge by themselves
+            specs.append((alias, (col, fn), fn))
+
+    def _group(t: pa.Table, how: list) -> pa.Table:
+        g = t.group_by(keys, use_threads=False).aggregate(how)
+        return pa.table(dict(zip([*keys, *(s[0] for s in specs)], g.columns)))
+
+    def _partial(batch: pa.Table) -> pa.Table:
+        return _group(explode(batch) if explode else batch, [s[1] for s in specs])
+
+    def _merge(t: pa.Table) -> pa.Table:
+        g = _group(t, [(s[0], s[2]) for s in specs])
+        for alias, (_, fn) in aggs.items():
+            if fn == "mean":
+                n = g.column(alias + "#n")
+                n = pc.if_else(pc.equal(n, 0), pa.scalar(None, n.type), n)
+                mean = pc.divide(pc.cast(g.column(alias), pa.float64()), n)
+                g = g.set_column(g.schema.get_field_index(alias), alias, mean)
+                g = g.drop_columns([alias + "#n"])
+        return g
+
+    return _partial, _merge
+
+
+def aggregate(
+    ds: ray.data.Dataset,
+    keys: list[str],
+    aggs: dict[str, tuple[str | None, str]],
+    explode: Fn | None = None,
+    num_partitions: int | None = None,
+) -> ray.data.Dataset:
+    """GROUP BY `keys` as one `hash_exchange`: output column `alias` per
+    `aggs` entry `alias: (column, fn)`, fn one of count (rows; column
+    None), sum, min, max and mean (float64; it travels as sum and count
+    partials). No `aggs` gives the distinct key tuples. `explode(batch)`,
+    when given, makes the rows to group from each input block on the map
+    side. Null keys form one group, and a 0-row input gives the typed
+    empty result. Rows come in no particular order."""
+    partial, merge = aggregate_fns(keys, aggs, explode)
+    return hash_exchange(ds, keys, merge, partial, num_partitions)
 
 
 def group_map(ds: ray.data.Dataset, keys: list[str], fn: Fn) -> ray.data.Dataset:

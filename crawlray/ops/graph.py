@@ -8,9 +8,9 @@ family as the priority-policy plug (SURVEY §2.10 O-48).
 Scale shape: ranks and edges are both Datasets — nothing node- or
 edge-proportional ever lands on the driver. Each iteration is
   edges ⋈ ranks (hash shuffle on src)  →  per-edge contribution
-  →  groupby(dst).sum                   →  damping + dangling fold
-with map-side combine inside the groupby and a single O(1) aggregate for
-the dangling mass. 10^10-node graphs run exactly this loop; the only
+  →  aggregate(dst) sum                 →  damping + dangling fold
+with map-side partials inside the aggregate and a single O(1) aggregate
+for the dangling mass. 10^10-node graphs run exactly this loop; the only
 driver state is the scalar dangling sum per iteration.
 """
 
@@ -20,14 +20,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
+from ray.data.aggregate import Sum
 
-from crawlray.ops.exchange import join, typed_map
+from crawlray.ops.exchange import aggregate, fits_broadcast, join, typed_map
 
 
 def _collect_table(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
-    """Materialized small Dataset → one Arrow table. Ray's own
-    groupby-aggregate (the volume guard below) and maps over empty
+    """Materialized small Dataset → one Arrow table. Maps over empty
     caller blocks emit zero-column blocks; drop them before concat."""
     tbls = [
         t
@@ -52,26 +51,13 @@ def _collect_partials(
     VOLUME is actually large (row count on the materialized partials — an
     O(1) metadata read, NOT a block-count proxy: a small graph sharded
     into many blocks stays on the fast path), pre-combine per key with one
-    small Ray Data groupby (tree reduce over already-tiny partials) so the
-    driver receives at most one row per node regardless of edge block
-    count. `agg` is (value_col, 'sum'|'min'), or None for distinct keys.
+    `aggregate` over the already-tiny partials so the driver receives at
+    most one row per node regardless of edge block count. `agg` is
+    (value_col, 'sum'|'min'), or None for distinct keys.
     """
-    from ray.data.aggregate import Min as _Min
-    from ray.data.aggregate import Sum as _Sum
-
     mat = ds.materialize()
     if mat.count() > max_driver_rows:
-        if agg is None:
-            mat = mat.groupby(key).count().select_columns([key])
-        else:
-            col, how = agg
-            a = (
-                _Sum(col, alias_name=col)
-                if how == "sum"
-                else _Min(col, alias_name=col)
-            )
-            mat = mat.groupby(key).aggregate(a)
-        mat = mat.materialize()
+        mat = aggregate(mat, [key], {agg[0]: agg} if agg else {})
     return _collect_table(mat, schema)
 
 
@@ -88,7 +74,7 @@ def _approx_node_count(edges: ray.data.Dataset, cols: list[str]) -> float:
     """HLL (±~1.6%, p=12) estimate of the distinct-node count over the
     union of endpoint columns — ONE streaming pass with a 4 KiB partial
     per block, so probing the chooser costs far less than the distinct
-    groupby it replaces on the small path. Bounded driver state at any
+    exchange it replaces on the small path. Bounded driver state at any
     scale (the guard that makes collecting exact nodes driver-side safe
     to even attempt)."""
     from crawlray.ops.sketch import HLL, _hash_column
@@ -112,17 +98,22 @@ def _approx_node_count(edges: ray.data.Dataset, cols: list[str]) -> float:
     return merged.estimate()
 
 
+def _node_state_fits(edges: ray.data.Dataset, cols: list[str]) -> bool:
+    """`fits_broadcast` for the per-node state of materialized `edges`:
+    the HLL node estimate x one state row (a node id of the edges'
+    average endpoint bytes, plus one 8-byte value)."""
+    row_bytes = (edges.size_bytes() or 0) / max(1, 2 * edges.count()) + 8
+    return fits_broadcast(_approx_node_count(edges, cols) * row_bytes)
+
+
 def _distinct_nodes(edges: ray.data.Dataset, src: str, dst: str):
     """Distinct node Dataset (column `node`) + count N. Node set = union
     of both endpoint columns."""
-    nodes = (
+    nodes = aggregate(
         edges.select_columns([src])
         .rename_columns(["node"])
-        .union(edges.select_columns([dst]).rename_columns(["node"]))
-        .groupby("node")
-        .count()
-        .select_columns(["node"])
-        .materialize()
+        .union(edges.select_columns([dst]).rename_columns(["node"])),
+        ["node"], {},
     )
     return nodes, nodes.count()
 
@@ -131,11 +122,9 @@ def _node_ranks_init(
     edges: ray.data.Dataset, src: str, dst: str, nodes: ray.data.Dataset,
     n: int,
 ):
-    """(node, rank=1/N, outdeg) dataset; out-degrees from one groupby."""
-    deg = (
-        edges.groupby(src)
-        .aggregate(Count(alias_name="outdeg"))
-        .rename_columns({src: "node"})
+    """(node, rank=1/N, outdeg) dataset; out-degrees from one aggregate."""
+    deg = aggregate(edges, [src], {"outdeg": (None, "count")}).rename_columns(
+        {src: "node"}
     )
     withdeg = join(nodes, deg, on=["node"], join_type="left_outer")
 
@@ -162,7 +151,7 @@ def _pagerank_broadcast(
     contributions are partially summed by dst inside the task (Arrow
     group_by, bounded by nodes-per-block), and the driver folds the
     O(#blocks · nodes) partials in numpy. Zero shuffles per iteration —
-    vs 2 shuffle joins + 1 groupby for the shuffle path, whose per-operator
+    vs 2 shuffle joins + 1 aggregate for the shuffle path, whose per-operator
     floors dominate when the graph is small (measured: 16 s/iteration at
     211 nodes vs <2 s here). Correct chooser at 100 TB too: edges can be
     arbitrarily large; this path only requires the NODE state to fit in a
@@ -261,19 +250,21 @@ def pagerank(
     damping: float = 0.85,
     src_col: str = "src",
     dst_col: str = "dst",
-    broadcast_threshold_nodes: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Distributed PageRank over an edge Dataset → (node, rank).
 
     Standard formulation with uniform teleport and dangling-mass
     redistribution:
         r'(v) = (1-d)/N + d·( Σ_{(u,v)∈E} r(u)/outdeg(u) + D/N )
-    where D = Σ r(u) over dangling nodes (outdeg 0). Each iteration is one
-    shuffle join (edges ⋈ ranks on the source) + one groupby(dst) sum +
-    one O(1) dangling aggregate; ranks materialize per iteration so the
-    join's upstream never re-executes. Deterministic: float sums combine
-    through Ray's tree aggregation per iteration, parity-tested against a
-    dense numpy reference to 1e-9 on every node.
+    where D = Σ r(u) over dangling nodes (outdeg 0). Node state that
+    `fits_broadcast` (HLL node estimate x one state row) is broadcast and
+    only the edges stream (`_pagerank_broadcast`). Otherwise each
+    iteration is one shuffle join (edges ⋈ ranks on the source) + one
+    `aggregate` sum on dst + one O(1) dangling aggregate; ranks
+    materialize per iteration so the join's upstream never re-executes.
+    Float sums combine through Arrow partials and one merge per exchange
+    partition; both paths are parity-tested against a dense numpy
+    reference to 1e-9 on every node.
     """
     from crawlray.ops.relational import single_row_agg
 
@@ -285,10 +276,7 @@ def pagerank(
         return ray.data.from_arrow(
             pa.schema([("node", ntype), ("rank", pa.float64())]).empty_table()
         )
-    if (
-        _approx_node_count(edges, [src_col, dst_col])
-        <= broadcast_threshold_nodes
-    ):
+    if _node_state_fits(edges, [src_col, dst_col]):
         # node state fits in a heap: broadcast it, stream only the edges
         # (chooser mirrors broadcast_join vs shuffle_join — see
         # _pagerank_broadcast docstring for the measured floor analysis)
@@ -314,11 +302,7 @@ def pagerank(
             )
             return pa.table({"node": batch.column(dst_col), "w": w})
 
-        sums = (
-            joined.map_batches(_contrib, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Sum("w", alias_name="in_sum"))
-        )
+        sums = aggregate(joined, ["node"], {"in_sum": ("w", "sum")}, _contrib)
         # nodes with NO in-edges still need (teleport + dangling) mass:
         # left-join the full node set against the contribution sums
         base = teleport + damping * dang / n
@@ -437,7 +421,6 @@ def connected_components(
     a_col: str = "id_a",
     b_col: str = "id_b",
     max_iters: int = 50,
-    broadcast_threshold_nodes: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Connected components over an undirected pair Dataset → (node,
     component) where component = the smallest node id in the component.
@@ -446,13 +429,15 @@ def connected_components(
     (minhash/simhash/cosine/SRP) give EDGES; keeping one document per
     duplicate CLUSTER needs the transitive closure. Min-label propagation:
     every node starts labeled with itself; each round, labels flow across
-    edges (one shuffle join + one groupby-min) and a node takes the min of
+    edges (one shuffle join + one `aggregate` min) and a node takes the min of
     its own and its neighbors' labels. Converges in O(component diameter)
     rounds — near-dup clusters are shallow (diameter ≤ ~bands), so a few
     rounds suffice; convergence is detected with a single O(1) changed-count
-    aggregate per round, nothing node-proportional on the driver.
+    aggregate per round, nothing node-proportional on the driver. Label
+    state that `fits_broadcast` (HLL node estimate x one state row) is
+    broadcast instead, and only the edges stream (`_cc_broadcast`).
     """
-    from ray.data.aggregate import Min, Sum
+    from crawlray.ops.relational import single_row_agg
 
     # undirected: propagate both ways
     def _both_ways(batch: pa.Table) -> pa.Table:
@@ -463,31 +448,22 @@ def connected_components(
 
     edges = typed_map(pairs, _both_ways)
 
-    if _approx_node_count(edges, ["u"]) <= broadcast_threshold_nodes:
+    if _node_state_fits(edges, ["u"]):
         # node state fits in a heap: broadcast labels, stream only edges
         return _cc_broadcast(edges, max_iters)
 
-    labels = (
-        edges.select_columns(["u"])
-        .groupby("u")
-        .count()
-        .select_columns(["u"])
-        .map_batches(
-            lambda b: pa.table(
-                {"node": b.column("u"), "label": b.column("u")}
-            ),
-            batch_format="pyarrow",
-        )
-        .materialize()
+    labels = typed_map(
+        aggregate(edges, ["u"], {}),
+        lambda b: pa.table({"node": b.column("u"), "label": b.column("u")}),
     )
 
     for _ in range(max_iters):
         # neighbor labels: edge (u,v) carries label(u) to v
-        carried = join(edges, labels, on=["u"], right_on=["node"]).map_batches(
+        neigh_min = aggregate(
+            join(edges, labels, on=["u"], right_on=["node"]), ["node"],
+            {"nl": ("nl", "min")},
             lambda b: pa.table({"node": b.column("v"), "nl": b.column("label")}),
-            batch_format="pyarrow",
         )
-        neigh_min = carried.groupby("node").aggregate(Min("nl", alias_name="nl"))
         merged = join(labels, neigh_min, on=["node"], join_type="left_outer")
 
         def _take_min(batch: pa.Table) -> pa.Table:
@@ -501,8 +477,6 @@ def connected_components(
             )
 
         labels = merged.map_batches(_take_min, batch_format="pyarrow").materialize()
-        from crawlray.ops.relational import single_row_agg
-
         n_changed = single_row_agg(labels, [Sum("chg", alias_name="c")]).column(
             "c"
         )[0].as_py() or 0
@@ -532,8 +506,6 @@ def triangle_counts(
     ascending degree upstream (output is identical — orientation only
     changes which endpoint pivots — while wedge volume drops to the
     degree-ordered minimum)."""
-    from crawlray.ops.relational import grouped_count_hash
-
     def _as(cols: dict[str, str]):
         def _ren(batch: pa.Table) -> pa.Table:
             return pa.table(
@@ -554,9 +526,7 @@ def triangle_counts(
             for name in ("a", "b", "c")
         )
 
-    return grouped_count_hash(
-        typed_map(tris, _explode_nodes), ["node"], alias="n_tri"
-    )
+    return aggregate(tris, ["node"], {"n_tri": (None, "count")}, _explode_nodes)
 
 
 def kcore(
@@ -565,7 +535,6 @@ def kcore(
     a_col: str = "id_a",
     b_col: str = "id_b",
     max_rounds: int = 16,
-    broadcast_threshold: int = 2_000_000,
 ) -> ray.data.Dataset:
     """k-core of an undirected edge list → (node, deg): the nodes that
     survive iterated removal of every node with degree < k, with their
@@ -578,8 +547,8 @@ def kcore(
     Per round: symmetric-degree count (one hash exchange over the edge
     list), vectorized alive filter (deg >= k), then the edge list is
     restricted to alive endpoints — adaptively (the repo's standard
-    chooser): an alive set at most `broadcast_threshold` keys (known
-    from the degree table's O(1) row-count metadata) is ray.put ONCE and
+    chooser): an alive set that `fits_broadcast` (the degree table's O(1)
+    size metadata) is ray.put ONCE and
     probed map-side (`broadcast_semi_anti` on both endpoints, zero
     shuffles); a larger alive set goes through TWO hash-join
     semi-joins, never driver-held. Peeling is confluent — removal order
@@ -589,7 +558,7 @@ def kcore(
     The SQL-oracle arm replays R fixed MATERIALIZED rounds; any fixpoint
     reached within R is bit-identical (extra rounds are no-ops).
     """
-    from crawlray.ops.relational import broadcast_semi_anti, grouped_count_hash
+    from crawlray.ops.relational import broadcast_semi_anti
 
     def _sym(batch: pa.Table) -> pa.Table:
         return pa.concat_tables(
@@ -625,12 +594,11 @@ def kcore(
         )
 
     for _ in range(max_rounds):
-        deg = grouped_count_hash(edges, ["src"], alias="deg")
+        deg = aggregate(edges, ["src"], {"deg": (None, "count")})
         alive = typed_map(deg, _alive_filter)
-        n_alive = alive.count()
-        if n_alive == deg.count():
+        if alive.count() == deg.count():
             return typed_map(alive, _final)
-        if n_alive <= broadcast_threshold:
+        if fits_broadcast(alive.size_bytes() or 0):
             keys_arr = pa.concat_arrays(
                 [
                     t.column("src").combine_chunks()
@@ -684,8 +652,6 @@ def hits_scores(
     nodes with no in-/out-edges surface as 0 via one final left join
     against the node set. Both paths are result-identical (tested).
     """
-    from crawlray.ops.relational import grouped_count_hash, grouped_sum_hash
-
     ed = typed_map(
         edges,
         lambda b: pa.table({"src": b.column(src_col), "dst": b.column(dst_col)}),
@@ -727,10 +693,7 @@ def hits_scores(
             batch_format="pyarrow",
         )
     )
-    nodes = typed_map(
-        grouped_count_hash(ends, ["node"], alias="_c"),
-        lambda b: b.select(["node"]),
-    )
+    nodes = aggregate(ends, ["node"], {})
 
     h = nodes.map_batches(
         lambda b: pa.table(
@@ -748,26 +711,10 @@ def hits_scores(
             lambda b: pa.table({"src": b.column("node"), "h": b.column("h")}),
             batch_format="pyarrow",
         )
-        j1 = join(ed, hsrc, on=["src"])
-        a = grouped_sum_hash(
-            j1.map_batches(
-                lambda b: b.select(["dst", "h"]), batch_format="pyarrow"
-            ),
-            ["dst"],
-            "h",
-            alias="a",
-        )
-        j2 = join(ed, a, on=["dst"])
-        h = grouped_sum_hash(
-            j2.map_batches(
-                lambda b: pa.table(
-                    {"node": b.column("src"), "h": b.column("a")}
-                ),
-                batch_format="pyarrow",
-            ),
-            ["node"],
-            "h",
-            alias="h",
+        a = aggregate(join(ed, hsrc, on=["src"]), ["dst"], {"a": ("h", "sum")})
+        h = aggregate(
+            join(ed, a, on=["dst"]), ["node"], {"h": ("h", "sum")},
+            lambda b: pa.table({"node": b.column("src"), "h": b.column("a")}),
         )
 
     an = a.map_batches(

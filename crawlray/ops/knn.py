@@ -837,8 +837,8 @@ def cross_similar_join(
     against the existing corpus" primitive (directional output, unlike the
     within-corpus `similar_pairs_cosine`).
 
-    Two shapes, chosen by the slim right side's size in bytes against
-    `exchange.BROADCAST_BYTES`:
+    Two shapes, chosen by `exchange.fits_broadcast` from the slim right
+    side's size in bytes:
     - broadcast (right smaller): the slim right side is `ray.put` once
       and probed inside ONE `map_batches` pass over left — zero shuffle.
       This is the production shape when deduping an incremental batch
@@ -862,7 +862,7 @@ def cross_similar_join(
     r_blocks = _row_blocks(r_slim)
     if not r_blocks:
         return as_dataset([], schema)
-    if (r_slim.size_bytes() or 0) >= exchange.BROADCAST_BYTES:
+    if not exchange.fits_broadcast(r_slim.size_bytes() or 0):
         return as_dataset(
             block_pairs(_kernel, l_slim, r_slim, rows_per_block, exclude_equal_ids), schema)
     r_ref = ray.put(pa.concat_tables(ray.get(r_blocks)))

@@ -204,10 +204,12 @@ def minhash_signatures(
 
     def _sig(batch: pa.Table) -> pa.Table:
         sigs = _signatures(shingles(batch.column(text_col).to_pylist()), num_perm)
+        offsets = np.arange(0, sigs.size + 1, num_perm, dtype=np.int32)
+        values = pa.array(sigs.astype(np.uint64, copy=False).ravel())
         return pa.table(
             {
                 id_col: batch.column(id_col),
-                "sig": pa.array(sigs.tolist(), pa.list_(pa.uint64())),
+                "sig": pa.ListArray.from_arrays(offsets, values),
             }
         )
 

@@ -9,8 +9,8 @@ Two shapes produce pairs of ids:
   larger buckets in one message, and deduplicate (id_a, id_b) with one
   `hash_exchange` whose extra columns reduce by a ufunc per column.
   `verify` then attaches each pair's per-id payload (packed into one
-  binary column) by a broadcast or by two joins, chosen once from the
-  payload's size against `exchange.BROADCAST_BYTES`, and runs the
+  binary column) by a broadcast or by two joins, chosen once by
+  `exchange.fits_broadcast` from the payload's size, and runs the
   operator's similarity kernel on bounded slices of pairs.
 - `block_pairs` (the exact operators) runs a kernel on every block pair
   of one dataset (i <= j) or of two (left x right), one Ray task each.
@@ -143,10 +143,10 @@ def verify(
     blocks.
 
     The payload is `encode(rows)` of the rows of `docs` whose `id_col` is
-    in some pair, so only candidate docs are encoded. Below
-    `exchange.BROADCAST_BYTES` it is `ray.put` once and looked up by id in
-    every task; above, it rides two `exchange.join`s so no task holds all
-    of it. Either way the kernel sees slices of about `_SLICE_BYTES` of
+    in some pair, so only candidate docs are encoded. When its size
+    `exchange.fits_broadcast` it is `ray.put` once and looked up by id in
+    every task; otherwise it rides two `exchange.join`s so no task holds
+    all of it. Either way the kernel sees slices of about `_SLICE_BYTES` of
     payload."""
     refs = _row_blocks(pairs)
     if not refs:
@@ -163,7 +163,7 @@ def verify(
     if not blocks:
         return []
     step = max(1, _SLICE_BYTES * payload.count() // max(1, 2 * size))
-    if size < exchange.BROADCAST_BYTES:
+    if exchange.fits_broadcast(size):
         bcast = ray.put(pa.concat_tables(ray.get(blocks)).sort_by("id").combine_chunks())
     else:
         bcast = None

@@ -10,7 +10,8 @@ Scale notes baked into each op:
   * small sides are broadcast once via `ray.put` and joined per batch with
     Arrow kernels — never re-shipped per batch, never a shuffle;
   * large-large joins go through `exchange.join` (hash-partition both sides);
-  * aggregates use Ray Data's partial+final tree aggregation (no driver
+  * grouped aggregates are `exchange.aggregate` hash exchanges (Arrow
+    partials per block, one merge per partition; no driver
     materialization of the big side).
 """
 
@@ -22,7 +23,14 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import group_map, hash_exchange, join, sorted_runs
+from crawlray.ops.exchange import (
+    aggregate,
+    aggregate_fns,
+    group_map,
+    hash_exchange,
+    join,
+    sorted_runs,
+)
 
 
 def broadcast_join(
@@ -77,79 +85,6 @@ def broadcast_semi_anti(
         return batch.filter(mask)
 
     return big.map_batches(_filter, batch_format="pyarrow")
-
-
-def distinct(ds: ray.data.Dataset, cols: list[str]) -> ray.data.Dataset:
-    """Distinct rows over cols — a groupby shuffle with no aggregates kept."""
-    return ds.groupby(cols).count().select_columns(cols)
-
-
-def count_fns(explode, keys: list[str], alias: str):
-    """(partial, merge) of a COUNT(*)-per-`keys` `hash_exchange` over the
-    rows `explode` makes of each input batch: map-side Arrow hash
-    partials, per-partition Arrow hash merge. Fusing the explode into the
-    map side keeps the count typed on an empty input."""
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        g = explode(batch).group_by(keys).aggregate([([], "count_all")])
-        return g.rename_columns(keys + [alias])
-
-    def _merge(group: pa.Table) -> pa.Table:
-        g = group.group_by(keys).aggregate([(alias, "sum")])
-        return g.rename_columns(keys + [alias])
-
-    return _partial, _merge
-
-
-def grouped_count_hash(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    alias: str = "n",
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """COUNT(*) per key tuple via map-side Arrow hash-aggregation partials
-    + ONE `hash_exchange` + per-partition Arrow hash merge.
-
-    Equivalent to `ds.groupby(keys).aggregate(Count(alias))` but avoids
-    Ray's sort-based groupby shuffle, which was measured at 20x+ the cost
-    of a hash exchange on multi-key row sets (round 4: 36 s -> 1.7 s on
-    4.1M two-int64-key rows). Both the per-block partial and the
-    per-partition merge are pyarrow `Table.group_by` hash aggregations —
-    no sorting anywhere.
-    """
-    partial, merge = count_fns(lambda b: b.select(keys), keys, alias)
-    return hash_exchange(ds, keys, merge, partial, num_partitions)
-
-
-def grouped_sum_hash(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    val_col: str,
-    alias: str = "s",
-    count_alias: str | None = None,
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """SUM(val_col) [+ COUNT(*)] per key tuple — the summing sibling of
-    `grouped_count_hash`: map-side pyarrow hash-aggregation partials + ONE
-    `hash_exchange` + per-partition hash merge (sums of sums, sums of
-    counts — both exactly associative for integer `val_col`, which is why
-    the micro-units int64 trick in `ngram_lm_score` exists).
-    """
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        g = (
-            batch.select(keys + [val_col])
-            .group_by(keys)
-            .aggregate([(val_col, "sum"), ([], "count_all")])
-        )
-        return g.rename_columns(keys + ["_s", "_c"])
-
-    def _merge(group: pa.Table) -> pa.Table:
-        g = group.group_by(keys).aggregate([("_s", "sum"), ("_c", "sum")])
-        g = g.rename_columns(keys + [alias, count_alias or "_c"])
-        return g if count_alias else g.drop_columns(["_c"])
-
-    return hash_exchange(ds, keys, _merge, _partial, num_partitions)
 
 
 def topk(
@@ -647,7 +582,7 @@ def session_windows(
 
 # --------------------------------------------------------------------------
 # skew salting (SURVEY §4.3 "salted-key splitting"; VERDICT r2 item 5).
-# A hot key funnels its whole group through one groupby partition; these
+# A hot key funnels its whole group through one exchange partition; these
 # helpers spread a hot key over S sub-tasks and merge partials, keeping
 # per-task memory bounded at ~|hot key| / S while producing results
 # identical to the unsalted operator.
@@ -889,13 +824,11 @@ def hopping_window_agg(
     overlapping windows per event. One vectorized map_batches EXPLODES
     each event into its window assignments (np.repeat + arange, no row
     loop; fan-out factor window/hop is a constant chosen by the caller),
-    then ONE groupby(window_start) tree-aggregates count + sum. Timestamps
+    and ONE `aggregate` on window_start counts and sums them. Timestamps
     are truncated to whole epoch seconds before window math (matches the
     DuckDB oracle's floor(epoch(ts))); numeric ts columns are taken as
     seconds. Output: (window_start: int64 epoch-seconds, n, total_value).
     """
-    from ray.data.aggregate import Count, Sum
-
     w = int(window_seconds)
     h = int(hop_seconds)
     if w <= 0 or h <= 0 or w % h:
@@ -924,11 +857,9 @@ def hopping_window_agg(
             }
         )
 
-    return (
-        ds.select_columns([ts_col, value_col])
-        .map_batches(_explode, batch_format="pyarrow")
-        .groupby("window_start")
-        .aggregate(Count(alias_name="n"), Sum(value_col, alias_name="total_value"))
+    return aggregate(
+        ds, ["window_start"],
+        {"n": (None, "count"), "total_value": (value_col, "sum")}, _explode,
     )
 
 
@@ -1030,7 +961,7 @@ def grouping_sets_agg(
     SQL's NULL so downstream value-hash comparisons are unambiguous; the
     oracle COALESCEs its NULLs to the same label).
 
-    Scale shape: the DATA takes exactly ONE groupby exchange — at the
+    Scale shape: the DATA takes exactly ONE `aggregate` exchange — at the
     finest granularity (all of `keys`) — and every coarser set is
     re-aggregated from that materialized result, which is one row per
     distinct key tuple (cardinality of the domain, not of the data).
@@ -1040,14 +971,10 @@ def grouping_sets_agg(
     distributed aggregation. The previous one-shuffle-PER-LEVEL shape
     cost len(sets) passes over the raw input.
     """
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     key_order = {k: i for i, k in enumerate(keys)}
-    fine = (
-        ds.groupby(keys)
-        .aggregate(Count(alias_name="n"), Sum(value_col, alias_name="sum_v"))
-        .materialize()
-    )
+    fine = aggregate(ds, keys, {"n": (None, "count"), "sum_v": (value_col, "sum")})
     out = None
     for raw in sets:
         sub = sorted(set(raw), key=key_order.__getitem__)
@@ -1055,17 +982,7 @@ def grouping_sets_agg(
         if sub == list(keys):
             level = fine
         elif sub:
-            g = fine.groupby(sub).aggregate(
-                Sum("n", alias_name="_n2"), Sum("sum_v", alias_name="_s2")
-            )
-
-            def _rn(batch: pa.Table, _sub=tuple(sub)) -> pa.Table:
-                cols = {c: batch.column(c) for c in _sub}
-                cols["n"] = batch.column("_n2")
-                cols["sum_v"] = batch.column("_s2")
-                return pa.table(cols)
-
-            level = g.map_batches(_rn, batch_format="pyarrow")
+            level = aggregate(fine, sub, {"n": ("n", "sum"), "sum_v": ("sum_v", "sum")})
         else:
             total = single_row_agg(
                 fine,
@@ -1221,14 +1138,12 @@ def bloom_semi_join(
     # repartition(2) would funnel a large key set into 2 reduce tasks.
     # right_is_distinct skips the dedup exchange when the caller already
     # guarantees one row per key (e.g. decontaminate feeds the output of
-    # grouped_count_hash). The dedup is a hash exchange, not `distinct()`'s
+    # a no-aggs `aggregate`). The dedup is a hash exchange, not Ray's
     # sort-based groupby (the sort shuffle was measured at 20x+ a hash
     # exchange on key sets of this shape).
     rdist = right.select_columns([key])
     if not right_is_distinct:
-        rdist = grouped_count_hash(rdist, [key], alias="_c").select_columns(
-            [key]
-        )
+        rdist = aggregate(rdist, [key], {})
     # semi/anti joins emit each left row at most once, whatever the
     # multiplicity of its key on the right
     verified = join(
@@ -1315,14 +1230,13 @@ def set_op(
     cols: list[str],
     op: str = "except",
 ) -> ray.data.Dataset:
-    """SQL EXCEPT / INTERSECT (distinct set semantics) in ONE groupby
-    shuffle, no join: tag each side, union, group by the row value, and
+    """SQL EXCEPT / INTERSECT (distinct set semantics) in ONE `aggregate`
+    exchange, no join: tag each side, union, group by the row value, and
     keep groups seen only-left (EXCEPT) or on both sides (INTERSECT) via
     min/max of the side tag. Map-side partial aggregation bounds the
     shuffle volume by the number of DISTINCT rows per block."""
     if op not in ("except", "intersect"):
         raise ValueError("op must be 'except' or 'intersect'")
-    from ray.data.aggregate import Max, Min
 
     def _tag(side: int):
         def _t(batch: pa.Table) -> pa.Table:
@@ -1340,19 +1254,15 @@ def set_op(
     ).union(
         right.select_columns(cols).map_batches(_tag(1), batch_format="pyarrow")
     )
-    agg = both.groupby(cols).aggregate(
-        Min("_side", alias_name="mn"), Max("_side", alias_name="mx")
-    )
+    partial, merge = aggregate_fns(cols, {"mn": ("_side", "min"), "mx": ("_side", "max")})
 
-    def _keep(batch: pa.Table) -> pa.Table:
-        mn, mx = batch.column("mn"), batch.column("mx")
-        if op == "except":
-            mask = pc.and_(pc.equal(mn, 0), pc.equal(mx, 0))
-        else:
-            mask = pc.and_(pc.equal(mn, 0), pc.equal(mx, 1))
-        return batch.filter(mask).select(cols)
+    def _keep(group: pa.Table) -> pa.Table:
+        g = merge(group)
+        mask = pc.and_(pc.equal(g.column("mn"), 0),
+                       pc.equal(g.column("mx"), 0 if op == "except" else 1))
+        return g.filter(mask).select(cols)
 
-    return agg.map_batches(_keep, batch_format="pyarrow")
+    return hash_exchange(both, cols, _keep, partial)
 
 
 def pivot_agg(
@@ -1366,12 +1276,11 @@ def pivot_agg(
     SUM(CASE WHEN pivot=v THEN value ELSE 0 END) ... GROUP BY group).
 
     Map-side the batch is widened with one masked value column per pivot
-    value (vectorized if_else) — then ONE groupby sums them all, so the
+    value (vectorized if_else) — then ONE `aggregate` sums them all, so the
     shuffle moves one row per (block, group) regardless of how many pivot
     columns exist. `pivot_values` must be the explicit category list (at
-    scale you get it from `distinct()` or `frequent_items()`), which also
-    fixes the output schema up front."""
-    from ray.data.aggregate import Sum
+    scale you get it from a no-`aggs` `aggregate` or `frequent_items()`),
+    which also fixes the output schema up front."""
 
     def _widen(batch: pa.Table) -> pa.Table:
         cols = {group_col: batch.column(group_col)}
@@ -1382,12 +1291,8 @@ def pivot_agg(
             cols[f"v_{v}"] = pc.if_else(pc.equal(pv, v), val, zero)
         return pa.table(cols)
 
-    return (
-        ds.map_batches(_widen, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(
-            *[Sum(f"v_{v}", alias_name=f"v_{v}") for v in pivot_values]
-        )
+    return aggregate(
+        ds, [group_col], {f"v_{v}": (f"v_{v}", "sum") for v in pivot_values}, _widen
     )
 
 

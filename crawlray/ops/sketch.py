@@ -428,7 +428,7 @@ def count_min(
     width) int64 counter matrix. CM is a LINEAR sketch (merge =
     elementwise add), so each block contributes a SPARSE partial —
     (slot, cnt) rows for its occupied counters only — and one
-    `grouped_sum_hash` exchange folds them; the driver receives at most
+    `exchange.aggregate` sum folds them; the driver receives at most
     depth x width summary rows (O(1) in the data size), exactly the
     mergeable-summary shape of the HLL/MG/KMV sketches in this module.
     Guarantees (deterministic, not probabilistic, given the fixed seeds):
@@ -438,7 +438,7 @@ def count_min(
     if depth > len(_CM_SEEDS):
         raise ValueError(f"depth <= {len(_CM_SEEDS)} supported")
 
-    from crawlray.ops.relational import grouped_sum_hash
+    from crawlray.ops.exchange import aggregate
 
     def _partial(batch: pa.Table) -> pa.Table:
         # null keys are ignored (they would otherwise surface as NaN
@@ -469,12 +469,7 @@ def count_min(
             }
         )
 
-    rows = grouped_sum_hash(
-        ds.map_batches(_partial, batch_format="pyarrow"),
-        ["slot"],
-        "cnt",
-        alias="cnt",
-    ).take_all()
+    rows = aggregate(ds, ["slot"], {"cnt": ("cnt", "sum")}, _partial).take_all()
     cm = np.zeros(depth * width, np.int64)
     for r in rows:
         cm[r["slot"]] = r["cnt"]

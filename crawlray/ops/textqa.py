@@ -18,8 +18,14 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import hash_exchange, join, typed_map
-from crawlray.ops.relational import count_fns
+from crawlray.ops.exchange import (
+    aggregate,
+    aggregate_fns,
+    fits_broadcast,
+    hash_exchange,
+    join,
+    typed_map,
+)
 
 # Tiny per-language stopword lists for the n-gram/stopword heuristic
 # language-ID. Deterministic, dependency-free; not a production model.
@@ -378,10 +384,10 @@ def tfidf(
     # dl is functionally dependent on id_col, so adding it as a group key
     # changes no group and costs only the extra int64 hash mix per row.
     tf_keys = [id_col, "token", "dl"] if bm25 else [id_col, "token"]
-    partial, merge = count_fns(
-        _token_exploder(id_col, text_col, with_len=bm25), tf_keys, "tf"
+    tf = aggregate(
+        ds, tf_keys, {"tf": (None, "count")},
+        _token_exploder(id_col, text_col, with_len=bm25),
     )
-    tf = hash_exchange(ds, tf_keys, merge, partial)
     # an empty corpus has no average length (and no rows to score)
     avgdl = float(tf.sum("tf")) / float(n_docs) if bm25 and n_docs else 0.0
 
@@ -466,7 +472,6 @@ def pmi_collocations(
     text_col: str = "text",
     min_count: int = 2,
     ndigits: int = 6,
-    broadcast_threshold: int = 1 << 20,
 ) -> ray.data.Dataset:
     """Collocation mining: pointwise mutual information over adjacent
     token pairs → (w1, w2, c12, c1, c2, pmi) for every bigram seen at
@@ -476,26 +481,27 @@ def pmi_collocations(
     Distributed shape (neither the vocabulary nor the bigram table is
     ever broadcast or driver-held — both have huge heavy tails at corpus
     scale):
-      1. vectorized bigram explode → c12 via `grouped_count_hash`
+      1. vectorized bigram explode → c12 via one `aggregate` count
          (map-side partials + ONE hash exchange); the min_count filter
          runs BEFORE the joins, pruning the pair table to the
          collocation tail;
       2. token explode → unigram counts (one exchange), materialized
          once and joined twice — keyed on w1 then on w2. Adaptive (the
          pagerank broadcast-chooser pattern, O(1) metadata check on the
-         materialized table): a vocabulary of at most
-         `broadcast_threshold` rows is pulled once and broadcast-joined
+         materialized table): a vocabulary that `fits_broadcast` (its
+         `size_bytes()`) is pulled once and broadcast-joined
          (zero further shuffles — two chained shuffle joins cost
          seconds that a 31-row vocab never earns, measured round 5
          with Ray's aggregator-actor join: 4.2 s → sub-second); above the
          threshold both joins run as hash shuffle joins (unigram side
          is one row per distinct term, so its skew is bounded);
-      3. TU is the one driver scalar (summed off the materialized
-         unigram table, no extra corpus scan).
+      3. TU is the one driver scalar (summed off the broadcast table on
+         the driver, or off the materialized unigram table — no extra
+         corpus scan).
     Scores are rounded to `ndigits`; the arithmetic parenthesization
     mirrors the DuckDB oracle so doubles are bit-identical."""
-    c12_partial, c12_sum = count_fns(
-        _bigram_exploder(id_col, text_col), ["w1", "w2"], "c12"
+    c12_partial, c12_sum = aggregate_fns(
+        ["w1", "w2"], {"c12": (None, "count")}, _bigram_exploder(id_col, text_col)
     )
 
     def _c12_merge(group: pa.Table) -> pa.Table:
@@ -503,12 +509,9 @@ def pmi_collocations(
         return g.filter(pc.greater_equal(g.column("c12"), pa.scalar(min_count)))
 
     c12 = hash_exchange(ds, ["w1", "w2"], _c12_merge, c12_partial)
-    uni_partial, uni_merge = count_fns(
-        _token_exploder(id_col, text_col), ["token"], "c"
+    uni = aggregate(
+        ds, ["token"], {"c": (None, "count")}, _token_exploder(id_col, text_col)
     )
-    uni = hash_exchange(ds, ["token"], uni_merge, uni_partial)
-    # an empty corpus has no tokens: TU is unused, there is nothing to score
-    tu = float(uni.sum("c") or 0)
 
     def _as(w: str, c: str):
         def _ren(batch: pa.Table) -> pa.Table:
@@ -518,7 +521,7 @@ def pmi_collocations(
 
         return _ren
 
-    def _score(batch: pa.Table) -> pa.Table:
+    def _score(batch: pa.Table, tu: float) -> pa.Table:
         c12v = batch.column("c12").combine_chunks().to_numpy().astype(
             np.float64
         )
@@ -540,20 +543,23 @@ def pmi_collocations(
             }
         )
 
-    if uni.count() <= broadcast_threshold:
+    if fits_broadcast(uni.size_bytes() or 0):
         ut = pa.concat_tables(ray.get(uni.to_arrow_refs())).combine_chunks()
+        tu = float(pc.sum(ut.column("c")).as_py() or 0)
         sides_ref = ray.put((_as("w1", "c1")(ut), _as("w2", "c2")(ut)))
 
         def _attach_score(batch: pa.Table) -> pa.Table:
             u1, u2 = ray.get(sides_ref)
-            return _score(batch.join(u1, keys="w1").join(u2, keys="w2"))
+            return _score(batch.join(u1, keys="w1").join(u2, keys="w2"), tu)
 
         return typed_map(c12, _attach_score)
+    # an empty corpus has no tokens: TU is unused, there is nothing to score
+    tu = float(uni.sum("c") or 0)
     j1 = join(c12, uni.map_batches(_as("w1", "c1"), batch_format="pyarrow"),
               on=["w1"])
     j2 = join(j1, uni.map_batches(_as("w2", "c2"), batch_format="pyarrow"),
               on=["w2"])
-    return typed_map(j2, _score)
+    return typed_map(j2, lambda b: _score(b, tu))
 
 
 def ngram_lm_score(
@@ -577,15 +583,15 @@ def ngram_lm_score(
          materialized ONCE (block pinning; read by the train filter and
          the scoring join);
       2. train slice (vectorized is_in filter) → C(w1,w2), C(w1) and the
-         vocabulary size V via three `grouped_*_hash` tree aggregations
-         (one hash exchange each; only V is a driver scalar);
+         vocabulary size V via three `aggregate` counts (one hash
+         exchange each; only V is a driver scalar);
       3. all-docs grams ⋈ C(w1,w2) on (w1,w2), then ⋈ C(w1) on w1 — both
          LEFT OUTER hash-shuffle joins (unseen pairs/contexts get count
          0, the smoothing floor), the tfidf term-keyed-join shape;
       4. per-term logprob ln((cb+k)/(cu+k·V)) rounded to integer
          MICRO-UNITS (×1e6 → int64): per-doc sums are then EXACT and
          addition-order-free in every engine, so the distributed reduce
-         (`grouped_sum_hash`) and a SQL oracle's SUM agree bit-for-bit —
+         (an `aggregate` sum) and a SQL oracle's SUM agree bit-for-bit —
          no float-jitter rounding hedge needed on the aggregate;
       5. nll = -sum_micro / (n_grams · 1e6): one exact IEEE division of
          exactly-representable values.
@@ -594,8 +600,6 @@ def ngram_lm_score(
     (same as the SQL oracle's GROUP BY over exploded pairs).
     """
     import numpy as np
-
-    from crawlray.ops.relational import grouped_count_hash, grouped_sum_hash
 
     train_set = pa.array(sorted(train_sources), pa.string())
     grams = explode_bigrams(
@@ -607,12 +611,8 @@ def ngram_lm_score(
         return batch.filter(mask).select(["w1", "w2"])
 
     train = grams.map_batches(_train_filter, batch_format="pyarrow")
-    cb = grouped_count_hash(train, ["w1", "w2"], alias="cb")
-    cu = grouped_count_hash(
-        train.map_batches(lambda b: b.select(["w1"]), batch_format="pyarrow"),
-        ["w1"],
-        alias="cu",
-    )
+    cb = aggregate(train, ["w1", "w2"], {"cb": (None, "count")})
+    cu = aggregate(train, ["w1"], {"cu": (None, "count")})
     vocab = train.map_batches(
         lambda b: pa.table({"w": b.column("w1")}), batch_format="pyarrow"
     ).union(
@@ -620,7 +620,7 @@ def ngram_lm_score(
             lambda b: pa.table({"w": b.column("w2")}), batch_format="pyarrow"
         )
     )
-    v = int(grouped_count_hash(vocab, ["w"], alias="_c").count())
+    v = int(aggregate(vocab, ["w"], {}).count())
     if v == 0:
         raise ValueError(
             f"ngram_lm_score: train slice {train_sources!r} produced no "
@@ -655,9 +655,9 @@ def ngram_lm_score(
             }
         )
 
-    terms = j2.map_batches(_logprob_micro, batch_format="pyarrow")
-    per_doc = grouped_sum_hash(
-        terms, [id_col], "lpm", alias="lpm_sum", count_alias="n_grams"
+    per_doc = aggregate(
+        j2, [id_col], {"lpm_sum": ("lpm", "sum"), "n_grams": (None, "count")},
+        _logprob_micro,
     )
 
     def _final(batch: pa.Table) -> pa.Table:
@@ -706,13 +706,13 @@ def dsir_weights(
          `n_buckets` feature ids (hash_mode="md5" = the repo's standard
          oracle-parity idiom, per-row like `weighted_sample`;
          hash_mode="murmur3" = the vectorized production path);
-      2. target / corpus feature histograms via `grouped_count_hash` —
+      2. target / corpus feature histograms via `aggregate` counts —
          each is ≤ B rows NO MATTER THE CORPUS SIZE, so unlike
          `ngram_lm_score`'s unbounded bigram table both fit on the
          driver (documented O(B) pull) and the smoothed log-ratio
          lookup broadcasts into the scoring stage as a B-float numpy
          closure — ZERO joins;
-      3. per-term log-ratios in int64 micro-units → `grouped_sum_hash`
+      3. per-term log-ratios in int64 micro-units → an `aggregate` sum
          per doc (the one shuffle) → exact, order-free sums, bit-equal
          to the SQL oracle.
 
@@ -725,8 +725,6 @@ def dsir_weights(
 
     if hash_mode not in ("md5", "murmur3"):
         raise ValueError("hash_mode must be 'md5' or 'murmur3'")
-
-    from crawlray.ops.relational import grouped_count_hash, grouped_sum_hash
 
     target_set = pa.array(sorted(target_sources), pa.string())
     grams = explode_bigrams(
@@ -777,21 +775,9 @@ def dsir_weights(
         return h, int(h.sum())
 
     tgt_h, tgt_n = _histogram(
-        grouped_count_hash(
-            feats.map_batches(_target_only, batch_format="pyarrow"),
-            ["b"],
-            alias="c",
-        )
+        aggregate(feats, ["b"], {"c": (None, "count")}, _target_only)
     )
-    src_h, src_n = _histogram(
-        grouped_count_hash(
-            feats.map_batches(
-                lambda t: t.select(["b"]), batch_format="pyarrow"
-            ),
-            ["b"],
-            alias="c",
-        )
-    )
+    src_h, src_n = _histogram(aggregate(feats, ["b"], {"c": (None, "count")}))
     if tgt_n == 0:
         raise ValueError(
             f"dsir_weights: target slice {target_sources!r} produced no "
@@ -814,9 +800,9 @@ def dsir_weights(
             }
         )
 
-    terms = feats.map_batches(_score_terms, batch_format="pyarrow")
-    per_doc = grouped_sum_hash(
-        terms, [id_col], "lrm", alias="lrm_sum", count_alias="n_grams"
+    per_doc = aggregate(
+        feats, [id_col], {"lrm_sum": ("lrm", "sum"), "n_grams": (None, "count")},
+        _score_terms,
     )
 
     def _final(batch: pa.Table) -> pa.Table:
@@ -867,7 +853,7 @@ def nb_quality_score(
       1. token explode carrying an int 0/1 label (vectorized is_in),
          materialized ONCE (read by training and scoring);
       2. train = ONE hash exchange: per-token SUM(label) + COUNT(*)
-         (`grouped_sum_hash`) → cpos, cneg = ctot - cpos; class totals
+         (one `aggregate`) → cpos, cneg = ctot - cpos; class totals
          Tpos/Tneg and vocabulary size V are O(1) driver scalars folded
          from the count table's own per-block partials;
       3. score: tokens ⋈ weights LEFT OUTER on token (tfidf/ppl join
@@ -881,8 +867,6 @@ def nb_quality_score(
     import math
 
     import numpy as np
-
-    from crawlray.ops.relational import grouped_sum_hash
 
     pos_set = pa.array(sorted(pos_sources), pa.string())
 
@@ -903,9 +887,7 @@ def nb_quality_score(
 
     tok = ds.map_batches(_explode_lab, batch_format="pyarrow").materialize()
 
-    cnt = grouped_sum_hash(
-        tok, ["token"], "lab", alias="cpos", count_alias="ctot"
-    )
+    cnt = aggregate(tok, ["token"], {"cpos": ("lab", "sum"), "ctot": (None, "count")})
 
     # class totals + vocab size: O(#blocks) driver rows off the (already
     # vocab-sized) count table — one row of partial sums per block.
@@ -979,9 +961,9 @@ def nb_quality_score(
             }
         )
 
-    terms = j.map_batches(_logodds_micro, batch_format="pyarrow")
-    per_doc = grouped_sum_hash(
-        terms, [id_col], "m", alias="m_sum", count_alias="n_tokens"
+    per_doc = aggregate(
+        j, [id_col], {"m_sum": ("m", "sum"), "n_tokens": (None, "count")},
+        _logodds_micro,
     )
 
     def _final(batch: pa.Table) -> pa.Table:
@@ -1017,9 +999,9 @@ def corpus_diagnostics(
     boilerplate however many tokens it has).
 
     Distributed shape: ONE (source, token) hash-count exchange (the
-    vocabulary × source table — never driver-held), then two per-source
-    summary exchanges over that already-aggregated table (sum c +
-    type count; sum of per-type c·ln(c) in int64 MICRO-UNITS so the
+    vocabulary × source table — never driver-held), then one per-source
+    summary exchange over that already-aggregated table (sum c, type
+    count, and the sum of per-type c·ln(c) in int64 MICRO-UNITS so the
     distributed sum is exact), plus the tiny per-source doc count. The
     final entropy/ttr are single IEEE ops over exactly-representable
     ints — bit-identical to the SQL oracle."""
@@ -1027,11 +1009,7 @@ def corpus_diagnostics(
 
     import numpy as np
 
-    from crawlray.ops.relational import (
-        broadcast_join,
-        grouped_count_hash,
-        grouped_sum_hash,
-    )
+    from crawlray.ops.relational import broadcast_join
 
     def _stok(batch: pa.Table) -> pa.Table:
         toks = split_tokens(batch, text_col).combine_chunks()
@@ -1043,15 +1021,7 @@ def corpus_diagnostics(
             }
         )
 
-    sc = grouped_count_hash(
-        ds.map_batches(_stok, batch_format="pyarrow"),
-        [source_col, "token"],
-        alias="c",
-    )
-
-    g1 = grouped_sum_hash(
-        sc, [source_col], "c", alias="n_tokens", count_alias="n_types"
-    )
+    sc = aggregate(ds, [source_col, "token"], {"c": (None, "count")}, _stok)
 
     def _micro(batch: pa.Table) -> pa.Table:
         c = (
@@ -1064,31 +1034,20 @@ def corpus_diagnostics(
         return pa.table(
             {
                 source_col: batch.column(source_col),
+                "c": batch.column("c"),
                 "m": pa.array(m, pa.int64()),
             }
         )
 
-    g2 = grouped_sum_hash(
-        sc.map_batches(_micro, batch_format="pyarrow"),
-        [source_col],
-        "m",
-        alias="sm",
+    g = aggregate(
+        sc, [source_col],
+        {"n_tokens": ("c", "sum"), "n_types": (None, "count"), "sm": ("m", "sum")},
+        _micro,
     )
-
-    # g2 / doc counts are per-source summaries (one row per source) —
-    # collected once and broadcast against the equally-small g1 side
-    g2_tbl = pa.Table.from_pylist(
-        g2.take_all(),
-        schema=pa.schema([(source_col, pa.string()), ("sm", pa.int64())]),
-    )
-    nd_tbl = pa.Table.from_pylist(
-        ds.groupby(source_col).count().take_all(),
-        schema=pa.schema(
-            [(source_col, pa.string()), ("count()", pa.int64())]
-        ),
-    )
-    j = broadcast_join(g1, g2_tbl, keys=[source_col])
-    j = broadcast_join(j, nd_tbl, keys=[source_col])
+    # doc counts are a per-source summary (one row per source) — collected
+    # once and broadcast against the equally-small g side
+    nd = aggregate(ds, [source_col], {"n_docs": (None, "count")})
+    j = broadcast_join(g, pa.concat_tables(ray.get(nd.to_arrow_refs())), keys=[source_col])
 
     def _final(batch: pa.Table) -> pa.Table:
         nt = (
@@ -1112,7 +1071,7 @@ def corpus_diagnostics(
         return pa.table(
             {
                 source_col: batch.column(source_col),
-                "n_docs": pc.cast(batch.column("count()"), pa.int64()),
+                "n_docs": batch.column("n_docs"),
                 "n_tokens": pc.cast(batch.column("n_tokens"), pa.int64()),
                 "n_types": pc.cast(batch.column("n_types"), pa.int64()),
                 "ttr": pa.array(tp / nt, pa.float64()),
@@ -1271,15 +1230,13 @@ def clean_corpus_stats(
     2. EXACT DEDUP: md5(text) fingerprint, keep the smallest id per
        fingerprint (`dedup_keep_first` — sort + per-block keep-first +
        O(#blocks) boundary repair, never a per-group Python call).
-    3. STATS: groupby(source) tree aggregate — surviving docs and their
+    3. STATS: one `aggregate` on source — surviving docs and their
        token volume per source.
 
     Output: (source, n_docs, total_tokens), the corpus-card numbers a
     training-data pipeline reports after cleaning. Every stage streams;
-    the only shuffles are the dedup sort and the final small groupby.
+    the only shuffles are the dedup sort and the final small aggregate.
     """
-    from ray.data.aggregate import Count, Sum
-
     from crawlray.ops.dedup import dedup_keep_first
 
     def _quality(batch: pa.Table) -> pa.Table:
@@ -1310,8 +1267,9 @@ def clean_corpus_stats(
         _quality, batch_format="pyarrow"
     )
     deduped = dedup_keep_first(slim, key="fp", order=id_col)
-    return deduped.groupby(source_col).aggregate(
-        Count(alias_name="n_docs"), Sum("n_tokens", alias_name="total_tokens")
+    return aggregate(
+        deduped, [source_col],
+        {"n_docs": (None, "count"), "total_tokens": ("n_tokens", "sum")},
     )
 
 

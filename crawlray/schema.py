@@ -107,8 +107,8 @@ def pack_disc_depth(disc_key, depth):
     """Pack (disc_key, depth) into one int64 whose min() is the dedup winner.
 
     Vectorized (numpy arrays in, array out) or scalar ints. See §1.3: the
-    within-wave dedup (O-30) reduces to a single arrow-native
-    groupby(url).min(pack), then the winning row is re-derived by unpacking.
+    within-wave dedup (O-30) reduces to a per-URL min(pack), then the
+    winning row is re-derived by unpacking.
     """
     return (disc_key + PACK_OFFSET) * DEPTH_STRIDE + depth
 

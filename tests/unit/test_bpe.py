@@ -221,30 +221,64 @@ def _ref_segment_words(words: list[str], merges) -> list[str]:
     return out
 
 
+def _fused_segment(ds, merges, byte_level: bool = False):
+    """Reference segmentation: the K merge rules as K vectorized replace
+    passes over each batch's whole text — the shape the DuckDB oracle
+    replays (`__ray_entry__._flatten_tokens` bseg CTE); (doc_id, token)
+    rows in document order."""
+    import pyarrow.compute as pc
+
+    from crawlray.ops.bpe import _rules_of, bytes_to_chars, wrap_symbols
+
+    rules = _rules_of(merges)
+
+    def _seg(batch: pa.Table) -> pa.Table:
+        text = batch.column("text").combine_chunks()
+        if byte_level:
+            text = bytes_to_chars(
+                pc.replace_substring_regex(text, pattern=r"\s+", replacement=" ")
+            )
+        else:  # lowercase and strip non-[a-z ]
+            text = pc.replace_substring_regex(
+                pc.utf8_lower(text), pattern="[^a-z ]", replacement=""
+            )
+        # spaces become the '| |' symbol, which no learned rule merges across
+        sym = wrap_symbols(text)
+        for pat, rep in rules:
+            sym = pc.replace_substring(sym, pattern=pat, replacement=rep)
+        toks = pc.split_pattern(sym, pattern=" ")
+        parents = pc.list_parent_indices(toks)
+        # the wrapped space symbol '| |' splits into two bare '|' pieces
+        # (it contains the delimiter); they and empties trim to ''
+        trimmed = pc.utf8_trim(pc.list_flatten(toks), characters="|")
+        keep = pc.not_equal(trimmed, pa.scalar(""))
+        return pa.table(
+            {
+                "doc_id": batch.column("doc_id").take(parents).filter(keep),
+                "token": trimmed.filter(keep),
+            }
+        )
+
+    return ds.map_batches(_seg, batch_format="pyarrow")
+
+
 @pytest.mark.parametrize("nblocks", [1, 5])
-def test_bpe_segment_distinct_equals_fused(ray_session, nblocks):
+def test_bpe_segment_distinct_equals_fused(ray_session, monkeypatch, nblocks):
     """VERDICT r4 item 1: the distinct-word scale path (segment each
     distinct word once, map back) must be RESULT-IDENTICAL to the K
     corpus-wide replace passes the oracle replays — including per-doc
     token order on the broadcast map-back."""
     import ray.data
 
+    from crawlray.ops import exchange
     from crawlray.ops.bpe import bpe_segment_tokens, bpe_train
 
     rows = [{"doc_id": i, "text": t} for i, t in enumerate(CORPUS)]
     ds = ray.data.from_items(rows).repartition(nblocks)
     merges = bpe_train(ds, num_merges=8)
 
-    fused = (
-        bpe_segment_tokens(ds, merges, mode="fused")
-        .to_pandas()
-        .reset_index(drop=True)
-    )
-    dist = (
-        bpe_segment_tokens(ds, merges, mode="distinct")
-        .to_pandas()
-        .reset_index(drop=True)
-    )
+    fused = _fused_segment(ds, merges).to_pandas().reset_index(drop=True)
+    dist = bpe_segment_tokens(ds, merges).to_pandas().reset_index(drop=True)
     # broadcast map-back preserves document order exactly
     for i in range(len(CORPUS)):
         assert (
@@ -253,19 +287,19 @@ def test_bpe_segment_distinct_equals_fused(ray_session, nblocks):
         ), i
 
     # forced giant-vocab join path: multiset per doc identical
-    joined = bpe_segment_tokens(
-        ds, merges, mode="distinct", broadcast_threshold=0
-    ).to_pandas()
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
+    joined = bpe_segment_tokens(ds, merges).to_pandas()
     key = lambda df: sorted(zip(df["doc_id"], df["token"]))  # noqa: E731
     assert key(joined) == key(fused)
 
 
-def test_bpe_segment_join_path_string_ids(ray_session):
+def test_bpe_segment_join_path_string_ids(ray_session, monkeypatch):
     """ADVICE bpe.py:620: the giant-vocab join path must not assume int64
-    ids. String ids through broadcast_threshold=0 give the broadcast
-    path's tokens, on a corpus and on an empty corpus."""
+    ids. String ids through the join path (exchange.BROADCAST_BYTES = 0)
+    give the broadcast path's tokens, on a corpus and on an empty corpus."""
     import ray.data
 
+    from crawlray.ops import exchange
     from crawlray.ops.bpe import bpe_segment_tokens, bpe_train
 
     merges = bpe_train(
@@ -277,12 +311,11 @@ def test_bpe_segment_join_path_string_ids(ray_session):
     for tbl in (corpus, corpus.slice(0, 0)):
         ds = ray.data.from_arrow(tbl).repartition(3)
         got = {}
-        for threshold in (1_000_000, 0):
-            rows = bpe_segment_tokens(
-                ds, merges, id_col="url", broadcast_threshold=threshold
-            ).take_all()
-            got[threshold] = sorted((r["url"], r["token"]) for r in rows)
-        assert got[0] == got[1_000_000]
+        for budget in (1 << 40, 0):
+            monkeypatch.setattr(exchange, "BROADCAST_BYTES", budget)
+            rows = bpe_segment_tokens(ds, merges, id_col="url").take_all()
+            got[budget] = sorted((r["url"], r["token"]) for r in rows)
+        assert got[0] == got[1 << 40]
         assert bool(got[0]) == bool(tbl.num_rows)
         assert all(isinstance(u, str) for u, _ in got[0])
 
@@ -408,12 +441,8 @@ def test_bpe_byte_level_segment_modes_and_roundtrip(ray_session):
     ds = ray.data.from_items(rows).repartition(2)
     merges = bpe_train(ds, num_merges=12, byte_level=True)
 
-    fused = bpe_segment_tokens(
-        ds, merges, mode="fused", byte_level=True
-    ).to_pandas()
-    dist = bpe_segment_tokens(
-        ds, merges, mode="distinct", byte_level=True
-    ).to_pandas()
+    fused = _fused_segment(ds, merges, byte_level=True).to_pandas()
+    dist = bpe_segment_tokens(ds, merges, byte_level=True).to_pandas()
     for i in range(len(corpus)):
         assert (
             dist[dist.doc_id == i]["token"].tolist()

@@ -7,7 +7,8 @@ while zero-column blocks from empty exchange partitions sit next to them.
 Every result is checked, rows and schema, against a local
 `pyarrow.Table.join` of the same inputs. The later cases pin the
 map/reduce contract: `merge` runs on every partition, one partition
-works, and pandas blocks are read as Arrow."""
+works, and pandas blocks are read as Arrow; `aggregate` is checked
+against pandas."""
 
 import ast
 import pathlib
@@ -18,9 +19,6 @@ import pyarrow.compute as pc
 import pytest
 
 OPS = pathlib.Path(__file__).resolve().parents[2] / "crawlray" / "ops"
-
-# the modules of the near-duplicate pair operators
-PAIR_OPS = ("neardup.py", "knn.py", "pairs.py")
 
 # the join types every caller uses: plain, outer, and bloom_semi_join's
 JOIN_TYPES = ["inner", "left_outer", "left_semi", "left_anti"]
@@ -140,10 +138,10 @@ def test_hash_exchange_routes_equal_keys_together(ray_session):
 def test_hash_exchange_empty_input_is_typed(ray_session):
     import ray.data
 
-    from crawlray.ops.relational import grouped_count_hash
+    from crawlray.ops.exchange import aggregate
 
     e = ray.data.from_arrow(BIG.slice(0, 0))
-    out = grouped_count_hash(e, ["x"], alias="n")
+    out = aggregate(e, ["x"], {"n": (None, "count")})
     assert out.count() == 0
     assert out.schema().names == ["x", "n"]
     assert list(out.schema().types) == [pa.string(), pa.int64()]
@@ -206,20 +204,71 @@ def test_pandas_blocks_exchange_and_join(ray_session, join_type):
 def test_grouped_sum_hash_with_count_matches_pandas(ray_session, num_partitions):
     import ray.data
 
-    from crawlray.ops.relational import grouped_sum_hash
+    from crawlray.ops.exchange import aggregate
 
     rng = np.random.default_rng(5)
     t = pa.table({"a": pa.array(rng.integers(0, 9, 500), pa.int64()),
                   "b": [f"b{v}" for v in rng.integers(0, 4, 500)],
                   "v": pa.array(rng.integers(-50, 50, 500), pa.int64())})
-    got = grouped_sum_hash(
-        ray.data.from_arrow(t).repartition(5), ["a", "b"], "v",
-        alias="s", count_alias="c", num_partitions=num_partitions,
+    got = aggregate(
+        ray.data.from_arrow(t).repartition(5), ["a", "b"],
+        {"s": ("v", "sum"), "c": (None, "count")}, num_partitions=num_partitions,
     ).to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
     want = (t.to_pandas().groupby(["a", "b"])["v"].agg(s="sum", c="count")
             .reset_index())
     assert list(got.columns) == ["a", "b", "s", "c"]
     assert got.to_dict("list") == want.to_dict("list")
+
+
+def _rows(df, cols):
+    """DataFrame rows as tuples, NaN/None → None (a null key or value)."""
+    return sorted(
+        (tuple(None if v is None or v != v else v for v in row)
+         for row in df[cols].itertuples(index=False)),
+        key=repr,
+    )
+
+
+@pytest.mark.parametrize("fn", ["count", "sum", "min", "max", "mean"])
+def test_aggregate_matches_pandas(ray_session, fn):
+    """`aggregate` of each function equals a pandas groupby that keeps
+    null keys as one group (dropna=False): an int key, a string key and
+    both, over blocks that include a 0-row one, with null values that
+    the function skips. A 0-row input gives the typed empty result."""
+    import ray.data
+
+    from crawlray.ops.exchange import aggregate
+
+    rng = np.random.default_rng(8)
+    n = 400
+    a = rng.integers(0, 6, n)
+    s = rng.integers(0, 4, n)
+    x = rng.normal(size=n)
+    t = pa.table({
+        "a": pa.array(a, pa.int64(), mask=a == 5),
+        "s": pa.array([f"s{v}" for v in s], mask=s == 3),
+        "x": pa.array(x, mask=rng.random(n) < 0.2),
+    })
+    ds = ray.data.from_arrow([t.slice(0, 150), t.slice(0, 0), t.slice(150)])
+    col = None if fn == "count" else "x"
+    df = t.to_pandas()
+    for keys in (["a"], ["s"], ["a", "s"]):
+        got = aggregate(ds, keys, {"out": (col, fn)}, num_partitions=3).to_pandas()
+        assert list(got.columns) == [*keys, "out"]
+        g = df.groupby(keys, dropna=False)["x"]
+        want = (g.size() if fn == "count" else
+                g.sum(min_count=1) if fn == "sum" else getattr(g, fn)())
+        want = want.reset_index(name="out")
+        got_rows, want_rows = _rows(got, [*keys, "out"]), _rows(want, [*keys, "out"])
+        assert [r[:-1] for r in got_rows] == [r[:-1] for r in want_rows], keys
+        assert [r[-1] for r in got_rows] == pytest.approx(
+            [r[-1] for r in want_rows], rel=1e-12, nan_ok=True), keys
+
+    empty = aggregate(ray.data.from_arrow(t.slice(0, 0)), ["a", "s"], {"out": (col, fn)})
+    assert empty.count() == 0
+    assert empty.schema().names == ["a", "s", "out"]
+    out_type = pa.int64() if fn == "count" else pa.float64()
+    assert list(empty.schema().types) == [pa.int64(), pa.string(), out_type]
 
 
 def test_group_map_calls_fn_once_per_key_group(ray_session):
@@ -256,21 +305,19 @@ def _calls(tree: ast.AST):
 def test_only_exchange_module_joins_or_routes():
     """No operator module other than exchange.py calls `.join(` on a
     Dataset (pyarrow `Table.join` and `str.join` pass: they take `keys=`
-    or a single iterable), groups on the routing column, or imports the
-    removed block scrub. exchange.py itself runs its own map and reduce
-    tasks: it calls no `Dataset.join`, no `groupby` and no `map_groups`.
-    No operator module, storage.py or the driver entry calls
-    `map_groups`: per-group work goes through `exchange.group_map`. The
-    pair operators (neardup.py, knn.py, pairs.py) call no Dataset
-    `groupby`: their pairs dedup in `exchange.hash_exchange`."""
+    or a single iterable) or imports the removed block scrub.
+    exchange.py itself runs its own map and reduce tasks: it calls no
+    `Dataset.join`. No operator module (exchange.py included),
+    storage.py or the driver entry calls `groupby` or `map_groups`:
+    grouped aggregates go through `exchange.aggregate` and per-group
+    work through `exchange.group_map`."""
     offenders = []
     for path in [*sorted(OPS.glob("*.py")), OPS.parent / "storage.py",
                  OPS.parents[1] / "__ray_entry__.py"]:
         for call in _calls(ast.parse(path.read_text())):
-            if call.func.attr == "map_groups":
-                offenders.append(f"{path.name}:{call.lineno} calls map_groups")
+            if call.func.attr in ("groupby", "map_groups"):
+                offenders.append(f"{path.name}:{call.lineno} calls {call.func.attr}")
     for path in sorted(OPS.glob("*.py")):
-        own = path.name == "exchange.py"
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -284,10 +331,4 @@ def test_only_exchange_module_joins_or_routes():
                 kw & {"join_type", "on", "num_partitions"} and "keys" not in kw
             ):
                 offenders.append(f"{path.name}:{call.lineno} calls Dataset.join")
-            if (own or path.name in PAIR_OPS) and call.func.attr in ("groupby", "map_groups"):
-                offenders.append(f"{path.name}:{call.lineno} calls {call.func.attr}")
-            if call.func.attr == "groupby" and any(
-                isinstance(a, ast.Constant) and a.value == "_pk" for a in call.args
-            ):
-                offenders.append(f"{path.name}:{call.lineno} groups on _pk")
     assert not offenders, offenders

@@ -132,9 +132,11 @@ def test_connected_components_vs_union_find(ray_session):
         assert got[node] == want[node], (node, got[node], want[node])
 
 
-def test_pagerank_shuffle_and_broadcast_paths_agree(ray_session):
+def test_pagerank_shuffle_and_broadcast_paths_agree(ray_session, monkeypatch):
     """The small-node broadcast path and the shuffle path are the same
-    operator — force each via the threshold and compare to 1e-9."""
+    operator — force each via exchange.BROADCAST_BYTES and compare to
+    1e-9."""
+    from crawlray.ops import exchange
     from crawlray.ops.graph import pagerank
 
     edge_list = _random_graph(60, 300, seed=9)
@@ -145,22 +147,17 @@ def test_pagerank_shuffle_and_broadcast_paths_agree(ray_session):
         }
     )
     ds = ray.data.from_arrow(edges).repartition(4)
-    via_bcast = {
-        r["node"]: r["rank"]
-        for r in pagerank(ds, n_iters=4, broadcast_threshold_nodes=10**6)
-        .take_all()
-    }
-    via_shuffle = {
-        r["node"]: r["rank"]
-        for r in pagerank(ds, n_iters=4, broadcast_threshold_nodes=0)
-        .take_all()
-    }
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 1 << 40)
+    via_bcast = {r["node"]: r["rank"] for r in pagerank(ds, n_iters=4).take_all()}
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
+    via_shuffle = {r["node"]: r["rank"] for r in pagerank(ds, n_iters=4).take_all()}
     assert set(via_bcast) == set(via_shuffle)
     for k in via_bcast:
         assert abs(via_bcast[k] - via_shuffle[k]) < 1e-9
 
 
-def test_connected_components_paths_agree(ray_session):
+def test_connected_components_paths_agree(ray_session, monkeypatch):
+    from crawlray.ops import exchange
     from crawlray.ops.graph import connected_components
 
     rng = np.random.default_rng(17)
@@ -174,18 +171,10 @@ def test_connected_components_paths_agree(ray_session):
         }
     )
     ds = ray.data.from_arrow(pairs).repartition(3)
-    via_bcast = {
-        r["node"]: r["component"]
-        for r in connected_components(
-            ds, broadcast_threshold_nodes=10**6
-        ).take_all()
-    }
-    via_shuffle = {
-        r["node"]: r["component"]
-        for r in connected_components(
-            ds, broadcast_threshold_nodes=0
-        ).take_all()
-    }
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 1 << 40)
+    via_bcast = {r["node"]: r["component"] for r in connected_components(ds).take_all()}
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
+    via_shuffle = {r["node"]: r["component"] for r in connected_components(ds).take_all()}
     assert via_bcast == via_shuffle
 
 
@@ -342,9 +331,10 @@ def test_kcore_empty_and_full(ray_session):
     assert (got["deg"] == 2).all()
 
 
-def test_kcore_shuffle_path_matches_broadcast(ray_session):
-    """broadcast_threshold=0 forces the shuffle semi-join rounds — the
-    two restriction paths must be result-identical."""
+def test_kcore_shuffle_path_matches_broadcast(ray_session, monkeypatch):
+    """exchange.BROADCAST_BYTES = 0 forces the shuffle semi-join rounds —
+    the two restriction paths must be result-identical."""
+    from crawlray.ops import exchange
     from crawlray.ops.graph import kcore
 
     rng = np.random.RandomState(3)
@@ -353,11 +343,10 @@ def test_kcore_shuffle_path_matches_broadcast(ray_session):
     keep = a != b
     tbl = pa.table({"id_a": pa.array(a[keep]), "id_b": pa.array(b[keep])})
     ds = ray.data.from_arrow(tbl).repartition(4)
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 1 << 40)
     got_b = kcore(ds, k=3).to_pandas().sort_values("node").reset_index(drop=True)
-    got_s = (
-        kcore(ds, k=3, broadcast_threshold=0)
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    )
+    monkeypatch.setattr(exchange, "BROADCAST_BYTES", 0)
+    got_s = kcore(ds, k=3).to_pandas().sort_values("node").reset_index(drop=True)
     assert got_b.equals(got_s)
     assert len(got_b) > 0
 

@@ -452,13 +452,14 @@ def test_quality_score_actor_pool(ray_session):
 
 
 def test_grouped_count_hash_equals_ray_groupby(ray_session):
-    """grouped_count_hash ≡ Ray's groupby().count() on mixed-type keys
-    (int + string), at any parallelism, including the single-key form."""
+    """The hash-exchange grouped count (`exchange.aggregate`) ≡ Ray's
+    groupby().count() on mixed-type keys (int + string), at any
+    parallelism, including the single-key form."""
     import numpy as np
     import ray.data
     from ray.data.aggregate import Count
 
-    from crawlray.ops.relational import grouped_count_hash
+    from crawlray.ops.exchange import aggregate
 
     rng = np.random.RandomState(7)
     n = 5000
@@ -472,7 +473,7 @@ def test_grouped_count_hash_equals_ray_groupby(ray_session):
         ds = ray.data.from_arrow(tbl).repartition(parts)
         got = {
             (r["uid"], r["tok"]): r["n"]
-            for r in grouped_count_hash(ds, ["uid", "tok"]).take_all()
+            for r in aggregate(ds, ["uid", "tok"], {"n": (None, "count")}).take_all()
         }
         want = {
             (r["uid"], r["tok"]): r["count()"]
@@ -481,7 +482,7 @@ def test_grouped_count_hash_equals_ray_groupby(ray_session):
         assert got == want
         got1 = {
             r["tok"]: r["n"]
-            for r in grouped_count_hash(ds, ["tok"], alias="n").take_all()
+            for r in aggregate(ds, ["tok"], {"n": (None, "count")}).take_all()
         }
         want1 = {
             r["tok"]: r["cnt"]
@@ -708,12 +709,13 @@ def test_moments_matches_numpy_and_is_block_invariant(ray_session):
 
 
 def test_grouped_sum_hash_equals_pandas(ray_session):
-    """SUM+COUNT per key via the hash exchange == pandas groupby, at two
-    block layouts (partial/merge split must be layout-invariant)."""
+    """SUM+COUNT per key via the hash exchange (`exchange.aggregate`) ==
+    pandas groupby, at two block layouts (partial/merge split must be
+    layout-invariant)."""
     import numpy as np
     import pandas as pd
 
-    from crawlray.ops.relational import grouped_sum_hash
+    from crawlray.ops.exchange import aggregate
 
     rng = np.random.RandomState(11)
     df = pd.DataFrame(
@@ -731,12 +733,10 @@ def test_grouped_sum_hash_equals_pandas(ray_session):
     )
     for nblocks in (1, 13):
         got = (
-            grouped_sum_hash(
+            aggregate(
                 ray.data.from_pandas(df).repartition(nblocks),
                 ["k"],
-                "v",
-                alias="s",
-                count_alias="n",
+                {"s": ("v", "sum"), "n": (None, "count")},
             )
             .to_pandas()
             .sort_values("k")
@@ -744,11 +744,9 @@ def test_grouped_sum_hash_equals_pandas(ray_session):
         )
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
-    # sum-only form drops the count column
-    got2 = grouped_sum_hash(
-        ray.data.from_pandas(df), ["k"], "v", alias="s"
-    ).to_pandas()
-    assert sorted(got2.columns) == ["k", "s"]
+    # the output holds the keys and the requested aggregates only
+    got2 = aggregate(ray.data.from_pandas(df), ["k"], {"s": ("v", "sum")}).to_pandas()
+    assert list(got2.columns) == ["k", "s"]
 
 
 def test_bloom_semi_anti_degenerate_inputs(ray_session):

@@ -331,13 +331,14 @@ def test_dsir_weights_matches_duckdb(ray_session):
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_pmi_collocations_crafted_and_block_invariant(ray_session):
+def test_pmi_collocations_crafted_and_block_invariant(ray_session, monkeypatch):
     """PMI = ln(TU*c12/(c1*c2)) vs a brute-force reference on a crafted
     corpus, exact; min_count filter honored; result invariant to the
     input block layout."""
     import math
     from collections import Counter
 
+    from crawlray.ops import exchange
     from crawlray.ops.textqa import pmi_collocations
 
     rows = [
@@ -373,9 +374,11 @@ def test_pmi_collocations_crafted_and_block_invariant(ray_session):
             for r in got.itertuples()
         }
         assert got_map == want, f"nblocks={nblocks}: {got_map} != {want}"
-        # round 5: the adaptive unigram chooser — broadcast_threshold=0
+        # the adaptive unigram chooser — exchange.BROADCAST_BYTES = 0
         # forces the shuffle-join path; both paths must be identical
-        got_sh = pmi_collocations(ds, broadcast_threshold=0).to_pandas()
+        with monkeypatch.context() as m:
+            m.setattr(exchange, "BROADCAST_BYTES", 0)
+            got_sh = pmi_collocations(ds).to_pandas()
         got_sh_map = {
             (r.w1, r.w2): (r.c12, r.c1, r.c2, r.pmi)
             for r in got_sh.itertuples()

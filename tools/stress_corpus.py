@@ -364,8 +364,9 @@ def run(big: pa.Table, blocks_a: int, blocks_b: int) -> None:
     )
 
     # graph ops over a ~2M-edge synthetic web graph derived from doc ids:
-    # k-core peel (shuffle path forced via broadcast_threshold=0 on the
-    # second layout — both paths must agree) and integer HITS
+    # k-core peel (shuffle path forced via exchange.BROADCAST_BYTES = 0 on
+    # the second layout — both paths must agree) and integer HITS
+    from crawlray.ops import exchange
     from crawlray.ops.graph import hits_scores, kcore
 
     # modulus scaled to the corpus so node degree stays ~20 at any
@@ -381,17 +382,20 @@ def run(big: pa.Table, blocks_a: int, blocks_b: int) -> None:
         return t.filter(pc.not_equal(t.column("id_a"), t.column("id_b")))
 
     gres = []
-    for nb_, thr in ((blocks_a, 10**9), (blocks_b, 0)):
+    budget = exchange.BROADCAST_BYTES
+    for nb_, thr in ((blocks_a, 1 << 40), (blocks_b, 0)):
         ds = ray.data.from_arrow(big).repartition(nb_)
         ed = ds.map_batches(_gr_edges, batch_format="pyarrow")
         t0 = time.time()
-        kc = kcore(ed, k=3, broadcast_threshold=thr)
+        exchange.BROADCAST_BYTES = thr
+        kc = kcore(ed, k=3)
         chk = _checksum(
             kc, [lambda b: pc.multiply(pc.add(b["node"], 1), b["deg"])]
         )
         dt = time.time() - t0
         print(f"kcore blocks={nb_} thr={thr}: {dt:.1f}s, chk={chk}")
         gres.append(chk)
+    exchange.BROADCAST_BYTES = budget
     assert gres[0] == gres[1], "kcore NOT path/layout-invariant"
 
     hres = []
