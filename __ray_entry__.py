@@ -2136,9 +2136,7 @@ def _crawl_smoke(sf_dir: str):
 
     n = _rd(sf_dir, "documents", columns=["doc_id"]).count()
     web = SynthWeb(seed=42, shape="zipf_hosts", n_urls=max(60, min(n, 2000)), n_hosts=10)
-    res = run_crawl(
-        web.default_seeds(), web=web, budget_per_host=5, fetch_concurrency=2
-    )
+    res = run_crawl(web.default_seeds(), web=web, budget_per_host=5)
     out = res.crawl_log_table()
     res.shutdown()
     return out

@@ -189,28 +189,20 @@ def bench_crawl(num_cpus: int) -> dict:
     n_pages = sum(_pq.read_metadata(f).num_rows for f in web_files)
     ray.wait(web_refs, num_returns=len(web_refs), fetch_local=False)
 
-    # shard counts scale LINEARLY with num_cpus: on a real N→4N cluster
-    # every state shard pool grows 4x with the cluster (shards-per-node is
-    # the constant), and the state actors are num_cpus=0 so a fixed count
-    # would let the small run borrow physical parallelism the scheduling
-    # limit is supposed to deny it. The old max(4, cpus//4) formula
-    # PLATEAUED at its floor between 4 and 16 cpus, which parked the
-    # per-wave seen-shard finish/decide phases in the fixed component F at
-    # both levels — a 4-cpu "one-node cluster" should own 1/4 the shards a
-    # 16-cpu "four-node cluster" does. Results are shard-count-invariant
-    # by construction (parallelism-invariance suite) and the cross-level
+    # one crawl shard per CPU: each shard fetches, parses, dedups and
+    # decides for its own hosts, so the pool is the crawl's parallelism and
+    # grows with the cluster. Results are shard-count-invariant by
+    # construction (parallelism-invariance suite) and the cross-level
     # checksum assertion below re-proves it every scaling run.
     t0 = time.time()
     res = run_crawl(
         seeds,
         preloaded_web=(web_refs, n_pages),
         robots_path=os.path.join(WEB_CACHE, "robots.parquet"),
-        num_seen_shards=max(2, num_cpus // 2),
-        num_host_shards=max(1, num_cpus // 8),
+        num_seen_shards=num_cpus,
         fetch_batch_size=1024,
         enrich=True,
         scratch_dir=_SCRATCH,
-        frontier_rows_per_block=65536,
         **CRAWL_CFG,
     )
     n_logged = res.crawl_log.count()

@@ -7,9 +7,8 @@ behavior follows the normative Reference Behavior Contract in SURVEY.md §1.4
 implemented as a pure-Python oracle in `oracle/bfs_crawler.py`).
 
 Architecture: every stage is a `ray.data.Dataset` transform over zero-copy
-Arrow batches; stateful stages (URL-seen shards, robots cache, politeness
-token buckets, fetcher pool) are Ray actors / actor-pool `map_batches`
-stages. Crawl ordering is a pure function of the crawl graph (disc_key
+Arrow batches; the crawl's state (URL-seen sets, robots cache, politeness
+token buckets) and fetching live in host-partitioned crawl-shard actors. Crawl ordering is a pure function of the crawl graph (disc_key
 sort), so any parallelism level reproduces the oracle bit-for-bit.
 """
 

@@ -2,7 +2,7 @@
 robots fetched before a host's first fetch, cached forever; a URL
 disallowed for user-agent '*' is logged robots_denied).
 
-A plain object, no Ray: each HostPoliteness host shard owns one, holding the
+A plain object, no Ray: each crawl shard's HostPoliteness owns one, holding the
 bodies of the hosts that route to its shard (`host_shard_of`), so each
 host's rules live in exactly one process and are parsed once. The synthetic
 web's robots "fetch" is a lookup into the robots table; with a live backend
@@ -25,7 +25,7 @@ class RobotsRules:
         self._verdicts: dict[str, int] = {}  # 1=always-allow, -1=always-deny, 0=per-url
         # live-fetch path (RBC-6 "fetched before a host's first fetch"): on
         # a body-cache miss fetch robots.txt through the backend ONCE and
-        # cache it forever — each host lives on exactly one host shard, so
+        # cache it forever — each host lives on exactly one crawl shard, so
         # there is exactly one fetch per host per crawl
         self._backend = backend
 

@@ -24,7 +24,7 @@ class FetchBackend:
         """Batch fetch; backends override when they have a faster bulk path
         (SyntheticBackend: vectorized index lookup). Default: per-URL loop —
         for network backends the engine's parallelism already comes from
-        the fetcher actor pool, each actor working its own chunk."""
+        the crawl shards, each fetching its own hosts' pages."""
         return [self.fetch(u) for u in urls]
 
     def robots(self, host: str) -> str | None:
@@ -35,15 +35,13 @@ class FetchBackend:
 class SyntheticBackend(FetchBackend):
     """Serves a deterministic synthetic web from arrow tables (or parquet).
 
-    Index build happens once per holder (oracle process or fetcher actor) —
+    Index build happens once per holder (oracle process or crawl shard) —
     the webgraph table itself travels zero-copy through the object store.
 
-    Scale path: `from_sorted_index` skips the per-holder Python dict build
-    entirely — one Ray task pre-sorts the webgraph by URL and shares
-    (sorted-url numpy array, sorted html column) through the object store;
-    every fetcher actor then maps both zero-copy and lookups become
-    vectorized np.searchsorted + Arrow take. At bench scale the dict build
-    was ~5 s × n_actors of pure warm-up; the shared index is ~0 per actor.
+    Scale path: `from_rows` skips the per-holder Python dict build — each
+    crawl shard sorts the URLs of its own hosts' pages once, and lookups
+    become vectorized np.searchsorted + Arrow take on the webgraph's html
+    column, which stays zero-copy in the object store.
     """
 
     def __init__(
@@ -69,23 +67,17 @@ class SyntheticBackend(FetchBackend):
             self._robots = {}
 
     @classmethod
-    def from_sorted_index(cls, urls_sorted, perm, html_col) -> "SyntheticBackend":
-        """urls_sorted: np '<U' array sorted ascending; perm: np.int64 with
-        perm[k] = row index (into html_col) of urls_sorted[k]; html_col: the
-        webgraph's html column (chunked, zero-copy from plasma). Only the
-        ~tens-of-MB url index is materialized per node — the multi-GB html
-        payload is never copied or re-sorted."""
-        return cls(None, None, _sorted=(urls_sorted, perm, html_col))
-
-    @staticmethod
-    def build_sorted_index(webgraph: pa.Table):
-        """(urls_sorted np array, perm np.int64) for sharing. Runs once per
-        crawl in one task; O(n log n) over url strings only."""
+    def from_rows(cls, webgraph: pa.Table, rows) -> "SyntheticBackend":
+        """A backend serving only the webgraph rows `rows` (a crawl shard's
+        hosts' pages): their URLs sorted once into a numpy index, looked up
+        by np.searchsorted; the html column stays zero-copy in the
+        object store and is never copied or re-sorted."""
         import numpy as np
 
-        urls = np.asarray(webgraph.column("url").to_pylist(), dtype=np.str_)
-        perm = np.argsort(urls, kind="stable").astype(np.int64)
-        return urls[perm], perm
+        rows = np.asarray(rows, np.int64)
+        urls = np.asarray(webgraph.column("url").take(rows).to_pylist(), dtype=np.str_)
+        order = np.argsort(urls, kind="stable")
+        return cls(None, None, _sorted=(urls[order], rows[order], webgraph.column("html")))
 
     def fetch_many(self, urls: list[str]) -> list[str | None]:
         """Vectorized batch lookup (falls back to per-URL dict probes)."""

@@ -58,7 +58,7 @@ def cmd_run(args) -> int:
 
     if getattr(args, "backend", "synthetic") == "http":
         # real-web crawl: --seeds-file supplies start URLs, pages come from
-        # HttpBackend built once per fetcher actor, robots fetched live
+        # HttpBackend built once per crawl shard, robots fetched live
         if not args.seeds_file:
             print("--backend http requires --seeds-file", file=sys.stderr)
             return 2

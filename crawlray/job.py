@@ -2,63 +2,45 @@
 
 Replaces the reference's single-process BFS loop (`while queue: url =
 queue.popleft(); ...` — see oracle/bfs_crawler.py, the normative stand-in
-for the absent reference snapshot, SURVEY.md §0) with an iterative-batch
-wave loop: each BFS wave fans out as plain Ray tasks over Arrow block refs
-plus key-routed RPCs to the stateful actors. A crawl starts two actor
-pools, both before its first blocking call so that their process start-ups
-overlap:
-- max(num_seen_shards, num_host_shards) shard actors. Actor i is seen shard
-  i (keyed by URL hash) for i < num_seen_shards and host shard i (keyed by
-  `host_shard_of`; its hosts' robots rules, token buckets and fetch
-  counters) for i < num_host_shards — actors/seen.py says why one pool;
-- the fetchers.
-Each leg records where its wall time went in `metrics["leg"]`, and each
-wave its driver-measured `wave_s`, which the checkpoint's meta.json keeps.
-See crawlray/stages.py's module docstring
-for why the hot loop uses tasks instead of per-wave Ray Data streaming
-executions (measured driver floors) — the crawl's public outputs are still
-`ray.data.Dataset`s and every library operator is Dataset-based.
+for the absent reference snapshot, SURVEY.md §0) with a wave loop over a
+pool of `num_seen_shards` host-partitioned crawl shards
+(crawlray/actors/shard.py), as Mercator partitions a crawl by host: shard
+i owns the seen URLs, robots rules, token buckets, fetching and frontier
+of every host with `host_shard_of(host, N) == i`. A leg starts exactly
+those N actor processes and no task; each leg records where its wall time
+went in `metrics["leg"]`, and each wave its driver-measured `wave_s` and
+`phases`, which the checkpoint's meta.json keeps.
 
 Determinism under parallelism (§4.2): crawl order is never derived from
-execution timing — `seq` ranks disc_key (a pure function of the crawl
-graph), dedup winners come from order-independent min-combine, politeness
-admission from the B-lowest-disc_keys rule. Any num_cpus reproduces the
-oracle bit-for-bit; that is what the N→4N scaling criterion rides on.
+execution timing — `seq` ranks the order keys (disc_key under BFS, a pure
+function of the crawl graph) in the globally sorted set of every shard's
+admitted and robots-denied keys, dedup winners come from the order-free
+min-combine, and politeness admission from the B-lowest-keys rule. Any
+shard count reproduces the oracle bit-for-bit.
 
-Per-wave dataflow (stage ids from SURVEY.md §2; 2 task rounds + 2 RPC
-barriers per wave, no streaming executions — with `out_dir` too: the
-commit is plain tasks plus RPCs, and only the rare budget cut runs Ray
-Data):
+Per-wave dataflow (two RPC rounds per shard; no actor calls another):
 
-    frontier_w (unique URLs, already in the seen set; list of block refs)
-      ├─ A  mark_block_task per block: ONE `mark` RPC per host shard
-      │     returns the robots mask; the shard banks the denied keys and
-      │     the allowed rows' politeness offers (O-21/22)
-      ├─ [driver] decide_and_drain(): ONE RPC per host shard returns
-      │     counts + per-host admission thresholds (broadcast to B) +
-      │     admitted keys + denied keys; seq = rank in the sorted logged
-      │     key-set (O-33 without a distributed sort)
-      ├─ B  fetch_block_task per block: vectorized gate + searchsorted seq
-      │     + sub-batch fan-out over the persistent fetcher pool
-      │     (O-23/14/15). Fetchers buffer spans locally (written to the
-      │     wave's parquet partition at end_wave — spans never transit the
-      │     object store) and offer outlinks directly to the seen shards
-      │     (O-30 map side + O-26 routing fused into fetch)
-      ├─ end_wave(): fetchers flush docs + await offer delivery, and
-      │     return their wave counters (O-24), which the driver sums
-      ├─ finish_wave(): seen shards resolve within-wave dedup + cross-wave
-      │     admission (min-combine) and return their new rows as FRONTIER
-      │     blocks (host/depth/disc_key/shard derived in the shard) + row
-      │     counts; new frontier = those blocks ∪ deferred → greedy block
-      │     compaction
-      └─ [out_dir] commit_wave(): one write task each for the wave's
-            crawl_log and next frontier (block refs, no Ray Data), seen
-            deltas + host state by RPC, then meta.json and `_SUCCESS`
+    [driver] sort every shard's logged keys, put them once    decide_s
+      ├─ fetch round: shard i  fetch_parse_wave(keys)          fetch_s
+      │     seq = rank of each row's key; fetch + parse its admitted
+      │     rows; write its doc file; return counts (+ fetched seqs
+      │     when the page budget may cut this wave) and N outlink
+      │     slices routed by the outlink's host
+      ├─ [driver] budget cut: cut_seq = r-th smallest fetched seq
+      ├─ finish round: shard j  finish_wave(cut_seq, slice j of every
+      │     shard's fetch)                                      finish_s
+      │     min-combine + admit new URLs; next frontier = new ∪
+      │     deferred, kept in the shard; write its crawl_log, frontier,
+      │     seen_delta and host_state parts; decide the next wave
+      │     (frontier steps, order keys, robots, B-lowest admission)
+      │     and return its log block and the decided keys
+      └─ [out_dir] commit_wave(): meta.json, then `_SUCCESS`    commit_s
 
-After the loop crawl_log is the loop's log blocks; a resumed crawl puts
-its earlier waves' committed crawl_log files, read back, in front.
-A fresh checkpointed crawl refuses a root that already holds committed
-waves.
+The outlink slices are refs the driver hands from the fetch round to the
+finish round, so Ray resolves them before a finish call runs. After the
+loop crawl_log is the finish rounds' log blocks; a resumed crawl puts its
+earlier waves' committed crawl_log files in front. A fresh checkpointed
+crawl refuses a root that already holds committed waves.
 """
 
 from __future__ import annotations
@@ -76,20 +58,18 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.actors.seen import SeenShardActor
-from crawlray.checkpoint import Checkpointer, result_datasets
+from crawlray.actors.politeness import HOST_STATE_SCHEMA, host_hashes
+from crawlray.actors.shard import CrawlShard
+from crawlray.checkpoint import (
+    FRONTIER_SCHEMA,
+    Checkpointer,
+    file_parts,
+    ref_parts,
+    result_datasets,
+)
 from crawlray.kernels.url import canonicalize, in_scope
 from crawlray.schema import LINK_STRIDE
-from crawlray.stages import (
-    LOG_SCHEMA,
-    SEEN_ROUTING_VERSION,
-    FetcherActor,
-    concat_blocks_task,
-    fetch_block_task,
-    filter_log_cut_task,
-    frontier_table_from_urls,
-    mark_block_task,
-)
+from crawlray.stages import LOG_SCHEMA, SEEN_ROUTING_VERSION, frontier_table_from_urls
 
 
 def _webgraph_fingerprint(webgraph: pa.Table) -> str:
@@ -110,42 +90,6 @@ def _webgraph_fingerprint(webgraph: pa.Table) -> str:
     return h.hexdigest()[:16]
 
 
-def _split_refs(tbl: pa.Table, rows_per_block: int) -> tuple[list, list[int]]:
-    """Driver-side split of one table into object-store block refs."""
-    refs, counts = [], []
-    for off in range(0, tbl.num_rows, rows_per_block):
-        chunk = tbl.slice(off, rows_per_block)
-        refs.append(ray.put(chunk))
-        counts.append(chunk.num_rows)
-    if not refs:
-        refs, counts = [ray.put(tbl)], [0]
-    return refs, counts
-
-
-def _compact_refs(
-    pairs: list[tuple], rows_per_block: int
-) -> tuple[list, list[int]]:
-    """Greedy-pack (ref, n_rows) block pairs into ~rows_per_block blocks.
-
-    Replaces round 1's Dataset-feedback `_compact` (materialize + lineage
-    rebase): with the frontier held as plain refs there is no logical plan
-    to grow, and compaction is O(#blocks) driver metadata + small concat
-    tasks — singleton groups reuse the existing ref untouched."""
-    pairs = [(r, n) for r, n in pairs if n > 0]
-    out_refs, out_counts = [], []
-    group, group_n = [], 0
-    for r, n in pairs:
-        group.append(r)
-        group_n += n
-        if group_n >= rows_per_block:
-            out_refs.append(group[0] if len(group) == 1 else concat_blocks_task.remote(*group))
-            out_counts.append(group_n)
-            group, group_n = [], 0
-    if group:
-        out_refs.append(group[0] if len(group) == 1 else concat_blocks_task.remote(*group))
-        out_counts.append(group_n)
-    return out_refs, out_counts
-
 
 @dataclass
 class CrawlResult:
@@ -154,8 +98,7 @@ class CrawlResult:
     waves: int
     fetched_total: int
     metrics: dict
-    _seen_actors: list = field(default_factory=list, repr=False)
-    _all_actors: list = field(default_factory=list, repr=False)
+    _shards: list = field(default_factory=list, repr=False)
 
     def crawl_log_table(self) -> pa.Table:
         """Small-scale helper (tests): full log as one Arrow table, seq order."""
@@ -164,26 +107,27 @@ class CrawlResult:
 
     def seen_urls(self) -> set[str]:
         """Full seen set (tests; at scale read the checkpoint SEEN_DUMPs)."""
-        tables = ray.get([a.dump_delta.remote() for a in self._seen_actors])
         out: set[str] = set()
-        for t in tables:
+        for t in ray.get([a.dump_delta.remote() for a in self._shards]):
             out.update(t.column("url").to_pylist())
         return out
 
     def shutdown(self) -> None:
-        """Kill the crawl's actors, releasing their resource reservations.
-
-        The result datasets stay consumable: crawl_log wraps materialized
-        block refs and documents reads parquet, so no actor is needed after
-        the crawl. Call this when done with the result (tests/benches that
-        run many crawls in one Ray session would otherwise accumulate actor
-        reservations until new fetcher pools can no longer schedule)."""
-        for a in self._all_actors:
+        """Kill the crawl's shard actors. The result datasets stay
+        consumable: crawl_log reads block refs the driver owns and the
+        committed crawl_log files, documents reads parquet."""
+        for a in self._shards:
             try:
                 ray.kill(a)
             except Exception:
                 pass
-        self._all_actors = []
+        self._shards = []
+
+
+def _bucket(table: pa.Table, hashes: np.ndarray, n: int) -> list[pa.Table]:
+    """`table`'s rows split by `hashes % n` into n tables (host routing)."""
+    dest = hashes % np.uint32(n)
+    return [table.filter(pa.array(dest == s)) for s in range(n)]
 
 
 def _run_crawl_attempt(
@@ -198,15 +142,12 @@ def _run_crawl_attempt(
     max_depth: int | None = None,
     max_pages: int | None = None,
     num_seen_shards: int = 4,
-    num_host_shards: int = 2,
-    fetch_concurrency=None,
     fetch_batch_size: int = 512,
     carryover_tokens: bool = False,
     enrich: bool = False,
     user_agent: str = "*",
     out_dir: str | None = None,
     stop_after_wave: int | None = None,
-    frontier_rows_per_block: int = 16384,
     priority_policy=None,
     frontier_steps=None,
     doc_steps=None,
@@ -221,11 +162,13 @@ def _run_crawl_attempt(
     with mid-crawl actor-failure recovery. Caller owns the Ray session
     (never inits here).
 
+    `num_seen_shards`: the size N of the crawl-shard pool (each shard owns
+    its hosts' seen URLs, politeness state and fetching).
+    `fetch_batch_size`: rows a shard fetches and parses at a time.
     `_fault_hook(wave, actors)`: test-only fault injector called at the top
-    of every wave iteration with the live actor handles (keys: seen, polite
-    (the host shards: the first num_host_shards actors of the shard pool,
-    so they are seen shards too), fetchers); hooks must self-disarm or the
-    recovered run re-dies.
+    of every wave iteration with the live shard handles under the keys
+    seen, polite and fetchers (one pool serves all three); hooks must
+    self-disarm or the recovered run re-dies.
     `_actor_holder`: out-param dict, filled as soon as the actors exist,
     that run_crawl uses to kill this attempt's actors if the attempt fails.
 
@@ -284,8 +227,7 @@ def _run_crawl_attempt(
     elif preloaded_web is not None:
         # webgraph blocks ALREADY in the object store (bench/scaling path:
         # loading the synthetic internet is fixture bring-up, not engine
-        # work — a real crawler doesn't load the web per run; both scaling
-        # levels pre-load identically so the RATIO is unaffected either way)
+        # work — a real crawler doesn't load the web per run)
         webgraph_refs, n_pages = preloaded_web
     elif webgraph_path is not None:
         files = sorted(
@@ -317,67 +259,44 @@ def _run_crawl_attempt(
         import pyarrow.parquet as _pq
 
         robots = _pq.read_table(robots_path)
-    robots_ref = ray.put(robots) if robots is not None else None
 
-    # ---- every actor is asked to start before the first blocking call, so
-    # their process start-ups (~1 s of CPU each) overlap one another, the
-    # index build and the bootstrap/ingest RPCs that wait on them.
-    # One shard pool: actor i is seen shard i for i < num_seen_shards and
-    # host shard i for i < num_host_shards (SeenShardActor docstring); a
-    # host-only actor holds no URLs, so it gets the smallest filter
-    shard_actors = [
-        SeenShardActor.remote(
-            i, cuckoo_capacity=max(1 << 14, n_pages * 2 if i < num_seen_shards else 0)
-        )
-        for i in range(max(num_seen_shards, num_host_shards))
-    ]
-    seen_actors = shard_actors[:num_seen_shards]
-    host_actors = shard_actors[:num_host_shards]
-    host_inits = [
-        a.init_host_shard.remote(
-            num_host_shards, float(budget_per_host), float(budget_per_host),
-            carryover_tokens, robots_ref, user_agent, backend_factory,
-        )
-        for a in host_actors
-    ]
-
-    # documents land on disk, written by the fetcher actors per wave —
-    # partitioned, resumable output; span payloads never transit plasma.
-    # `scratch_dir` lets callers without a checkpoint root choose the
-    # filesystem (benches use tmpfs so the measurement isn't disk-bound)
+    # documents land on disk, written by the shards per wave — partitioned,
+    # resumable output; span payloads never transit plasma. `scratch_dir`
+    # lets callers without a checkpoint root choose the filesystem (benches
+    # use tmpfs so the measurement isn't disk-bound)
     doc_root = out_dir if out_dir is not None else tempfile.mkdtemp(
         prefix="crawlray_docs_", dir=scratch_dir or "/tmp"
     )
 
-    # persistent fetch+parse pool: created once per CRAWL (not per wave —
-    # per-wave actor pools pay actor spin-up every wave). The url→html
-    # index is sorted ONCE by a task and shared zero-copy by every actor.
-    from crawlray.stages import build_web_index_task
-
-    if webgraph_refs is not None:
-        urls_idx_ref, perm_idx_ref = build_web_index_task.remote(*webgraph_refs)
-        web_index = (urls_idx_ref, perm_idx_ref, webgraph_refs)
-    else:
-        web_index = None  # backend_factory path: no synthetic index
-    if fetch_concurrency is None:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        n_fetchers = max(2, int(cpus * 0.75))
-    elif isinstance(fetch_concurrency, tuple):
-        n_fetchers = max(fetch_concurrency)
-    else:
-        n_fetchers = int(fetch_concurrency)
-    fetcher_actors = [
-        FetcherActor.remote(
-            None, enrich, seen_actors, num_seen_shards, max_depth,
-            doc_root, i, max_pages is not None,
-            web_index,
-            doc_steps or None,
-            backend_factory,
+    # ---- every shard is asked to start before the first blocking call, so
+    # their process start-ups (~1 s of CPU each) overlap one another and the
+    # bootstrap RPCs that wait on them. Each shard indexes its own hosts'
+    # pages of the webgraph, which it reads zero-copy from the object store
+    n = int(num_seen_shards)
+    robots_ref = ray.put(robots) if robots is not None else None
+    shards = [
+        CrawlShard.remote(
+            i, n,
+            seen_capacity=max(1 << 14, n_pages * 2),
+            budget_per_host=budget_per_host,
+            carryover_tokens=carryover_tokens,
+            robots=robots_ref,
+            user_agent=user_agent,
+            webgraph_refs=webgraph_refs,
+            backend_factory=backend_factory,
+            enrich=enrich,
+            max_depth=max_depth,
+            fetch_batch_size=fetch_batch_size,
+            doc_root=doc_root,
+            checkpoint=out_dir is not None,
+            frontier_steps=frontier_steps or [],
+            doc_steps=doc_steps or [],
+            priority_policy=priority_policy,
         )
-        for i in range(n_fetchers)
+        for i in range(n)
     ]
     if _actor_holder is not None:
-        _actor_holder["actors"] = shard_actors + fetcher_actors
+        _actor_holder["actors"] = shards
 
     if web_fp is None:
         web_fp = _webgraph_fingerprint(
@@ -385,8 +304,8 @@ def _run_crawl_attempt(
         )
     _t_started = time.time()
 
-    # O-24 counters: fetchers return per-wave totals from end_wave and the
-    # driver sums them here; resume seeds them from the committed meta.json
+    # O-24 counters: the shards return per-wave totals from finish_wave and
+    # the driver sums them here; resume seeds them from the committed meta.json
     counters: dict = dict((_resume_state or {}).get("counters") or {})
     fetched_total = 0
     seq_base = 0
@@ -404,50 +323,31 @@ def _run_crawl_attempt(
             seed_urls.append(c)
             seed_keys.append(-LINK_STRIDE + i)
             seed_depths.append(0)
-        frontier_tbl = frontier_table_from_urls(
-            seed_urls, seed_keys, seed_depths, num_seen_shards
-        )
-        # register the seeds in the seen set: every shard gets its rows,
-        # possibly none (SeenShardActor docstring). The host shards must
-        # exist before the first mark task, whose RPCs come from other callers
-        seed_rows = frontier_tbl.select(["url", "url_hash_lo", "url_hash_hi"])
-        shards = frontier_tbl.column("shard").to_numpy()
-        boot = host_inits + [a.begin_wave.remote(0) for a in seen_actors] + [
-            a.check_and_add.remote(seed_rows.filter(pa.array(shards == s)))
-            for s, a in enumerate(seen_actors)
-        ]
-        ray.get(boot)
+        frontier_tbl = frontier_table_from_urls(seed_urls, seed_keys, seed_depths, n)
+        dest = frontier_tbl.column("shard").to_numpy()
+        decisions = ray.get([
+            a.start.remote(frontier_tbl.filter(pa.array(dest == i)), 0, True)
+            for i, a in enumerate(shards)
+        ])
     else:
-        # ---- resume: re-ingest seen deltas, host state, stored frontier
-        frontier_tbl = _resume_state["frontier_tbl"]
+        # ---- resume: each shard's bucket of the seen deltas, host state and
+        # stored frontier (resume_crawl re-buckets them by host shard)
         wave = _resume_state["wave0"]
         seq_base = _resume_state["seq_base"]
         fetched_total = _resume_state["fetched_total"]
-        boot = host_inits + [
-            a.ingest.remote(t) for a, t in zip(seen_actors, _resume_state["seen_deltas"])
-        ]
-        # each actor runs its own calls in order: load after init_host_shard
-        for shard_id, st in _resume_state["host_state"].items():
-            boot.append(
-                host_actors[shard_id].load_host_state.remote(
-                    st["hosts"], st["tokens"], st["fetched"]
-                )
+        decisions = ray.get([
+            a.start.remote(fr, wave, False, seen, hs)
+            for a, fr, seen, hs in zip(
+                shards, _resume_state["frontier"], _resume_state["seen_deltas"],
+                _resume_state["host_state"],
             )
-        ray.get(boot)
+        ])
     _t_booted = time.time()
 
-    frontier_refs, frontier_counts = _split_refs(frontier_tbl, frontier_rows_per_block)
-    n_frontier = frontier_tbl.num_rows
-    # shipped once; each mark task reads them zero-copy from the store
-    fsteps_ref = ray.put(frontier_steps) if frontier_steps else None
-    policy_ref = ray.put(priority_policy) if priority_policy is not None else None
-    chunk_rows = max(16, int(fetch_batch_size))
-
-    all_log_refs: list = []
+    log_blocks: list = []  # (ref, rows, bytes) of this leg's log blocks
     metrics: dict = {"waves": []}
     waves_done = wave
     wave0 = wave
-    stop = False
     commit_s = 0.0
 
     checkpointer = None
@@ -456,8 +356,7 @@ def _run_crawl_attempt(
             "budget_per_host": budget_per_host,
             "max_depth": max_depth,
             "max_pages": max_pages,
-            "num_seen_shards": num_seen_shards,
-            "num_host_shards": num_host_shards,
+            "num_seen_shards": n,
             "carryover_tokens": carryover_tokens,
             "user_agent": user_agent,
             "webgraph_fingerprint": web_fp,
@@ -466,202 +365,117 @@ def _run_crawl_attempt(
         }
         checkpointer = Checkpointer(out_dir, cfg)
 
-    _profile = os.environ.get("CRAWLRAY_PROFILE") == "1"
-
-    def _tick(label: str, t0: float) -> float:
-        now = time.time()
-        if _profile:
-            print(f"#   w{wave} {label}: {now - t0:.2f}s", file=sys.stderr, flush=True)
-        return now
-
-    while not stop:
-        if n_frontier == 0:
-            break
+    while sum(d["frontier"] for d in decisions):
         # Budget already exhausted at wave start (e.g. resuming a checkpoint
         # that finished on max_pages but committed a non-empty frontier):
         # stop before issuing any fetches.
         if max_pages is not None and fetched_total >= max_pages:
             break
-        _t = _t_wave = time.time()
+        _t_wave = time.time()
         if _fault_hook is not None:
-            _fault_hook(
-                wave,
-                {
-                    "seen": seen_actors,
-                    "polite": host_actors,
-                    "fetchers": fetcher_actors,
-                },
-            )
+            _fault_hook(wave, {"seen": shards, "polite": shards, "fetchers": shards})
         # leftover uncommitted wave dir (crashed run / rerun into same root):
-        # clean BEFORE fetchers write into it
+        # clean BEFORE the shards write into it
         wdir = os.path.join(doc_root, f"wave={wave:05d}")
         if os.path.isdir(wdir):
             shutil.rmtree(wdir)
 
-        # A: robots mask + politeness offers, one task per frontier block
-        live = [r for r, c in zip(frontier_refs, frontier_counts) if c > 0]
-        marked_refs = [
-            mark_block_task.remote(r, host_actors, wave, fsteps_ref, policy_ref)
-            for r in live
-        ]
-        ray.wait(marked_refs, num_returns=len(marked_refs), fetch_local=False)
-        _t = _tick("  mark", _t)
-
-        # barrier RPC round: one decide_and_drain per host shard (counts +
-        # thresholds + admitted keys + robots-denied keys in ONE call)
-        pol_res = ray.get([p.decide_and_drain.remote() for p in host_actors])
-        _t = _tick("  decide", _t)
-        n_admitted = sum(r[0] for r in pol_res)
-        n_offered = sum(r[1] for r in pol_res)
-        host_parts = [np.asarray(r[2], dtype=np.str_) for r in pol_res if r[2]]
-        thr_parts = [r[3] for r in pol_res if len(r[3])]
-        if host_parts:
-            all_hosts = np.concatenate(host_parts)
-            all_thr = np.concatenate(thr_parts)
-            order = np.argsort(all_hosts)
-            thr_hosts, thr_vals = all_hosts[order], all_thr[order]
-        else:
-            thr_hosts = np.empty(0, dtype="<U1")
-            thr_vals = np.empty(0, np.int64)
-        # admitted + robots-denied keys of every shard
-        logged_keys = np.sort(np.concatenate([k for r in pol_res for k in r[4:]]))
-        thr_hosts_ref = ray.put(thr_hosts)
-        thr_vals_ref = ray.put(thr_vals)
+        # decide: the shards decided at the end of the previous round; the
+        # driver merges their admitted + robots-denied keys into the wave's
+        # seq order (O-33 without a distributed sort) and puts them once
+        logged_keys = np.sort(np.concatenate([d["keys"] for d in decisions]))
+        n_admitted = sum(d["admitted"] for d in decisions)
+        # a wave can cross the page budget only if it admits past it
+        hold = max_pages is not None and fetched_total + n_admitted > max_pages
         keys_ref = ray.put(logged_keys)
-        _t = _tick("  sort+put", _t)
+        _t_decided = time.time()
 
-        # B: gate + seq + fetch DISPATCH, one task per marked block. The
-        # feeders return immediately with the chunk ObjectRefs (a feeder
-        # blocked in ray.get made Ray spawn 100+ replacement workers —
-        # stages.fetch_block_task docstring); the driver groups the refs
-        # into gather tasks and waits on their counts, which is the wave's
-        # fetch barrier without any worker held hostage.
-        # Chunk size adapts to the wave: ~6 chunks per fetcher bounds the
-        # end-of-wave straggler tail at ~1/6 of one actor's wave share
-        # (a FIXED tail per wave would otherwise cap scaling efficiency).
-        from crawlray.stages import gather_log_task
+        fetches = [
+            a.fetch_parse_wave.options(num_returns=n + 1).remote(keys_ref, seq_base, wave, hold)
+            for a in shards
+        ]
+        fetch_infos = ray.get([f[0] for f in fetches])
+        _t_fetched = time.time()
+        wave_fetched = sum(f["fetched"] for f in fetch_infos)
 
-        # ~20 chunks per fetcher: the end-of-wave straggler tail is bounded
-        # by ONE chunk's cost, and per-chunk cost varies with host page
-        # sizes (zipf), so finer interleave also evens cumulative load —
-        # measured busy spread 27-40s at /6 granularity. Per-chunk overhead
-        # (RPC + arrow slice + log format) is ~5ms once offers are banked,
-        # so 480 chunks/wave cost ~2.5s spread across the pool.
-        chunk_wave = int(min(chunk_rows, max(32, -(-n_admitted // (n_fetchers * 20)))))
-        live_counts = [c for c in frontier_counts if c > 0]
-        triples = []
-        chunk_off = 0
-        for m, rows in zip(marked_refs, live_counts):
-            triples.append(
-                fetch_block_task.remote(
-                    m, thr_hosts_ref, thr_vals_ref, keys_ref, seq_base, wave,
-                    fetcher_actors, chunk_wave, chunk_off,
-                )
-            )
-            chunk_off += -(-rows // chunk_wave)  # upper bound on block's chunks
-        metas = ray.get([t[0] for t in triples])  # dispatch metadata only
-        den_refs = [t[1] for t in triples]
-        def_refs = [t[2] for t in triples]
-        chunk_refs = [r for m in metas for r in m["chunk_refs"]]
-        n_admitted_blocks = sum(m["n_admitted"] for m in metas)
-        n_deferred = sum(m["n_deferred"] for m in metas)
-        def_pairs = [
-            (r, m["n_deferred"]) for r, m in zip(def_refs, metas) if m["n_deferred"]
-        ]
-        gathers = [
-            gather_log_task.remote(*chunk_refs[off : off + 64])
-            for off in range(0, len(chunk_refs), 64)
-        ]
-        wave_fetched = sum(ray.get([g[1] for g in gathers]))  # fetch barrier
-        log_refs = [g[0] for g in gathers] + [
-            r for r, m in zip(den_refs, metas) if m["n_denied"]
-        ]
-        _t = _tick("gate+fetch", _t)
-
-        # budget cut (O-35, rare path): deterministic prefix at the r-th
-        # fetch in seq order, computed without driver rows (rank_cut_seq
-        # walks per-block metadata of a sorted one-column dataset)
+        # budget cut (O-35, RBC-10): the deterministic prefix ends at the
+        # r-th fetched page in seq order
         cut_seq = None
         if max_pages is not None and fetched_total + wave_fetched > max_pages:
-            from crawlray.ops.seqassign import rank_cut_seq
-
             r = max_pages - fetched_total  # >= 1 (guard at wave start)
-            cut_seq = rank_cut_seq(ray.data.from_arrow_refs(list(log_refs)), r)
-            filt = [filter_log_cut_task.remote(lr, cut_seq) for lr in log_refs]
-            log_refs = [f[0] for f in filt]
-            n_logged = sum(ray.get([f[1] for f in filt]))
+            cut_seq = int(np.sort(np.concatenate([f["fetched_seqs"] for f in fetch_infos]))[r - 1])
             wave_fetched = r
-            def_pairs = []
-            stop = True
-        else:
-            n_logged = int(len(logged_keys))
-
-        # fetchers flush: resolve (possibly cut) offers, await delivery,
-        # write this wave's document parquet partition
-        for wc in ray.get([f.end_wave.remote(wave, cut_seq) for f in fetcher_actors]):
-            for k, v in wc.items():
+        last = (
+            cut_seq is not None
+            or (stop_after_wave is not None and wave >= stop_after_wave)
+            or (max_pages is not None and fetched_total + wave_fetched >= max_pages)
+        )
+        fins = [
+            a.finish_wave.remote(wave, cut_seq, not last, *[f[1 + j] for f in fetches])
+            for j, a in enumerate(shards)
+        ]
+        outs = ray.get([f[1] for f in fins])
+        _t_finished = time.time()
+        log_blocks.extend((f[0], o["log_rows"], o["log_bytes"]) for f, o in zip(fins, outs))
+        for o in outs:
+            for k, v in o["counters"].items():
                 counters[k] = counters.get(k, 0) + v
-        all_log_refs.extend(log_refs)
-        _t = _tick("end_wave", _t)
+        busy = [f["busy_s"] for f in fetch_infos]
+        counters["fetch_busy_s"] = round(counters.get("fetch_busy_s", 0.0) + sum(busy), 3)
 
-        # seen shards resolve the wave's discoveries into FRONTIER blocks
-        fins = [a.finish_wave.remote() for a in seen_actors]
-        d_counts = ray.get([f[1] for f in fins])
-        pairs = list(zip([f[0] for f in fins], d_counts)) + def_pairs
-        frontier_refs, frontier_counts = _compact_refs(pairs, frontier_rows_per_block)
-        n_frontier_next = sum(frontier_counts)
-        n_new = sum(d_counts)
-        _t = _tick("finish+frontier", _t)
-
+        n_logged = len(logged_keys) if cut_seq is None else sum(o["log_rows"] for o in outs)
+        n_deferred = sum(d["deferred"] for d in decisions)
         fetched_total += wave_fetched
         seq_base += n_logged
-        metrics["waves"].append(
-            {
-                "wave": wave,
-                "frontier": n_frontier,
-                "logged": n_logged,
-                "fetched": wave_fetched,
+        record = {
+            "wave": wave,
+            "frontier": sum(d["frontier"] for d in decisions),
+            "logged": n_logged,
+            "fetched": wave_fetched,
+            "deferred": n_deferred,
+            "discovered_new": sum(o["discovered_new"] for o in outs),
+            "counters": dict(counters),
+            # driver wall seconds from the wave's start to its commit
+            "wave_s": round(_t_finished - _t_wave, 4),
+            # where the wave's time went; the shards' own decide runs in
+            # the previous finish round (or the leg's bootstrap), so
+            # decide_s is the driver's merge of their keys. commit_s is
+            # added once the commit returns (meta.json cannot hold it)
+            "phases": {
+                "decide_s": round(_t_decided - _t_wave, 4),
+                "fetch_s": round(_t_fetched - _t_decided, 4),
+                "finish_s": round(_t_finished - _t_fetched, 4),
+                "fetch_busy_min_s": round(min(busy), 4),
+                "fetch_busy_max_s": round(max(busy), 4),
+                "fetch_busy_sum_s": round(sum(busy), 4),
+                "admitted": n_admitted,
                 "deferred": n_deferred,
-                "discovered_new": n_new,
-                "counters": dict(counters),
-                # driver wall seconds from the wave's start to its commit
-                "wave_s": round(time.time() - _t_wave, 4),
-            }
-        )
+                "denied": sum(d["denied"] for d in decisions),
+            },
+        }
+        metrics["waves"].append(record)
         if checkpointer is not None:
-            # durability fence: the wave's background doc writes must be
-            # on storage before _SUCCESS commits (they overlap the
-            # finish/derive phase above, so this join is usually free)
             _t_commit = time.time()
-            ray.get([f.wait_writes.remote() for f in fetcher_actors])
             checkpointer.commit_wave(
-                wave=wave,
-                frontier_refs=frontier_refs,
-                log_refs=log_refs,
-                seen_actors=seen_actors,
-                host_actors=host_actors,
-                metrics=metrics["waves"][-1],
-                seq_base=seq_base,
-                fetched_total=fetched_total,
+                wave=wave, metrics=record, seq_base=seq_base, fetched_total=fetched_total
             )
+            record["phases"] = dict(record["phases"], commit_s=round(time.time() - _t_commit, 4))
             commit_s += time.time() - _t_commit
 
         waves_done = wave + 1
-        if stop_after_wave is not None and wave >= stop_after_wave:
+        if last:
             break
-        if stop:
-            break
-        n_frontier = n_frontier_next
+        decisions = [o["next"] for o in outs]
         wave += 1
 
     _t_loop = time.time()
-    # assemble public outputs: this attempt's log blocks, preceded for a
-    # resumed crawl by its earlier waves' committed logs read back;
-    # documents from every wave's doc partition (joined writes first)
+    # assemble public outputs: this leg's log blocks, preceded for a
+    # resumed crawl by its earlier waves' committed log files; documents
+    # from every wave's doc partition
     first = 0 if checkpointer is not None else wave0
-    ray.get([f.wait_writes.remote() for f in fetcher_actors])
     crawl_log, documents = result_datasets(
-        Checkpointer.log_refs(doc_root, range(first, wave0)) + all_log_refs,
+        file_parts(Checkpointer.wave_files(doc_root, range(first, wave0), "crawl_log"), LOG_SCHEMA)
+        + ref_parts(log_blocks, LOG_SCHEMA),
         Checkpointer.wave_files(doc_root, range(first, waves_done), "documents"),
     )
     metrics["fetched_total"] = fetched_total
@@ -672,32 +486,13 @@ def _run_crawl_attempt(
     from crawlray.ops.sketch import HLL
 
     merged_hll = HLL(12)
-    for regs in ray.get([a.hll_registers.remote() for a in seen_actors]):
+    for regs in ray.get([a.hll_registers.remote() for a in shards]):
         merged_hll.merge(HLL(12, np.frombuffer(regs, dtype=np.uint8).copy()))
     metrics["seen_url_estimate"] = int(merged_hll.estimate())
-    if _profile:
-        busy = ray.get([f.busy_seconds.remote() for f in fetcher_actors])
-        phases = ray.get([f.phase_times.remote() for f in fetcher_actors])
-        agg: dict = {}
-        for ph in phases:
-            for k, v in ph.items():
-                agg[k] = agg.get(k, 0.0) + v
-        print(
-            f"#   fetchers: n={len(busy)} busy_sum={sum(busy):.1f}s "
-            f"min={min(busy):.2f} max={max(busy):.2f} "
-            f"phases={{{', '.join(f'{k}: {v:.1f}' for k, v in sorted(agg.items()))}}}",
-            file=sys.stderr, flush=True,
-        )
-    # fetchers are never needed after the wave loop — release their CPUs now
-    for a in fetcher_actors:
-        try:
-            ray.kill(a)
-        except Exception:
-            pass
-    # where the leg's wall time went: asking every actor to start (and
-    # loading the web), the bootstrap or resume ingest (which waits for the
-    # shard actors to come up), the wave loop (its commits are `commit_s`
-    # of it) and building the outputs
+    # where the leg's wall time went: asking every shard to start (and
+    # loading the web), the bootstrap or resume ingest with the first
+    # decide (which waits for the shards to come up), the wave loop (its
+    # commits are `commit_s` of it) and building the outputs
     metrics["leg"] = {
         "startup_s": round(_t_started - _t_start, 4),
         "bootstrap_s": round(_t_booted - _t_started, 4),
@@ -708,11 +503,10 @@ def _run_crawl_attempt(
     return CrawlResult(
         crawl_log=crawl_log,
         documents=documents,
-        waves=waves_done if all_log_refs else 0,
+        waves=waves_done if log_blocks else 0,
         fetched_total=fetched_total,
         metrics=metrics,
-        _seen_actors=seen_actors,
-        _all_actors=shard_actors,
+        _shards=shards,
     )
 
 
@@ -747,7 +541,7 @@ def run_crawl(seeds: list[str], **kwargs) -> CrawlResult:
     `resume_crawl` (re-ingesting seen deltas + host state) — waves are
     idempotent transactions (§4.4), so the continuation is bit-identical to
     an uninterrupted run (tested: tests/resume/test_fault_tolerance.py
-    kills a seen shard and a fetcher mid-crawl). Requires `out_dir`
+    kills crawl shards mid-crawl). Requires `out_dir`
     (checkpointing) — without it there is no committed state to rebuild
     from, and the error propagates.
     """
@@ -761,7 +555,7 @@ def run_crawl(seeds: list[str], **kwargs) -> CrawlResult:
             # kill the failed attempt's actors first, whatever the error: a
             # re-raised error's frames hold their handles, so a caller that
             # keeps the exception (pytest.raises, a REPL, a log) would keep
-            # their CPUs; a recovery must not meet a zombie fetcher writing
+            # their CPUs; a recovery must not meet a zombie shard writing
             # into the wave dir it is about to re-run
             for a in holder.pop("actors", []):
                 try:
@@ -786,7 +580,6 @@ def run_crawl(seeds: list[str], **kwargs) -> CrawlResult:
                 robots=kwargs.get("robots"),
                 webgraph_path=kwargs.get("webgraph_path"),
                 robots_path=kwargs.get("robots_path"),
-                fetch_concurrency=kwargs.get("fetch_concurrency"),
                 fetch_batch_size=kwargs.get("fetch_batch_size", 512),
                 stop_after_wave=kwargs.get("stop_after_wave"),
                 priority_policy=kwargs.get("priority_policy"),
@@ -807,7 +600,6 @@ def resume_crawl(
     robots: pa.Table | None = None,
     webgraph_path: str | None = None,
     robots_path: str | None = None,
-    fetch_concurrency=None,
     fetch_batch_size: int = 512,
     stop_after_wave: int | None = None,
     priority_policy=None,
@@ -827,13 +619,14 @@ def resume_crawl(
     bit-for-bit. The returned result's crawl_log/documents are assembled
     by the attempt from ALL committed waves, pre- and post-resume.
 
-    `num_seen_shards` resumes into a DIFFERENT seen-shard count than the
+    `num_seen_shards` resumes into a DIFFERENT shard count than the
     checkpoint was written with (Megaphone-style re-shard on resume,
     SURVEY §7.7-H2 / VERDICT r3 item 9): routing is
-    shard = murmur3_lo(url) % N — a pure function of the stored 128-bit
-    hash, never of N — so changing N is a re-partition of the same key
-    space: the committed seen deltas re-bucket and the stored frontier's
-    shard column is recomputed. Results are shard-count-invariant
+    shard = host_hash(host) % N — a pure function of the host, never of
+    N — so changing N is a re-partition of the same key space: the
+    committed seen deltas (which store the host hash), the host state and
+    the stored frontier re-bucket together, keyed by the same function as
+    the data they serve. Results are shard-count-invariant
     (tests/resume/test_resume_reshard.py asserts bit-identity).
     """
     import json as _json
@@ -897,38 +690,26 @@ def resume_crawl(
     last = waves[-1]
     meta = Checkpointer.load_meta(out_dir, last)
 
-    frontier_tbl = _pq.read_table(
-        os.path.join(out_dir, f"wave={last:05d}", "frontier")
-    )
-    # seen routing is lo % N, a pure function of the stored 128-bit hash:
-    # bucketing the committed deltas and the frontier's shard column by
-    # lo % new_shards restores them, and re-shards them when N changes
+    # routing is host_hash % N: bucketing the committed deltas, the last
+    # wave's host state and its frontier by host_hash % new_shards restores
+    # them, and re-shards them when N changes
     new_shards = int(
         num_seen_shards if num_seen_shards is not None else cfg["num_seen_shards"]
     )
-    deltas = pa.concat_tables(
-        [
-            _pq.read_table(path, columns=["url_hash_lo", "url_hash_hi"])
-            for path in Checkpointer.wave_files(out_dir, waves, "seen_delta")
-        ]
-    )
-    buckets = deltas.column("url_hash_lo").to_numpy() % np.uint64(new_shards)
-    seen_deltas = [deltas.filter(pa.array(buckets == s)) for s in range(new_shards)]
-    fr_lo = frontier_tbl.column("url_hash_lo").to_numpy()
-    frontier_tbl = frontier_tbl.set_column(
-        frontier_tbl.schema.get_field_index("shard"),
-        "shard",
-        pa.array((fr_lo % np.uint64(new_shards)).astype(np.uint32), pa.uint32()),
-    )
 
-    host_state: dict[int, dict] = {}
-    for path in Checkpointer.wave_files(out_dir, [last], "host_state"):
-        t = _pq.read_table(path)
-        host_state[int(os.path.basename(path)[len("shard=") : -len(".parquet")])] = {
-            "hosts": t.column("host").to_pylist(),
-            "tokens": t.column("tokens").to_pylist(),
-            "fetched": t.column("fetched_total").to_pylist(),
-        }
+    def read(sub: str, waves_, columns=None, schema=None) -> pa.Table:
+        parts = [_pq.read_table(p, columns=columns) for p in Checkpointer.wave_files(out_dir, waves_, sub)]
+        return pa.concat_tables(parts) if parts else schema.empty_table()
+
+    deltas = read("seen_delta", waves, ["url_hash_lo", "url_hash_hi", "host_hash"])
+    host_state = read("host_state", [last], schema=HOST_STATE_SCHEMA)
+    frontier = read("frontier", [last], schema=FRONTIER_SCHEMA)
+    frontier_hash = host_hashes(frontier.column("host"))
+    frontier = frontier.set_column(
+        frontier.schema.get_field_index("shard"),
+        "shard",
+        pa.array(frontier_hash % np.uint32(new_shards), pa.uint32()),
+    )
 
     return run_crawl(
         seeds=[],
@@ -940,10 +721,8 @@ def resume_crawl(
         max_depth=cfg["max_depth"],
         max_pages=cfg["max_pages"],
         num_seen_shards=new_shards,
-        num_host_shards=cfg["num_host_shards"],
         carryover_tokens=cfg["carryover_tokens"],
         user_agent=cfg["user_agent"],
-        fetch_concurrency=fetch_concurrency,
         fetch_batch_size=fetch_batch_size,
         out_dir=out_dir,
         stop_after_wave=stop_after_wave,
@@ -954,12 +733,16 @@ def resume_crawl(
         seen_capacity=seen_capacity,
         max_actor_recoveries=max_actor_recoveries,
         _resume_state={
-            "frontier_tbl": frontier_tbl,
             "wave0": last + 1,
             "seq_base": meta["seq_base_after"],
             "fetched_total": meta["fetched_total_after"],
-            "seen_deltas": seen_deltas,
-            "host_state": host_state,
+            "frontier": _bucket(frontier, frontier_hash, new_shards),
+            "seen_deltas": _bucket(
+                deltas, deltas.column("host_hash").to_numpy(), new_shards
+            ),
+            "host_state": _bucket(
+                host_state, host_hashes(host_state.column("host")), new_shards
+            ),
             "counters": meta.get("metrics", {}).get("counters"),
         },
     )

@@ -17,6 +17,9 @@ from functools import lru_cache
 import re
 from urllib.parse import urljoin, urlsplit
 
+import pyarrow as pa
+import pyarrow.compute as pc
+
 # RBC-3 deny list: URLs whose path ends in a non-HTML extension are dropped.
 DENY_EXTENSIONS = (
     ".jpg", ".jpeg", ".png", ".gif", ".css", ".js", ".pdf", ".zip",
@@ -173,6 +176,16 @@ def url_host(url: str) -> str:
     if "@" in netloc:
         netloc = netloc.rsplit("@", 1)[1]
     return netloc
+
+
+# what url_host keeps: the netloc after any "scheme://" and "userinfo@"
+_HOST_RE = r"^(?:[^:/?#]*://)?(?:[^/?#]*@)?(?P<host>[^/?#]*)"
+
+
+def url_hosts(urls: pa.Array) -> pa.Array:
+    """`url_host` of every URL in an Arrow string array, in one Arrow
+    regex kernel (no per-URL Python)."""
+    return pc.extract_regex(urls, _HOST_RE).field("host")
 
 
 def url_path(url: str) -> str:

@@ -23,39 +23,13 @@ import ray.data
 from crawlray.ops.exchange import group_map
 
 
-def rank_cut_seq(log_ds: ray.data.Dataset, r: int) -> int:
-    """seq of the r-th (1-based) 'fetched' row in ascending seq order —
-    the deterministic budget-cut point (SURVEY.md O-35, RBC-10).
-
-    No driver rows: filter + single-column sort, then walk per-block
-    row-count METADATA (O(#blocks) driver work) and fetch only the one
-    block containing the r-th row. Runs at most once per crawl (the wave
-    that crosses the global page budget)."""
-    ds = (
-        log_ds.filter(expr="status == 'fetched'")
-        .select_columns(["seq"])
-        .sort("seq")
-        .materialize()
-    )
-    acc = 0
-    for bundle in ds.iter_internal_ref_bundles():
-        for block_ref, meta in bundle.blocks:
-            n = meta.num_rows
-            if n and acc + n >= r:
-                block = ray.get(block_ref)
-                return int(block.column("seq")[r - acc - 1].as_py())
-            acc += n
-    raise ValueError(f"rank_cut_seq: fewer than r={r} fetched rows ({acc})")
-
-
 def rank_values(
     ds: ray.data.Dataset, col: str, ranks: list[int], presorted: bool = False
 ) -> dict[int, float]:
     """Values at the given 0-based global ranks of ds[col] ascending.
 
-    Same no-driver-rows shape as rank_cut_seq: distributed sort, then an
-    O(#blocks) metadata walk fetching ONLY the blocks that contain a
-    requested rank. Pass presorted=True when `ds` is already a
+    No driver rows: distributed sort, then an O(#blocks) metadata walk
+    fetching ONLY the blocks that contain a requested rank. Pass presorted=True when `ds` is already a
     materialized sort-by-`col` result to skip the (expensive) re-sort —
     exact_quantiles was paying the sort TWICE before this flag existed
     (VERDICT r3 item 6: quantiles 1.95→3.65 s regression)."""

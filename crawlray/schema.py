@@ -47,7 +47,7 @@ FRONTIER = pa.schema(
         ("priority", pa.float64()),  # frontier priority (BFS: disc_key order)
         ("url_hash_lo", pa.uint64()),  # murmur3_x64_128 low word
         ("url_hash_hi", pa.uint64()),
-        ("shard", pa.uint32()),  # url_hash_lo % num_seen_shards
+        ("shard", pa.uint32()),  # host_shard_of(host, num_seen_shards)
     ]
 )
 

@@ -7,17 +7,16 @@ extension API; the engine must. Two kinds of plugs:
 **Steps** — pure batch transforms `pa.Table -> pa.Table`, registered by name
 and composed into the wave at two hook points:
 
-  * ``frontier`` steps run on every frontier block at wave start (before
-    robots/politeness marking) — custom scope filters, URL rewrites,
+  * ``frontier`` steps run on each crawl shard's frontier when the shard
+    decides a wave (before the robots mask and politeness admission) — custom scope filters, URL rewrites,
     annotations. They may drop rows; they must preserve the FRONTIER
     columns.
-  * ``document`` steps run inside the fetcher actors on each parsed
-    document table before it is buffered for the wave's parquet partition —
+  * ``document`` steps run inside the crawl shards on each wave's parsed
+    document table before it is written to the wave's parquet partition —
     enrichment, scoring, redaction. They may add columns; they must
     preserve ``doc_id``/``seq``/``spans``.
 
-Steps are applied WHERE THE DATA ALREADY IS (inside the existing wave tasks
-and fetcher actors) — plugging in a step never adds a pipeline stage,
+Steps are applied WHERE THE DATA ALREADY IS (inside the crawl shards) — plugging in a step never adds a pipeline stage,
 shuffle, or extra pass.
 
 **Priority policies** (O-48) — callables ``(frontier_block, wave) ->

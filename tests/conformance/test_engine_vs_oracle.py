@@ -43,8 +43,8 @@ def test_engine_matches_oracle(shape, n_urls, n_hosts, cfg, ray_session):
     web = SynthWeb(seed=42, shape=shape, n_urls=n_urls, n_hosts=n_hosts)
     seeds = web.default_seeds()
     ora = crawl(seeds, SyntheticBackend.from_web(web), CrawlConfig(**cfg))
-    eng = run_crawl(seeds, web=web, num_seen_shards=3, num_host_shards=2,
-                    fetch_batch_size=16, fetch_concurrency=2, **cfg)
+    eng = run_crawl(seeds, web=web, num_seen_shards=3,
+                    fetch_batch_size=16, **cfg)
     try:
         # 1. crawl_log bit-for-bit
         got = _sorted_log(eng.crawl_log_table())
@@ -91,9 +91,9 @@ def test_parallelism_invariance(shape, n_urls, n_hosts, ray_session):
     web = SynthWeb(seed=7, shape=shape, n_urls=n_urls, n_hosts=n_hosts)
     seeds = web.default_seeds()
     kw = dict(budget_per_host=2, max_depth=8)
-    a = run_crawl(seeds, web=web, num_seen_shards=1, num_host_shards=1,
+    a = run_crawl(seeds, web=web, num_seen_shards=1,
                   fetch_batch_size=4, **kw)
-    b = run_crawl(seeds, web=web, num_seen_shards=5, num_host_shards=4,
+    b = run_crawl(seeds, web=web, num_seen_shards=5,
                   fetch_batch_size=64, **kw)
     ta, tb = _sorted_log(a.crawl_log_table()), _sorted_log(b.crawl_log_table())
     assert ta.equals(tb)

@@ -1,6 +1,6 @@
-"""Checkpoint commit layout and its guarantees: one typed `part-0.parquet`
-per committed wave for crawl_log and frontier, written without any Ray Data
-execution; a checkpointed crawl's outputs read back from the committed
+"""Checkpoint commit layout and its guarantees: one typed
+`shard=K.parquet` per shard and committed wave for crawl_log and frontier,
+written without any Ray Data execution; a checkpointed crawl's outputs read back from the committed
 waves equal the in-memory crawl; and a fresh crawl refuses a checkpoint
 root that already holds committed waves."""
 
@@ -22,7 +22,7 @@ from crawlray.synthgraph import SynthWeb
 from oracle.bfs_crawler import CrawlConfig, crawl
 
 CFG = dict(budget_per_host=2, max_depth=8)
-RUN = dict(fetch_concurrency=2, fetch_batch_size=16)
+RUN = dict(fetch_batch_size=16)
 
 
 def _log_sorted(ds) -> pa.Table:
@@ -51,10 +51,11 @@ def test_checkpoint_layout(ray_session, tmp_path):
         frontier_schema = pa.schema([FRONTIER.field(c) for c in FRONTIER_COLS])
         for w in waves:
             wdir = os.path.join(out, f"wave={w:05d}")
-            assert os.listdir(os.path.join(wdir, "crawl_log")) == ["part-0.parquet"]
-            assert os.listdir(os.path.join(wdir, "frontier")) == ["part-0.parquet"]
-            log_t = pq.read_table(os.path.join(wdir, "crawl_log", "part-0.parquet"))
-            fr_t = pq.read_table(os.path.join(wdir, "frontier", "part-0.parquet"))
+            parts = [f"shard={i}.parquet" for i in range(4)]
+            assert sorted(os.listdir(os.path.join(wdir, "crawl_log"))) == parts
+            assert sorted(os.listdir(os.path.join(wdir, "frontier"))) == parts
+            log_t = pq.read_table(os.path.join(wdir, "crawl_log"))
+            fr_t = pq.read_table(os.path.join(wdir, "frontier"))
             assert log_t.schema.remove_metadata().equals(LOG_SCHEMA)
             assert fr_t.schema.remove_metadata().equals(frontier_schema)
             assert log_t.num_rows > 0

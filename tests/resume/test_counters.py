@@ -20,10 +20,9 @@ def test_counters_match_fetched_and_documents(max_pages, ray_session, tmp_path):
     web = SynthWeb(seed=11, shape="zipf_hosts", n_urls=70, n_hosts=5)
     out = str(tmp_path / "ckpt")
     first = run_crawl(web.default_seeds(), web=web, out_dir=out, stop_after_wave=2,
-                      budget_per_host=2, max_depth=8, max_pages=max_pages,
-                      fetch_concurrency=2, fetch_batch_size=16)
+                      budget_per_host=2, max_depth=8, max_pages=max_pages, fetch_batch_size=16)
     first.shutdown()
-    res = resume_crawl(out, web=web, fetch_concurrency=2, fetch_batch_size=16)
+    res = resume_crawl(out, web=web, fetch_batch_size=16)
     try:
         waves = Checkpointer.committed_waves(out)
         assert len(waves) > 3

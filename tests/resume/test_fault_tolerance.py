@@ -45,8 +45,7 @@ def test_actor_death_mid_crawl_recovers_bit_identical(
     cfg = dict(budget_per_host=2, max_depth=8)
     ora = crawl(seeds, SyntheticBackend.from_web(web), CrawlConfig(**cfg))
 
-    a = run_crawl(seeds, web=web, out_dir=str(tmp_path / "a"),
-                  fetch_concurrency=2, fetch_batch_size=16, **cfg)
+    a = run_crawl(seeds, web=web, out_dir=str(tmp_path / "a"), fetch_batch_size=16, **cfg)
     a.shutdown()
 
     # kill the first actor of each victim pool at the top of wave 2 — the
@@ -59,8 +58,7 @@ def test_actor_death_mid_crawl_recovers_bit_identical(
             for pool in victims:
                 ray.kill(actors[pool][0], no_restart=True)
 
-    b = run_crawl(seeds, web=web, out_dir=str(tmp_path / "b"),
-                  fetch_concurrency=2, fetch_batch_size=16,
+    b = run_crawl(seeds, web=web, out_dir=str(tmp_path / "b"), fetch_batch_size=16,
                   _fault_hook=hook, **cfg)
     try:
         assert killed["done"], "fault hook never fired"
@@ -93,7 +91,7 @@ def test_actor_death_without_checkpoint_raises(ray_session):
 
     with pytest.raises(Exception) as ei:
         r = run_crawl(web.default_seeds(), web=web, budget_per_host=2,
-                      max_depth=8, fetch_concurrency=2, fetch_batch_size=16,
+                      max_depth=8, fetch_batch_size=16,
                       _fault_hook=hook)
         r.shutdown()
     from crawlray.job import _is_actor_death
@@ -114,7 +112,6 @@ def test_non_actor_errors_propagate(ray_session, tmp_path):
 
     with pytest.raises(RuntimeError, match="user bug"):
         r = run_crawl(web.default_seeds(), web=web, budget_per_host=2,
-                      max_depth=8, out_dir=str(tmp_path / "c"),
-                      fetch_concurrency=2, fetch_batch_size=16,
+                      max_depth=8, out_dir=str(tmp_path / "c"), fetch_batch_size=16,
                       _fault_hook=bad_hook)
         r.shutdown()

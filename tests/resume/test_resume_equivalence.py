@@ -29,17 +29,16 @@ def test_resume_equivalence(ray_session, tmp_path):
     dir_a = str(tmp_path / "ckpt_a")
     dir_b = str(tmp_path / "ckpt_b")
 
-    a = run_crawl(seeds, web=web, out_dir=dir_a, fetch_concurrency=2,
+    a = run_crawl(seeds, web=web, out_dir=dir_a,
                   fetch_batch_size=16, **cfg)
     a.shutdown()
 
-    b1 = run_crawl(seeds, web=web, out_dir=dir_b, stop_after_wave=2,
-                   fetch_concurrency=2, fetch_batch_size=16, **cfg)
+    b1 = run_crawl(seeds, web=web, out_dir=dir_b, stop_after_wave=2, fetch_batch_size=16, **cfg)
     b1.shutdown()
     committed = Checkpointer.committed_waves(dir_b)
     assert committed == [0, 1, 2]
 
-    b2 = resume_crawl(dir_b, web=web, fetch_concurrency=2, fetch_batch_size=16)
+    b2 = resume_crawl(dir_b, web=web, fetch_batch_size=16)
     try:
         log_a = _log_sorted(a.crawl_log)
         log_b = _log_sorted(b2.crawl_log)
@@ -66,11 +65,11 @@ def test_resume_cleans_uncommitted(ray_session, tmp_path):
     web = SynthWeb(seed=12, shape="chain", n_urls=8, n_hosts=1)
     d = str(tmp_path / "ck")
     r = run_crawl(web.default_seeds(), web=web, budget_per_host=2,
-                  out_dir=d, stop_after_wave=1, fetch_concurrency=2)
+                  out_dir=d, stop_after_wave=1)
     r.shutdown()
     # fake a crashed wave: dir without _SUCCESS
     os.makedirs(os.path.join(d, "wave=00002", "crawl_log"))
-    r2 = resume_crawl(d, web=web, fetch_concurrency=2)
+    r2 = resume_crawl(d, web=web)
     try:
         waves = Checkpointer.committed_waves(d)
         assert waves == sorted(waves)
@@ -113,7 +112,6 @@ def test_resume_rejects_different_webgraph_path(ray_session, tmp_path):
         budget_per_host=2,
         out_dir=ckpt,
         stop_after_wave=1,
-        fetch_concurrency=2,
     )
     r.shutdown()
     with pytest.raises(ValueError, match="webgraph mismatch"):
@@ -121,14 +119,12 @@ def test_resume_rejects_different_webgraph_path(ray_session, tmp_path):
             ckpt,
             webgraph_path=os.path.join(dir_b, "webgraph"),
             robots_path=os.path.join(dir_b, "robots.parquet"),
-            fetch_concurrency=2,
         )
     # the matching path resumes fine
     r2 = resume_crawl(
         ckpt,
         webgraph_path=os.path.join(dir_a, "webgraph"),
         robots_path=os.path.join(dir_a, "robots.parquet"),
-        fetch_concurrency=2,
     )
     assert r2.fetched_total > 0
     r2.shutdown()
@@ -148,7 +144,7 @@ def test_resume_rejects_seen_routing_mismatch(ray_session, tmp_path):
     web = SynthWeb(seed=12, shape="chain", n_urls=20, n_hosts=2)
     out = str(tmp_path / "ckpt_route")
     r = run_crawl(web.default_seeds(), web=web, out_dir=out, stop_after_wave=1,
-                  budget_per_host=2, max_depth=8, fetch_concurrency=2,
+                  budget_per_host=2, max_depth=8,
                   fetch_batch_size=16)
     r.shutdown()
 
@@ -161,4 +157,4 @@ def test_resume_rejects_seen_routing_mismatch(ray_session, tmp_path):
         json.dump(blob, f)
 
     with pytest.raises(ValueError, match="seen-routing mismatch"):
-        resume_crawl(out, web=web, fetch_concurrency=2, fetch_batch_size=16)
+        resume_crawl(out, web=web, fetch_batch_size=16)

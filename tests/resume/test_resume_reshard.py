@@ -1,8 +1,8 @@
 """Resume under a NEW seen-shard count (SURVEY §7.7-H2, VERDICT r3 item 9):
-checkpoint with N shards, resume with M != N — seen deltas re-bucket by
-murmur3_lo % M and the stored frontier's shard column is recomputed, so the
-continuation is bit-identical to the uninterrupted N-shard run (routing is a
-pure function of the stored 128-bit hash, never of the shard count)."""
+checkpoint with N shards, resume with M != N — seen deltas, host state and
+the stored frontier re-bucket by host hash % M, so the continuation is
+bit-identical to the uninterrupted N-shard run (routing is a pure function
+of the host, never of the shard count)."""
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -31,14 +31,13 @@ def test_resume_reshard_bit_identical(ray_session, tmp_path, n_before, n_after):
     dir_b = str(tmp_path / f"ckpt_part_{n_after}")
 
     a = run_crawl(
-        seeds, web=web, out_dir=dir_a, fetch_concurrency=2,
+        seeds, web=web, out_dir=dir_a,
         fetch_batch_size=16, num_seen_shards=n_before, **cfg,
     )
     a.shutdown()
 
     b1 = run_crawl(
-        seeds, web=web, out_dir=dir_b, stop_after_wave=2,
-        fetch_concurrency=2, fetch_batch_size=16,
+        seeds, web=web, out_dir=dir_b, stop_after_wave=2, fetch_batch_size=16,
         num_seen_shards=n_before, **cfg,
     )
     b1.shutdown()
@@ -46,7 +45,7 @@ def test_resume_reshard_bit_identical(ray_session, tmp_path, n_before, n_after):
 
     # resume into a different shard count
     b2 = resume_crawl(
-        dir_b, web=web, fetch_concurrency=2, fetch_batch_size=16,
+        dir_b, web=web, fetch_batch_size=16,
         num_seen_shards=n_after,
     )
     try:

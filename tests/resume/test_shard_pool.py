@@ -1,10 +1,13 @@
-"""The crawl's shard pool and its leg records: one actor per shard index
-carries seen shard i and host shard i, so a leg starts max(seen, host)
-shard actors; the outputs equal the oracle under any split of the two
-counts, including a resume into another seen-shard count. A leg records
-where its time went, each wave its `wave_s` (kept in meta.json), and a
-failed attempt releases its actors while its exception is still held."""
+"""The crawl's shard pool and its leg records: one actor class, and
+`num_seen_shards` actors, each of which owns its hosts' seen URLs,
+politeness state and fetching; every shard fetches on a multi-host web;
+the outputs equal the oracle at any pool size, including a resume into
+another one. A leg records where its time went, each wave its `wave_s` and
+`phases` (kept in meta.json), a leg runs none of the retired per-wave
+tasks, and a failed attempt releases its actors while its exception is
+still held."""
 
+import os
 import time
 
 import pyarrow as pa
@@ -19,12 +22,16 @@ from crawlray.synthgraph import SynthWeb
 from oracle.bfs_crawler import CrawlConfig, crawl
 
 CFG = dict(budget_per_host=2, max_depth=8)
-RUN = dict(fetch_concurrency=2, fetch_batch_size=16)
+RUN = dict(fetch_batch_size=16)
 LEG_KEYS = {"startup_s", "bootstrap_s", "loop_s", "commit_s", "output_s"}
+PHASE_KEYS = {
+    "decide_s", "fetch_s", "finish_s", "fetch_busy_min_s", "fetch_busy_max_s",
+    "fetch_busy_sum_s", "admitted", "deferred", "denied",
+}
 
 
-def _web():
-    return SynthWeb(seed=23, shape="robots_blocked", n_urls=80, n_hosts=6)
+def _web(n_hosts: int = 6):
+    return SynthWeb(seed=23, shape="robots_blocked", n_urls=80, n_hosts=n_hosts)
 
 
 def _log_sorted(ds) -> pa.Table:
@@ -49,38 +56,50 @@ def _pool_recorder(pools: list):
     return hook
 
 
-def _check_pool(actors: dict, n_seen: int, n_host: int) -> None:
-    seen, host = actors["seen"], actors["polite"]
-    assert (len(seen), len(host)) == (n_seen, n_host)
-    ids = {a._actor_id for a in seen + host}
-    assert len(ids) == max(n_seen, n_host)
-    # host shard i is seen shard i's actor wherever both exist
-    for a, b in zip(seen, host):
-        assert a._actor_id == b._actor_id
-    names = {a._ray_actor_creation_function_descriptor.class_name for a in seen + host}
-    assert names == {"SeenShardActor"}
+def _check_pool(actors: dict, n: int) -> None:
+    pool = actors["seen"]
+    assert len(pool) == n
+    assert actors["polite"] == actors["fetchers"] == pool
+    assert len({a._actor_id for a in pool}) == n
+    names = {a._ray_actor_creation_function_descriptor.class_name for a in pool}
+    assert names == {"FetchParseStage"}
 
 
-@pytest.mark.parametrize("n_seen,n_host", [(4, 2), (1, 2)], ids=["default-4-2", "1-2"])
-def test_shard_pool_size_matches_oracle(ray_session, n_seen, n_host):
+def _fetching_workers(t0: float) -> set:
+    return {
+        e.get("tid")
+        for e in ray.timeline()
+        if e.get("cat") == "task::FetchParseStage.fetch_parse_wave" and e["ts"] / 1e6 >= t0
+    }
+
+
+@pytest.mark.parametrize("n", [4, 1], ids=["4", "1"])
+def test_shard_pool_size_matches_oracle(ray_session, n):
     from crawlray.job import run_crawl
 
-    web = _web()
+    web = _web(n_hosts=12)  # every one of 4 shards owns a fetchable host
     ora = crawl(web.default_seeds(), SyntheticBackend.from_web(web), CrawlConfig(**CFG))
     pools: list = []
-    res = run_crawl(web.default_seeds(), web=web, num_seen_shards=n_seen,
-                    num_host_shards=n_host, _fault_hook=_pool_recorder(pools), **RUN, **CFG)
+    t0 = time.time()
+    res = run_crawl(web.default_seeds(), web=web, num_seen_shards=n,
+                    _fault_hook=_pool_recorder(pools), **RUN, **CFG)
     try:
-        _check_pool(pools[0], n_seen, n_host)
-        assert len(res._all_actors) == max(n_seen, n_host)
+        _check_pool(pools[0], n)
+        assert len(res._shards) == n
+        assert len(_fetching_workers(t0)) == n
+        # every shard fetched pages of its own hosts and wrote them
+        doc_files = Checkpointer.wave_files(
+            res.metrics["doc_root"], range(res.waves), "documents")
+        assert {os.path.basename(f) for f in doc_files} == {
+            f"part-{i:04d}.parquet" for i in range(n)}
         _assert_matches_oracle(res, ora, res.seen_urls())
     finally:
         res.shutdown()
 
 
-def test_resume_reshard_into_fewer_seen_shards_than_pool(ray_session, tmp_path, monkeypatch):
-    """4 seen + 2 host shards, resumed into 3 seen shards: the resume's pool
-    has 3 actors, the first 2 of which are the host shards."""
+def test_resume_reshard_4_to_3_matches_oracle(ray_session, tmp_path, monkeypatch):
+    """A 4-shard crawl resumed into 3 shards: the resume's pool has 3
+    actors, and the outputs still equal the oracle."""
     from crawlray import job
     from crawlray.job import resume_crawl, run_crawl
 
@@ -88,7 +107,7 @@ def test_resume_reshard_into_fewer_seen_shards_than_pool(ray_session, tmp_path, 
     ora = crawl(web.default_seeds(), SyntheticBackend.from_web(web), CrawlConfig(**CFG))
     out = str(tmp_path / "ckpt")
     first = run_crawl(web.default_seeds(), web=web, out_dir=out, stop_after_wave=2,
-                      num_seen_shards=4, num_host_shards=2, **RUN, **CFG)
+                      num_seen_shards=4, **RUN, **CFG)
     first.shutdown()
     # resume_crawl takes no fault hook: hand one to its attempt
     pools: list = []
@@ -97,7 +116,7 @@ def test_resume_reshard_into_fewer_seen_shards_than_pool(ray_session, tmp_path, 
         *a, **dict(k, _fault_hook=_pool_recorder(pools))))
     res = resume_crawl(out, web=web, num_seen_shards=3, **RUN)
     try:
-        _check_pool(pools[0], 3, 2)
+        _check_pool(pools[0], 3)
         _assert_matches_oracle(res, ora, Checkpointer.read_seen_urls(out))
     finally:
         res.shutdown()
@@ -116,15 +135,42 @@ def test_leg_and_wave_timing_persist_through_resume(ray_session, tmp_path):
             assert set(leg.metrics["leg"]) == LEG_KEYS
             assert all(v >= 0 for v in leg.metrics["leg"].values())
             assert leg.metrics["waves"] and all(w["wave_s"] > 0 for w in leg.metrics["waves"])
+            for w in leg.metrics["waves"]:
+                assert set(w["phases"]) == PHASE_KEYS | {"commit_s"}
+                assert w["phases"]["admitted"] >= w["fetched"]
         waves = Checkpointer.committed_waves(out)
         assert len(waves) == len(first.metrics["waves"]) + len(res.metrics["waves"])
         for w in waves:
             meta = Checkpointer.load_meta(out, w)
             assert meta["metrics"]["wave_s"] > 0
+            assert set(meta["metrics"]["phases"]) == PHASE_KEYS
         # the resumed leg's records are its own waves'
         assert [w["wave"] for w in res.metrics["waves"]] == waves[2:]
     finally:
         res.shutdown()
+
+
+def test_checkpointed_leg_runs_no_per_wave_tasks(ray_session, tmp_path):
+    """A checkpointed leg and its resume run none of the retired per-wave
+    tasks, no checkpoint write task and no Ray Data metadata task."""
+    from crawlray.job import resume_crawl, run_crawl
+
+    web = _web()
+    out = str(tmp_path / "ckpt")
+    t0 = time.time()
+    first = run_crawl(web.default_seeds(), web=web, out_dir=out, stop_after_wave=1, **RUN, **CFG)
+    first.shutdown()
+    res = resume_crawl(out, web=web, num_seen_shards=3, **RUN)
+    t1 = time.time()
+    res.shutdown()
+    banned = ("mark_block_task", "fetch_block_task", "gather_log_task", "concat_blocks_task",
+              "_write_part_task", "get_table_block_metadata_schema")
+    names = {
+        e.get("cat", "") + " " + e.get("name", "")
+        for e in ray.timeline()
+        if t0 <= e.get("ts", 0) / 1e6 <= t1
+    }
+    assert not [x for x in names if any(b in x for b in banned)]
 
 
 def test_failed_attempt_releases_its_actors(ray_session, tmp_path):

@@ -113,8 +113,6 @@ def test_engine_crawl_over_http_matches_oracle(http_host, ray_session):
         backend_factory=factory,
         budget_per_host=10,
         num_seen_shards=2,
-        num_host_shards=2,
-        fetch_concurrency=2,
         seen_capacity=1 << 14,
     )
     rt = r.crawl_log_table()
@@ -155,7 +153,7 @@ def test_engine_http_checkpoint_resume(http_host, ray_session, tmp_path):
     seeds = [f"http://{http_host}/"]
     full = run_crawl(
         seeds, backend_factory=HttpBackend, budget_per_host=10,
-        num_seen_shards=2, fetch_concurrency=2, seen_capacity=1 << 14,
+        num_seen_shards=2, seen_capacity=1 << 14,
         out_dir=str(tmp_path / "full"),
     )
     full_log = full.crawl_log_table()
@@ -163,13 +161,12 @@ def test_engine_http_checkpoint_resume(http_host, ray_session, tmp_path):
 
     part = run_crawl(
         seeds, backend_factory=HttpBackend, budget_per_host=10,
-        num_seen_shards=2, fetch_concurrency=2, seen_capacity=1 << 14,
+        num_seen_shards=2, seen_capacity=1 << 14,
         out_dir=str(tmp_path / "part"), stop_after_wave=0,
     )
     part.shutdown()
     resumed = resume_crawl(
-        str(tmp_path / "part"), backend_factory=HttpBackend,
-        fetch_concurrency=2, seen_capacity=1 << 14,
+        str(tmp_path / "part"), backend_factory=HttpBackend, seen_capacity=1 << 14,
     )
     assert resumed.crawl_log_table().equals(full_log)
     resumed.shutdown()

@@ -47,9 +47,9 @@ def test_bfs_policy_equals_default(ray_session):
     from crawlray.job import run_crawl
 
     web = _web()
-    a = run_crawl(web.default_seeds(), web=web, budget_per_host=2, fetch_concurrency=2)
+    a = run_crawl(web.default_seeds(), web=web, budget_per_host=2)
     b = run_crawl(
-        web.default_seeds(), web=web, budget_per_host=2, fetch_concurrency=2,
+        web.default_seeds(), web=web, budget_per_host=2,
         priority_policy=BfsPolicy(),
     )
     assert _log_rows(a) == _log_rows(b)
@@ -65,13 +65,13 @@ def test_depth_weighted_policy_deterministic_and_different(ray_session):
     for conc in (2, 4):
         r = run_crawl(
             web.default_seeds(), web=web, budget_per_host=1,  # tight budget:
-            fetch_concurrency=conc,                            # order matters
+            num_seen_shards=conc,                              # order matters
             priority_policy=pol,
         )
         runs.append(_log_rows(r))
         r.shutdown()
     assert runs[0] == runs[1], "non-BFS policy must be parallelism-independent"
-    bfs = run_crawl(web.default_seeds(), web=web, budget_per_host=1, fetch_concurrency=2)
+    bfs = run_crawl(web.default_seeds(), web=web, budget_per_host=1)
     bfs_rows = _log_rows(bfs)
     bfs.shutdown()
     # same URL set may be crawled eventually, but with B=1 per wave the
@@ -83,12 +83,12 @@ def test_frontier_step_host_block(ray_session):
     from crawlray.job import run_crawl
 
     web = _web()
-    base = run_crawl(web.default_seeds(), web=web, budget_per_host=3, fetch_concurrency=2)
+    base = run_crawl(web.default_seeds(), web=web, budget_per_host=3)
     hosts = set(base.crawl_log_table().column("host").to_pylist())
     base.shutdown()
     victim = sorted(hosts)[-1]
     res = run_crawl(
-        web.default_seeds(), web=web, budget_per_host=3, fetch_concurrency=2,
+        web.default_seeds(), web=web, budget_per_host=3,
         frontier_steps=[make_host_block_step({victim})],
     )
     t = res.crawl_log_table()
@@ -107,7 +107,7 @@ def test_doc_step_adds_column(ray_session):
 
     web = _web()
     res = run_crawl(
-        web.default_seeds(), web=web, budget_per_host=3, fetch_concurrency=2,
+        web.default_seeds(), web=web, budget_per_host=3,
         doc_steps=[add_n_spans],
     )
     droot = res.metrics["doc_root"]

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crawlray.kernels.url import canonicalize, in_scope, url_host, url_path
+import pyarrow as pa
+
+from crawlray.kernels.url import canonicalize, in_scope, url_host, url_hosts, url_path
 
 CASES = [
     # (input, base, expected)
@@ -57,6 +59,23 @@ def test_host_path_helpers():
     assert url_host("http://u:p@example.com/a") == "example.com"
     assert url_path("http://example.com:8080/a/b?q=1") == "/a/b?q=1"
     assert url_path("http://example.com") == "/"
+
+
+def test_url_hosts_kernel_equals_url_host():
+    """The Arrow kernel that routes outlinks by host agrees with url_host
+    on canonical URLs: ports, userinfo, queries and fragments."""
+    raw = [
+        "http://example.com/a/b",
+        "http://Example.com:8080/a?q=1",
+        "https://u:p@example.com:8443/x?y=http://other.org/z#f",
+        "http://u@h.example.org?only=query",
+        "http://h.example.org#frag",
+        "http://a@b@c.example.com/p@q",
+        "https://example.com:443/",
+        "http://xn--bcher-kva.example/ü",
+    ]
+    urls = [c for c in (canonicalize(u) for u in raw) if c] + [c[2] for c in CASES if c[2]]
+    assert url_hosts(pa.array(urls)).to_pylist() == [url_host(u) for u in urls]
 
 
 @given(st.text(max_size=200))
