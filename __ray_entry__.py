@@ -36,7 +36,6 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from crawlray.ops.exchange import aggregate, typed_map
 
@@ -127,21 +126,18 @@ def _global_agg(sf_dir: str):
     Chan-combine distributed moments kernel (ops/relational.moments) —
     per-block Welford partials, bit-deterministic driver fold, one
     streaming pass shared across all three moment columns."""
-    from crawlray.ops.relational import moments, single_row_agg
+    from crawlray.ops.relational import moments
 
     ds = _rd(
         sf_dir, "lineitem",
         columns=["l_quantity", "l_extendedprice", "l_discount"],
     )
-    tbl = single_row_agg(
-        ds,
-        [
-            Count(alias_name="n"),
-            Sum("l_quantity", alias_name="sum_qty"),
-            Max("l_extendedprice", alias_name="max_price"),
-            Min("l_discount", alias_name="min_disc"),
-        ],
-    )
+    tbl = pa.Table.from_pylist(aggregate(ds, [], {
+        "n": (None, "count"),
+        "sum_qty": ("l_quantity", "sum"),
+        "max_price": ("l_extendedprice", "max"),
+        "min_disc": ("l_discount", "min"),
+    }).take_all())
     mo = moments(ds, "l_quantity", "l_extendedprice")
     return pa.table(
         {
@@ -160,19 +156,17 @@ def _global_agg(sf_dir: str):
 
 def _dedup_first(sf_dir: str):
     """O-30/O-38: full-row keep-first dedup (events by user_id, min
-    event_id) on the HASH-PARTITIONED path (VERDICT r3 item 5): one hash
-    shuffle, per-partition vectorized keep-first — no global sort, no
-    boundary repair. The sort-based variant keeps its own coverage in
-    tests/unit/test_dedup.py."""
-    from crawlray.ops.dedup import dedup_keep_first_hash
+    event_id): one hash exchange, per-partition vectorized keep-first."""
+    from crawlray.ops.dedup import dedup_keep_first
 
-    return dedup_keep_first_hash(
+    return dedup_keep_first(
         _rd(sf_dir, "events"), key="user_id", order="event_id"
     )
 
 
 def _global_sort_topk(sf_dir: str):
-    """O-33/O-34: global sort + limit (orders by totalprice desc)."""
+    """O-33/O-34: global top-k (orders by totalprice desc): per-block
+    top-k and one merge on the driver."""
     from crawlray.ops.relational import topk
 
     return topk(
@@ -359,11 +353,10 @@ def _anti_join(sf_dir: str):
     """O-26 kernel: anti join — customers with no completed ('F') orders."""
     from crawlray.ops.relational import broadcast_semi_anti
 
-    custkeys = (
-        _rd(sf_dir, "orders", columns=["o_custkey", "o_orderstatus"])
-        .filter(expr="o_orderstatus == 'F'")
-        .unique("o_custkey")
+    done = _rd(sf_dir, "orders", columns=["o_custkey", "o_orderstatus"]).filter(
+        expr="o_orderstatus == 'F'"
     )
+    custkeys = [r["o_custkey"] for r in aggregate(done, ["o_custkey"], {}).take_all()]
     return broadcast_semi_anti(
         _rd(sf_dir, "customer"), key="c_custkey", small_keys=custkeys, anti=True
     )
@@ -677,9 +670,8 @@ def _pack_sequences(sf_dir: str):
     """Sequence packing for training-data prep (concat-and-chunk): docs
     concatenated per source in doc_id order, the token stream cut every
     256 tokens; each doc reports its running token total and the pack its
-    first token lands in. Distributed via the O-33 order-assignment shape
-    (one range sort + O(#blocks + #sources) driver metadata), never a
-    whole-source map_groups."""
+    first token lands in. One range sort and one prefix scan of running
+    per-source totals, never a task per whole source."""
     from crawlray.ops.corpusprep import pack_sequences
 
     return pack_sequences(
@@ -873,7 +865,7 @@ def _samples(sf_dir: str):
 
     # rates derivation reads ONLY the source column (prune-at-the-read);
     # a production pipeline would know its domain weights up front
-    srcs = docs.unique("source")
+    srcs = [r["source"] for r in aggregate(docs, ["source"], {}).take_all()]
     rates = {
         s: int(_hl.md5(s.encode("utf-8")).hexdigest()[0], 16) * 17 / 256
         for s in srcs
@@ -1524,11 +1516,10 @@ def _sketches(sf_dir: str):
 def _pack_bins(sf_dir: str):
     """Next-fit whole-document bin packing (SFT-style: never splits a
     doc): per source in doc_id order, docs join the open bin while the
-    token total stays <= 256, else open a new bin. Distributed via the
-    O-33 pattern extended to NON-ADDITIVE greedy state (a bin spans
-    block boundaries): per-run compact absorbed-prefix tables, O(#runs)
-    driver fold, local vectorized assignment — see
-    corpusprep.pack_bins. The oracle walks the same greedy with a
+    token total stays <= 256, else open a new bin. One range sort and one
+    prefix scan whose state is not a sum (a bin spans partitions):
+    per-run compact absorbed-prefix tables, O(#runs) driver fold, local
+    vectorized assignment — see corpusprep.pack_bins. The oracle walks the same greedy with a
     recursive CTE, one step per document."""
     from crawlray.ops.corpusprep import pack_bins
 
@@ -1580,9 +1571,8 @@ def _token_count_by_source(sf_dir: str):
 
 def _exact_dedup_docs(sf_dir: str):
     """Exact near-key dedup: documents by 5-token text prefix, keep min
-    doc_id — hash-partitioned keep-first path (one shuffle, VERDICT r3
-    item 5)."""
-    from crawlray.ops.dedup import dedup_keep_first_hash as dedup_keep_first
+    doc_id — one hash exchange and a keep-first per partition."""
+    from crawlray.ops.dedup import dedup_keep_first
 
     ds = _rd(
         sf_dir, "documents",

@@ -8,8 +8,8 @@ fetching of a host live in one process (`crawlray.actors.shard`).
 Membership is decided by a cuckoo filter fast path ("definitely absent" →
 skip the exact probe) backed by an exact set of 128-bit murmur3 pairs — the
 authoritative store, so false positives cannot drop URLs (§7.7-H1). URL
-strings are retained only in the per-wave delta buffer for checkpoint dumps
-(SEEN_DUMP). The exact set is a Python set of int pairs: a traced
+strings are retained only in the per-wave delta buffer for the checkpoint's
+`seen_delta` parts. The exact set is a Python set of int pairs: a traced
 crawl_durable runs measured `seen.rss_bytes_per_url` at 719-738 B.
 
 `SeenShardActor` wraps the same class as a standalone Ray actor (micro
@@ -192,7 +192,7 @@ class SeenSet:
         self.hll.add_hashes(lo)
 
     def dump_delta(self) -> pa.Table:
-        """Drain URLs added since the last dump (checkpoint SEEN_DUMP rows).
+        """Drain URLs added since the last dump (checkpoint `seen_delta` rows).
         `host_hash` lets a resume re-bucket the rows into any shard count
         without parsing a URL."""
         urls = pa.array(self.delta_urls, pa.string())

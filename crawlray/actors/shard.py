@@ -212,7 +212,7 @@ class FetchParseStage:
 
     def _write_docs(self, wave: int) -> None:
         """Write this shard's docs of the wave on a background thread
-        (zstd and the file write release the GIL); `_join_writes` is the
+        (zstd and the file write release the GIL); `join_writes` is the
         durability fence."""
         docs, self._docs = self._docs, None
         if docs is None or not docs.num_rows:
@@ -226,13 +226,13 @@ class FetchParseStage:
             try:
                 # zstd-3: ~6.5x smaller than snappy on span text at equal write time
                 pq.write_table(docs, path, compression="zstd", compression_level=3)
-            except BaseException as e:  # noqa: BLE001 — raised by _join_writes
+            except BaseException as e:  # noqa: BLE001 — raised by join_writes
                 self._write_error = e
 
         self._writer = threading.Thread(target=write, daemon=True)
         self._writer.start()
 
-    def _join_writes(self) -> None:
+    def join_writes(self) -> None:
         if self._writer is not None:
             self._writer.join()
             self._writer = None
@@ -269,7 +269,7 @@ class FetchParseStage:
         self.seen.offer(urls, links.column("pack").to_numpy(), lo, hi)
         new = self.seen.finish_wave()
         self._frontier = pa.concat_tables([new, deferred.cast(new.schema)]) if deferred.num_rows else new
-        self._join_writes()
+        self.join_writes()
         if self.checkpoint:
             write_shard_parts(os.path.join(self.doc_root, f"wave={wave:05d}"), self.shard_id, {
                 "crawl_log": log,
@@ -292,8 +292,9 @@ class FetchParseStage:
 
     # ---- after the loop --------------------------------------------------
 
-    def dump_delta(self) -> pa.Table:
-        return self.seen.dump_delta()
+    def pending_urls(self) -> list[str]:
+        """URLs admitted since the seen set's last `seen_delta` dump."""
+        return list(self.seen.delta_urls)
 
     def hll_registers(self) -> bytes:
         return self.seen.hll_registers()

@@ -42,8 +42,8 @@ import ray.data
 from ray.data import ReadTask
 from ray.data.block import BlockMetadata
 
-from crawlray.schema import DOCUMENTS, FRONTIER
-from crawlray.stages import FRONTIER_COLS, LOG_SCHEMA
+from crawlray.schema import CRAWL_LOG, DOCUMENTS, FRONTIER
+from crawlray.stages import FRONTIER_COLS
 
 FRONTIER_SCHEMA = pa.schema([FRONTIER.field(c) for c in FRONTIER_COLS])
 
@@ -121,7 +121,7 @@ def result_datasets(log_parts: list[tuple], doc_files: list[str]):
     doc_parts = file_parts(doc_files, DOCUMENTS)
     return tuple(
         ray.data.read_datasource(BlocksDatasource(parts)) if parts else ray.data.from_arrow(schema.empty_table())
-        for parts, schema in ((log_parts, LOG_SCHEMA), (doc_parts, DOCUMENTS))
+        for parts, schema in ((log_parts, CRAWL_LOG), (doc_parts, DOCUMENTS))
     )
 
 
@@ -207,7 +207,7 @@ class Checkpointer:
         """Full crawl_log + documents datasets from the committed waves."""
         waves = Checkpointer.committed_waves(root)
         return result_datasets(
-            file_parts(Checkpointer.wave_files(root, waves, "crawl_log"), LOG_SCHEMA),
+            file_parts(Checkpointer.wave_files(root, waves, "crawl_log"), CRAWL_LOG),
             Checkpointer.wave_files(root, waves, "documents"),
         )
 

@@ -68,8 +68,8 @@ from crawlray.checkpoint import (
     result_datasets,
 )
 from crawlray.kernels.url import canonicalize, in_scope
-from crawlray.schema import LINK_STRIDE
-from crawlray.stages import LOG_SCHEMA, SEEN_ROUTING_VERSION, frontier_table_from_urls
+from crawlray.schema import CRAWL_LOG, LINK_STRIDE
+from crawlray.stages import SEEN_ROUTING_VERSION, frontier_table_from_urls
 
 
 def _webgraph_fingerprint(webgraph: pa.Table) -> str:
@@ -99,17 +99,21 @@ class CrawlResult:
     fetched_total: int
     metrics: dict
     _shards: list = field(default_factory=list, repr=False)
+    _out_dir: str | None = None
 
     def crawl_log_table(self) -> pa.Table:
         """Small-scale helper (tests): full log as one Arrow table, seq order."""
-        t = pa.Table.from_pylist(self.crawl_log.take_all(), schema=LOG_SCHEMA)
+        t = pa.Table.from_pylist(self.crawl_log.take_all(), schema=CRAWL_LOG)
         return t.take(pc.sort_indices(t, sort_keys=[("seq", "ascending")]))
 
     def seen_urls(self) -> set[str]:
-        """Full seen set (tests; at scale read the checkpoint SEEN_DUMPs)."""
-        out: set[str] = set()
-        for t in ray.get([a.dump_delta.remote() for a in self._shards]):
-            out.update(t.column("url").to_pylist())
+        """Full seen set, on every call (tests; at scale read the
+        checkpoint's `seen_delta` parts): the committed `seen_delta`
+        parts of a checkpointed crawl, which hold everything a resume
+        ingested, plus the URLs the live shards have not dumped yet."""
+        out = Checkpointer.read_seen_urls(self._out_dir) if self._out_dir else set()
+        for urls in ray.get([a.pending_urls.remote() for a in self._shards]):
+            out.update(urls)
         return out
 
     def shutdown(self) -> None:
@@ -474,8 +478,8 @@ def _run_crawl_attempt(
     # from every wave's doc partition
     first = 0 if checkpointer is not None else wave0
     crawl_log, documents = result_datasets(
-        file_parts(Checkpointer.wave_files(doc_root, range(first, wave0), "crawl_log"), LOG_SCHEMA)
-        + ref_parts(log_blocks, LOG_SCHEMA),
+        file_parts(Checkpointer.wave_files(doc_root, range(first, wave0), "crawl_log"), CRAWL_LOG)
+        + ref_parts(log_blocks, CRAWL_LOG),
         Checkpointer.wave_files(doc_root, range(first, waves_done), "documents"),
     )
     metrics["fetched_total"] = fetched_total
@@ -507,6 +511,7 @@ def _run_crawl_attempt(
         fetched_total=fetched_total,
         metrics=metrics,
         _shards=shards,
+        _out_dir=out_dir,
     )
 
 
@@ -526,6 +531,20 @@ def _is_actor_death(err: BaseException) -> bool:
             return True
         e = getattr(e, "cause", None) or e.__cause__
     return False
+
+
+def _stop(actors: list, timeout: float = 30.0) -> None:
+    """Kill `actors` once each has run the calls queued on it and joined
+    its background doc write (the call fails at once on a dead actor):
+    `ray.kill` returns before the process stops, and a write that outlives
+    it lands in the uncommitted wave dir that a recovery removes."""
+    if actors:
+        ray.wait([a.join_writes.remote() for a in actors], num_returns=len(actors), timeout=timeout)
+    for a in actors:
+        try:
+            ray.kill(a, no_restart=True)
+        except Exception:
+            pass
 
 
 def run_crawl(seeds: list[str], **kwargs) -> CrawlResult:
@@ -557,11 +576,7 @@ def run_crawl(seeds: list[str], **kwargs) -> CrawlResult:
             # keeps the exception (pytest.raises, a REPL, a log) would keep
             # their CPUs; a recovery must not meet a zombie shard writing
             # into the wave dir it is about to re-run
-            for a in holder.pop("actors", []):
-                try:
-                    ray.kill(a, no_restart=True)
-                except Exception:
-                    pass
+            _stop(holder.pop("actors", []))
             if not _is_actor_death(err) or recoveries <= 0 or out_dir is None:
                 raise
             recoveries -= 1

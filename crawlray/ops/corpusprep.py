@@ -8,10 +8,11 @@ partitioning stories for the 100 TB design point:
 - `pack_sequences` — GPT-style concat-and-chunk packing: documents are
   concatenated in a deterministic per-source order and split every
   `budget` tokens; each document learns which pack (context-window bin)
-  it starts in. The distributed shape is the O-33 order-assignment
-  pattern (seqassign.sort_and_zip_index): one range-shuffle sort, an
-  O(#blocks + #sources) driver metadata pass, and one vectorized
-  per-block assignment pass — the driver never touches data rows.
+  it starts in; `pack_bins` packs whole documents next-fit instead.
+  Both are one `exchange.sort` by (source, order) and one
+  `exchange.scan` that carries a source's state from partition to
+  partition — the driver folds one summary per partition, never data
+  rows.
 
 - `decontaminate` — benchmark n-gram decontamination: flags every
   corpus document sharing at least one word n-gram with a benchmark
@@ -27,7 +28,7 @@ partitioning stories for the 100 TB design point:
   stripping): vectorized separator explode with per-doc positions, then
   ONE murmur3 hash-bucket exchange on paragraph content with a local
   keep-first — the cheapest shape for a global keep-first at 100 TB
-  (no global sort, no boundary repair).
+  (no global sort).
 
 - `redact_pii` — regex PII scrubbing (emails / IPv4 / SSN-shaped ids
   by default), the Dolma/CCNet-style cleaning stage every public web
@@ -46,7 +47,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from crawlray.ops.exchange import aggregate, aggregate_fns, hash_exchange
+from crawlray.ops.exchange import aggregate, aggregate_fns, hash_exchange, run_starts, scan, sort
 
 
 def _count_tokens(
@@ -68,6 +69,13 @@ def _count_tokens(
     return ds.map_batches(_count, batch_format="pyarrow")
 
 
+def _source_runs(part: pa.Table, source_col: str) -> tuple[list, np.ndarray, np.ndarray]:
+    """The source, first row and end row of every run of one source in a
+    partition sorted by source."""
+    bounds = np.append(np.flatnonzero(run_starts(part, [source_col])), part.num_rows)
+    return part.column(source_col).take(bounds[:-1]).to_pylist(), bounds[:-1], bounds[1:]
+
+
 def pack_sequences(
     ds: ray.data.Dataset,
     source_col: str = "source",
@@ -84,114 +92,42 @@ def pack_sequences(
       cum_tokens = SUM(n_tokens) OVER (PARTITION BY source ORDER BY order)
       pack_id    = (cum_tokens - n_tokens) // budget
 
-    Distributed shape (the O-33 pattern, not groupby().map_groups()): a
-    per-source map_groups would co-locate each WHOLE source in one task —
-    a single giant source (the common case in crawl corpora) would OOM it.
-    Instead:
-      1. one range-shuffle sort by (source, order) — blocks partition the
-         concatenation order;
-      2. tiny metadata pass: per block, one (first_order, source,
-         subtotal) row per source RUN in the block. Sorted input means a
-         source's runs are contiguous across blocks, so the total is
-         O(#blocks + #sources) rows — driver metadata, never data;
-      3. driver prefix-sums the per-(block, source) bases in block order;
-      4. second pass over the same materialized blocks adds the base to a
-         vectorized local per-run cumsum.
-    `order_col` values must be unique (doc ids); the first one in a block
-    identifies the block in step 3, exactly as sort_and_zip_index does.
+    Distributed shape: one `exchange.sort` by (source, order) and one
+    `exchange.scan`, never a task per source, so one giant source (the
+    common case in crawl corpora) spans as many partitions as its size
+    needs. A partition's summary is the token total of each of its
+    source runs; the scan state is the last source seen and its running
+    total, which the partition after it adds to its first run.
     """
-    counted = _count_tokens(ds, source_col, order_col, text_col)
-    mat = counted.sort([source_col, order_col]).materialize()
+    counted = sort(_count_tokens(ds, source_col, order_col, text_col), [source_col, order_col])
 
-    empty_meta = pa.table(
-        {
-            "block_key": pa.array([], pa.int64()),
-            "run_source": pa.array([], pa.string()),
-            "run_first_order": pa.array([], pa.int64()),
-            "subtotal": pa.array([], pa.int64()),
-        }
-    )
+    def _totals(part: pa.Table) -> list[tuple]:
+        src, starts, ends = _source_runs(part, source_col)
+        cum = np.append(0, np.cumsum(part.column("n_tokens").to_numpy()))
+        return list(zip(src, (cum[ends] - cum[starts]).tolist()))
 
-    def _meta(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or order_col not in b.column_names:
-            return empty_meta
-        src = np.asarray(b.column(source_col).to_pylist(), dtype=object)
-        n = b.column("n_tokens").to_numpy(zero_copy_only=False)
-        order = b.column(order_col).to_numpy(zero_copy_only=False)
-        change = np.empty(len(src), dtype=bool)
-        change[0] = True
-        change[1:] = src[1:] != src[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(src))
+    def _step(state: tuple, runs: list[tuple]) -> tuple:
+        for s, total in runs:
+            state = (s, state[1] + total if s == state[0] else total)
+        return state
+
+    def _assign(part: pa.Table, state: tuple) -> pa.Table:
+        src, starts, ends = _source_runs(part, source_col)
+        n = part.column("n_tokens").to_numpy()
         cum = np.cumsum(n)
-        subtotals = cum[ends - 1] - np.where(starts > 0, cum[starts - 1], 0)
-        first = int(order[0])
+        base = np.array([state[1] if s == state[0] else 0 for s in src], np.int64)
+        cum_tokens = cum + np.repeat(base - (cum - n)[starts], ends - starts)
         return pa.table(
             {
-                "block_key": pa.array([first] * len(starts), pa.int64()),
-                "run_source": pa.array(src[starts].tolist(), pa.string()),
-                "run_first_order": pa.array(
-                    order[starts].astype(np.int64), pa.int64()
-                ),
-                "subtotal": pa.array(subtotals, pa.int64()),
-            }
-        )
-
-    meta = mat.map_batches(
-        _meta, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    # a source's runs are contiguous across blocks in global (source,
-    # order) order, so ordering its runs by their own first order value
-    # reconstructs the concatenation order (the BLOCK's first order value
-    # can belong to a different source and must not be the sort key)
-    meta.sort(key=lambda r: (r["run_source"], r["run_first_order"]))
-    running: dict[str, int] = {}
-    bases: dict[int, dict[str, int]] = {}
-    for m in meta:
-        blk = bases.setdefault(m["block_key"], {})
-        blk[m["run_source"]] = running.get(m["run_source"], 0)
-        running[m["run_source"]] = (
-            running.get(m["run_source"], 0) + m["subtotal"]
-        )
-
-    out_schema = pa.schema(
-        [
-            (source_col, pa.string()),
-            (order_col, pa.int64()),
-            ("n_tokens", pa.int64()),
-            ("cum_tokens", pa.int64()),
-            ("pack_id", pa.int64()),
-        ]
-    )
-
-    def _assign(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or order_col not in b.column_names:
-            return out_schema.empty_table()
-        src = np.asarray(b.column(source_col).to_pylist(), dtype=object)
-        n = b.column("n_tokens").to_numpy(zero_copy_only=False)
-        change = np.empty(len(src), dtype=bool)
-        change[0] = True
-        change[1:] = src[1:] != src[:-1]
-        starts = np.flatnonzero(change)
-        run_lens = np.diff(np.append(starts, len(src)))
-        cum = np.cumsum(n)
-        cum_before_run = np.where(starts > 0, cum[starts - 1], 0)
-        blk = bases[int(b.column(order_col)[0].as_py())]
-        run_bases = np.array([blk[s] for s in src[starts]], dtype=np.int64)
-        adjust = np.repeat(run_bases - cum_before_run, run_lens)
-        cum_tokens = cum + adjust
-        pack_id = (cum_tokens - n) // budget
-        return pa.table(
-            {
-                source_col: b.column(source_col),
-                order_col: pc.cast(b.column(order_col), pa.int64()),
-                "n_tokens": b.column("n_tokens"),
+                source_col: part.column(source_col),
+                order_col: pc.cast(part.column(order_col), pa.int64()),
+                "n_tokens": part.column("n_tokens"),
                 "cum_tokens": pa.array(cum_tokens, pa.int64()),
-                "pack_id": pa.array(pack_id, pa.int64()),
+                "pack_id": pa.array((cum_tokens - n) // budget, pa.int64()),
             }
         )
 
-    return mat.map_batches(_assign, batch_format="pyarrow", batch_size=None)
+    return scan(counted, _totals, _step, _assign, (None, 0))
 
 
 # (count-column suffix, RE2 pattern, replacement token). Patterns are
@@ -259,172 +195,73 @@ def pack_bins(
         for t in sizes: f, b = (f+t, b) if f is not None and f+t<=budget
                                  else (t, b+1)
 
-    Distributed shape — the O-33 pattern EXTENDED to non-additive state:
-    a bin can span block boundaries, and the greedy state entering a
-    block is (open-bin fill f, bins so far), which is NOT a sum. The key
-    structural fact: once a block opens its first fresh bin, the rest of
-    its packing is independent of f. So pass A emits per source-run a
-    COMPACT table — the leading prefix sums (at most the docs one bin
-    can absorb) plus (bins, fill_out) for every possible absorbed-prefix
-    length, computed via a memoized boundary chain in O(#bins + budget)
-    per run; the driver folds runs in O(1) lookups each (O(#runs) total,
-    never data rows); pass B assigns bin ids locally and vectorized.
-    `order_col` values must be unique, as in pack_sequences.
+    Distributed shape: one `exchange.sort` by (source, order) and one
+    `exchange.scan` whose state, (source, open-bin fill, bins so far) of
+    the last source seen, is not a sum. The structural fact that makes
+    it foldable: once a run opens its first fresh bin, the rest of its
+    packing is independent of the fill it entered with. So a
+    partition's summary per source run is the leading prefix sums (the
+    docs one bin can absorb) plus (bins, fill_out) for every possible
+    absorbed-prefix length (`_nf_from`, O(#bins + budget) per run); the
+    driver folds a run in O(1) lookups, and each partition assigns its
+    bin ids locally from the state before it.
     """
-    counted = _count_tokens(ds, source_col, order_col, text_col)
-    mat = counted.sort([source_col, order_col]).materialize()
+    counted = sort(_count_tokens(ds, source_col, order_col, text_col), [source_col, order_col])
 
-    empty_meta = pa.table(
-        {
-            "block_key": pa.array([], pa.int64()),
-            "run_source": pa.array([], pa.string()),
-            "run_first_order": pa.array([], pa.int64()),
-            "leading": pa.array([], pa.list_(pa.int64())),
-            "sim_bins": pa.array([], pa.list_(pa.int64())),
-            "sim_fill": pa.array([], pa.list_(pa.int64())),
-            "total": pa.array([], pa.int64()),
-            "m": pa.array([], pa.int64()),
-        }
-    )
+    def _enter(state: tuple, src, leading) -> tuple[int, int]:
+        """(docs joining the open bin, bins before the run) for a run of
+        `src` whose docs have prefix sums `leading`."""
+        if src != state[0] or state[1] is None:
+            return 0, 0
+        return int(np.searchsorted(leading, budget - state[1], side="right")), state[2]
 
-    def _runs(b: pa.Table):
-        src = np.asarray(b.column(source_col).to_pylist(), dtype=object)
-        change = np.empty(len(src), dtype=bool)
-        change[0] = True
-        change[1:] = src[1:] != src[:-1]
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], len(src))
-        return src, starts, ends
-
-    def _meta(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or order_col not in b.column_names:
-            return empty_meta
-        src, starts, ends = _runs(b)
-        n = b.column("n_tokens").to_numpy(zero_copy_only=False)
-        order = b.column(order_col).to_numpy(zero_copy_only=False)
-        rows = {k: [] for k in empty_meta.column_names}
-        first = int(order[0])
-        for a, e in zip(starts, ends):
-            t = n[a:e].astype(np.int64)
-            m = len(t)
-            P = np.concatenate(([0], np.cumsum(t)))
-            k1 = int(np.searchsorted(P, budget, side="right")) - 1
-            W = min(m, max(k1, 0))
+    def _sims(part: pa.Table) -> list[tuple]:
+        src, starts, ends = _source_runs(part, source_col)
+        n = part.column("n_tokens").to_numpy()
+        runs = []
+        for s, a, e in zip(src, starts, ends):
+            P = np.concatenate(([0], np.cumsum(n[a:e])))
+            m = e - a
+            W = min(m, max(int(np.searchsorted(P, budget, side="right")) - 1, 0))
             walk = _nf_from(P, m, budget)
-            sims_b, sims_f = [], []
-            for s in range(1, W + 2):
-                if s > m:
-                    sims_b.append(0)
-                    sims_f.append(0)
-                else:
-                    bins, fout = walk(s)
-                    sims_b.append(bins)
-                    sims_f.append(fout)
-            rows["block_key"].append(first)
-            rows["run_source"].append(src[a])
-            rows["run_first_order"].append(int(order[a]))
-            rows["leading"].append(P[1 : W + 1].tolist())
-            rows["sim_bins"].append(sims_b)
-            rows["sim_fill"].append(sims_f)
-            rows["total"].append(int(P[m]))
-            rows["m"].append(m)
-        return pa.table(
-            {
-                "block_key": pa.array(rows["block_key"], pa.int64()),
-                "run_source": pa.array(rows["run_source"], pa.string()),
-                "run_first_order": pa.array(
-                    rows["run_first_order"], pa.int64()
-                ),
-                "leading": pa.array(rows["leading"], pa.list_(pa.int64())),
-                "sim_bins": pa.array(
-                    rows["sim_bins"], pa.list_(pa.int64())
-                ),
-                "sim_fill": pa.array(
-                    rows["sim_fill"], pa.list_(pa.int64())
-                ),
-                "total": pa.array(rows["total"], pa.int64()),
-                "m": pa.array(rows["m"], pa.int64()),
-            }
-        )
+            sims = [walk(j) if j <= m else (0, 0) for j in range(1, W + 2)]
+            runs.append((s, P[1 : W + 1], sims, int(P[m]), m))
+        return runs
 
-    meta = mat.map_batches(
-        _meta, batch_format="pyarrow", batch_size=None
-    ).take_all()
-    meta.sort(key=lambda r: (r["run_source"], r["run_first_order"]))
+    def _step(state: tuple, runs: list[tuple]) -> tuple:
+        for s, leading, sims, total, m in runs:
+            j, base = _enter(state, s, leading)
+            if j >= m:  # the open bin absorbs the whole run
+                state = (s, state[1] + total, base)
+            else:
+                state = (s, sims[j][1], base + sims[j][0])
+        return state
 
-    # driver fold: O(#runs) lookups into the per-run sim tables; state
-    # per source = (open-bin fill, bins so far); never touches doc rows
-    fill: dict[str, int | None] = {}
-    nbins: dict[str, int] = {}
-    bases: dict[int, dict[str, tuple[int, int, int]]] = {}
-    for r in meta:
-        s0, f = r["run_source"], fill.get(r["run_source"])
-        base = nbins.get(s0, 0)
-        leading = r["leading"]
-        m = r["m"]
-        if f is None:
-            j = 0
-        else:
-            room = budget - f
-            j = 0
-            for p in leading:
-                if p <= room:
-                    j += 1
-                else:
-                    break
-        open_bin = base - 1  # valid only when j > 0 (then f was not None)
-        if j >= m:
-            run_bins = 0
-            f_out = (0 if f is None else f) + r["total"]
-        else:
-            run_bins = r["sim_bins"][j]
-            f_out = r["sim_fill"][j]
-        bases.setdefault(r["block_key"], {})[s0] = (j, open_bin, base)
-        nbins[s0] = base + run_bins
-        fill[s0] = f_out
-
-    out_schema = pa.schema(
-        [
-            (source_col, pa.string()),
-            (order_col, pa.int64()),
-            ("n_tokens", pa.int64()),
-            ("bin_id", pa.int64()),
-        ]
-    )
-
-    def _assign(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or order_col not in b.column_names:
-            return out_schema.empty_table()
-        src, starts, ends = _runs(b)
-        n = b.column("n_tokens").to_numpy(zero_copy_only=False)
-        order = b.column(order_col).to_numpy(zero_copy_only=False)
-        blk = bases[int(order[0])]
-        bin_id = np.empty(len(src), np.int64)
-        for a, e in zip(starts, ends):
-            t = n[a:e].astype(np.int64)
-            m = len(t)
-            P = np.concatenate(([0], np.cumsum(t)))
-            j, open_bin, base = blk[src[a]]
-            bin_id[a : a + j] = open_bin
+    def _assign(part: pa.Table, state: tuple) -> pa.Table:
+        src, starts, ends = _source_runs(part, source_col)
+        n = part.column("n_tokens").to_numpy()
+        bin_id = np.empty(part.num_rows, np.int64)
+        for s, a, e in zip(src, starts, ends):
+            P = np.concatenate(([0], np.cumsum(n[a:e])))
+            m = e - a
+            j, base = _enter(state, s, P[1:])
+            bin_id[a : a + j] = base - 1
             cur, nb = j + 1, 0
             while cur <= m:
-                limit = P[cur - 1] + budget
-                end = int(np.searchsorted(P, limit, side="right")) - 1
-                if end < cur:
-                    end = cur
+                end = max(cur, int(np.searchsorted(P, P[cur - 1] + budget, side="right")) - 1)
                 bin_id[a + cur - 1 : a + end] = base + nb
                 nb += 1
                 cur = end + 1
         return pa.table(
             {
-                source_col: b.column(source_col),
-                order_col: pc.cast(b.column(order_col), pa.int64()),
-                "n_tokens": b.column("n_tokens"),
+                source_col: part.column(source_col),
+                order_col: pc.cast(part.column(order_col), pa.int64()),
+                "n_tokens": part.column("n_tokens"),
                 "bin_id": pa.array(bin_id, pa.int64()),
             }
         )
 
-    return mat.map_batches(_assign, batch_format="pyarrow", batch_size=None)
+    return scan(counted, _sims, _step, _assign, (None, None, 0))
 
 
 def redact_pii(
@@ -522,15 +359,15 @@ def paragraph_dedup(
 
     Scale shape: the explode is a zero-shuffle vectorized map; the
     dedup is ONE murmur3 hash-bucket exchange on paragraph content
-    (`dedup_keep_first_hash`) with a per-partition vectorized sort +
-    keep-first — no global sort, no boundary repair, no driver state.
+    (`dedup_keep_first`) with a per-partition vectorized sort +
+    keep-first — no global sort, no driver state.
     Identical semantics to
       QUALIFY ROW_NUMBER() OVER (PARTITION BY paragraph
                                  ORDER BY id, pos) = 1.
     """
-    from crawlray.ops.dedup import dedup_keep_first_hash
+    from crawlray.ops.dedup import dedup_keep_first
 
-    return dedup_keep_first_hash(
+    return dedup_keep_first(
         explode_paragraphs(ds, id_col, text_col, sep),
         key="paragraph",
         order=[id_col, "pos"],

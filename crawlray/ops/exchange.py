@@ -1,22 +1,32 @@
-"""The one hash exchange and the one join of the operator library.
+"""The one exchange of the operator library: hash and range partitioning,
+the one join, and the one prefix scan.
 
-Both are plain Ray tasks over block refs, with no Ray Data shuffle and
-no actor: one map task per non-empty input block cuts its rows into one
-slice per partition by `route`, and one reduce task per partition
-concatenates its slices and runs the caller's `merge` (for a join,
-`pyarrow.Table.join`). Every reduce runs on a typed table, even a 0-row
-one: a side with no rows enters as the empty table of its schema.
-`aggregate` is the grouped aggregate on the exchange: Arrow `group_by`
-partials on the map side, one merge per partition. `group_map` is the
-per-group form: each partition is sorted and cut into its key groups
-(`sorted_runs`), and a kernel runs once per group, or once on the empty
-table of a partition with no rows.
+Everything is plain Ray tasks over block refs, with no Ray Data shuffle
+and no actor: one map task per non-empty input block cuts its rows into
+one slice per partition by a routing rule, and one reduce task per
+partition concatenates its slices and runs the caller's `merge` (for a
+join, `pyarrow.Table.join`). Every reduce runs on a typed table, even a
+0-row one: a side with no rows enters as the empty table of its schema.
+
+The hash side routes by `route`. `aggregate` is the grouped aggregate
+on it: Arrow `group_by` partials on the map side, one merge per
+partition; with no keys it runs one partition and returns one row.
+`group_map` is the per-group form: each partition is sorted and cut into
+its key groups (`sorted_runs`), and a kernel runs once per group, or
+once on the empty table of a partition with no rows.
+
+The ordered side is `sort` and `scan`. `sort` samples splitters from the
+blocks, range-routes every row (rows with equal keys meet in one
+partition) and sorts each partition, so the result's blocks are in key
+order. `scan` folds a per-partition summary on the driver in that block
+order and hands each partition the state before it: a running total or
+any other state one large key group carries across partitions.
 
 Everything here returns datasets that are materialized, hold no 0-row
 blocks, and carry a schema even when they are empty. The one Ray Data
 2.49.2 quirk left is `typed_map`'s: `map_batches(f)` never calls `f` on
 a 0-row block and emits a schema-less block in its place. `route` is the
-only rule that maps key values to partitions, `partition_count` the
+only rule that maps key values to hash partitions, `partition_count` the
 only rule that sizes an exchange, and `fits_broadcast` the one rule
 that broadcasts a side instead of exchanging it.
 """
@@ -43,6 +53,7 @@ without copying, and 32 MiB is an eighth of the smallest object store in
 use (256 MiB, perfbench), so the copy fits next to the exchange blocks
 in flight without spilling."""
 
+_SAMPLES = 32  # splitter samples per partition of a `sort`, over all blocks
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # join types whose result keeps the unmatched rows of the left / right side
 _KEEPS = ({"left_outer", "full_outer", "left_anti"},
@@ -119,7 +130,7 @@ def hash_exchange(
     if refs is None:  # no rows and no schema: nothing to type a result with
         return ds
     n = num_partitions or partition_count(ds)
-    return _shuffle([(refs, keys)], partial, merge, n)
+    return _shuffle([(refs, _by_hash(keys, n))], partial, merge, n)
 
 
 def join(
@@ -153,7 +164,8 @@ def join(
         return lt.join(rt, keys=list(on), right_keys=right_on, join_type=how)
 
     n = num_partitions or partition_count(left, right)
-    return _shuffle([(sides[0], list(on)), (sides[1], right_on)], None, _local, n)
+    rules = [_by_hash(list(on), n), _by_hash(right_on, n)]
+    return _shuffle(list(zip(sides, rules)), None, _local, n)
 
 
 def aggregate_fns(
@@ -204,9 +216,14 @@ def aggregate(
     partials). No `aggs` gives the distinct key tuples. `explode(batch)`,
     when given, makes the rows to group from each input block on the map
     side. Null keys form one group, and a 0-row input gives the typed
-    empty result. Rows come in no particular order."""
+    empty result. Rows come in no particular order.
+
+    With no `keys` the result is one row, also for a 0-row input (count
+    0, the other aggregates null): every row routes to one partition,
+    and a keyless Arrow aggregate of any other partition's empty table
+    would add a row of its own, so exactly one partition runs."""
     partial, merge = aggregate_fns(keys, aggs, explode)
-    return hash_exchange(ds, keys, merge, partial, num_partitions)
+    return hash_exchange(ds, keys, merge, partial, num_partitions if keys else 1)
 
 
 def group_map(ds: ray.data.Dataset, keys: list[str], fn: Fn) -> ray.data.Dataset:
@@ -237,9 +254,14 @@ def sorted_runs(
     t: pa.Table, keys: list[str], then: list[str] = ()
 ) -> tuple[pa.Table, np.ndarray]:
     """`t` sorted by `keys` and then by `then` (ascending, nulls last),
-    and per row whether its `keys` tuple differs from the previous row's
-    (two nulls are equal). Row 0 always starts a run."""
+    and its `run_starts` on `keys`."""
     t = t.take(pc.sort_indices(t, [(c, "ascending") for c in [*keys, *then]]))
+    return t, run_starts(t, keys)
+
+
+def run_starts(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Per row of `t` whether its `keys` tuple differs from the previous
+    row's (two nulls are equal). Row 0 always starts a run."""
     n = t.num_rows
     new = np.zeros(n, bool)
     new[:1] = True
@@ -249,7 +271,74 @@ def sorted_runs(
         ne = pc.fill_null(pc.not_equal(a, b), True)
         both_null = pc.and_(pc.is_null(a), pc.is_null(b))
         new[1:] |= pc.and_not(ne, both_null).to_numpy(zero_copy_only=False)
-    return t, new
+    return new
+
+
+def sort_order(keys: list[str], descending: bool | list[bool] = False) -> list[tuple[str, str]]:
+    """Arrow sort keys for `keys`, each descending where `descending` (one
+    flag for all keys, or one per key) says so."""
+    if isinstance(descending, bool):
+        descending = [descending] * len(keys)
+    return [(k, "descending" if d else "ascending") for k, d in zip(keys, descending)]
+
+
+def sort(
+    ds: ray.data.Dataset,
+    keys: list[str],
+    descending: bool | list[bool] = False,
+    num_partitions: int | None = None,
+) -> ray.data.Dataset:
+    """`ds` sorted by `keys` (nulls last, as in `sorted_runs`) as one range
+    exchange: one task per block samples it, the driver picks
+    `num_partitions - 1` splitters from the samples (weighted by block
+    size), every row goes to the partition of the splitters ordered
+    before it, and each partition sorts its rows. Rows with equal `keys`
+    meet in one partition. The result's blocks are the non-empty
+    partitions in key order; it is typed when it has no rows."""
+    ds = ds.materialize()
+    refs = _typed_blocks(ds)
+    if refs is None:  # no rows and no schema: nothing to sort
+        return ds
+    order = sort_order(keys, descending)
+    n = num_partitions or partition_count(ds)
+    k = -(-_SAMPLES * n // len(refs))
+    samples = pa.concat_tables(
+        ray.get([_sample.remote(r, keys, k) for r in refs]), promote_options="permissive"
+    )
+    samples = samples.take(pc.sort_indices(samples, sort_keys=order))
+    n = max(1, min(n, samples.num_rows))
+    w = np.cumsum(samples.column("_w").to_numpy())
+    cuts = np.searchsorted(w, w[-1] * np.arange(1, n) / n) if n > 1 else []
+    rule = _by_range(samples.select(keys).take(pa.array(cuts, pa.int64())), order)
+
+    def _sorted(t: pa.Table) -> pa.Table:
+        return t.take(pc.sort_indices(t, sort_keys=order))
+
+    return _shuffle([(refs, rule)], None, _sorted, n)
+
+
+def scan(
+    ds: ray.data.Dataset,
+    summarize: Callable[[pa.Table], object],
+    step: Callable[[object, object], object],
+    apply: Callable[[pa.Table, object], pa.Table],
+    init: object,
+) -> ray.data.Dataset:
+    """Prefix scan over the partitions of a `sort` result, in block
+    order: one task per partition computes `summarize(part)`, the driver
+    folds `state = step(state, summary)` from `init`, and one task per
+    partition returns `apply(part, state before it)`. A partition is
+    known by its position, so a key may span any number of partitions.
+    A 0-row `ds` applies once to its empty table; the result is
+    materialized, has no 0-row blocks and is typed when empty."""
+    refs = _typed_blocks(ds.materialize())
+    if refs is None:
+        return ds
+    states, state = [], init
+    for summary in ray.get([_summarize.remote(summarize, r) for r in refs]):
+        states.append(state)
+        state = step(state, summary)
+    return _collect([_apply.remote(apply, r, s) for r, s in zip(refs, states)])
 
 
 def typed_map(ds: ray.data.Dataset, fn: Fn) -> ray.data.Dataset:
@@ -284,34 +373,73 @@ def _empty_table(ds: ray.data.Dataset) -> pa.Table | None:
     return pa.schema(list(zip(sch.names, sch.types))).empty_table()
 
 
-def _shuffle(sides: list[tuple[list[ray.ObjectRef], list[str]]], partial: Fn | None,
+def _shuffle(sides: list[tuple[list[ray.ObjectRef], Callable]], partial: Fn | None,
              reduce: Callable[..., pa.Table], n: int) -> ray.data.Dataset:
-    """Route every block of every side (block refs, routing keys) into
+    """Route every block of every side (block refs, routing rule) into
     `n` partitions and run `reduce(side 0 rows, side 1 rows, ...)` once
-    per partition. Returns the non-empty outputs, or one empty output
-    when all are empty."""
+    per partition. Returns the non-empty outputs in partition order, or
+    one empty output when all are empty."""
     fns = ray.put((partial, reduce))
     split = _split.options(num_returns=n)
-    parts = [[split.remote(r, fns, keys, n) for r in refs] for refs, keys in sides]
+    parts = [[split.remote(r, fns, rule, n) for r in refs] for refs, rule in sides]
     sizes = [len(side) for side in parts]
-    outs = [  # with n == 1 a split returns its one slice, not a list
+    return _collect([  # with n == 1 a split returns its one slice, not a list
         _reduce.remote(fns, sizes, *(b[i] if n > 1 else b for side in parts for b in side))
         for i in range(n)
-    ]
+    ])
+
+
+def _collect(outs: list[tuple[ray.ObjectRef, ray.ObjectRef]]) -> ray.data.Dataset:
+    """The (table, row count) outputs of one task each as a dataset of the
+    non-empty tables in order, or of the first table when all are empty."""
     counts = ray.get([c for _, c in outs])
     return ray.data.from_arrow_refs(
         [t for (t, _), c in zip(outs, counts) if c] or [outs[0][0]]
     )
 
 
+def _by_hash(keys: list[str], n: int) -> Callable[[pa.Table], np.ndarray]:
+    """The routing rule of a hash exchange: `route` on `keys`."""
+    return lambda t: route(t, keys, n).to_numpy()
+
+
+def _by_range(splitters: pa.Table, order: list[tuple[str, str]]) -> Callable[[pa.Table], np.ndarray]:
+    """The routing rule of a range exchange: a row's partition is the
+    number of `splitters` rows ordered strictly before it. The rows and
+    the splitters sort together, stably and rows first, so a row equal
+    to a splitter counts it after itself, and equal rows always meet."""
+
+    def rule(t: pa.Table) -> np.ndarray:
+        keys = t.select(splitters.column_names)
+        both = pa.concat_tables([keys, splitters.cast(keys.schema)])
+        idx = pc.sort_indices(both, sort_keys=order).to_numpy()
+        row = idx < t.num_rows
+        pid = np.empty(t.num_rows, np.int64)
+        pid[idx[row]] = np.cumsum(~row)[row]
+        return pid
+
+    return rule
+
+
 @ray.remote
-def _split(block, fns, keys: list[str], n: int):
+def _sample(block, keys: list[str], k: int) -> pa.Table:
+    """Up to `k` evenly spaced rows of `keys` from one block, each with
+    the weight `_w` of the rows it stands for."""
+    t = BlockAccessor.for_block(block).to_arrow().select(keys)
+    s = min(k, t.num_rows)
+    pos = pa.array(np.arange(s) * t.num_rows // max(s, 1), pa.int64())
+    return t.take(pos).append_column("_w", pa.array(np.full(s, t.num_rows / max(s, 1))))
+
+
+@ray.remote
+def _split(block, fns, rule, n: int):
     """One input block → `partial(block)`'s rows cut into `n` slices in
-    partition order (one slice, not a list of one, when n == 1)."""
+    partition order by `rule` (one slice, not a list of one, when
+    n == 1)."""
     t = BlockAccessor.for_block(block).to_arrow()
     if fns[0] is not None:
         t = fns[0](t)
-    pid = route(t, keys, n).to_numpy()
+    pid = rule(t)
     order = np.argsort(pid, kind="stable")
     cuts = np.searchsorted(pid[order], np.arange(n + 1))
     t = t.take(order)
@@ -328,4 +456,15 @@ def _reduce(fns, sizes: list[int], *parts: pa.Table):
         pa.concat_tables(parts[a:b], promote_options="permissive")
         for a, b in zip(cuts[:-1], cuts[1:])
     ))
+    return out, out.num_rows
+
+
+@ray.remote
+def _summarize(fn, block):
+    return fn(BlockAccessor.for_block(block).to_arrow())
+
+
+@ray.remote(num_returns=2)
+def _apply(fn, block, state):
+    out = fn(BlockAccessor.for_block(block).to_arrow(), state)
     return out, out.num_rows

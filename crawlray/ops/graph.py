@@ -20,7 +20,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
 from crawlray.ops.exchange import aggregate, fits_broadcast, join, typed_map
 
@@ -266,8 +265,6 @@ def pagerank(
     partition; both paths are parity-tested against a dense numpy
     reference to 1e-9 on every node.
     """
-    from crawlray.ops.relational import single_row_agg
-
     edges = edges.select_columns([src_col, dst_col]).materialize()
     # empty edge list: no nodes, no ranks (N=0 would divide the teleport
     # term by zero) — typed empty result
@@ -288,10 +285,9 @@ def pagerank(
     teleport = (1.0 - damping) / n
 
     for _ in range(n_iters):
-        dang_tbl = single_row_agg(
-            ranks.filter(expr="outdeg == 0"), [Sum("rank", alias_name="s")]
-        )
-        dang = dang_tbl.column("s")[0].as_py() or 0.0
+        dang = aggregate(
+            ranks.filter(expr="outdeg == 0"), [], {"s": ("rank", "sum")}
+        ).take_all()[0]["s"] or 0.0
 
         joined = join(edges, ranks, on=[src_col], right_on=["node"])
 
@@ -437,8 +433,6 @@ def connected_components(
     state that `fits_broadcast` (HLL node estimate x one state row) is
     broadcast instead, and only the edges stream (`_cc_broadcast`).
     """
-    from crawlray.ops.relational import single_row_agg
-
     # undirected: propagate both ways
     def _both_ways(batch: pa.Table) -> pa.Table:
         a, b = batch.column(a_col), batch.column(b_col)
@@ -477,9 +471,7 @@ def connected_components(
             )
 
         labels = merged.map_batches(_take_min, batch_format="pyarrow").materialize()
-        n_changed = single_row_agg(labels, [Sum("chg", alias_name="c")]).column(
-            "c"
-        )[0].as_py() or 0
+        n_changed = aggregate(labels, [], {"c": ("chg", "sum")}).take_all()[0]["c"] or 0
         labels = labels.select_columns(["node", "label"]).materialize()
         if n_changed == 0:
             break

@@ -175,20 +175,6 @@ class MediaDecodeStage:
         return pa.table(cols)
 
 
-def decode_media(
-    ds: ray.data.Dataset, id_col: str, text_col: str, concurrency: int = 2
-) -> ray.data.Dataset:
-    """Full multimodal pipeline: attach binary payload → actor-pool decode."""
-    withbin = attach_binary_payload(ds, id_col, text_col)
-    return withbin.map_batches(
-        MediaDecodeStage,
-        batch_format="pyarrow",
-        batch_size=64,  # small batches: binary payloads dominate memory
-        concurrency=concurrency,
-        num_cpus=0.5,
-    )
-
-
 class AudioDecodeStage:
     """Actor-pool audio metadata decode: REAL WAV header parse
     (`parse_audio_header`) with a deterministic stub for non-audio

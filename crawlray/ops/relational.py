@@ -29,7 +29,9 @@ from crawlray.ops.exchange import (
     group_map,
     hash_exchange,
     join,
+    sort_order,
     sorted_runs,
+    typed_map,
 )
 
 
@@ -93,11 +95,19 @@ def topk(
     k: int,
     descending: bool | list[bool] = True,
 ) -> ray.data.Dataset:
-    """Global top-k: range-shuffle sort + limit (the limit prunes blocks).
+    """Global top-k (nulls last): the top k rows of every block, then the
+    top k of those on the driver, which holds at most k rows per block.
+    No exchange: nothing but k rows needs an order.
 
     Pass a unique tiebreak column last in `keys` so results are deterministic.
     """
-    return ds.sort(keys, descending=descending).limit(k)
+    order = sort_order(keys, descending)
+
+    def _top(t: pa.Table) -> pa.Table:
+        return t.take(pc.sort_indices(t, sort_keys=order)[:k])
+
+    tops = typed_map(ds, _top).to_arrow_refs()
+    return ray.data.from_arrow(_top(pa.concat_tables(ray.get(tops), promote_options="permissive")))
 
 
 def md5_digest_col(
@@ -863,16 +873,6 @@ def hopping_window_agg(
     )
 
 
-def single_row_agg(ds: ray.data.Dataset, aggs) -> pa.Table:
-    """Global (non-grouped) aggregate → a one-row Arrow table.
-
-    Ray Data computes this as partial per-block aggregates + a tree combine;
-    only the final scalar row lands on the driver.
-    """
-    out = ds.aggregate(*aggs)
-    return pa.Table.from_pylist([out])
-
-
 def window_shift_cum(
     ds: ray.data.Dataset,
     key: str,
@@ -971,8 +971,6 @@ def grouping_sets_agg(
     distributed aggregation. The previous one-shuffle-PER-LEVEL shape
     cost len(sets) passes over the raw input.
     """
-    from ray.data.aggregate import Sum
-
     key_order = {k: i for i, k in enumerate(keys)}
     fine = aggregate(ds, keys, {"n": (None, "count"), "sum_v": (value_col, "sum")})
     out = None
@@ -981,14 +979,8 @@ def grouping_sets_agg(
         assert all(k in key_order for k in sub), f"unknown keys in {raw}"
         if sub == list(keys):
             level = fine
-        elif sub:
+        else:  # with no keys, one total row
             level = aggregate(fine, sub, {"n": ("n", "sum"), "sum_v": ("sum_v", "sum")})
-        else:
-            total = single_row_agg(
-                fine,
-                [Sum("n", alias_name="n"), Sum("sum_v", alias_name="sum_v")],
-            )
-            level = ray.data.from_arrow(total)
         pad = [k for k in keys if k not in sub]
 
         def _pad(batch: pa.Table, _pad_cols=tuple(pad)) -> pa.Table:
@@ -1176,8 +1168,7 @@ def weighted_sample(
     4294967297.0, 1.0/weight) — at the cost of a per-row Python md5.
     hash_fn="murmur3" uses the repo's vectorized murmur3_x64_128 batch
     kernel (no per-row Python) for production-volume runs (ADVICE r3),
-    mirroring hash_sample_fast. Selection is the distributed sort+limit
-    top-k either way.
+    mirroring hash_sample_fast. Selection is `topk` either way.
     """
     import hashlib
 
@@ -1216,12 +1207,8 @@ def weighted_sample(
             raise ValueError("weights must be positive")
         return batch.append_column("_es", pa.array(u ** (1.0 / w)))
 
-    return (
-        ds.map_batches(_score, batch_format="pyarrow")
-        .sort(["_es", key_col], descending=[True, False])
-        .limit(k)
-        .drop_columns(["_es"])
-    )
+    scored = ds.map_batches(_score, batch_format="pyarrow")
+    return topk(scored, ["_es", key_col], k, [True, False]).drop_columns(["_es"])
 
 
 def set_op(

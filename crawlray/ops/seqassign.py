@@ -1,17 +1,10 @@
-"""Global order assignment without a driver bottleneck (SURVEY.md O-33,
+"""Global order statistics without a driver bottleneck (SURVEY.md O-33,
 §7.3-H4: never take_all the data; the driver touches O(#blocks) metadata).
 
-`sort_and_zip_index(ds, key, base)`:
-  1. range-shuffle sort by `key` → materialize (block order == key order);
-  2. tiny pass: one (first_key, n_rows) row per block (batch_size=None maps
-     one batch per materialized block) — the driver sorts these #blocks
-     entries by first_key to recover block order and prefix-sums offsets;
-  3. second pass over the same materialized blocks: seq = base + offset of
-     the block (looked up by its first key, which is unique because `key`
-     is unique) + arange(len(block)).
-
-Requires `key` values to be unique (true for disc_key: one row per URL per
-wave, (parent_seq, link_idx) unique by construction).
+`rank_values` and `exact_quantiles` sort once through `exchange.sort`,
+whose blocks come back in key order with their row counts, then walk
+those counts on the driver and fetch only the blocks that hold a
+requested rank. `grouped_quantiles` is one `group_map` exchange.
 """
 
 from __future__ import annotations
@@ -20,20 +13,18 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
-from crawlray.ops.exchange import group_map
+from crawlray.ops.exchange import group_map, sort
 
 
-def rank_values(
-    ds: ray.data.Dataset, col: str, ranks: list[int], presorted: bool = False
-) -> dict[int, float]:
-    """Values at the given 0-based global ranks of ds[col] ascending.
+def rank_values(ds: ray.data.Dataset, col: str, ranks: list[int]) -> dict[int, float]:
+    """Values at the given 0-based global ranks of ds[col] ascending
+    (nulls last): one `exchange.sort`, then `_values_at`."""
+    return _values_at(sort(ds.select_columns([col]), [col]), col, ranks)
 
-    No driver rows: distributed sort, then an O(#blocks) metadata walk
-    fetching ONLY the blocks that contain a requested rank. Pass presorted=True when `ds` is already a
-    materialized sort-by-`col` result to skip the (expensive) re-sort —
-    exact_quantiles was paying the sort TWICE before this flag existed
-    (VERDICT r3 item 6: quantiles 1.95→3.65 s regression)."""
-    mat = ds if presorted else ds.select_columns([col]).sort(col).materialize()
+
+def _values_at(mat: ray.data.Dataset, col: str, ranks: list[int]) -> dict[int, float]:
+    """Values at `ranks` of sorted `mat`: an O(#blocks) walk of the
+    block row counts that fetches only the blocks holding a rank."""
     want = sorted(set(int(r) for r in ranks))
     out: dict[int, float] = {}
     acc = 0
@@ -63,7 +54,7 @@ def exact_quantiles(
     ranks — never the dataset. For sketch-based streaming quantiles at
     extreme scale, pre-aggregate per block and trade exactness; this is
     the exact path."""
-    mat = ds.select_columns([col]).sort(col).materialize()
+    mat = sort(ds.select_columns([col]), [col])
     n = mat.count()
     if n == 0:
         raise ValueError("exact_quantiles on empty dataset")
@@ -74,7 +65,7 @@ def exact_quantiles(
         lo, hi = int(np.floor(p)), int(np.ceil(p))
         ranks.update((lo, hi))
         pos.append((p, lo, hi))
-    vals = rank_values(mat, col, sorted(ranks), presorted=True)
+    vals = _values_at(mat, col, sorted(ranks))
     out = []
     for p, lo, hi in pos:
         vlo, vhi = float(vals[lo]), float(vals[hi])
@@ -107,36 +98,3 @@ def grouped_quantiles(
         return pa.table(out)
 
     return group_map(ds, group_cols, _q)
-
-
-def sort_and_zip_index(
-    ds: ray.data.Dataset, key: str, base: int = 0, out_col: str = "seq"
-) -> ray.data.Dataset:
-    mat = ds.sort(key).materialize()
-
-    def _block_meta(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return pa.table({"first_key": pa.array([], pa.int64()), "n": pa.array([], pa.int64())})
-        return pa.table(
-            {
-                "first_key": pa.array([b.column(key)[0].as_py()], pa.int64()),
-                "n": pa.array([b.num_rows], pa.int64()),
-            }
-        )
-
-    meta = mat.map_batches(_block_meta, batch_format="pyarrow", batch_size=None).take_all()
-    meta.sort(key=lambda r: r["first_key"])  # block order == sorted key order
-    offsets: dict[int, int] = {}
-    acc = 0
-    for m in meta:
-        offsets[m["first_key"]] = acc
-        acc += m["n"]
-
-    def _assign(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0:
-            return b.append_column(out_col, pa.array([], pa.int64()))
-        off = base + offsets[b.column(key)[0].as_py()]
-        seq = pa.array(off + np.arange(b.num_rows, dtype=np.int64), pa.int64())
-        return b.append_column(out_col, seq)
-
-    return mat.map_batches(_assign, batch_format="pyarrow", batch_size=None)

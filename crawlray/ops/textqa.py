@@ -1228,14 +1228,15 @@ def clean_corpus_stats(
        min_tokens / max_chars are dropped at the scan — downstream stages
        never see them.
     2. EXACT DEDUP: md5(text) fingerprint, keep the smallest id per
-       fingerprint (`dedup_keep_first` — sort + per-block keep-first +
-       O(#blocks) boundary repair, never a per-group Python call).
+       fingerprint (`dedup_keep_first` — one hash exchange and a
+       vectorized keep-first per partition, never a per-group Python
+       call).
     3. STATS: one `aggregate` on source — surviving docs and their
        token volume per source.
 
     Output: (source, n_docs, total_tokens), the corpus-card numbers a
     training-data pipeline reports after cleaning. Every stage streams;
-    the only shuffles are the dedup sort and the final small aggregate.
+    the only shuffles are the dedup exchange and the final small aggregate.
     """
     from crawlray.ops.dedup import dedup_keep_first
 

@@ -63,46 +63,6 @@ CRAWL_LOG = pa.schema(
     ]
 )
 
-HOST_STATE = pa.schema(
-    [
-        ("host", pa.string()),
-        ("tokens", pa.float64()),
-        ("rate", pa.float64()),
-        ("burst", pa.float64()),
-        ("robots_body", pa.string()),
-        ("fetched_total", pa.int64()),
-    ]
-)
-
-WEBGRAPH = pa.schema(
-    [
-        ("url", pa.string()),
-        ("host", pa.string()),
-        ("html", pa.string()),
-    ]
-)
-
-ROBOTS = pa.schema(
-    [
-        ("host", pa.string()),
-        ("body", pa.string()),
-    ]
-)
-
-SEEN_DUMP = pa.schema(
-    [
-        ("shard", pa.uint32()),
-        ("url", pa.string()),
-        ("url_hash_lo", pa.uint64()),
-        ("url_hash_hi", pa.uint64()),
-    ]
-)
-
-
-def empty_table(schema: pa.Schema) -> pa.Table:
-    return schema.empty_table()
-
-
 def pack_disc_depth(disc_key, depth):
     """Pack (disc_key, depth) into one int64 whose min() is the dedup winner.
 

@@ -27,22 +27,9 @@ from crawlray.actors.politeness import host_hashes
 from crawlray.kernels.html import parse_page
 from crawlray.kernels.url import url_hosts
 from crawlray.murmur3 import hash_urls_128
-from crawlray.schema import LINK_STRIDE, SPAN_STRUCT, pack_disc_depth
+from crawlray.schema import CRAWL_LOG, LINK_STRIDE, SPAN_STRUCT, pack_disc_depth
 
 FRONTIER_COLS = ["url", "host", "depth", "disc_key", "url_hash_lo", "url_hash_hi", "shard"]
-
-LOG_SCHEMA = pa.schema(
-    [
-        ("seq", pa.int64()),
-        ("url", pa.string()),
-        ("host", pa.string()),
-        ("wave", pa.int32()),
-        ("depth", pa.int32()),
-        ("status", pa.string()),
-        ("n_out", pa.int32()),
-    ]
-)
-
 
 # Version tag of the URL→shard routing function. Stored in the checkpoint
 # config and validated on resume: a checkpoint written under a different
@@ -347,7 +334,7 @@ def log_rows(rows: pa.Table, wave: int, status=None) -> pa.Table:
             "status": rows.column("status") if status is None else pa.array([status] * n, pa.string()),
             "n_out": rows.column("n_out") if status is None else pa.array(np.zeros(n, np.int32), pa.int32()),
         },
-        schema=LOG_SCHEMA,
+        schema=CRAWL_LOG,
     )
 
 

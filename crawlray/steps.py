@@ -84,13 +84,6 @@ def resolve_steps(steps) -> list[Step]:
 # --------------------------------------------------------------------------
 
 
-@register_step("scope_extra_depth_cap")
-def _noop_example(batch: pa.Table) -> pa.Table:
-    """Identity placeholder kept registered so the registry is never empty;
-    real built-ins below."""
-    return batch
-
-
 def make_host_block_step(blocked_hosts: set[str]) -> Step:
     """Frontier step factory: drop URLs on the given hosts (an engine-side
     blocklist on top of robots)."""

@@ -16,8 +16,8 @@ import ray.data
 
 from crawlray.backend import SyntheticBackend
 from crawlray.checkpoint import Checkpointer
-from crawlray.schema import FRONTIER
-from crawlray.stages import FRONTIER_COLS, LOG_SCHEMA
+from crawlray.schema import CRAWL_LOG, FRONTIER
+from crawlray.stages import FRONTIER_COLS
 from crawlray.synthgraph import SynthWeb
 from oracle.bfs_crawler import CrawlConfig, crawl
 
@@ -26,7 +26,7 @@ RUN = dict(fetch_batch_size=16)
 
 
 def _log_sorted(ds) -> pa.Table:
-    t = pa.Table.from_pylist(ds.take_all(), schema=LOG_SCHEMA)
+    t = pa.Table.from_pylist(ds.take_all(), schema=CRAWL_LOG)
     return t.take(pc.sort_indices(t, sort_keys=[("seq", "ascending")]))
 
 
@@ -56,7 +56,7 @@ def test_checkpoint_layout(ray_session, tmp_path):
             assert sorted(os.listdir(os.path.join(wdir, "frontier"))) == parts
             log_t = pq.read_table(os.path.join(wdir, "crawl_log"))
             fr_t = pq.read_table(os.path.join(wdir, "frontier"))
-            assert log_t.schema.remove_metadata().equals(LOG_SCHEMA)
+            assert log_t.schema.remove_metadata().equals(CRAWL_LOG)
             assert fr_t.schema.remove_metadata().equals(frontier_schema)
             assert log_t.num_rows > 0
         # the final wave discovers nothing new: its frontier is typed, 0 rows

@@ -2,7 +2,7 @@
 `num_seen_shards` actors, each of which owns its hosts' seen URLs,
 politeness state and fetching; every shard fetches on a multi-host web;
 the outputs equal the oracle at any pool size, including a resume into
-another one. A leg records where its time went, each wave its `wave_s` and
+another one, and `seen_urls` is the whole seen set on every call. A leg records where its time went, each wave its `wave_s` and
 `phases` (kept in meta.json), a leg runs none of the retired per-wave
 tasks, and a failed attempt releases its actors while its exception is
 still held."""
@@ -17,7 +17,7 @@ import ray
 
 from crawlray.backend import SyntheticBackend
 from crawlray.checkpoint import Checkpointer
-from crawlray.stages import LOG_SCHEMA
+from crawlray.schema import CRAWL_LOG
 from crawlray.synthgraph import SynthWeb
 from oracle.bfs_crawler import CrawlConfig, crawl
 
@@ -35,7 +35,7 @@ def _web(n_hosts: int = 6):
 
 
 def _log_sorted(ds) -> pa.Table:
-    t = pa.Table.from_pylist(ds.take_all(), schema=LOG_SCHEMA)
+    t = pa.Table.from_pylist(ds.take_all(), schema=CRAWL_LOG)
     return t.take(pc.sort_indices(t, sort_keys=[("seq", "ascending")]))
 
 
@@ -118,6 +118,30 @@ def test_resume_reshard_4_to_3_matches_oracle(ray_session, tmp_path, monkeypatch
     try:
         _check_pool(pools[0], 3)
         _assert_matches_oracle(res, ora, Checkpointer.read_seen_urls(out))
+    finally:
+        res.shutdown()
+
+
+def test_seen_urls_is_the_whole_seen_set_on_every_call(ray_session, tmp_path):
+    """`seen_urls` reads without draining: twice on an uncheckpointed
+    crawl; and on a resumed checkpointed crawl, whose shards dumped each
+    wave's new URLs to `seen_delta` and hold only hashes of the URLs
+    the resume ingested."""
+    from crawlray.job import resume_crawl, run_crawl
+
+    web = _web()
+    ora = crawl(web.default_seeds(), SyntheticBackend.from_web(web), CrawlConfig(**CFG))
+    res = run_crawl(web.default_seeds(), web=web, **RUN, **CFG)
+    try:
+        assert res.seen_urls() == ora.seen
+        assert res.seen_urls() == ora.seen
+    finally:
+        res.shutdown()
+    out = str(tmp_path / "ckpt")
+    run_crawl(web.default_seeds(), web=web, out_dir=out, stop_after_wave=2, **RUN, **CFG).shutdown()
+    res = resume_crawl(out, web=web, **RUN)
+    try:
+        assert res.seen_urls() == ora.seen
     finally:
         res.shutdown()
 

@@ -1,4 +1,5 @@
-"""crawlray.ops.exchange: the one hash exchange and the one join.
+"""crawlray.ops.exchange: the hash and range exchanges, the one join
+and the prefix scan.
 
 The join cases are the Ray 2.49 shapes on which `Dataset.join` raises
 `ArrowInvalid: No match ... for key field`: a side with zero rows (even
@@ -8,7 +9,9 @@ Every result is checked, rows and schema, against a local
 `pyarrow.Table.join` of the same inputs. The later cases pin the
 map/reduce contract: `merge` runs on every partition, one partition
 works, and pandas blocks are read as Arrow; `aggregate` is checked
-against pandas."""
+against pandas, and with no keys gives one row. `sort` is checked
+against `Table.sort_by`, `scan` against `np.cumsum`, and `pack_bins`
+on one source that spans several sort partitions."""
 
 import ast
 import pathlib
@@ -296,6 +299,120 @@ def test_group_map_calls_fn_once_per_key_group(ray_session):
     assert empty.schema().names == _summary(t.slice(0, 0)).column_names
 
 
+def _sorted_blocks(ds) -> list[pa.Table]:
+    import ray
+
+    return [ray.get(r) for b in ds.iter_internal_ref_bundles() for r, m in b.blocks if m.num_rows]
+
+
+# duplicate keys in long runs (so sampled splitters land inside them),
+# nulls in both keys, a string key
+SORT_INPUT = pa.table({
+    "a": pa.array([(i * 7) % 5 if i % 11 else None for i in range(600)], pa.int64()),
+    "s": pa.array([None if i % 13 == 0 else f"s{(i * 3) % 4}" for i in range(600)]),
+    "x": pa.array(range(600), pa.int64()),
+})
+
+
+@pytest.mark.parametrize("descending,num_partitions", [
+    (False, 4), ([True, False], 5), ([False, True], 3), (False, 1),
+])
+def test_sort_matches_arrow_sort_by(ray_session, descending, num_partitions):
+    """`sort` equals `Table.sort_by` on the keys, block after block, and
+    rows with equal keys never span two partitions."""
+    import ray.data
+
+    from crawlray.ops.exchange import sort, sort_order
+
+    ds = ray.data.from_arrow(SORT_INPUT).repartition(6)
+    blocks = _sorted_blocks(sort(ds, ["a", "s"], descending, num_partitions))
+    order = sort_order(["a", "s"], descending)
+    got = pa.concat_tables(blocks)
+    assert got.select(["a", "s"]).equals(SORT_INPUT.sort_by(order).select(["a", "s"]))
+    assert sorted(got.column("x").to_pylist()) == list(range(600))
+    assert len(blocks) == num_partitions
+    keys = [set(zip(b["a"].to_pylist(), b["s"].to_pylist())) for b in blocks]
+    for i, ki in enumerate(keys):
+        for kj in keys[i + 1:]:
+            assert not ki & kj
+
+
+def test_sort_empty_input_is_typed(ray_session):
+    import ray.data
+
+    from crawlray.ops.exchange import sort
+
+    out = sort(ray.data.from_arrow(SORT_INPUT.slice(0, 0)), ["s"], num_partitions=3)
+    assert out.count() == 0
+    assert out.schema().names == SORT_INPUT.column_names
+    assert list(out.schema().types) == list(SORT_INPUT.schema.types)
+
+
+def test_scan_running_count_equals_cumsum(ray_session):
+    """A running-count state across partitions: every row learns its
+    global position, as `np.cumsum` of the partition sizes gives it."""
+    import ray.data
+
+    from crawlray.ops.exchange import scan, sort
+
+    ds = ray.data.from_arrow(SORT_INPUT).repartition(5)
+    parts = sort(ds, ["x"], descending=True, num_partitions=4)
+    sizes = [b.num_rows for b in _sorted_blocks(parts)]
+    assert len(sizes) >= 3
+
+    def _number(p: pa.Table, before: int) -> pa.Table:
+        return p.append_column("pos", pa.array(before + np.arange(p.num_rows)))
+
+    out = _sorted_blocks(scan(parts, lambda p: p.num_rows, lambda s, c: s + c, _number, 0))
+    assert [b["pos"][0].as_py() for b in out] == [0, *np.cumsum(sizes)[:-1]]
+    got = pa.concat_tables(out)
+    assert got["pos"].to_pylist() == list(range(600))
+    assert got["x"].to_pylist() == list(range(599, -1, -1))
+
+
+@pytest.mark.parametrize("rows", [0, 600])
+def test_keyless_aggregate_is_one_row(ray_session, rows):
+    """With no keys every partition but one would add a row of its own
+    (a keyless Arrow aggregate of a 0-row table has one row)."""
+    import ray.data
+
+    from crawlray.ops.exchange import aggregate
+
+    ds = ray.data.from_arrow(SORT_INPUT.slice(0, rows))
+    if rows:
+        ds = ds.repartition(4)
+    got = aggregate(ds, [], {"n": (None, "count"), "t": ("x", "sum"), "m": ("a", "max")},
+                    num_partitions=8).take_all()
+    want = {"n": rows, "t": sum(range(rows)) or None, "m": 4 if rows else None}
+    assert got == [want]
+
+
+def test_pack_bins_source_spanning_partitions(ray_session, monkeypatch):
+    """One source whose bins cross five sort partitions packs exactly as
+    the sequential greedy does. A small input sorts into two partitions,
+    so the test asks for five."""
+    import functools
+
+    import ray.data
+    from test_corpusprep import _next_fit_ref
+
+    from crawlray.ops import corpusprep, exchange
+    from crawlray.ops.corpusprep import _count_tokens, pack_bins
+
+    sort = functools.partial(exchange.sort, num_partitions=5)
+    monkeypatch.setattr(corpusprep, "sort", sort)
+
+    sizes = [(i * 37) % 90 + 1 for i in range(400)]
+    t = pa.table({"doc_id": pa.array(range(400), pa.int64()),
+                  "source": ["one"] * 400,
+                  "text": [" ".join(["w"] * n) for n in sizes]})
+    ds = ray.data.from_arrow(t).repartition(7)
+    parts = sort(_count_tokens(ds, "source", "doc_id", "text"), ["source", "doc_id"])
+    assert len(_sorted_blocks(parts)) == 5
+    got = pack_bins(ds, budget=200).to_pandas().sort_values("doc_id")
+    assert got.bin_id.tolist() == _next_fit_ref(sizes, 200)
+
+
 def _calls(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -310,13 +427,34 @@ def test_only_exchange_module_joins_or_routes():
     `Dataset.join`. No operator module (exchange.py included),
     storage.py or the driver entry calls `groupby` or `map_groups`:
     grouped aggregates go through `exchange.aggregate` and per-group
-    work through `exchange.group_map`."""
+    work through `exchange.group_map`. No module of the package and not
+    the driver entry calls `Dataset.sort` (a `.sort(` with a positional
+    argument; `np.sort`, `exchange.sort` and keyword-only `list.sort`
+    pass) or `Dataset.unique` (`.unique("col")`), or imports from
+    `ray.data.aggregate`: ordered work goes through `exchange.sort` and
+    `exchange.scan`, global aggregates and distinct values through
+    `exchange.aggregate`."""
     offenders = []
     for path in [*sorted(OPS.glob("*.py")), OPS.parent / "storage.py",
                  OPS.parents[1] / "__ray_entry__.py"]:
         for call in _calls(ast.parse(path.read_text())):
             if call.func.attr in ("groupby", "map_groups"):
                 offenders.append(f"{path.name}:{call.lineno} calls {call.func.attr}")
+    for path in [*sorted(OPS.parent.rglob("*.py")), OPS.parents[1] / "__ray_entry__.py"]:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "ray.data.aggregate" or (
+                isinstance(node, ast.Import) and any(a.name == "ray.data.aggregate" for a in node.names)
+            ):
+                offenders.append(f"{path.name}:{node.lineno} imports ray.data.aggregate")
+        for call in _calls(tree):
+            owner = getattr(call.func.value, "id", None)
+            if call.func.attr == "sort" and call.args and owner not in ("np", "numpy", "exchange"):
+                offenders.append(f"{path.name}:{call.lineno} calls Dataset.sort")
+            if call.func.attr == "unique" and any(
+                isinstance(a, ast.Constant) and isinstance(a.value, str) for a in call.args
+            ):
+                offenders.append(f"{path.name}:{call.lineno} calls Dataset.unique")
     for path in sorted(OPS.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
