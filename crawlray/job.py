@@ -533,13 +533,13 @@ def _is_actor_death(err: BaseException) -> bool:
     return False
 
 
-def _stop(actors: list, timeout: float = 30.0) -> None:
+def _stop(actors: list) -> None:
     """Kill `actors` once each has run the calls queued on it and joined
     its background doc write (the call fails at once on a dead actor):
     `ray.kill` returns before the process stops, and a write that outlives
     it lands in the uncommitted wave dir that a recovery removes."""
     if actors:
-        ray.wait([a.join_writes.remote() for a in actors], num_returns=len(actors), timeout=timeout)
+        ray.wait([a.join_writes.remote() for a in actors], num_returns=len(actors), timeout=30)
     for a in actors:
         try:
             ray.kill(a, no_restart=True)

@@ -2,10 +2,10 @@
 `num_seen_shards` actors, each of which owns its hosts' seen URLs,
 politeness state and fetching; every shard fetches on a multi-host web;
 the outputs equal the oracle at any pool size, including a resume into
-another one, and `seen_urls` is the whole seen set on every call. A leg records where its time went, each wave its `wave_s` and
-`phases` (kept in meta.json), a leg runs none of the retired per-wave
-tasks, and a failed attempt releases its actors while its exception is
-still held."""
+another one, and `seen_urls` is the whole seen set on every call. A leg
+records where its time went, each wave its `wave_s` and `phases` (kept
+in meta.json), a leg runs none of the retired per-wave tasks, and a
+failed attempt releases its actors while its exception is still held."""
 
 import os
 import time
