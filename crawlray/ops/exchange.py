@@ -282,25 +282,21 @@ def sort_order(keys: list[str], descending: bool | list[bool] = False) -> list[t
     return [(k, "descending" if d else "ascending") for k, d in zip(keys, descending)]
 
 
-def sort(
-    ds: ray.data.Dataset,
-    keys: list[str],
-    descending: bool | list[bool] = False,
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """`ds` sorted by `keys` (nulls last, as in `sorted_runs`) as one range
-    exchange: one task per block samples it, the driver picks
-    `num_partitions - 1` splitters from the samples (weighted by block
-    size), every row goes to the partition of the splitters ordered
-    before it, and each partition sorts its rows. Rows with equal `keys`
-    meet in one partition. The result's blocks are the non-empty
-    partitions in key order; it is typed when it has no rows."""
+def sort(ds: ray.data.Dataset, keys: list[str]) -> ray.data.Dataset:
+    """`ds` sorted ascending by `keys` (nulls last, as in `sorted_runs`)
+    as one range exchange into `partition_count(ds)` partitions: one task
+    per block samples it, the driver picks one splitter fewer than the
+    partitions from the samples (weighted by block size), every row goes
+    to the partition of the splitters ordered before it, and each
+    partition sorts its rows. Rows with equal `keys` meet in one
+    partition. The result's blocks are the non-empty partitions in key
+    order; it is typed when it has no rows."""
     ds = ds.materialize()
     refs = _typed_blocks(ds)
     if refs is None:  # no rows and no schema: nothing to sort
         return ds
-    order = sort_order(keys, descending)
-    n = num_partitions or partition_count(ds)
+    order = sort_order(keys)
+    n = partition_count(ds)
     k = -(-_SAMPLES * n // len(refs))
     samples = pa.concat_tables(
         ray.get([_sample.remote(r, keys, k) for r in refs]), promote_options="permissive"

@@ -2,6 +2,7 @@
 
 import duckdb
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 import ray.data
@@ -16,17 +17,41 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-@pytest.mark.parametrize("override_blocks", [None, 1, 7])
-def test_pack_sequences_matches_window_oracle(ray_session, override_blocks):
+def _sort_into(monkeypatch, partitions):
+    """Make corpusprep's `exchange.sort` cut `partitions` partitions (its
+    own sizing when None). Returns the list it appends each sort's
+    block count to."""
+    from crawlray.ops import corpusprep, exchange
+
+    if partitions:
+        monkeypatch.setattr(exchange, "partition_count", lambda *ds: partitions)
+    blocks = []
+
+    def _sort(ds, keys):
+        out = exchange.sort(ds, keys)
+        blocks.append(out.num_blocks())
+        return out
+
+    monkeypatch.setattr(corpusprep, "sort", _sort)
+    return blocks
+
+
+@pytest.mark.parametrize("partitions", [None, 1, 7, 33])
+def test_pack_sequences_matches_window_oracle(ray_session, monkeypatch, partitions):
+    """Running totals carried across sort partitions: at 33 partitions
+    every source spans two or three of them."""
     from crawlray.ops.corpusprep import pack_sequences
 
+    blocks = _sort_into(monkeypatch, partitions)
     kwargs = {}
-    if override_blocks:
-        kwargs["override_num_blocks"] = override_blocks
+    if partitions:
+        kwargs["override_num_blocks"] = partitions
     ds = ray.data.read_parquet(
         DOCS, columns=["source", "doc_id", "text"], **kwargs
     )
     got = pack_sequences(ds, budget=256).to_pandas()
+    if partitions:
+        assert blocks == [partitions]
     want = duckdb.sql(
         f"""
         SELECT source, doc_id, n_tokens,
@@ -125,33 +150,35 @@ def test_pack_bins_crafted_cases(ray_session):
     assert got.n_tokens.tolist() == [3, 3, 3, 9, 2, 2, 1]
 
 
-@pytest.mark.parametrize("override_blocks", [None, 1, 7, 33])
-def test_pack_bins_matches_sequential_reference(ray_session, override_blocks):
-    """Block-boundary state composition is the hard part: bins spanning
-    block boundaries must land exactly where the sequential greedy puts
-    them, at EVERY block count."""
+@pytest.mark.parametrize("partitions,one_source", [
+    pytest.param(None, False, id="None"),
+    pytest.param(1, False, id="1"),
+    pytest.param(7, False, id="7"),
+    pytest.param(33, False, id="33"),
+    pytest.param(5, True, id="one_source"),
+])
+def test_pack_bins_matches_sequential_reference(ray_session, monkeypatch, partitions, one_source):
+    """Bin state carried across sort partitions is the hard part: bins
+    spanning a partition boundary must land exactly where the sequential
+    greedy puts them, at every partition count, and when one source's
+    bins cross every partition."""
     from crawlray.ops.corpusprep import pack_bins
 
-    kwargs = {}
-    if override_blocks:
-        kwargs["override_num_blocks"] = override_blocks
-    ds = ray.data.read_parquet(
-        DOCS, columns=["source", "doc_id", "text"], **kwargs
-    )
+    blocks = _sort_into(monkeypatch, partitions)
+    t = pq.read_table(DOCS, columns=["source", "doc_id", "text"])
+    if one_source:
+        t = t.set_column(0, "source", pa.array(["one"] * t.num_rows))
+    ds = ray.data.from_arrow(t).repartition(partitions or 7)
     got = (
         pack_bins(ds, budget=256)
         .to_pandas()
         .sort_values(["source", "doc_id"])
         .reset_index(drop=True)
     )
-    base = (
-        duckdb.sql(
-            f"""SELECT source, doc_id,
-                       LEN(str_split(text, ' ')) AS n FROM '{DOCS}'
-                ORDER BY source, doc_id"""
-        )
-        .df()
-    )
+    if partitions:
+        assert blocks == [partitions]
+    base = t.to_pandas().sort_values(["source", "doc_id"])
+    base["n"] = base.text.str.split(" ").str.len()
     want = []
     for _, grp in base.groupby("source", sort=True):
         want.extend(_next_fit_ref(grp.n.tolist(), 256))

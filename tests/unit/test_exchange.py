@@ -10,8 +10,7 @@ Every result is checked, rows and schema, against a local
 map/reduce contract: `merge` runs on every partition, one partition
 works, and pandas blocks are read as Arrow; `aggregate` is checked
 against pandas, and with no keys gives one row. `sort` is checked
-against `Table.sort_by`, `scan` against `np.cumsum`, and `pack_bins`
-on one source that spans several sort partitions."""
+against `Table.sort_by`, and `scan` against `np.cumsum`."""
 
 import ast
 import pathlib
@@ -314,21 +313,27 @@ SORT_INPUT = pa.table({
 })
 
 
-@pytest.mark.parametrize("descending,num_partitions", [
-    (False, 4), ([True, False], 5), ([False, True], 3), (False, 1),
-])
-def test_sort_matches_arrow_sort_by(ray_session, descending, num_partitions):
+def _partitions(monkeypatch, n: int) -> None:
+    """Size every exchange at `n` partitions."""
+    from crawlray.ops import exchange
+
+    monkeypatch.setattr(exchange, "partition_count", lambda *ds: n)
+
+
+@pytest.mark.parametrize("num_partitions", [1, 3, 5])
+def test_sort_matches_arrow_sort_by(ray_session, monkeypatch, num_partitions):
     """`sort` equals `Table.sort_by` on the keys, block after block, and
     rows with equal keys never span two partitions."""
     import ray.data
 
-    from crawlray.ops.exchange import sort, sort_order
+    from crawlray.ops.exchange import sort
 
+    _partitions(monkeypatch, num_partitions)
     ds = ray.data.from_arrow(SORT_INPUT).repartition(6)
-    blocks = _sorted_blocks(sort(ds, ["a", "s"], descending, num_partitions))
-    order = sort_order(["a", "s"], descending)
+    blocks = _sorted_blocks(sort(ds, ["a", "s"]))
     got = pa.concat_tables(blocks)
-    assert got.select(["a", "s"]).equals(SORT_INPUT.sort_by(order).select(["a", "s"]))
+    want = SORT_INPUT.sort_by([("a", "ascending"), ("s", "ascending")])
+    assert got.select(["a", "s"]).equals(want.select(["a", "s"]))
     assert sorted(got.column("x").to_pylist()) == list(range(600))
     assert len(blocks) == num_partitions
     keys = [set(zip(b["a"].to_pylist(), b["s"].to_pylist())) for b in blocks]
@@ -337,26 +342,28 @@ def test_sort_matches_arrow_sort_by(ray_session, descending, num_partitions):
             assert not ki & kj
 
 
-def test_sort_empty_input_is_typed(ray_session):
+def test_sort_empty_input_is_typed(ray_session, monkeypatch):
     import ray.data
 
     from crawlray.ops.exchange import sort
 
-    out = sort(ray.data.from_arrow(SORT_INPUT.slice(0, 0)), ["s"], num_partitions=3)
+    _partitions(monkeypatch, 3)
+    out = sort(ray.data.from_arrow(SORT_INPUT.slice(0, 0)), ["s"])
     assert out.count() == 0
     assert out.schema().names == SORT_INPUT.column_names
     assert list(out.schema().types) == list(SORT_INPUT.schema.types)
 
 
-def test_scan_running_count_equals_cumsum(ray_session):
+def test_scan_running_count_equals_cumsum(ray_session, monkeypatch):
     """A running-count state across partitions: every row learns its
     global position, as `np.cumsum` of the partition sizes gives it."""
     import ray.data
 
     from crawlray.ops.exchange import scan, sort
 
+    _partitions(monkeypatch, 4)
     ds = ray.data.from_arrow(SORT_INPUT).repartition(5)
-    parts = sort(ds, ["x"], descending=True, num_partitions=4)
+    parts = sort(ds, ["x"])
     sizes = [b.num_rows for b in _sorted_blocks(parts)]
     assert len(sizes) >= 3
 
@@ -367,7 +374,7 @@ def test_scan_running_count_equals_cumsum(ray_session):
     assert [b["pos"][0].as_py() for b in out] == [0, *np.cumsum(sizes)[:-1]]
     got = pa.concat_tables(out)
     assert got["pos"].to_pylist() == list(range(600))
-    assert got["x"].to_pylist() == list(range(599, -1, -1))
+    assert got["x"].to_pylist() == list(range(600))
 
 
 @pytest.mark.parametrize("rows", [0, 600])
@@ -385,32 +392,6 @@ def test_keyless_aggregate_is_one_row(ray_session, rows):
                     num_partitions=8).take_all()
     want = {"n": rows, "t": sum(range(rows)) or None, "m": 4 if rows else None}
     assert got == [want]
-
-
-def test_pack_bins_source_spanning_partitions(ray_session, monkeypatch):
-    """One source whose bins cross five sort partitions packs exactly as
-    the sequential greedy does. A small input sorts into two partitions,
-    so the test asks for five."""
-    import functools
-
-    import ray.data
-    from test_corpusprep import _next_fit_ref
-
-    from crawlray.ops import corpusprep, exchange
-    from crawlray.ops.corpusprep import _count_tokens, pack_bins
-
-    sort = functools.partial(exchange.sort, num_partitions=5)
-    monkeypatch.setattr(corpusprep, "sort", sort)
-
-    sizes = [(i * 37) % 90 + 1 for i in range(400)]
-    t = pa.table({"doc_id": pa.array(range(400), pa.int64()),
-                  "source": ["one"] * 400,
-                  "text": [" ".join(["w"] * n) for n in sizes]})
-    ds = ray.data.from_arrow(t).repartition(7)
-    parts = sort(_count_tokens(ds, "source", "doc_id", "text"), ["source", "doc_id"])
-    assert len(_sorted_blocks(parts)) == 5
-    got = pack_bins(ds, budget=200).to_pandas().sort_values("doc_id")
-    assert got.bin_id.tolist() == _next_fit_ref(sizes, 200)
 
 
 def _calls(tree: ast.AST):
