@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import aggregate, typed_map
+from crawlray.ops.exchange import aggregate, map_blocks
 
 
 def _rd(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -60,6 +60,57 @@ def _round_cols(ds: ray.data.Dataset, cols: dict[str, int]) -> ray.data.Dataset:
         return pa.table(out)
 
     return ds.map_batches(_r, batch_format="pyarrow")
+
+
+# the (kind, a, b, v) union of decontaminate, dup_spans and cdc
+_AB_SCHEMA = pa.schema([("kind", pa.string()), ("a", pa.int64()), ("b", pa.int64()),
+                        ("v", pa.string())])
+
+
+def _joined(*cols: str, sep: str = ":") -> Callable[[pa.Table], pa.Array]:
+    """A union column that is `cols` of the batch as text, joined by `sep`."""
+    return lambda b: pc.binary_join_element_wise(
+        *(pc.cast(b.column(c), pa.string()) for c in cols), sep
+    )
+
+
+def _tagged_union(
+    schema: pa.Schema, arms: list[tuple[ray.data.Dataset | pa.Table, dict[str, Any]]]
+) -> ray.data.Dataset:
+    """The rows of every arm projected onto `schema`, as one materialized
+    Dataset, typed by `schema` even when no arm has rows.
+
+    An arm is a Dataset or an Arrow table and a mapping from union
+    columns to a source column (a str), a function of the batch that
+    returns the column, or a constant (any other value: `pa.scalar("x")`
+    for a string); a union column the mapping leaves out is the source
+    column of that name. Each arm is projected through `map_blocks` and
+    cast to `schema`, so a column that does not cast raises."""
+
+    def _projection(cols: dict[str, Any]):
+        def _project(batch: pa.Table) -> pa.Table:
+            out = []
+            for name in schema.names:
+                src = cols.get(name, name)
+                if isinstance(src, str):
+                    out.append(batch.column(src))
+                elif callable(src):
+                    out.append(src(batch))
+                else:
+                    out.append(pa.repeat(src, batch.num_rows))
+            return pa.table(out, names=schema.names).cast(schema)
+
+        return _project
+
+    parts = [
+        map_blocks(ray.data.from_arrow(src) if isinstance(src, pa.Table) else src,
+                   _projection(cols))
+        for src, cols in arms
+    ]
+    full = [p for p in parts if p.count()]
+    if not full:
+        return ray.data.from_arrow(schema.empty_table())
+    return full[0] if len(full) == 1 else full[0].union(*full[1:]).materialize()
 
 
 # --------------------------------------------------------------------------
@@ -252,42 +303,28 @@ def _left_outer_join(sf_dir: str):
         .select_columns(["o_custkey", "o_orderkey", "o_totalprice"])
     )
 
-    def _fill(kind: str):
-        def _f(batch: pa.Table) -> pa.Table:
-            # Ray's outer joins already coalesce on/right_on into the
-            # left key column, so c_custkey is complete in both kinds
-            return pa.table(
-                {
-                    "kind": pa.array(
-                        [kind] * batch.num_rows, pa.string()
-                    ),
-                    "c_custkey": pc.cast(
-                        batch.column("c_custkey"), pa.int64()
-                    ),
-                    "c_mktsegment": pc.fill_null(
-                        batch.column("c_mktsegment"), "(none)"
-                    ),
-                    "o_orderkey": pc.fill_null(
-                        pc.cast(batch.column("o_orderkey"), pa.int64()), -1
-                    ),
-                    "o_totalprice": pc.fill_null(
-                        pc.cast(batch.column("o_totalprice"), pa.float64()),
-                        -1.0,
-                    ),
-                }
-            )
-
-        return _f
-
-    left = typed_map(shuffle_join(
+    # Ray's outer joins already coalesce on/right_on into the left key
+    # column, so c_custkey is complete in both kinds
+    filled = {
+        "c_mktsegment": lambda b: pc.fill_null(b.column("c_mktsegment"), "(none)"),
+        "o_orderkey": lambda b: pc.fill_null(b.column("o_orderkey"), -1),
+        "o_totalprice": lambda b: pc.fill_null(b.column("o_totalprice"), -1.0),
+    }
+    left = shuffle_join(
         cust, f_orders, on=["c_custkey"], right_on=["o_custkey"],
         join_type="left_outer",
-    ), _fill("left"))
-    full = typed_map(shuffle_join(
+    )
+    full = shuffle_join(
         cust.filter(expr="c_mktsegment == 'BUILDING'"), f_orders,
         on=["c_custkey"], right_on=["o_custkey"], join_type="full_outer",
-    ), _fill("full"))
-    return left.union(full)
+    )
+    schema = pa.schema([("kind", pa.string()), ("c_custkey", pa.int64()),
+                        ("c_mktsegment", pa.string()), ("o_orderkey", pa.int64()),
+                        ("o_totalprice", pa.float64())])
+    return _tagged_union(schema, [
+        (left, {**filled, "kind": pa.scalar("left")}),
+        (full, {**filled, "kind": pa.scalar("full")}),
+    ])
 
 
 def _pagerank(sf_dir: str):
@@ -314,39 +351,13 @@ def _pagerank(sf_dir: str):
     edges = aggregate(li, ["src", "dst"], {}, _edges)
     pr = _round_cols(pagerank(edges, n_iters=4, damping=0.85), {"rank": 8})
 
-    def _tag_pr(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "kind": pa.array(["pr"] * batch.num_rows, pa.string()),
-                "node": batch.column("node"),
-                "v": batch.column("rank"),
-            }
-        )
-
-    ht = hits_scores(edges, n_iters=3)
-
-    def _melt_hits(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.concat_tables(
-            [
-                pa.table(
-                    {
-                        "kind": pa.array(["hits_auth"] * n, pa.string()),
-                        "node": batch.column("node"),
-                        "v": pc.cast(batch.column("auth"), pa.float64()),
-                    }
-                ),
-                pa.table(
-                    {
-                        "kind": pa.array(["hits_hub"] * n, pa.string()),
-                        "node": batch.column("node"),
-                        "v": pc.cast(batch.column("hub"), pa.float64()),
-                    }
-                ),
-            ]
-        )
-
-    return typed_map(pr, _tag_pr).union(typed_map(ht, _melt_hits))
+    ht = hits_scores(edges, n_iters=3).materialize()
+    schema = pa.schema([("kind", pa.string()), ("node", pa.int64()), ("v", pa.float64())])
+    return _tagged_union(schema, [
+        (pr, {"kind": pa.scalar("pr"), "v": "rank"}),
+        (ht, {"kind": pa.scalar("hits_auth"), "v": "auth"}),
+        (ht, {"kind": pa.scalar("hits_hub"), "v": "hub"}),
+    ])
 
 
 def _anti_join(sf_dir: str):
@@ -392,26 +403,14 @@ def _quantiles(sf_dir: str):
         _rd(sf_dir, "events", columns=["event_id", "value"]),
         value_col="value", key_col="event_id", qs=qs, k=2000,
     )
-    glob = ray.data.from_arrow(
-        pa.table(
-            {
-                "o_orderstatus": pa.array(["(all)", "(kmv:events.value)"]),
-                "q25": pa.array(
-                    [round(g25, 4), round(kmv.column("q0_25")[0].as_py(), 4)]
-                ),
-                "q50": pa.array(
-                    [round(g50, 4), round(kmv.column("q0_5")[0].as_py(), 4)]
-                ),
-                "q75": pa.array(
-                    [round(g75, 4), round(kmv.column("q0_75")[0].as_py(), 4)]
-                ),
-                "q95": pa.array(
-                    [round(g95, 4), round(kmv.column("q0_95")[0].as_py(), 4)]
-                ),
-            }
-        )
-    )
-    return grouped.union(glob)
+    glob = pa.table({
+        "o_orderstatus": ["(all)", "(kmv:events.value)"],
+        "q25": [round(g25, 4), round(kmv.column("q0_25")[0].as_py(), 4)],
+        "q50": [round(g50, 4), round(kmv.column("q0_5")[0].as_py(), 4)],
+        "q75": [round(g75, 4), round(kmv.column("q0_75")[0].as_py(), 4)],
+        "q95": [round(g95, 4), round(kmv.column("q0_95")[0].as_py(), 4)],
+    })
+    return _tagged_union(glob.schema, [(grouped, {}), (glob, {})])
 
 
 def _grouped_topk(sf_dir: str):
@@ -439,28 +438,22 @@ def _session_windows(sf_dir: str):
         session_windows,
     )
 
-    def _norm(key_col: str, kind: str):
-        def _m(batch: pa.Table) -> pa.Table:
-            out = batch.set_column(
-                batch.column_names.index(key_col),
-                "key",
-                pc.cast(batch.column(key_col), pa.string()),
-            )
-            return out.append_column(
-                "kind", pa.array([kind] * batch.num_rows, pa.string())
-            )
-
-        return _m
-
-    plain = typed_map(session_windows(
+    plain = session_windows(
         _rd(sf_dir, "events", columns=["user_id", "ts"]),
         key="user_id", ts_col="ts", gap_seconds=1800,
-    ), _norm("user_id", "plain"))
-    salted = typed_map(salted_session_windows(
+    )
+    salted = salted_session_windows(
         _rd(sf_dir, "events", columns=["event_type", "ts"]),
         key="event_type", ts_col="ts", gap_seconds=600, bucket_seconds=3600.0,
-    ), _norm("event_type", "salted"))
-    return plain.union(salted)
+    )
+    ts = pa.timestamp("us")
+    schema = pa.schema([("key", pa.string()), ("session_id", pa.int64()),
+                        ("n_events", pa.int64()), ("t_start", ts), ("t_end", ts),
+                        ("kind", pa.string())])
+    return _tagged_union(schema, [
+        (plain, {"key": "user_id", "kind": pa.scalar("plain")}),
+        (salted, {"key": "event_type", "kind": pa.scalar("salted")}),
+    ])
 
 
 def _set_ops(sf_dir: str):
@@ -488,19 +481,12 @@ def _set_ops(sf_dir: str):
     views = ev.map_batches(_days("view"), batch_format="pyarrow")
     buys = ev.map_batches(_days("purchase"), batch_format="pyarrow")
 
-    def _tag(op: str):
-        def _m(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "op", pa.array([op] * batch.num_rows, pa.string())
-            )
-
-        return _m
-
-    exc, its = (
-        typed_map(set_op(views, buys, ["user_id", "day"], op=op), _tag(op))
+    schema = pa.schema([("user_id", pa.int64()), ("day", pa.timestamp("us")),
+                        ("op", pa.string())])
+    return _tagged_union(schema, [
+        (set_op(views, buys, ["user_id", "day"], op=op), {"op": pa.scalar(op)})
         for op in ("except", "intersect")
-    )
-    return exc.union(its)
+    ])
 
 
 def _pivot_unpivot(sf_dir: str):
@@ -627,29 +613,22 @@ def _rollup(sf_dir: str):
     (sentinel test is unambiguous: real flags are single letters)."""
     from crawlray.ops.relational import cube_agg
 
-    cube = cube_agg(
+    cube = _round_cols(cube_agg(
         _rd(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus",
                                          "l_quantity"]),
         keys=["l_returnflag", "l_linestatus"], value_col="l_quantity",
-    ).materialize()
-
-    def _tag(kind: str):
-        def _t(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "kind": pa.array([kind] * batch.num_rows, pa.string()),
-                    **{c: batch.column(c) for c in batch.column_names},
-                }
-            )
-
-        return _t
-
+    ), {"sum_v": 2}).materialize()
     # De Morgan spelling: Ray's expr parser has no `not`
     rollup = cube.filter(
         expr="l_returnflag != '(all)' or l_linestatus == '(all)'"
     )
-    out = typed_map(cube, _tag("cube")).union(typed_map(rollup, _tag("rollup")))
-    return _round_cols(out, {"sum_v": 2})
+    schema = pa.schema([("kind", pa.string()), ("l_returnflag", pa.string()),
+                        ("l_linestatus", pa.string()), ("n", pa.int64()),
+                        ("sum_v", pa.float64())])
+    return _tagged_union(schema, [
+        (cube, {"kind": pa.scalar("cube")}),
+        (rollup, {"kind": pa.scalar("rollup")}),
+    ])
 
 
 def _bloom_semi_join(sf_dir: str):
@@ -701,34 +680,13 @@ def _decontaminate(sf_dir: str):
     cand = hash_sample(docs, key="doc_id", buckets_kept=16, invert=True)
     bg = benchmark_grams(bench, n=8)
 
-    def _norm_docs(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "kind": pa.array(["doc"] * batch.num_rows, pa.string()),
-                "a": pc.cast(batch.column("doc_id"), pa.int64()),
-                "b": pc.cast(batch.column("n_hits"), pa.int64()),
-                "v": pa.array([""] * batch.num_rows, pa.string()),
-            }
-        )
-
-    def _norm_spans(batch: pa.Table) -> pa.Table:
-        v = pc.binary_join_element_wise(
-            pc.cast(batch.column("span_end"), pa.string()),
-            pc.cast(batch.column("n_grams"), pa.string()),
-            ":",
-        )
-        return pa.table(
-            {
-                "kind": pa.array(["span"] * batch.num_rows, pa.string()),
-                "a": pc.cast(batch.column("doc_id"), pa.int64()),
-                "b": pc.cast(batch.column("span_start"), pa.int64()),
-                "v": v,
-            }
-        )
-
-    flagged = typed_map(decontaminate(cand, None, n=8, bench_grams=bg), _norm_docs)
-    spans = typed_map(decontaminate_spans(cand, None, n=8, bench_grams=bg), _norm_spans)
-    return flagged.union(spans)
+    return _tagged_union(_AB_SCHEMA, [
+        (decontaminate(cand, None, n=8, bench_grams=bg),
+         {"kind": pa.scalar("doc"), "a": "doc_id", "b": "n_hits", "v": pa.scalar("")}),
+        (decontaminate_spans(cand, None, n=8, bench_grams=bg),
+         {"kind": pa.scalar("span"), "a": "doc_id", "b": "span_start",
+          "v": _joined("span_end", "n_grams")}),
+    ])
 
 
 def _asof_join(sf_dir: str):
@@ -817,42 +775,14 @@ def _samples(sf_dir: str):
         _rd(sf_dir, "documents", columns=["doc_id", "source"]), "doc_id"
     ).materialize()
 
-    def _tag(kind: str):
-        def _m(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "doc_id": batch.column("doc_id"),
-                    "source": batch.column("source"),
-                    "kind": pa.array(
-                        [kind] * batch.num_rows, pa.string()
-                    ),
-                }
-            )
-
-        return _m
-
-    h = typed_map(
-        hash_sample(docs, key="doc_id", buckets_kept=25, digest_col="_md5"),
-        _tag("hash"),
-    )
-    s = typed_map(stratified_sample(
+    hashed = hash_sample(docs, key="doc_id", buckets_kept=25, digest_col="_md5")
+    strat = stratified_sample(
         docs, group_col="source", key_col="doc_id", n_per_group=10, digest_col="_md5",
-    ), _tag("stratified"))
-
-    def _norm_orders(batch: pa.Table) -> pa.Table:
-        return _tag("weighted")(pa.table(
-            {
-                "doc_id": pc.cast(batch.column("o_orderkey"), pa.int64()),
-                "source": pa.array(
-                    ["orders"] * batch.num_rows, pa.string()
-                ),
-            }
-        ))
-
-    w = typed_map(weighted_sample(
+    )
+    weighted = weighted_sample(
         _rd(sf_dir, "orders", columns=["o_orderkey", "o_totalprice"]),
         key_col="o_orderkey", weight_col="o_totalprice", k=100,
-    ), _norm_orders)
+    )
 
     # kind='mixture': the data-mixing sampler. Each source's keep-rate is
     # derived deterministically from md5(source)'s first hex char
@@ -870,32 +800,18 @@ def _samples(sf_dir: str):
         s: int(_hl.md5(s.encode("utf-8")).hexdigest()[0], 16) * 17 / 256
         for s in srcs
     }
-    m = typed_map(mixture_sample(
+    mixed = mixture_sample(
         docs, source_col="source", key_col="doc_id", rates=rates, digest_col="_md5",
-    ), _tag("mixture"))
+    )
 
     # kind='split_<name>': deterministic 80/10/10 train/val/test
     # assignment (hash_split) — every doc labeled, kind carries the label
     from crawlray.ops.relational import hash_split
 
-    def _fold_split(batch: pa.Table) -> pa.Table:
-        kind = pc.binary_join_element_wise(
-            pa.array(["split"] * batch.num_rows, pa.string()),
-            batch.column("split"),
-            "_",
-        )
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "source": batch.column("source"),
-                "kind": kind,
-            }
-        )
-
-    sp = typed_map(hash_split(
+    split = hash_split(
         docs, key="doc_id", splits=[("train", 205), ("val", 25), ("test", 26)],
         digest_col="_md5",
-    ), _fold_split)
+    )
 
     # kind='epoch<k>': fractional-epoch repeat mixing (epoch_mixture) —
     # e_source = 0.5 + hex(md5(source)[0])·0.25 ∈ [0.5, 4.25], so some
@@ -907,25 +823,21 @@ def _samples(sf_dir: str):
         s: 0.5 + int(_hl.md5(s.encode("utf-8")).hexdigest()[0], 16) * 0.25
         for s in srcs
     }
-
-    def _fold_epoch(batch: pa.Table) -> pa.Table:
-        kind = pc.binary_join_element_wise(
-            pa.array(["epoch"] * batch.num_rows, pa.string()),
-            pc.cast(batch.column("epoch"), pa.string()),
-            "",
-        )
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "source": batch.column("source"),
-                "kind": kind,
-            }
-        )
-
-    ep = typed_map(epoch_mixture(
+    epochs = epoch_mixture(
         docs, source_col="source", key_col="doc_id", epochs=eps, digest_col="_md5",
-    ), _fold_epoch)
-    return h.union(s).union(w).union(m).union(sp).union(ep)
+    )
+    cat = pc.binary_join_element_wise
+    schema = pa.schema([("doc_id", pa.int64()), ("source", pa.string()),
+                        ("kind", pa.string())])
+    return _tagged_union(schema, [
+        (hashed, {"kind": pa.scalar("hash")}),
+        (strat, {"kind": pa.scalar("stratified")}),
+        (weighted, {"doc_id": "o_orderkey", "source": pa.scalar("orders"),
+                    "kind": pa.scalar("weighted")}),
+        (mixed, {"kind": pa.scalar("mixture")}),
+        (split, {"kind": lambda b: cat("split", b.column("split"), "_")}),
+        (epochs, {"kind": lambda b: cat("epoch", pc.cast(b.column("epoch"), pa.string()), "")}),
+    ])
 
 
 def _salted_grouped_topk(sf_dir: str):
@@ -1028,26 +940,13 @@ def _windowed_agg(sf_dir: str):
         ev, ts_col="ts", value_col="value", window_seconds=3600, hop_seconds=900
     )
 
-    def _tag(kind: str):
-        def _m(batch: pa.Table) -> pa.Table:
-            return pa.table(
-                {
-                    "kind": pa.array([kind] * batch.num_rows, pa.string()),
-                    "window_start": pc.cast(
-                        batch.column("window_start"), pa.int64()
-                    ),
-                    "n": batch.column("n"),
-                    "total_value": pc.round(
-                        batch.column("total_value"), ndigits=3
-                    ),
-                }
-            )
-
-        return _m
-
-    return typed_map(tumbling, _tag("tumbling")).union(
-        typed_map(hopping, _tag("hopping"))
-    )
+    rounded = {"total_value": lambda b: pc.round(b.column("total_value"), ndigits=3)}
+    schema = pa.schema([("kind", pa.string()), ("window_start", pa.int64()),
+                        ("n", pa.int64()), ("total_value", pa.float64())])
+    return _tagged_union(schema, [
+        (tumbling, {**rounded, "kind": pa.scalar("tumbling")}),
+        (hopping, {**rounded, "kind": pa.scalar("hopping")}),
+    ])
 
 
 def _json_props(sf_dir: str):
@@ -1074,43 +973,16 @@ def _simhash(sf_dir: str):
     docs = _rd(sf_dir, "documents", columns=["doc_id", "text"])
     sims = simhash_table(docs, hash_mode="md5").materialize()
 
-    def _sig(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        n = batch.num_rows
-        v = (
-            batch.column("simhash")
-            .combine_chunks()
-            .to_numpy(zero_copy_only=False)
-            .astype(np.uint64)
-        )
-        return pa.table(
-            {
-                "kind": pa.array(["sig"] * n),
-                "id_a": batch.column("doc_id"),
-                "id_b": pa.array([-1] * n, pa.int64()),
-                "hi": pa.array((v >> np.uint64(32)).astype(np.int64)),
-                "lo": pa.array(
-                    (v & np.uint64(0xFFFFFFFF)).astype(np.int64)
-                ),
-                "hamming": pa.array([-1] * n, pa.int64()),
-            }
-        )
-
-    pairs = simhash_dup_pairs(docs, sims=sims)
-    np_ = pairs.num_rows
-    pairs_arm = pa.table(
-        {
-            "kind": pa.array(["pairs"] * np_),
-            "id_a": pairs.column("id_a"),
-            "id_b": pairs.column("id_b"),
-            "hi": pa.array([0] * np_, pa.int64()),
-            "lo": pa.array([0] * np_, pa.int64()),
-            "hamming": pairs.column("hamming").cast(pa.int64()),
-        }
-    )
-    sig = typed_map(sims, _sig)
-    return sig.union(ray.data.from_arrow(pairs_arm))
+    u64 = functools.partial(pa.scalar, type=pa.uint64())
+    schema = pa.schema([("kind", pa.string()), ("id_a", pa.int64()), ("id_b", pa.int64()),
+                        ("hi", pa.int64()), ("lo", pa.int64()), ("hamming", pa.int64())])
+    return _tagged_union(schema, [
+        (sims, {"kind": pa.scalar("sig"), "id_a": "doc_id", "id_b": -1,
+                "hi": lambda b: pc.shift_right(b.column("simhash"), u64(32)),
+                "lo": lambda b: pc.bit_wise_and(b.column("simhash"), u64(0xFFFFFFFF)),
+                "hamming": -1}),
+        (simhash_dup_pairs(docs, sims=sims), {"kind": pa.scalar("pairs"), "hi": 0, "lo": 0}),
+    ])
 
 
 _BPE_K = 12  # merge rounds in the flatten_tokens bpe arms (engine + oracle)
@@ -1150,53 +1022,6 @@ def _flatten_tokens(sf_dir: str):
     # at 100 TB one scan vs five is the dominant IO term
     docs = _rd(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
 
-    def _norm_flat(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "kind": pa.array(["flat"] * n),
-                "token": batch.column("token"),
-                "doc_id": batch.column("doc_id"),
-                "df": pa.array([0] * n, pa.int64()),
-                "postings": pa.array([""] * n),
-                "score": pa.array([0.0] * n, pa.float64()),
-            }
-        )
-
-    def _norm_idx(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "kind": pa.array(["index"] * n),
-                "token": batch.column("token"),
-                "doc_id": pa.array([-1] * n, pa.int64()),
-                "df": batch.column("df"),
-                "postings": batch.column("postings"),
-                "score": pa.array([0.0] * n, pa.float64()),
-            }
-        )
-
-    def _norm_pmi(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "kind": pa.array(["pmi"] * n),
-                "token": pc.binary_join_element_wise(
-                    batch.column("w1").cast(pa.string()),
-                    batch.column("w2").cast(pa.string()),
-                    " ",
-                ),
-                "doc_id": pa.array([-2] * n, pa.int64()),
-                "df": batch.column("c12"),
-                "postings": pa.array([""] * n),
-                "score": batch.column("pmi"),
-            }
-        )
-
-    flat = typed_map(explode_tokens(docs), _norm_flat)
-    idx = typed_map(inverted_index(docs, num_partitions=16), _norm_idx)
-    pmi = typed_map(pmi_collocations(docs, min_count=2), _norm_pmi)
-
     merges = bpe_train(docs, num_merges=_BPE_K)
     n_m = merges.num_rows
     # The oracle replays exactly _BPE_K merge rounds; a corpus that
@@ -1208,41 +1033,25 @@ def _flatten_tokens(sf_dir: str):
             f"bpe_train learned {n_m} merges but the oracle replays "
             f"{_BPE_K} rounds — corpus too small/degenerate for parity"
         )
-    mt = pa.table(
-        {
-            "kind": pa.array(["bpe_merge"] * n_m, pa.string()),
-            "token": pc.binary_join_element_wise(
-                merges.column("left"), merges.column("right"), " "
-            ),
-            "doc_id": merges.column("rank"),
-            "df": merges.column("cnt"),
-            "postings": merges.column("merged"),
-            "score": pa.array([0.0] * n_m, pa.float64()),
-        }
-    )
 
-    def _norm_bvoc(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return mt.schema.empty_table()
-        n = batch.num_rows
-        return pa.table(
-            {
-                "kind": pa.array(["bpe_vocab"] * n),
-                "token": batch.column("token"),
-                "doc_id": pa.array([-3] * n, pa.int64()),
-                "df": batch.column("n"),
-                "postings": pa.array([""] * n),
-                "score": pa.array([0.0] * n, pa.float64()),
-            }
-        )
-
-    bvoc = typed_map(bpe_vocab_counts(docs, merges), _norm_bvoc)
-    return (
-        flat.union(idx)
-        .union(pmi)
-        .union(ray.data.from_arrow(mt))
-        .union(bvoc)
-    )
+    schema = pa.schema([("kind", pa.string()), ("token", pa.string()), ("doc_id", pa.int64()),
+                        ("df", pa.int64()), ("postings", pa.string()), ("score", pa.float64())])
+    empty = pa.scalar("")
+    return _tagged_union(schema, [
+        (explode_tokens(docs),
+         {"kind": pa.scalar("flat"), "df": 0, "postings": empty, "score": 0.0}),
+        (inverted_index(docs, num_partitions=16),
+         {"kind": pa.scalar("index"), "doc_id": -1, "score": 0.0}),
+        (pmi_collocations(docs, min_count=2),
+         {"kind": pa.scalar("pmi"), "token": _joined("w1", "w2", sep=" "), "doc_id": -2,
+          "df": "c12", "postings": empty, "score": "pmi"}),
+        (merges,
+         {"kind": pa.scalar("bpe_merge"), "token": _joined("left", "right", sep=" "),
+          "doc_id": "rank", "df": "cnt", "postings": "merged", "score": 0.0}),
+        (bpe_vocab_counts(docs, merges),
+         {"kind": pa.scalar("bpe_vocab"), "doc_id": -3, "df": "n", "postings": empty,
+          "score": 0.0}),
+    ])
 
 
 def _quality_score(sf_dir: str):
@@ -1286,73 +1095,16 @@ def _quality_score(sf_dir: str):
     dsir = dsir_weights(docs3, train)
     nb = nb_quality_score(docs3, train)
 
-    def _melt_ppl(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "kind": pa.array(["ppl"] * batch.num_rows),
-                "score": batch.column("nll"),
-            }
-        )
-
-    def _melt_dsir(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "kind": pa.array(["dsir"] * batch.num_rows),
-                "score": batch.column("dsir"),
-            }
-        )
-
-    def _melt_model(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "kind": pa.array(["model"] * batch.num_rows),
-                "score": batch.column("quality"),
-            }
-        )
-
-    def _melt_nb(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "doc_id": batch.column("doc_id"),
-                "kind": pa.array(["nb"] * batch.num_rows),
-                "score": batch.column("nb"),
-            }
-        )
-
-    sig = gopher_signals(docs)
-    arms = [
-        ("gopher_n_tokens", "n_tokens"),
-        ("gopher_mean_wlen", "mean_wlen"),
-        ("gopher_stop_hits", "stop_hits"),
-        ("gopher_top_token_frac", "top_token_frac"),
-        ("gopher_dup_2gram_frac", "dup_2gram_frac"),
-        ("gopher_keep", "keep"),
-    ]
-
-    def _melt_sig(batch: pa.Table) -> pa.Table:
-        parts = []
-        for kind, col in arms:
-            parts.append(
-                pa.table(
-                    {
-                        "doc_id": batch.column("doc_id"),
-                        "kind": pa.array([kind] * batch.num_rows),
-                        "score": pc.cast(batch.column(col), pa.float64()),
-                    }
-                )
-            )
-        return pa.concat_tables(parts)
-
-    return (
-        typed_map(model, _melt_model)
-        .union(typed_map(sig, _melt_sig))
-        .union(typed_map(ppl, _melt_ppl))
-        .union(typed_map(dsir, _melt_dsir))
-        .union(typed_map(nb, _melt_nb))
-    )
+    sig = gopher_signals(docs).materialize()
+    gopher = ["n_tokens", "mean_wlen", "stop_hits", "top_token_frac", "dup_2gram_frac", "keep"]
+    schema = pa.schema([("doc_id", pa.int64()), ("kind", pa.string()), ("score", pa.float64())])
+    return _tagged_union(schema, [
+        (model, {"kind": pa.scalar("model"), "score": "quality"}),
+        *((sig, {"kind": pa.scalar(f"gopher_{c}"), "score": c}) for c in gopher),
+        (ppl, {"kind": pa.scalar("ppl"), "score": "nll"}),
+        (dsir, {"kind": pa.scalar("dsir"), "score": "dsir"}),
+        (nb, {"kind": pa.scalar("nb"), "score": "nb"}),
+    ])
 
 
 def _approx_distinct(sf_dir: str):
@@ -1441,76 +1193,20 @@ def _sketches(sf_dir: str):
 
     hll = _approx_distinct(sf_dir)
     mg = _heavy_hitters(sf_dir)
-    js = _json_props(sf_dir).to_pandas()  # per-key counts: tiny final
-    jk = pa.array(js["k"].astype(str).tolist(), pa.string())
-    jn = pa.array(js["n"].astype("int64").tolist(), pa.int64())
     cm = count_min(_rd(sf_dir, "events", columns=["user_id"]), "user_id")
-    cmp_ = (
-        cm_probe(
-            ray.data.from_arrow(
-                pa.table(
-                    {
-                        "user_id": pc.cast(
-                            mg.column("item").combine_chunks(), pa.int64()
-                        ),
-                        "n_exact": pc.cast(
-                            mg.column("est_count").combine_chunks(),
-                            pa.int64(),
-                        ),
-                    }
-                )
-            ),
-            cm,
-            "user_id",
-        )
-        .to_pandas()
-        .sort_values("user_id")
-    )
-    cmk = pa.array(cmp_["user_id"].astype(str).tolist(), pa.string())
-    cmn = pa.array(cmp_["n_exact"].astype("int64").tolist(), pa.int64())
-    cmb = pa.array(
-        (cmp_["cm_est"] >= cmp_["n_exact"]).tolist(), pa.bool_()
-    )
-    return pa.table(
-        {
-            "kind": pa.array(
-                ["hll"] * hll.num_rows
-                + ["mg"] * mg.num_rows
-                + ["json"] * len(js)
-                + ["cm"] * len(cmp_)
-            ),
-            "key": pa.concat_arrays(
-                [
-                    hll.column("event_type").combine_chunks(),
-                    pc.cast(
-                        mg.column("item").combine_chunks(), pa.string()
-                    ),
-                    jk,
-                    cmk,
-                ]
-            ),
-            "n": pa.concat_arrays(
-                [
-                    pc.cast(
-                        hll.column("n_exact").combine_chunks(), pa.int64()
-                    ),
-                    pc.cast(
-                        mg.column("est_count").combine_chunks(), pa.int64()
-                    ),
-                    jn,
-                    cmn,
-                ]
-            ),
-            "within_bound": pa.concat_arrays(
-                [
-                    hll.column("hll_within_2pct").combine_chunks(),
-                    pa.array([True] * mg.num_rows, pa.bool_()),
-                    pa.array([True] * len(js), pa.bool_()),
-                    cmb,
-                ]
-            ),
-        }
-    )
+    exact = pa.table({"user_id": pc.cast(mg.column("item"), pa.int64()),
+                      "n_exact": pc.cast(mg.column("est_count"), pa.int64())})
+    cmp_ = cm_probe(ray.data.from_arrow(exact), cm, "user_id")
+    schema = pa.schema([("kind", pa.string()), ("key", pa.string()), ("n", pa.int64()),
+                        ("within_bound", pa.bool_())])
+    return _tagged_union(schema, [
+        (hll, {"kind": pa.scalar("hll"), "key": "event_type", "n": "n_exact",
+               "within_bound": "hll_within_2pct"}),
+        (mg, {"kind": pa.scalar("mg"), "key": "item", "n": "est_count", "within_bound": True}),
+        (_json_props(sf_dir), {"kind": pa.scalar("json"), "key": "k", "within_bound": True}),
+        (cmp_, {"kind": pa.scalar("cm"), "key": "user_id", "n": "n_exact",
+                "within_bound": lambda b: pc.greater_equal(b["cm_est"], b["n_exact"])}),
+    ])
 
 
 def _pack_bins(sf_dir: str):
@@ -1628,15 +1324,6 @@ def _knn_ann(sf_dir: str):
     assign = ivf_bucket_assign(emb, cent)
     ivf = ivf_search_knn(emb, cent, queries, qids, k=5, nprobe=3)
 
-    def _sect(kind, ids, others):
-        return pa.table(
-            {
-                "kind": pa.array([kind] * len(ids), pa.string()),
-                "id": pc.cast(ids, pa.int64()),
-                "other": pc.cast(others, pa.int64()),
-            }
-        )
-
     # cross-dataset similarity join: right = the vec_id%7==0 slice (small
     # -> broadcast path), left = the full corpus
     def _mod7(b: pa.Table) -> pa.Table:
@@ -1649,28 +1336,14 @@ def _knn_ann(sf_dir: str):
     cross = cross_similar_join(
         emb, right, threshold=0.45, exclude_equal_ids=True
     )
-
-    # assignment stays a streaming Dataset (one row per corpus vector —
-    # never driver-materialized); the small top-k tables ride along
-    assign_ds = assign.map_batches(
-        lambda b: _sect("ivf_assign", b.column("vec_id"), b.column("bucket")),
-        batch_format="pyarrow",
-    )
-    cross_ds = cross.map_batches(
-        lambda b: _sect("cross", b.column("left_id"), b.column("right_id")),
-        batch_format="pyarrow",
-    )
-    small = pa.concat_tables(
-        [
-            _sect("brute", brute.column("query_id"), brute.column("neighbor_id")),
-            _sect("ivf_knn", ivf.column("query_id"), ivf.column("neighbor_id")),
-        ]
-    )
-    return assign_ds.union(cross_ds).union(ray.data.from_arrow(small))
-
-
-
-
+    schema = pa.schema([("kind", pa.string()), ("id", pa.int64()), ("other", pa.int64())])
+    neighbors = {"id": "query_id", "other": "neighbor_id"}
+    return _tagged_union(schema, [
+        (assign, {"kind": pa.scalar("ivf_assign"), "id": "vec_id", "other": "bucket"}),
+        (cross, {"kind": pa.scalar("cross"), "id": "left_id", "other": "right_id"}),
+        (brute, {**neighbors, "kind": pa.scalar("brute")}),
+        (ivf, {**neighbors, "kind": pa.scalar("ivf_knn")}),
+    ])
 
 
 def _ann_sq8(sf_dir: str):
@@ -1732,28 +1405,17 @@ def _dedup_clusters(sf_dir: str):
     )
     pds = _rdm.from_arrow(pairs)
 
-    def _tag(kind: str, vcol: str):
-        def _t(batch: pa.Table) -> pa.Table:
-            n = batch.num_rows
-            return pa.table(
-                {
-                    "kind": pa.array([kind] * n, pa.string()),
-                    "node": batch.column("node"),
-                    "v": pc.cast(batch.column(vcol), pa.int64()),
-                }
-            )
-
-        return _t
-
-    comp = typed_map(connected_components(pds), _tag("comp", "component"))
-    tri = typed_map(triangle_counts(pds), _tag("tri", "n_tri"))
     # max_rounds=10 keeps the engine's peel bound COUPLED to the oracle's
     # R=10 fixed replay rounds (_dedup_clusters_oracle): a graph needing
     # more rounds now raises loudly in the engine instead of producing a
     # confusing parity mismatch against the oracle's non-fixpoint degrees
     # (ADVICE r4).
-    kc = typed_map(kcore(pds, k=2, max_rounds=10), _tag("kcore", "deg"))
-    return comp.union(tri).union(kc)
+    schema = pa.schema([("kind", pa.string()), ("node", pa.int64()), ("v", pa.int64())])
+    return _tagged_union(schema, [
+        (connected_components(pds), {"kind": pa.scalar("comp"), "v": "component"}),
+        (triangle_counts(pds), {"kind": pa.scalar("tri"), "v": "n_tri"}),
+        (kcore(pds, k=2, max_rounds=10), {"kind": pa.scalar("kcore"), "v": "deg"}),
+    ])
 
 
 def _embedding_srp_dedup(sf_dir: str):
@@ -1798,34 +1460,13 @@ def _dup_spans(sf_dir: str):
     hits = dup_gram_hits(docs, "doc_id", "text", n=5, min_count=2)
     hits = hits.materialize()
 
-    def _norm_spans(batch: pa.Table) -> pa.Table:
-        v = pc.binary_join_element_wise(
-            pc.cast(batch.column("span_end"), pa.string()),
-            pc.cast(batch.column("n_dup_grams"), pa.string()),
-            ":",
-        )
-        return pa.table(
-            {
-                "kind": pa.array(["span"] * batch.num_rows, pa.string()),
-                "a": pc.cast(batch.column("doc_id"), pa.int64()),
-                "b": pc.cast(batch.column("span_start"), pa.int64()),
-                "v": v,
-            }
-        )
-
-    def _norm_clean(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "kind": pa.array(["clean"] * batch.num_rows, pa.string()),
-                "a": pc.cast(batch.column("doc_id"), pa.int64()),
-                "b": pc.cast(batch.column("n_removed"), pa.int64()),
-                "v": batch.column("text_clean"),
-            }
-        )
-
-    spans = typed_map(dup_spans(docs, n=5, hits=hits), _norm_spans)
-    clean = typed_map(remove_dup_spans(docs, n=5, hits=hits), _norm_clean)
-    return spans.union(clean)
+    return _tagged_union(_AB_SCHEMA, [
+        (dup_spans(docs, n=5, hits=hits),
+         {"kind": pa.scalar("span"), "a": "doc_id", "b": "span_start",
+          "v": _joined("span_end", "n_dup_grams")}),
+        (remove_dup_spans(docs, n=5, hits=hits),
+         {"kind": pa.scalar("clean"), "a": "doc_id", "b": "n_removed", "v": "text_clean"}),
+    ])
 
 
 def _lang_cte() -> str:
@@ -1888,62 +1529,27 @@ def _minhash_signatures(sf_dir: str):
     ).materialize()
     sigs = minhash_signatures(docs, num_perm=16, hash_mode="md5")
 
-    def _explode(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        n = batch.num_rows
-        flat = batch.column("sig").combine_chunks().flatten()
-        return pa.table(
-            {
-                "kind": pa.array(["sig"] * (n * 16)),
-                "doc_id": batch.column("doc_id").take(
-                    pa.array(
-                        np.repeat(np.arange(n, dtype=np.int64), 16), pa.int64()
-                    )
-                ),
-                "other": pa.array([-1] * (n * 16), pa.int64()),
-                "perm": pa.array(
-                    np.tile(np.arange(16, dtype=np.int64), n), pa.int64()
-                ),
-                "minhash": pc.cast(flat, pa.int64()),
-                "jaccard": pa.array([0.0] * (n * 16), pa.float64()),
-            }
-        )
-
-    sig_arm = sigs.map_batches(_explode, batch_format="pyarrow")
+    def _long(b: pa.Table) -> pa.Table:
+        """One row per (doc, permutation)."""
+        n = b.num_rows
+        return pa.table({
+            "doc_id": b.column("doc_id").take(np.repeat(np.arange(n), 16)),
+            "perm": np.tile(np.arange(16), n),
+            "minhash": b.column("sig").combine_chunks().flatten(),
+        })
 
     pairs = minhash_lsh_pairs(
         docs, num_perm=16, bands=4, jaccard_threshold=0.35, hash_mode="md5"
     )
-    npair = pairs.num_rows
-    pair_arm = pa.table(
-        {
-            "kind": pa.array(["pair"] * npair),
-            "doc_id": pairs.column("id_a"),
-            "other": pairs.column("id_b"),
-            "perm": pa.array([-1] * npair, pa.int64()),
-            "minhash": pa.array([-1] * npair, pa.int64()),
-            "jaccard": pairs.column("jaccard"),
-        }
-    )
-
-    def _keep_tag(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "kind": pa.array(["keep"] * n),
-                "doc_id": batch.column("doc_id"),
-                "other": pa.array([-1] * n, pa.int64()),
-                "perm": pa.array([-1] * n, pa.int64()),
-                "minhash": pa.array([-1] * n, pa.int64()),
-                "jaccard": pa.array([0.0] * n, pa.float64()),
-            }
-        )
-
-    keep_arm = typed_map(
-        fuzzy_dedup_keep(docs, pairs=pairs).select_columns(["doc_id"]), _keep_tag
-    )
-    return sig_arm.union(ray.data.from_arrow(pair_arm)).union(keep_arm)
+    schema = pa.schema([("kind", pa.string()), ("doc_id", pa.int64()), ("other", pa.int64()),
+                        ("perm", pa.int64()), ("minhash", pa.int64()), ("jaccard", pa.float64())])
+    return _tagged_union(schema, [
+        (map_blocks(sigs, _long), {"kind": pa.scalar("sig"), "other": -1, "jaccard": 0.0}),
+        (pairs, {"kind": pa.scalar("pair"), "doc_id": "id_a", "other": "id_b",
+                 "perm": -1, "minhash": -1}),
+        (fuzzy_dedup_keep(docs, pairs=pairs),
+         {"kind": pa.scalar("keep"), "other": -1, "perm": -1, "minhash": -1, "jaccard": 0.0}),
+    ])
 
 
 def _ivf_pairs(sf_dir: str):
@@ -2041,40 +1647,14 @@ def _cdc(sf_dir: str):
 
     docs = _rd(sf_dir, "documents", columns=["doc_id", "text"])
 
-    def _norm_chunks(batch: pa.Table) -> pa.Table:
-        v = pc.binary_join_element_wise(
-            pc.cast(batch.column("chunk_off"), pa.string()),
-            pc.cast(batch.column("chunk_len"), pa.string()),
-            pc.cast(batch.column("chunk_fp"), pa.string()),
-            ":",
-        )
-        return pa.table(
-            {
-                "kind": pa.array(["chunk"] * batch.num_rows, pa.string()),
-                "a": pc.cast(batch.column("doc_id"), pa.int64()),
-                "b": pc.cast(batch.column("chunk_idx"), pa.int64()),
-                "v": v,
-            }
-        )
-
-    def _norm_pairs(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "kind": pa.array(["pair"] * batch.num_rows, pa.string()),
-                "a": pc.cast(batch.column("id_a"), pa.int64()),
-                "b": pc.cast(batch.column("id_b"), pa.int64()),
-                "v": pc.cast(batch.column("shared_chunks"), pa.string()),
-            }
-        )
-
-    chunks = typed_map(cdc_chunks(docs), _norm_chunks)
-    # cdc_dup_pairs returns a (small) driver-side Arrow pair table
-    pairs = ray.data.from_arrow(
-        _norm_pairs(cdc_dup_pairs(docs, min_shared=3))
-    )
-    return chunks.union(pairs)
-
-
+    return _tagged_union(_AB_SCHEMA, [
+        (cdc_chunks(docs),
+         {"kind": pa.scalar("chunk"), "a": "doc_id", "b": "chunk_idx",
+          "v": _joined("chunk_off", "chunk_len", "chunk_fp")}),
+        # cdc_dup_pairs returns a (small) driver-side Arrow pair table
+        (cdc_dup_pairs(docs, min_shared=3),
+         {"kind": pa.scalar("pair"), "a": "id_a", "b": "id_b", "v": "shared_chunks"}),
+    ])
 
 
 def _srp_cross_dedup(sf_dir: str):

@@ -22,13 +22,16 @@ order. `scan` folds a per-partition summary on the driver in that block
 order and hands each partition the state before it: a running total or
 any other state one large key group carries across partitions.
 
+`map_blocks` is the typed per-block map: one task per block that holds
+rows runs the caller's function, or one task on the empty table of the
+schema when no block does, so the function always sees a typed table.
+
 Everything here returns datasets that are materialized, hold no 0-row
-blocks, and carry a schema even when they are empty. The one Ray Data
-2.49.2 quirk left is `typed_map`'s: `map_batches(f)` never calls `f` on
-a 0-row block and emits a schema-less block in its place. `route` is the
-only rule that maps key values to hash partitions, `partition_count` the
-only rule that sizes an exchange, and `fits_broadcast` the one rule
-that broadcasts a side instead of exchanging it.
+blocks, and carry a schema even when they are empty; no Ray Data quirk
+is left for callers to work around. `route` is the only rule that maps
+key values to hash partitions, `partition_count` the only rule that
+sizes an exchange, and `fits_broadcast` the one rule that broadcasts a
+side instead of exchanging it.
 """
 
 from __future__ import annotations
@@ -337,15 +340,16 @@ def scan(
     return _collect([_apply.remote(apply, r, s) for r, s in zip(refs, states)])
 
 
-def typed_map(ds: ray.data.Dataset, fn: Fn) -> ray.data.Dataset:
-    """`ds.map_batches(fn)`, materialized, without 0-row blocks, and
-    typed by `fn(empty input)` when it has no rows (Ray emits a
-    schema-less block for an empty input without calling `fn`)."""
-    out = ds.map_batches(fn, batch_format="pyarrow").materialize()
-    if refs := _row_blocks(out):
-        return out if len(refs) == out.num_blocks() else ray.data.from_arrow_refs(refs)
-    t = _empty_table(ds)
-    return ray.data.from_arrow(fn(t)) if t is not None else out
+def map_blocks(ds: ray.data.Dataset, fn: Fn) -> ray.data.Dataset:
+    """`fn` once per block of `ds` that holds rows, each in its own task,
+    or once on the empty table of its schema when `ds` has no rows, so
+    `fn` always gets a typed table and types the empty result. The
+    result is materialized and has no 0-row blocks but the one of an
+    empty result."""
+    refs = _typed_blocks(ds.materialize())
+    if refs is None:  # no rows and no schema: nothing to type `fn`'s input
+        return ds
+    return _collect([_apply.remote(_call, r, fn) for r in refs])
 
 
 def _row_blocks(ds: ray.data.Dataset) -> list[ray.ObjectRef]:
@@ -458,6 +462,10 @@ def _reduce(fns, sizes: list[int], *parts: pa.Table):
 @ray.remote
 def _summarize(fn, block):
     return fn(BlockAccessor.for_block(block).to_arrow())
+
+
+def _call(t: pa.Table, fn: Fn) -> pa.Table:
+    return fn(t)
 
 
 @ray.remote(num_returns=2)

@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import aggregate, fits_broadcast, join, typed_map
+from crawlray.ops.exchange import aggregate, fits_broadcast, join, map_blocks
 
 
 def _collect_table(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
@@ -440,13 +440,13 @@ def connected_components(
             [pa.table({"u": a, "v": b}), pa.table({"u": b, "v": a})]
         )
 
-    edges = typed_map(pairs, _both_ways)
+    edges = map_blocks(pairs, _both_ways)
 
     if _node_state_fits(edges, ["u"]):
         # node state fits in a heap: broadcast labels, stream only edges
         return _cc_broadcast(edges, max_iters)
 
-    labels = typed_map(
+    labels = map_blocks(
         aggregate(edges, ["u"], {}),
         lambda b: pa.table({"node": b.column("u"), "label": b.column("u")}),
     )
@@ -507,9 +507,9 @@ def triangle_counts(
         return _ren
 
     # wedge + closing joins both consume the edge list: pin blocks once
-    e_ab = typed_map(pairs, _as({"a": a_col, "b": b_col}))
-    wedges = join(e_ab, typed_map(e_ab, _as({"b": "a", "c": "b"})), on=["b"])
-    e_ac = typed_map(e_ab, _as({"a": "a", "c": "b"}))
+    e_ab = map_blocks(pairs, _as({"a": a_col, "b": b_col}))
+    wedges = join(e_ab, map_blocks(e_ab, _as({"b": "a", "c": "b"})), on=["b"])
+    e_ac = map_blocks(e_ab, _as({"a": "a", "c": "b"}))
     tris = join(wedges, e_ac, on=["a", "c"])
 
     def _explode_nodes(batch: pa.Table) -> pa.Table:
@@ -570,7 +570,7 @@ def kcore(
             ]
         )
 
-    edges = typed_map(pairs, _sym)
+    edges = map_blocks(pairs, _sym)
 
     def _alive_filter(batch: pa.Table) -> pa.Table:
         return batch.filter(
@@ -587,9 +587,9 @@ def kcore(
 
     for _ in range(max_rounds):
         deg = aggregate(edges, ["src"], {"deg": (None, "count")})
-        alive = typed_map(deg, _alive_filter)
+        alive = map_blocks(deg, _alive_filter)
         if alive.count() == deg.count():
-            return typed_map(alive, _final)
+            return map_blocks(alive, _final)
         if fits_broadcast(alive.size_bytes() or 0):
             keys_arr = pa.concat_arrays(
                 [
@@ -644,7 +644,7 @@ def hits_scores(
     nodes with no in-/out-edges surface as 0 via one final left join
     against the node set. Both paths are result-identical (tested).
     """
-    ed = typed_map(
+    ed = map_blocks(
         edges,
         lambda b: pa.table({"src": b.column(src_col), "dst": b.column(dst_col)}),
     )

@@ -36,7 +36,7 @@ import ray
 import ray.data
 
 from crawlray.ops import exchange
-from crawlray.ops.exchange import _row_blocks, group_map, typed_map
+from crawlray.ops.exchange import _row_blocks, group_map, map_blocks
 from crawlray.ops.pairs import (
     as_dataset, band_rows, block_pairs, collect, lsh_pairs, orient, pack, unpack, verify,
 )
@@ -539,7 +539,7 @@ def _srp_pairs(ds, threshold, id_col, vec_col, n_bits, bands, seed, max_bucket, 
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         return band_rows(ids, np.stack(keys, axis=1), "bucket")
 
-    pairs = lsh_pairs(typed_map(slim, _bucketize), ["band", "bucket"], "id", max_bucket,
+    pairs = lsh_pairs(map_blocks(slim, _bucketize), ["band", "bucket"], "id", max_bucket,
                       "srp_pairs_cosine", keep=keep)
 
     def _encode(rows: pa.Table) -> pa.Array:
@@ -871,4 +871,4 @@ def cross_similar_join(
     def _probe(batch: pa.Table) -> pa.Table:
         return orient(_kernel(batch, ray.get(r_ref)), mode)
 
-    return as_dataset(_row_blocks(typed_map(l_slim, _probe)), schema)
+    return as_dataset(_row_blocks(map_blocks(l_slim, _probe)), schema)

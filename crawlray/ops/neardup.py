@@ -28,7 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from crawlray.ops.exchange import typed_map
+from crawlray.ops.exchange import map_blocks
 from crawlray.ops.pairs import (
     band_rows, block_pairs, collect, lsh_pairs, pack, unpack, verify,
 )
@@ -277,7 +277,7 @@ def minhash_lsh_pairs(
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
         return band_rows(ids, np.stack(keys, axis=1), "bucket")
 
-    pairs = lsh_pairs(typed_map(ds, _bucketize), ["band", "bucket"], "id",
+    pairs = lsh_pairs(map_blocks(ds, _bucketize), ["band", "bucket"], "id",
                       max_bucket, "minhash_lsh_pairs")
 
     def _encode(docs: pa.Table) -> pa.Array:
@@ -428,7 +428,7 @@ def simhash_dup_pairs(
         keep = d <= max_hamming
         return keep, {"hamming": d[keep]}
 
-    pairs = lsh_pairs(typed_map(sims, _bands), ["band", "key"], "id", max_bucket,
+    pairs = lsh_pairs(map_blocks(sims, _bands), ["band", "key"], "id", max_bucket,
                       "simhash_dup_pairs", score=_hamming, reduce={"hamming": np.minimum})
     return collect(pairs, pa.schema([("id_a", pa.int64()), ("id_b", pa.int64()),
                                      ("hamming", pa.int32())]))

@@ -31,7 +31,7 @@ import ray
 import ray.data
 
 from crawlray.ops import exchange
-from crawlray.ops.exchange import _row_blocks, group_map, hash_exchange, join, typed_map
+from crawlray.ops.exchange import _row_blocks, group_map, hash_exchange, join, map_blocks
 
 # id_a of the one row a bucket emits to carry its drop count in id_b
 _DROPS = -(1 << 62)
@@ -158,7 +158,7 @@ def verify(
         sel = np.flatnonzero(np.isin(ids, ray.get(need)))
         return pa.table({"id": ids[sel], "p": encode(batch.take(sel))})
 
-    payload = typed_map(docs, _payload)
+    payload = map_blocks(docs, _payload)
     blocks, size = _row_blocks(payload), payload.size_bytes() or 0
     if not blocks:
         return []

@@ -29,9 +29,9 @@ from crawlray.ops.exchange import (
     group_map,
     hash_exchange,
     join,
+    map_blocks,
     sort_order,
     sorted_runs,
-    typed_map,
 )
 
 
@@ -106,7 +106,7 @@ def topk(
     def _top(t: pa.Table) -> pa.Table:
         return t.take(pc.sort_indices(t, sort_keys=order)[:k])
 
-    tops = typed_map(ds, _top).to_arrow_refs()
+    tops = map_blocks(ds, _top).to_arrow_refs()
     return ray.data.from_arrow(_top(pa.concat_tables(ray.get(tops), promote_options="permissive")))
 
 
@@ -981,20 +981,15 @@ def grouping_sets_agg(
             level = fine
         else:  # with no keys, one total row
             level = aggregate(fine, sub, {"n": ("n", "sum"), "sum_v": ("sum_v", "sum")})
-        pad = [k for k in keys if k not in sub]
 
-        def _pad(batch: pa.Table, _pad_cols=tuple(pad)) -> pa.Table:
-            cols = {}
-            for c in keys:
-                if c in _pad_cols:
-                    cols[c] = pa.array([all_label] * batch.num_rows)
-                else:
-                    cols[c] = batch.column(c)
-            cols["n"] = batch.column("n")
-            cols["sum_v"] = batch.column("sum_v")
-            return pa.table(cols)
+        def _pad(batch: pa.Table, sub=tuple(sub)) -> pa.Table:
+            label = pa.array([all_label] * batch.num_rows, pa.string())
+            cols = {c: batch.column(c) if c in sub else label for c in keys}
+            # the keyless level's one row counts the input: 0, not null, when empty
+            n = batch.column("n") if sub else pc.fill_null(batch.column("n"), 0)
+            return pa.table({**cols, "n": n, "sum_v": batch.column("sum_v")})
 
-        level = level.map_batches(_pad, batch_format="pyarrow")
+        level = map_blocks(level, _pad)
         out = level if out is None else out.union(level)
     return out
 

@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import group_map, typed_map
+from crawlray.ops.exchange import group_map, map_blocks
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -386,9 +386,9 @@ def approx_distinct_by(
             }
         )
 
-    # typed_map types a 0-row input's partials, so every exchange output
-    # block is a typed (group, estimate) table, even with no rows
-    out = group_map(typed_map(ds, _partial), [group_col], _merge)
+    # map_blocks runs `_partial` on a 0-row input's typed empty table, so
+    # every exchange output block is a typed (group, estimate) table
+    out = group_map(map_blocks(ds, _partial), [group_col], _merge)
     return pa.concat_tables(ray.get(out.to_arrow_refs()))
 
 

@@ -258,7 +258,7 @@ def range_join(
     """
     if bucket_width <= 0:
         raise ValueError("bucket_width must be positive")
-    from crawlray.ops.exchange import join, typed_map
+    from crawlray.ops.exchange import join, map_blocks
 
     # Rename colliding right columns up front (Dataset.join has no default
     # suffixing) so the output schema is deterministic.
@@ -293,8 +293,8 @@ def range_join(
         return out.append_column("_bkt", pa.array(bkt, type=pa.int64()))
 
     joined = join(
-        typed_map(left, _bucket_left),
-        typed_map(right, _explode_right),
+        map_blocks(left, _bucket_left),
+        map_blocks(right, _explode_right),
         on=["_bkt"],
         num_partitions=num_partitions,
     )
@@ -307,4 +307,4 @@ def range_join(
         )
         return batch.filter(mask).drop_columns(["_bkt"])
 
-    return typed_map(joined, _residual)
+    return map_blocks(joined, _residual)

@@ -24,7 +24,7 @@ from crawlray.ops.exchange import (
     fits_broadcast,
     hash_exchange,
     join,
-    typed_map,
+    map_blocks,
 )
 
 # Tiny per-language stopword lists for the n-gram/stopword heuristic
@@ -552,14 +552,14 @@ def pmi_collocations(
             u1, u2 = ray.get(sides_ref)
             return _score(batch.join(u1, keys="w1").join(u2, keys="w2"), tu)
 
-        return typed_map(c12, _attach_score)
+        return map_blocks(c12, _attach_score)
     # an empty corpus has no tokens: TU is unused, there is nothing to score
     tu = float(uni.sum("c") or 0)
     j1 = join(c12, uni.map_batches(_as("w1", "c1"), batch_format="pyarrow"),
               on=["w1"])
     j2 = join(j1, uni.map_batches(_as("w2", "c2"), batch_format="pyarrow"),
               on=["w2"])
-    return typed_map(j2, lambda b: _score(b, tu))
+    return map_blocks(j2, lambda b: _score(b, tu))
 
 
 def ngram_lm_score(

@@ -115,3 +115,40 @@ def test_decontaminate_without_shared_grams_is_typed(tmp_path, ray_session):
     out = _to_pandas(entrymod.queries()["decontaminate"](str(tmp_path)))
     assert len(out) == 0
     assert sorted(out.columns) == ["a", "b", "kind", "v"]
+
+
+def test_tagged_union_projects_every_arm_onto_its_schema(ray_session):
+    """Arms from a Dataset and from an Arrow table, mapped by source
+    column, constant and function of the batch, cast to the schema. An
+    arm with no rows adds nothing; with no rows in any arm the union is
+    typed, and `_keep_columns` returns it with its columns. A mapped
+    column that does not cast to the schema raises."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray.data
+
+    schema = pa.schema([("kind", pa.string()), ("a", pa.int64()), ("v", pa.string())])
+    rows = pa.table({"id": pa.array([1, 2], pa.int32()), "v": ["x", "y"]})
+    none = ray.data.from_arrow(rows.slice(0, 0))
+    ds_arm = (ray.data.from_arrow(rows), {"kind": pa.scalar("ds"), "a": "id"})
+    none_arm = (none, {"kind": pa.scalar("none"), "a": "id"})
+    table_arm = (rows, {"kind": pa.scalar("table"), "a": -1,
+                        "v": lambda b: pc.utf8_upper(b["v"])})
+    for arms, want in [
+        ([ds_arm, none_arm], [("ds", 1, "x"), ("ds", 2, "y")]),
+        ([ds_arm, none_arm, table_arm],
+         [("ds", 1, "x"), ("ds", 2, "y"), ("table", -1, "X"), ("table", -1, "Y")]),
+    ]:
+        out = entrymod._tagged_union(schema, arms)
+        assert out.schema().names == schema.names
+        assert list(out.schema().types) == schema.types
+        assert sorted(map(tuple, out.to_pandas().values.tolist())) == want
+
+    empty = entrymod._tagged_union(schema, [none_arm])
+    assert empty.count() == 0
+    assert list(empty.schema().types) == schema.types
+    kept = entrymod._keep_columns(lambda _: empty)("")
+    assert list(_to_pandas(kept).columns) == schema.names
+
+    with pytest.raises(pa.ArrowInvalid):
+        entrymod._tagged_union(schema, [(rows, {"kind": pa.scalar("bad"), "a": "v"})])

@@ -10,7 +10,9 @@ Every result is checked, rows and schema, against a local
 map/reduce contract: `merge` runs on every partition, one partition
 works, and pandas blocks are read as Arrow; `aggregate` is checked
 against pandas, and with no keys gives one row. `sort` is checked
-against `Table.sort_by`, and `scan` against `np.cumsum`."""
+against `Table.sort_by`, and `scan` against `np.cumsum`. `map_blocks`
+runs its function once per block that holds rows, or once on the typed
+empty table."""
 
 import ast
 import pathlib
@@ -185,11 +187,11 @@ def test_join_single_partition(ray_session, join_type):
 
 @pytest.mark.parametrize("join_type", JOIN_TYPES)
 def test_pandas_blocks_exchange_and_join(ray_session, join_type):
-    """`from_pandas` inputs arrive as pandas blocks; both primitives
-    read them as Arrow."""
+    """`from_pandas` inputs arrive as pandas blocks; the exchange, the
+    join and `map_blocks` read them as Arrow."""
     import ray.data
 
-    from crawlray.ops.exchange import hash_exchange, join
+    from crawlray.ops.exchange import hash_exchange, join, map_blocks
 
     def _count(t: pa.Table) -> pa.Table:
         return t.group_by(["k"]).aggregate([([], "count_all")])
@@ -200,6 +202,7 @@ def test_pandas_blocks_exchange_and_join(ray_session, join_type):
            BIG, SMALL, join_type)
     counts = hash_exchange(right, ["k"], _count, num_partitions=4).to_pandas()
     assert dict(zip(counts["k"], counts["count_all"])) == {3: 1, 7: 2, 500: 1}
+    assert sorted(map_blocks(left, _map_fns()["seen"]).to_pandas()["rows"]) == [40, 60]
 
 
 @pytest.mark.parametrize("num_partitions", [1, 4])
@@ -394,6 +397,63 @@ def test_keyless_aggregate_is_one_row(ray_session, rows):
     assert got == [want]
 
 
+def _map_fns() -> dict:
+    """Functions for `map_blocks`, nested so that Ray ships them by value."""
+
+    def seen(t: pa.Table) -> pa.Table:
+        """One row per call: the rows and the columns (with types) it got."""
+        return pa.table({"rows": [t.num_rows], "cols": [str(t.schema).replace("\n", ",")]})
+
+    def double_k(t: pa.Table) -> pa.Table:
+        return pa.table({"k2": pc.multiply(t.column("k"), 2)})
+
+    return {"seen": seen, "double_k": double_k}
+
+
+# 0-row blocks between blocks with rows; a map sees only the latter
+PARTS = [BIG.slice(0, 30), BIG.slice(0, 0), BIG.slice(30, 50), BIG.slice(0, 0), BIG.slice(80)]
+
+
+@pytest.mark.parametrize("fn", ["seen", "double_k"])
+@pytest.mark.parametrize("parts", [PARTS, PARTS[1:2]], ids=["rows", "empty"])
+def test_map_blocks_runs_fn_once_per_block_with_rows(ray_session, fn, parts):
+    """`fn` runs once per block that holds rows (`seen` gives one row
+    per call), or once on the typed empty table of a 0-row input; the
+    result takes its columns and types from `fn`."""
+    import ray.data
+
+    from crawlray.ops.exchange import map_blocks
+
+    fn = _map_fns()[fn]
+    got = map_blocks(ray.data.from_arrow(parts), fn)
+    want = pa.concat_tables([fn(t) for t in parts if t.num_rows] or [fn(BIG.slice(0, 0))])
+    assert sorted(got.take_all(), key=repr) == sorted(want.to_pylist(), key=repr)
+    assert got.schema().names == want.schema.names
+    assert list(got.schema().types) == want.schema.types
+
+
+@pytest.mark.parametrize("keep_from, blocks", [(70, 2), (100, 0)])
+def test_map_blocks_drops_blocks_without_rows(ray_session, keep_from, blocks):
+    """A map that empties some blocks leaves no 0-row block; one that
+    empties all of them leaves one typed 0-row block."""
+    import ray.data
+
+    from crawlray.ops.exchange import map_blocks
+
+    got = map_blocks(
+        ray.data.from_arrow(PARTS),
+        lambda t: t.filter(pc.greater_equal(t.column("k"), keep_from)),
+    )
+    sizes = [t.num_rows for t in _blocks(got)]
+    if blocks:  # PARTS' blocks with rows hold k 0-29, 30-79 and 80-99
+        assert len(sizes) == blocks and 0 not in sizes
+    else:
+        assert sizes == [0]
+    assert sum(sizes) == 100 - keep_from
+    assert got.schema().names == ["k", "x"]
+    assert list(got.schema().types) == [pa.int64(), pa.string()]
+
+
 def _calls(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -414,8 +474,24 @@ def test_only_exchange_module_joins_or_routes():
     pass) or `Dataset.unique` (`.unique("col")`), or imports from
     `ray.data.aggregate`: ordered work goes through `exchange.sort` and
     `exchange.scan`, global aggregates and distinct values through
-    `exchange.aggregate`."""
+    `exchange.aggregate`. Nothing names the removed `typed_map` (typed
+    maps go through `exchange.map_blocks`), and the driver entry calls
+    `.union(` only in `_tagged_union`, which builds every tagged union,
+    and in `_union_all`, the union operator under test."""
+    entry = OPS.parents[1] / "__ray_entry__.py"
     offenders = []
+    for path in [*sorted(OPS.parent.rglob("*.py")), entry]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if name == "typed_map":
+                offenders.append(f"{path.name}:{node.lineno} names typed_map")
+    for fn in ast.parse(entry.read_text()).body:
+        for call in _calls(fn):
+            if call.func.attr == "union" and getattr(fn, "name", None) not in (
+                "_tagged_union", "_union_all"
+            ):
+                offenders.append(f"{entry.name}:{call.lineno} calls .union(")
     for path in [*sorted(OPS.glob("*.py")), OPS.parent / "storage.py",
                  OPS.parents[1] / "__ray_entry__.py"]:
         for call in _calls(ast.parse(path.read_text())):

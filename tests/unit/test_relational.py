@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 
 import pyarrow as pa
+import pytest
 import ray.data
 
 
@@ -621,6 +622,36 @@ def test_grouping_sets_cube_rollup_match_duckdb(ray_session):
             ds, keys, "l_quantity", [("l_linestatus",), ()]
         ).take_all()
     ) == want_sets
+
+
+@pytest.mark.parametrize("rows", [0, 6])
+def test_grouping_sets_and_rollup_match_duckdb_on_empty_and_null_keys(ray_session, rows):
+    """A typed 0-row input still gives the grand-total row, with n = 0 as
+    SQL's COUNT(*) and a null sum; a null key value is a group of its
+    own, apart from the '(all)' of a key its set leaves out."""
+    import duckdb
+
+    from crawlray.ops.relational import grouping_sets_agg, rollup_agg
+
+    t = pa.table({"a": pa.array(["x", None, "x", "y", None, "y"]),
+                  "b": pa.array(["p", "q", None, "p", "q", "q"]),
+                  "v": pa.array([1, 2, 3, 4, 5, 6], pa.int64())}).slice(0, rows)
+    ds = ray.data.from_arrow(t)
+
+    def got(out):
+        return sorted(((r["a"], r["b"], r["n"], r["sum_v"]) for r in out.take_all()), key=repr)
+
+    def want(clause):
+        return sorted(duckdb.sql(f"""
+            SELECT CASE WHEN GROUPING(a) = 1 THEN '(all)' ELSE a END,
+                   CASE WHEN GROUPING(b) = 1 THEN '(all)' ELSE b END,
+                   COUNT(*), SUM(v)
+            FROM t GROUP BY {clause}""").fetchall(), key=repr)
+
+    sets = [("a",), ("a", "b"), ()]
+    assert got(grouping_sets_agg(ds, ["a", "b"], "v", sets)) == want(
+        "GROUPING SETS ((a), (a, b), ())")
+    assert got(rollup_agg(ds, ["a", "b"], "v")) == want("ROLLUP (a, b)")
 
 
 def test_epoch_mixture_deterministic_copies(ray_session):
