@@ -37,7 +37,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import aggregate, map_blocks
+from crawlray.ops.exchange import aggregate, concat, from_table, map_blocks, pin
 
 
 def _rd(sf_dir: str, table: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -85,7 +85,8 @@ def _tagged_union(
     returns the column, or a constant (any other value: `pa.scalar("x")`
     for a string); a union column the mapping leaves out is the source
     column of that name. Each arm is projected through `map_blocks` and
-    cast to `schema`, so a column that does not cast raises."""
+    cast to `schema`, so a column that does not cast raises; the arms'
+    blocks are joined by `exchange.concat`, with no Ray Data execution."""
 
     def _projection(cols: dict[str, Any]):
         def _project(batch: pa.Table) -> pa.Table:
@@ -102,15 +103,10 @@ def _tagged_union(
 
         return _project
 
-    parts = [
-        map_blocks(ray.data.from_arrow(src) if isinstance(src, pa.Table) else src,
-                   _projection(cols))
+    return concat([from_table(schema.empty_table())] + [
+        map_blocks(from_table(src) if isinstance(src, pa.Table) else src, _projection(cols))
         for src, cols in arms
-    ]
-    full = [p for p in parts if p.count()]
-    if not full:
-        return ray.data.from_arrow(schema.empty_table())
-    return full[0] if len(full) == 1 else full[0].union(*full[1:]).materialize()
+    ])
 
 
 # --------------------------------------------------------------------------
@@ -277,9 +273,9 @@ def _shuffle_join(sf_dir: str):
         columns=["o_orderkey", "o_orderstatus", "o_totalprice"],
     )
     out = shuffle_join(li, orders, on=["l_orderkey"], right_on=["o_orderkey"])
-    return out.select_columns(
+    return map_blocks(out, lambda t: t.select(
         ["l_orderkey", "l_quantity", "l_extendedprice", "o_orderstatus", "o_totalprice"]
-    )
+    ))
 
 
 def _left_outer_join(sf_dir: str):
@@ -736,9 +732,9 @@ def _range_join(sf_dir: str):
             {"win_id": b.column("event_id"), "ws": b.column("ts"), "we": we}
         )
 
-    windows = ev.map_batches(_anchors, batch_format="pyarrow")
+    ev = ev.materialize()
     return range_join(
-        ev.select_columns(["event_id", "ts", "user_id"]), windows,
+        ev, map_blocks(ev, _anchors),
         left_ts="ts", right_start="ws", right_end="we",
         bucket_width=1800_000_000,
     )
@@ -868,7 +864,7 @@ def _salted_shuffle_join(sf_dir: str):
         {"type_n": (None, "count")},
     )
     out = salted_shuffle_join(ev, dim, on="event_type", num_salts=8)
-    return out.select_columns(["event_id", "event_type", "type_n"])
+    return map_blocks(out, lambda t: t.select(["event_id", "event_type", "type_n"]))
 
 
 def _paragraph_dedup(sf_dir: str):
@@ -1196,7 +1192,7 @@ def _sketches(sf_dir: str):
     cm = count_min(_rd(sf_dir, "events", columns=["user_id"]), "user_id")
     exact = pa.table({"user_id": pc.cast(mg.column("item"), pa.int64()),
                       "n_exact": pc.cast(mg.column("est_count"), pa.int64())})
-    cmp_ = cm_probe(ray.data.from_arrow(exact), cm, "user_id")
+    cmp_ = cm_probe(from_table(exact), cm, "user_id")
     schema = pa.schema([("kind", pa.string()), ("key", pa.string()), ("n", pa.int64()),
                         ("within_bound", pa.bool_())])
     return _tagged_union(schema, [
@@ -1395,7 +1391,6 @@ def _dedup_clusters(sf_dir: str):
     fixpoint) with in-core degrees as v — chains and pendants dissolve,
     dup cliques survive (oracle: fixed MATERIALIZED peel rounds, no-ops
     past the fixpoint). The pair table is computed once and shared."""
-    import ray.data as _rdm
 
     from crawlray.ops.graph import connected_components, kcore, triangle_counts
     from crawlray.ops.knn import similar_pairs_cosine
@@ -1403,7 +1398,7 @@ def _dedup_clusters(sf_dir: str):
     pairs = similar_pairs_cosine(
         _rd(sf_dir, "embeddings", columns=["vec_id", "embedding"]), threshold=0.35
     )
-    pds = _rdm.from_arrow(pairs)
+    pds = from_table(pairs)
 
     # max_rounds=10 keeps the engine's peel bound COUPLED to the oracle's
     # R=10 fixed replay rounds (_dedup_clusters_oracle): a graph needing
@@ -1458,7 +1453,6 @@ def _dup_spans(sf_dir: str):
     docs = _rd(sf_dir, "documents", columns=["doc_id", "text"]).materialize()
     # ONE gram-count exchange + bloom probe feeds both halves
     hits = dup_gram_hits(docs, "doc_id", "text", n=5, min_count=2)
-    hits = hits.materialize()
 
     return _tagged_union(_AB_SCHEMA, [
         (dup_spans(docs, n=5, hits=hits),
@@ -1803,7 +1797,7 @@ def _keep_columns(query: Callable[[str], Any]) -> Callable[[str], Any]:
     def _q(sf_dir: str):
         out = query(sf_dir)
         if isinstance(out, ray.data.Dataset):
-            out = out.materialize()
+            out = pin(out)
             sch = out.schema()
             if sch is not None and not out.count():
                 return pa.schema(list(zip(sch.names, sch.types))).empty_table()

@@ -70,6 +70,9 @@ from crawlray.ops.exchange import (
     fits_broadcast,
     hash_exchange,
     join,
+    map_blocks,
+    partials,
+    to_table,
 )
 
 _MERGE_SCHEMA = pa.schema(
@@ -118,12 +121,6 @@ def _build_byte_tables():
 
 _B0, _B1, _OLEN, _BYTE_TO_CHAR = _build_byte_tables()
 _CHAR_TO_BYTE = {c: b for b, c in _BYTE_TO_CHAR.items()}
-
-
-def byte_encode(s: str) -> str:
-    """Python-side reference encoder (tests / single values): UTF-8
-    bytes of `s` mapped through the symbol alphabet."""
-    return "".join(_BYTE_TO_CHAR[b] for b in s.encode("utf-8"))
 
 
 def byte_decode(token: str) -> str:
@@ -300,7 +297,7 @@ def bpe_train(
     materialized base, pair explode, ONE small hash exchange, per-block
     top-1 partials, O(#partitions) driver rows. Both paths are
     result-identical (tested)."""
-    from crawlray.ops.textqa import explode_bigrams
+    from crawlray.ops.textqa import _bigram_exploder
 
     def _top1(batch: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
@@ -316,7 +313,7 @@ def bpe_train(
     words = bpe_word_table(ds, text_col=text_col, byte_level=byte_level)
 
     if words.count() <= local_threshold:
-        tbl = pa.concat_tables(ray.get(words.to_arrow_refs()))
+        tbl = to_table(words)
         merges: list[dict] = []
         for r in range(num_merges):
             counts = _pairs_of(tbl)
@@ -353,35 +350,29 @@ def bpe_train(
             )
         return pa.Table.from_pylist(merges, schema=_MERGE_SCHEMA)
 
-    # distributed rounds: ONE Ray execution per round — the accumulated
-    # rules are re-applied lazily on top of the materialized base word
-    # table (Ray fuses the map chain into a single task per block), so a
-    # round is fused-replaces → pair explode → one small hash exchange →
-    # per-block top-1 → O(#partitions) driver rows. Re-applying r
-    # replaces in round r costs K²/2 vectorized passes over the VOCAB
-    # total — far cheaper than a per-round materialize, and bounded (the
-    # word table never grows).
+    # distributed rounds: ONE exchange per round — the accumulated rules
+    # are re-applied to the base word table on the exchange's map side,
+    # fused with the pair explode, so a round is replaces → pair explode
+    # → one small hash exchange → per-block top-1 → O(#partitions)
+    # driver rows. Re-applying r replaces in round r costs K²/2
+    # vectorized passes over the VOCAB total — far cheaper than keeping
+    # a per-round word table, and bounded (the word table never grows).
+    explode = _bigram_exploder("freq", "sym")
     rules: list[tuple[str, str]] = []
     merges = []
     for r in range(num_merges):
-        cur = words
-        if rules:
-            frozen = list(rules)
+        frozen = list(rules)
 
-            def _apply_all(batch: pa.Table, _rules=frozen) -> pa.Table:
-                sym = batch.column("sym")
-                for pat, rep in _rules:
-                    sym = pc.replace_substring(
-                        sym, pattern=pat, replacement=rep
-                    )
-                return pa.table({"sym": sym, "freq": batch.column("freq")})
+        def _pairs_after(batch: pa.Table, _rules=frozen) -> pa.Table:
+            sym = batch.column("sym")
+            for pat, rep in _rules:
+                sym = pc.replace_substring(sym, pattern=pat, replacement=rep)
+            return explode(pa.table({"sym": sym, "freq": batch.column("freq")}))
 
-            cur = words.map_batches(_apply_all, batch_format="pyarrow")
-        pairs = explode_bigrams(cur, id_col="freq", text_col="sym")
         counts = aggregate(
-            pairs, ["w1", "w2"], {"cnt": ("freq", "sum")}, num_partitions=8
+            words, ["w1", "w2"], {"cnt": ("freq", "sum")}, _pairs_after, num_partitions=8
         )
-        cand = counts.map_batches(_top1, batch_format="pyarrow").take_all()
+        cand = [r for t in partials(counts, _top1) for r in t.to_pylist()]
         if not cand:
             break
         best = min(cand, key=lambda x: (-x["cnt"], x["w1"], x["w2"]))
@@ -486,7 +477,7 @@ def bpe_segment_tokens(
         return pa.table({id_col: ids.take(tparents), "token": toks})
 
     if fits_broadcast(segd.size_bytes() or 0):
-        vt = pa.concat_tables(ray.get(segd.to_arrow_refs())).combine_chunks()
+        vt = to_table(segd).combine_chunks()
         vt_ref = ray.put(vt)
 
         def _apply_bcast(batch: pa.Table) -> pa.Table:
@@ -503,7 +494,7 @@ def bpe_segment_tokens(
             ids = batch.column(id_col).take(parents)
             return _flatten_segs(ids, occ_seg)
 
-        return ds.map_batches(_apply_bcast, batch_format="pyarrow")
+        return map_blocks(ds, _apply_bcast)
 
     # giant-vocab path: explode (id, word) once and resolve segs with
     # ONE distributed hash join on the word key
@@ -513,9 +504,7 @@ def bpe_segment_tokens(
             {id_col: batch.column(id_col).take(parents), "word": words}
         )
 
-    joined = join(
-        ds.map_batches(_explode_tbl, batch_format="pyarrow"), segd, on=["word"]
-    )
+    joined = join(map_blocks(ds, _explode_tbl), segd, on=["word"])
 
     def _emit(batch: pa.Table) -> pa.Table:
         return _flatten_segs(
@@ -523,7 +512,7 @@ def bpe_segment_tokens(
             batch.column("seg"),
         )
 
-    return joined.map_batches(_emit, batch_format="pyarrow")
+    return map_blocks(joined, _emit)
 
 
 def bpe_vocab_counts(

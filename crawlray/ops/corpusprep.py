@@ -47,7 +47,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from crawlray.ops.exchange import aggregate, aggregate_fns, hash_exchange, run_starts, scan, sort
+from crawlray.ops.exchange import (
+    aggregate, aggregate_fns, concat, hash_exchange, map_blocks, pin, run_starts, scan, sort,
+)
 
 
 def _count_tokens(
@@ -425,7 +427,7 @@ def word_ngrams(
             cols["pos"] = pa.array(within.astype(np.int64))
         return pa.table(cols)
 
-    return ds.map_batches(_grams, batch_format="pyarrow")
+    return map_blocks(ds, _grams)
 
 
 def dup_spans(
@@ -517,7 +519,9 @@ def _island_merge(
             }
         )
 
-    return hash_exchange(hits, [id_col], _merge, num_partitions=num_partitions)
+    return hash_exchange(
+        hits, [id_col], _merge, lambda t: t.select([id_col, "pos"]), num_partitions
+    )
 
 
 def dup_gram_hits(
@@ -534,16 +538,15 @@ def dup_gram_hits(
     is zero)."""
     from crawlray.ops.relational import bloom_semi_join
 
-    pruned = ds.select_columns([id_col, text_col])
-    dup_grams = _gram_set(
-        word_ngrams(pruned, id_col, text_col, n), min_count
-    )
-    return bloom_semi_join(
-        word_ngrams(pruned, id_col, text_col, n, with_pos=True),
+    ds = pin(ds)  # read twice: the gram counts and the positional grams
+    dup_grams = _gram_set(word_ngrams(ds, id_col, text_col, n), min_count)
+    hits = bloom_semi_join(
+        word_ngrams(ds, id_col, text_col, n, with_pos=True),
         dup_grams,
         key="gram",
         right_is_distinct=True,  # _gram_set output: 1 row/gram
-    ).select_columns([id_col, "pos"])
+    )
+    return map_blocks(hits, lambda t: t.select([id_col, "pos"]))
 
 
 def _gram_set(grams: ray.data.Dataset, min_count: int = 1) -> ray.data.Dataset:
@@ -606,59 +609,7 @@ def remove_dup_spans(
             }
         )
 
-    return _cut_cover(
-        ds,
-        hits.map_batches(_norm_hits, batch_format="pyarrow"),
-        id_col,
-        text_col,
-        num_partitions,
-    )
-
-
-def cut_spans(
-    ds: ray.data.Dataset,
-    spans: ray.data.Dataset,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    span_start_col: str = "span_start",
-    span_end_col: str = "span_end",
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """Apply an arbitrary CUT LIST to a corpus: drop every token whose
-    0-based index falls in any [span_start, span_end) row of `spans` for
-    its document, rejoin survivors with single spaces. Output one row per
-    input document: (id, text_clean, n_removed). Composes with every
-    span producer — `cut_spans(docs, dup_spans(docs))` equals
-    `remove_dup_spans(docs)` (tested), and
-    `cut_spans(docs, decontaminate_spans(docs, bench))` is surgical
-    benchmark decontamination. Out-of-range spans are clipped to the
-    document's token count; overlapping spans union.
-
-    Same distributed shape as remove_dup_spans: no join — docs and span
-    rows co-group through ONE murmur3(id) hash exchange and the
-    per-partition cut is fully vectorized.
-    """
-    def _norm_spans(batch: pa.Table) -> pa.Table:
-        # clip starts at 0 HERE: pos == -1 is the doc-row sentinel in the
-        # shared schema, so a negative caller span must never reach it
-        start = pc.max_element_wise(
-            pc.cast(batch.column(span_start_col), pa.int64()), 0
-        )
-        return pa.table(
-            {
-                id_col: batch.column(id_col),
-                "pos": start,
-                "end": pc.cast(batch.column(span_end_col), pa.int64()),
-            }
-        )
-
-    return _cut_cover(
-        ds,
-        spans.map_batches(_norm_spans, batch_format="pyarrow"),
-        id_col,
-        text_col,
-        num_partitions,
-    )
+    return _cut_cover(ds, map_blocks(hits, _norm_hits), id_col, text_col, num_partitions)
 
 
 def _cut_cover(
@@ -668,7 +619,7 @@ def _cut_cover(
     text_col: str,
     num_partitions: int | None,
 ) -> ray.data.Dataset:
-    """Shared cut engine of remove_dup_spans / cut_spans. `cover` rows are
+    """The cut engine of remove_dup_spans. `cover` rows are
     (id, pos, end) half-open token-index intervals. Docs normalize into
     the same schema (pos = end = -1, text carried in a fourth column),
     union with cover, ONE murmur3(id) hash exchange co-locates each doc
@@ -693,9 +644,7 @@ def _cut_cover(
             text_col, pa.nulls(batch.num_rows, pa.string())
         )
 
-    tagged = ds.select_columns([id_col, text_col]).map_batches(
-        _norm_docs, batch_format="pyarrow"
-    ).union(cover.map_batches(_widen, batch_format="pyarrow"))
+    tagged = concat([map_blocks(ds, _norm_docs), map_blocks(cover, _widen)])
 
     def _cut(group: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
@@ -835,17 +784,11 @@ def decontaminate_spans(
     if bench_grams is None:
         bench_grams = benchmark_grams(benchmark, id_col, text_col, n)
     hits = bloom_semi_join(
-        word_ngrams(
-            docs.select_columns([id_col, text_col]),
-            id_col,
-            text_col,
-            n,
-            with_pos=True,
-        ),
+        word_ngrams(docs, id_col, text_col, n, with_pos=True),
         bench_grams,
         key="gram",
         right_is_distinct=True,
-    ).select_columns([id_col, "pos"])
+    )
     return _island_merge(
         hits, id_col, n, num_partitions, count_col="n_grams"
     )

@@ -17,7 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from crawlray.ops.exchange import hash_exchange, sorted_runs
+from crawlray.ops.exchange import from_table, hash_exchange, pin, sorted_runs, to_table
 
 
 def dedup_keep_first(
@@ -73,7 +73,7 @@ def fuzzy_dedup_keep(
     from crawlray.ops.relational import broadcast_semi_anti
 
     # pairs pass + final anti-join both consume the corpus: pin blocks once
-    ds = ds.materialize()
+    ds = pin(ds)
     if pairs is None:  # callers may reuse an already-verified pair table
         pairs = minhash_lsh_pairs(
             ds, id_col, text_col, num_perm, bands,
@@ -83,14 +83,9 @@ def fuzzy_dedup_keep(
         return ds
     from crawlray.ops.graph import connected_components
 
-    cc = connected_components(ray.data.from_arrow(pairs))
-    drop_tbls = []
-    for b in cc.iter_batches(batch_format="pyarrow"):
-        t = pa.table(b)
-        drop_tbls.append(
-            t.filter(pc.not_equal(t.column("node"), t.column("component")))
-        )
-    drop = pa.concat_tables(drop_tbls).column("node").combine_chunks()
+    cc = to_table(connected_components(from_table(pairs)))
+    drop = cc.filter(pc.not_equal(cc.column("node"), cc.column("component")))
+    drop = drop.column("node").combine_chunks()
     if len(drop) == 0:
         return ds
     return broadcast_semi_anti(ds, id_col, drop, anti=True)

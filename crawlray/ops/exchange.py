@@ -25,6 +25,18 @@ any other state one large key group carries across partitions.
 `map_blocks` is the typed per-block map: one task per block that holds
 rows runs the caller's function, or one task on the empty table of the
 schema when no block does, so the function always sees a typed table.
+`partials` is its fold form (the per-block results come back to the
+driver), `rechunk` re-cuts a dataset into blocks of a bounded row count,
+and `concat` joins the block lists of datasets.
+
+Every task here returns its block with the block's metadata (rows,
+bytes, schema: Ray Data's `BlockMetadataWithSchema`), and `from_blocks`
+builds the result from those, so no metadata task runs. A result is a
+`MaterializedDataset` whose plan already holds its blocks as its
+executed snapshot: its `count()`, `schema()` and `size_bytes()`, and
+every step here that reads it (`pin`), run no Ray Data execution. A
+query pays for Ray Data only at its read (a lazy input is materialized
+once) and at its return.
 
 Everything here returns datasets that are materialized, hold no 0-row
 blocks, and carry a schema even when they are empty; no Ray Data quirk
@@ -32,6 +44,14 @@ is left for callers to work around. `route` is the only rule that maps
 key values to hash partitions, `partition_count` the only rule that
 sizes an exchange, and `fits_broadcast` the one rule that broadcasts a
 side instead of exchanging it.
+
+This module is the one place that uses Ray Data internals, those of
+Ray 2.49: `ExecutionPlan` and its snapshot fields (`_snapshot_bundle`,
+`_snapshot_operator`, `_snapshot_stats`, `has_computed_output`),
+`RefBundle`, `LogicalPlan`, the `InputData` operator, `DatasetStats`,
+`unify_block_metadata_schema` and the `MaterializedDataset`
+constructor, used as `from_arrow_refs` and `Dataset.materialize` use
+them. tests/unit/test_exchange.py pins them.
 """
 
 from __future__ import annotations
@@ -43,11 +63,21 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.block import BlockAccessor
+from ray.data._internal.execution.interfaces import RefBundle
+from ray.data._internal.logical.interfaces import LogicalPlan
+from ray.data._internal.logical.operators.input_data_operator import InputData
+from ray.data._internal.plan import ExecutionPlan
+from ray.data._internal.stats import DatasetStats
+from ray.data._internal.util import unify_block_metadata_schema
+from ray.data.block import BlockAccessor, BlockMetadataWithSchema
+from ray.data.context import DataContext
+from ray.data.dataset import MaterializedDataset
 
 from crawlray.murmur3 import _fmix64_vec, murmur3_x64_128_batch
 
 Fn = Callable[[pa.Table], pa.Table]
+# a block of an exchange result: its ref and the metadata its task returned
+Block = tuple[ray.ObjectRef, BlockMetadataWithSchema]
 
 BROADCAST_BYTES = 32 << 20
 """The size below which `fits_broadcast` broadcasts a side. It is safe:
@@ -128,7 +158,7 @@ def hash_exchange(
     The output is materialized, has no 0-row blocks, and when it has no
     rows it still carries the schema of `merge(partial(empty input))`.
     """
-    ds = ds.materialize()
+    ds = pin(ds)
     refs = _typed_blocks(ds)
     if refs is None:  # no rows and no schema: nothing to type a result with
         return ds
@@ -152,7 +182,7 @@ def join(
     side with no schema is the result, or raises if the result must keep
     the other side's rows.
     """
-    left, right = left.materialize(), right.materialize()
+    left, right = pin(left), pin(right)
     right_on = list(right_on or on)
     sides = [_typed_blocks(left), _typed_blocks(right)]
     if None in sides:  # a 0-row side with no schema: nothing types a result
@@ -248,7 +278,7 @@ def group_map(ds: ray.data.Dataset, keys: list[str], fn: Fn) -> ray.data.Dataset
 
     # the reduce makes one Python call per group, so it is CPU-bound
     # however few bytes it holds: give every CPU a partition
-    ds = ds.materialize()
+    ds = pin(ds)
     n = max(int(ray.cluster_resources().get("CPU", 8)), partition_count(ds))
     return hash_exchange(ds, keys, _merge, num_partitions=n)
 
@@ -294,7 +324,7 @@ def sort(ds: ray.data.Dataset, keys: list[str]) -> ray.data.Dataset:
     partition sorts its rows. Rows with equal `keys` meet in one
     partition. The result's blocks are the non-empty partitions in key
     order; it is typed when it has no rows."""
-    ds = ds.materialize()
+    ds = pin(ds)
     refs = _typed_blocks(ds)
     if refs is None:  # no rows and no schema: nothing to sort
         return ds
@@ -330,7 +360,7 @@ def scan(
     known by its position, so a key may span any number of partitions.
     A 0-row `ds` applies once to its empty table; the result is
     materialized, has no 0-row blocks and is typed when empty."""
-    refs = _typed_blocks(ds.materialize())
+    refs = _typed_blocks(ds)
     if refs is None:
         return ds
     states, state = [], init
@@ -346,20 +376,112 @@ def map_blocks(ds: ray.data.Dataset, fn: Fn) -> ray.data.Dataset:
     `fn` always gets a typed table and types the empty result. The
     result is materialized and has no 0-row blocks but the one of an
     empty result."""
-    refs = _typed_blocks(ds.materialize())
+    refs = _typed_blocks(ds)
     if refs is None:  # no rows and no schema: nothing to type `fn`'s input
         return ds
     return _collect([_apply.remote(_call, r, fn) for r in refs])
 
 
+def partials(ds: ray.data.Dataset, fn: Callable[[pa.Table], object]) -> list:
+    """`fn` of every block of `ds` that holds rows, each in its own task,
+    as a list on the driver, or of its typed empty table when no block
+    holds rows: the map side of a fold the driver finishes. Empty when
+    `ds` has no rows and no schema."""
+    return ray.get([_summarize.remote(fn, r) for r in _typed_blocks(ds) or []])
+
+
+def to_table(ds: ray.data.Dataset) -> pa.Table:
+    """Every block of `ds` as one table on the driver (the side a caller
+    broadcasts), typed when the blocks are."""
+    return pa.concat_tables(ray.get([r for r, _ in _blocks(ds)]), promote_options="default")
+
+
+def rechunk(ds: ray.data.Dataset, rows: int) -> ray.data.Dataset:
+    """The rows of `ds` in order, in the fewest blocks of at most `rows`
+    rows, all of near-equal size: one task per output block concatenates
+    the slices of the input blocks it spans. `ds` itself when its blocks
+    that hold rows are already that many and none is larger."""
+    blocks = [b for b in _blocks(ds) if b[1].num_rows]
+    counts = np.array([m.num_rows for _, m in blocks], np.int64)
+    n = -(-int(counts.sum()) // rows)
+    if len(blocks) == n and counts.max(initial=0) <= rows:
+        return pin(ds)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    cuts = starts[-1] * np.arange(n + 1) // n
+    outs = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        first, end = np.searchsorted(starts, a, "right") - 1, np.searchsorted(starts, b)
+        spans = [(max(a, starts[i]) - starts[i], min(b, starts[i + 1]) - max(a, starts[i]))
+                 for i in range(first, end)]
+        outs.append(_slices.remote(spans, *(blocks[i][0] for i in range(first, end))))
+    return _collect(outs)
+
+
+def pin(ds: ray.data.Dataset) -> ray.data.Dataset:
+    """`ds` with its blocks computed: `ds` itself when its plan already
+    holds them (an exchange result or a `materialize()` output), else
+    `ds.materialize()`, the one Ray Data execution of a lazy input. Pin
+    a lazy input that is read twice, or it runs twice."""
+    return ds if ds._plan.has_computed_output() else ds.materialize()
+
+
+def from_blocks(blocks: list[Block]) -> MaterializedDataset:
+    """The dataset of `blocks` in order, built as Ray 2.49's
+    `from_arrow_refs` builds its result, but from the metadata the
+    blocks' own tasks returned: no metadata task runs. Its plan holds
+    the blocks as its executed snapshot, so `count()`, `schema()`,
+    `size_bytes()` and reading its blocks run no execution. With no
+    rows it is typed by its first block."""
+    metas = [m for _, m in blocks]
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"Exchange": metas}, parent=None), DataContext.get_current().copy()
+    )
+    source = InputData([RefBundle([b], owns_blocks=False, schema=b[1].schema) for b in blocks])
+    ds = MaterializedDataset(plan, LogicalPlan(source, plan._context))
+    plan._snapshot_bundle = RefBundle(
+        blocks, owns_blocks=False, schema=unify_block_metadata_schema(metas) or metas[0].schema
+    )
+    plan._snapshot_operator = source
+    plan._snapshot_stats = plan._in_stats
+    return ds
+
+
+def from_table(t: pa.Table) -> MaterializedDataset:
+    """`t` as a one-block dataset, with no task."""
+    return from_blocks([(ray.put(t), _metadata(t))])
+
+
+def concat(datasets: list[ray.data.Dataset]) -> MaterializedDataset:
+    """The blocks of `datasets` that hold rows, in order, as one dataset
+    (no execution when every input holds its blocks); when none holds
+    rows, the first typed input's empty table. The blocks' schemas unify
+    as in `Dataset.union`."""
+    blocks = [b for ds in datasets for b in _blocks(ds) if b[1].num_rows]
+    if blocks:
+        return from_blocks(blocks)
+    typed = [t for t in map(_empty_table, datasets) if t is not None]
+    return from_table(typed[0]) if typed else datasets[0]
+
+
+def _blocks(ds: ray.data.Dataset) -> list[Block]:
+    """(ref, metadata with schema) of every block of `ds`, read from its
+    plan's snapshot."""
+    bundle = pin(ds)._plan._snapshot_bundle
+    return [
+        (r, m if isinstance(m, BlockMetadataWithSchema) else BlockMetadataWithSchema(m, bundle.schema))
+        for r, m in bundle.blocks
+    ]
+
+
 def _row_blocks(ds: ray.data.Dataset) -> list[ray.ObjectRef]:
-    """Refs of the blocks of materialized `ds` that hold rows."""
-    return [r for b in ds.iter_internal_ref_bundles() for r, m in b.blocks if m.num_rows]
+    """Refs of the blocks of `ds` that hold rows."""
+    return [r for r, m in _blocks(ds) if m.num_rows]
 
 
 def _typed_blocks(ds: ray.data.Dataset) -> list[ray.ObjectRef] | None:
-    """The blocks of materialized `ds` that hold rows; if none do, its
-    empty table as the one block, or None when `ds` has no schema."""
+    """The blocks of `ds` that hold rows; if none do, its empty table as
+    the one block, or None when `ds` has no schema."""
+    ds = pin(ds)
     if refs := _row_blocks(ds):
         return refs
     t = _empty_table(ds)
@@ -367,14 +489,14 @@ def _typed_blocks(ds: ray.data.Dataset) -> list[ray.ObjectRef] | None:
 
 
 def _empty_table(ds: ray.data.Dataset) -> pa.Table | None:
-    sch = ds.schema()
+    sch = pin(ds).schema()
     if sch is None or not sch.names:
         return None
     return pa.schema(list(zip(sch.names, sch.types))).empty_table()
 
 
 def _shuffle(sides: list[tuple[list[ray.ObjectRef], Callable]], partial: Fn | None,
-             reduce: Callable[..., pa.Table], n: int) -> ray.data.Dataset:
+             reduce: Callable[..., pa.Table], n: int) -> MaterializedDataset:
     """Route every block of every side (block refs, routing rule) into
     `n` partitions and run `reduce(side 0 rows, side 1 rows, ...)` once
     per partition. Returns the non-empty outputs in partition order, or
@@ -389,13 +511,17 @@ def _shuffle(sides: list[tuple[list[ray.ObjectRef], Callable]], partial: Fn | No
     ])
 
 
-def _collect(outs: list[tuple[ray.ObjectRef, ray.ObjectRef]]) -> ray.data.Dataset:
-    """The (table, row count) outputs of one task each as a dataset of the
+def _collect(outs: list[tuple[ray.ObjectRef, ray.ObjectRef]]) -> MaterializedDataset:
+    """The (table, metadata) outputs of one task each as a dataset of the
     non-empty tables in order, or of the first table when all are empty."""
-    counts = ray.get([c for _, c in outs])
-    return ray.data.from_arrow_refs(
-        [t for (t, _), c in zip(outs, counts) if c] or [outs[0][0]]
-    )
+    metas = ray.get([m for _, m in outs])
+    blocks = [(t, m) for (t, _), m in zip(outs, metas)]
+    return from_blocks([b for b in blocks if b[1].num_rows] or blocks[:1])
+
+
+def _metadata(t: pa.Table) -> BlockMetadataWithSchema:
+    """The metadata Ray Data keeps of block `t`: rows, bytes, schema."""
+    return BlockMetadataWithSchema.from_block(t)
 
 
 def _by_hash(keys: list[str], n: int) -> Callable[[pa.Table], np.ndarray]:
@@ -456,7 +582,16 @@ def _reduce(fns, sizes: list[int], *parts: pa.Table):
         pa.concat_tables(parts[a:b], promote_options="permissive")
         for a, b in zip(cuts[:-1], cuts[1:])
     ))
-    return out, out.num_rows
+    return out, _metadata(out)
+
+
+@ray.remote(num_returns=2)
+def _slices(spans: list[tuple[int, int]], *blocks):
+    """The (offset, length) slice of each block, concatenated."""
+    out = pa.concat_tables([
+        BlockAccessor.for_block(b).to_arrow().slice(int(o), int(k)) for b, (o, k) in zip(blocks, spans)
+    ], promote_options="permissive").combine_chunks()
+    return out, _metadata(out)
 
 
 @ray.remote
@@ -471,4 +606,4 @@ def _call(t: pa.Table, fn: Fn) -> pa.Table:
 @ray.remote(num_returns=2)
 def _apply(fn, block, state):
     out = fn(BlockAccessor.for_block(block).to_arrow(), state)
-    return out, out.num_rows
+    return out, _metadata(out)

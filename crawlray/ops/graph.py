@@ -21,20 +21,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import aggregate, fits_broadcast, join, map_blocks
-
-
-def _collect_table(ds: ray.data.Dataset, schema: pa.Schema) -> pa.Table:
-    """Materialized small Dataset → one Arrow table. Maps over empty
-    caller blocks emit zero-column blocks; drop them before concat."""
-    tbls = [
-        t
-        for t in ray.get(ds.to_arrow_refs())
-        if t.num_columns > 0
-    ]
-    if not tbls:
-        return schema.empty_table()
-    return pa.concat_tables(tbls)
+from crawlray.ops.exchange import (
+    _row_blocks, aggregate, fits_broadcast, from_table, join, map_blocks, partials, to_table,
+)
 
 
 def _collect_partials(
@@ -54,10 +43,10 @@ def _collect_partials(
     most one row per node regardless of edge block count. `agg` is
     (value_col, 'sum'|'min'), or None for distinct keys.
     """
-    mat = ds.materialize()
-    if mat.count() > max_driver_rows:
-        mat = aggregate(mat, [key], {agg[0]: agg} if agg else {})
-    return _collect_table(mat, schema)
+    if ds.count() > max_driver_rows:
+        ds = aggregate(ds, [key], {agg[0]: agg} if agg else {})
+    tables = ray.get(_row_blocks(ds))
+    return pa.concat_tables(tables) if tables else schema.empty_table()
 
 
 def _node_type_of(ds: ray.data.Dataset, col: str) -> pa.DataType:
@@ -79,21 +68,15 @@ def _approx_node_count(edges: ray.data.Dataset, cols: list[str]) -> float:
     from crawlray.ops.sketch import HLL, _hash_column
     import numpy as np
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _partial(batch: pa.Table) -> np.ndarray:
         h = HLL(12)
         for c in cols:
             h.add_hashes(_hash_column(batch.column(c).combine_chunks()))
-        return pa.table(
-            {"registers": pa.array([h.registers.tobytes()], pa.binary())}
-        )
+        return h.registers
 
     merged = HLL(12)
-    for row in edges.map_batches(
-        _partial, batch_format="pyarrow", batch_size=None
-    ).take_all():
-        merged.merge(
-            HLL(12, np.frombuffer(row["registers"], dtype=np.uint8).copy())
-        )
+    for registers in partials(edges, _partial):
+        merged.merge(HLL(12, registers))
     return merged.estimate()
 
 
@@ -109,10 +92,9 @@ def _distinct_nodes(edges: ray.data.Dataset, src: str, dst: str):
     """Distinct node Dataset (column `node`) + count N. Node set = union
     of both endpoint columns."""
     nodes = aggregate(
-        edges.select_columns([src])
-        .rename_columns(["node"])
-        .union(edges.select_columns([dst]).rename_columns(["node"])),
-        ["node"], {},
+        edges, ["node"], {},
+        lambda t: pa.table({"node": pa.chunked_array(
+            [*t.column(src).chunks, *t.column(dst).chunks], t.schema.field(src).type)}),
     )
     return nodes, nodes.count()
 
@@ -122,8 +104,9 @@ def _node_ranks_init(
     n: int,
 ):
     """(node, rank=1/N, outdeg) dataset; out-degrees from one aggregate."""
-    deg = aggregate(edges, [src], {"outdeg": (None, "count")}).rename_columns(
-        {src: "node"}
+    deg = map_blocks(
+        aggregate(edges, [src], {"outdeg": (None, "count")}),
+        lambda t: pa.table({"node": t.column(src), "outdeg": t.column("outdeg")}),
     )
     withdeg = join(nodes, deg, on=["node"], join_type="left_outer")
 
@@ -134,7 +117,7 @@ def _node_ranks_init(
             {"node": batch.column("node"), "rank": rank, "outdeg": outdeg}
         )
 
-    return withdeg.map_batches(_init, batch_format="pyarrow").materialize()
+    return map_blocks(withdeg, _init)
 
 
 def _pagerank_broadcast(
@@ -146,7 +129,7 @@ def _pagerank_broadcast(
 ) -> ray.data.Dataset:
     """Small-node-state PageRank path: the per-node vector is broadcast
     (`ray.put` once per iteration), only the EDGES stream. Each iteration
-    is ONE map_batches pass over the cached edge blocks — per-block
+    is ONE `map_blocks` pass over the cached edge blocks — per-block
     contributions are partially summed by dst inside the task (Arrow
     group_by, bounded by nodes-per-block), and the driver folds the
     O(#blocks · nodes) partials in numpy. Zero shuffles per iteration —
@@ -194,7 +177,7 @@ def _pagerank_broadcast(
         )
 
     parts = _collect_partials(
-        edges.map_batches(_nd_partial, batch_format="pyarrow"),
+        map_blocks(edges, _nd_partial),
         pa.schema([("node", node_type), ("c", pa.int64())]),
         key="node", agg=("c", "sum"),
     )
@@ -226,7 +209,7 @@ def _pagerank_broadcast(
             return g.rename_columns(["node", "w"])
 
         parts = _collect_partials(
-            edges.map_batches(_partial, batch_format="pyarrow"),
+            map_blocks(edges, _partial),
             pa.schema([("node", node_arr.type), ("w", pa.float64())]),
             key="node", agg=("w", "sum"),
         )
@@ -238,9 +221,7 @@ def _pagerank_broadcast(
             np.add.at(in_sum, didx, parts.column("w").to_numpy())
         rank = teleport + damping * (in_sum + dang / n)
 
-    return ray.data.from_arrow(
-        pa.table({"node": node_arr, "rank": pa.array(rank)})
-    )
+    return from_table(pa.table({"node": node_arr, "rank": pa.array(rank)}))
 
 
 def pagerank(
@@ -265,14 +246,12 @@ def pagerank(
     partition; both paths are parity-tested against a dense numpy
     reference to 1e-9 on every node.
     """
-    edges = edges.select_columns([src_col, dst_col]).materialize()
+    edges = map_blocks(edges, lambda t: t.select([src_col, dst_col]))
     # empty edge list: no nodes, no ranks (N=0 would divide the teleport
     # term by zero) — typed empty result
     if edges.count() == 0:
         ntype = _node_type_of(edges, src_col)
-        return ray.data.from_arrow(
-            pa.schema([("node", ntype), ("rank", pa.float64())]).empty_table()
-        )
+        return from_table(pa.schema([("node", ntype), ("rank", pa.float64())]).empty_table())
     if _node_state_fits(edges, [src_col, dst_col]):
         # node state fits in a heap: broadcast it, stream only the edges
         # (chooser mirrors broadcast_join vs shuffle_join — see
@@ -285,9 +264,10 @@ def pagerank(
     teleport = (1.0 - damping) / n
 
     for _ in range(n_iters):
-        dang = aggregate(
-            ranks.filter(expr="outdeg == 0"), [], {"s": ("rank", "sum")}
-        ).take_all()[0]["s"] or 0.0
+        dang = to_table(aggregate(
+            ranks, [], {"s": ("rank", "sum")},
+            lambda t: t.filter(pc.equal(t.column("outdeg"), 0)),
+        )).column("s")[0].as_py() or 0.0
 
         joined = join(edges, ranks, on=[src_col], right_on=["node"])
 
@@ -303,7 +283,7 @@ def pagerank(
         # left-join the full node set against the contribution sums
         base = teleport + damping * dang / n
         merged = join(
-            ranks.select_columns(["node", "outdeg"]), sums,
+            map_blocks(ranks, lambda t: t.select(["node", "outdeg"])), sums,
             on=["node"], join_type="left_outer",
         )
 
@@ -320,9 +300,9 @@ def pagerank(
                 }
             )
 
-        ranks = merged.map_batches(_apply, batch_format="pyarrow").materialize()
+        ranks = map_blocks(merged, _apply)
 
-    return ranks.select_columns(["node", "rank"])
+    return map_blocks(ranks, lambda t: t.select(["node", "rank"]))
 
 
 def _cc_broadcast(
@@ -331,7 +311,7 @@ def _cc_broadcast(
 ) -> ray.data.Dataset:
     """Small-node-state connected-components path (same chooser rationale
     as _pagerank_broadcast): the label vector is broadcast per round, only
-    the EDGES stream, and each round is ONE map_batches pass — per-block
+    the EDGES stream, and each round is ONE `map_blocks` pass — per-block
     label mins by target (Arrow group_by), driver numpy fold. Labels are
     propagated as POSITIONS in the sorted node order (ints), so min-label
     semantics hold for any orderable node type; the final component id is
@@ -350,7 +330,7 @@ def _cc_broadcast(
         )
 
     parts = _collect_partials(
-        edges.map_batches(_n_partial, batch_format="pyarrow"),
+        map_blocks(edges, _n_partial),
         pa.schema([("u", u_type)]),
         key="u", agg=None,
     )
@@ -382,7 +362,7 @@ def _cc_broadcast(
             return g.rename_columns(["v", "lu"])
 
         parts = _collect_partials(
-            edges.map_batches(_partial, batch_format="pyarrow"),
+            map_blocks(edges, _partial),
             pa.schema([("v", pa.int64()), ("lu", pa.int64())]),
             key="v", agg=("lu", "min"),
         )
@@ -402,14 +382,10 @@ def _cc_broadcast(
             break
         labels = new
 
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "node": sorted_nodes,
-                "component": sorted_nodes.take(pa.array(labels)),
-            }
-        )
-    )
+    return from_table(pa.table({
+        "node": sorted_nodes,
+        "component": sorted_nodes.take(pa.array(labels)),
+    }))
 
 
 def connected_components(
@@ -470,13 +446,13 @@ def connected_components(
                 {"node": batch.column("node"), "label": new, "chg": changed}
             )
 
-        labels = merged.map_batches(_take_min, batch_format="pyarrow").materialize()
-        n_changed = aggregate(labels, [], {"c": ("chg", "sum")}).take_all()[0]["c"] or 0
-        labels = labels.select_columns(["node", "label"]).materialize()
-        if n_changed == 0:
+        labels = map_blocks(merged, _take_min)
+        n_changed = to_table(aggregate(labels, [], {"c": ("chg", "sum")})).column("c")[0].as_py()
+        labels = map_blocks(labels, lambda t: t.select(["node", "label"]))
+        if not n_changed:
             break
 
-    return labels.rename_columns({"label": "component"})
+    return map_blocks(labels, lambda t: t.rename_columns(["node", "component"]))
 
 
 def triangle_counts(
@@ -591,26 +567,15 @@ def kcore(
         if alive.count() == deg.count():
             return map_blocks(alive, _final)
         if fits_broadcast(alive.size_bytes() or 0):
-            keys_arr = pa.concat_arrays(
-                [
-                    t.column("src").combine_chunks()
-                    for t in ray.get(alive.to_arrow_refs())
-                ]
-            )
-            restricted = broadcast_semi_anti(
+            keys_arr = to_table(alive).column("src").combine_chunks()
+            edges = broadcast_semi_anti(
                 broadcast_semi_anti(edges, "src", keys_arr),
                 "dst",
                 keys_arr,
             )
-            edges = restricted.materialize()
         else:
-            keys = alive.map_batches(
-                lambda b: b.select(["src"]), batch_format="pyarrow"
-            )
-            keys_dst = alive.map_batches(
-                lambda b: pa.table({"dst": b.column("src")}),
-                batch_format="pyarrow",
-            )
+            keys = map_blocks(alive, lambda b: b.select(["src"]))
+            keys_dst = map_blocks(alive, lambda b: pa.table({"dst": b.column("src")}))
             edges = join(join(edges, keys, on=["src"]), keys_dst, on=["dst"])
     raise RuntimeError(
         f"kcore: no fixpoint within {max_rounds} rounds (k={k}) — raise "
@@ -652,7 +617,7 @@ def hits_scores(
     if ed.count() <= local_threshold:
         import numpy as np
 
-        et = pa.concat_tables(ray.get(ed.to_arrow_refs()))
+        et = to_table(ed)
         node_type = et.schema.field("src").type
         src = et.column("src").combine_chunks().to_numpy(zero_copy_only=False)
         dst = et.column("dst").combine_chunks().to_numpy(zero_copy_only=False)
@@ -667,52 +632,27 @@ def hits_scores(
             np.add.at(a, dst_i, h[src_i])
             h = np.zeros(m, np.int64)
             np.add.at(h, src_i, a[dst_i])
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "node": pa.array(nodes_all, node_type),
-                    "auth": pa.array(a, pa.int64()),
-                    "hub": pa.array(h, pa.int64()),
-                }
-            )
-        )
+        return from_table(pa.table({
+            "node": pa.array(nodes_all, node_type),
+            "auth": pa.array(a, pa.int64()),
+            "hub": pa.array(h, pa.int64()),
+        }))
 
-    ends = ed.map_batches(
-        lambda b: pa.table({"node": b.column("src")}), batch_format="pyarrow"
-    ).union(
-        ed.map_batches(
-            lambda b: pa.table({"node": b.column("dst")}),
-            batch_format="pyarrow",
-        )
-    )
-    nodes = aggregate(ends, ["node"], {})
-
-    h = nodes.map_batches(
-        lambda b: pa.table(
-            {
-                "node": b.column("node"),
-                "h": pa.array([1] * b.num_rows, pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    ).materialize()
+    nodes, _ = _distinct_nodes(ed, "src", "dst")
+    h = map_blocks(nodes, lambda b: pa.table({
+        "node": b.column("node"), "h": pa.array([1] * b.num_rows, pa.int64()),
+    }))
 
     a = None
     for _ in range(n_iters):
-        hsrc = h.map_batches(
-            lambda b: pa.table({"src": b.column("node"), "h": b.column("h")}),
-            batch_format="pyarrow",
-        )
+        hsrc = map_blocks(h, lambda b: pa.table({"src": b.column("node"), "h": b.column("h")}))
         a = aggregate(join(ed, hsrc, on=["src"]), ["dst"], {"a": ("h", "sum")})
         h = aggregate(
             join(ed, a, on=["dst"]), ["node"], {"h": ("h", "sum")},
             lambda b: pa.table({"node": b.column("src"), "h": b.column("a")}),
         )
 
-    an = a.map_batches(
-        lambda b: pa.table({"node": b.column("dst"), "a": b.column("a")}),
-        batch_format="pyarrow",
-    )
+    an = map_blocks(a, lambda b: pa.table({"node": b.column("dst"), "a": b.column("a")}))
     out = join(
         join(nodes, an, on=["node"], join_type="left_outer"),
         h,
@@ -729,4 +669,4 @@ def hits_scores(
             }
         )
 
-    return out.map_batches(_fin, batch_format="pyarrow")
+    return map_blocks(out, _fin)

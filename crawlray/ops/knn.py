@@ -216,9 +216,10 @@ def similar_pairs_cosine(
     P(P+1)/2 tasks, the inherent cost of the exact answer; use
     `ivf_search_knn` for the approximate sub-quadratic path.
     """
-    refs = block_pairs(partial(cosine_pairs, threshold=threshold),
-                       ds.select_columns([id_col, vec_col]), rows_per_block=rows_per_block)
-    return collect(refs, _PAIRS)
+    blocks = block_pairs(partial(cosine_pairs, threshold=threshold),
+                         map_blocks(ds, lambda t: t.select([id_col, vec_col])),
+                         rows_per_block=rows_per_block)
+    return collect([r for r, _ in blocks], _PAIRS)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -871,4 +872,5 @@ def cross_similar_join(
     def _probe(batch: pa.Table) -> pa.Table:
         return orient(_kernel(batch, ray.get(r_ref)), mode)
 
-    return as_dataset(_row_blocks(map_blocks(l_slim, _probe)), schema)
+    out = map_blocks(l_slim, _probe)
+    return out if out.count() else as_dataset([], schema)

@@ -136,12 +136,6 @@ def _shingle_hashes_batch(texts: list[str], n: int = 3) -> list[np.ndarray]:
     return out
 
 
-def _shingle_hashes(text: str, n: int = 3) -> np.ndarray:
-    """Scalar convenience wrapper over the vectorized batch kernel (kept for
-    tests' brute-force reference so LSH and brute force share one hash)."""
-    return _shingle_hashes_batch([text], n)[0]
-
-
 def _shingle_hashes_batch_md5(texts: list[str], n: int = 3) -> list[np.ndarray]:
     """Oracle-parity shingle hashes: x = first 4 bytes of md5 of the
     space-joined n-gram — exactly DuckDB's
@@ -500,9 +494,9 @@ def ngram_jaccard_pairs(
                            pa.list_(pa.string())),
         })
 
-    refs = block_pairs(partial(_jaccard_block, threshold=threshold),
-                       ds.map_batches(_sh, batch_format="pyarrow"), rows_per_block=rows_per_block)
-    return collect(refs, _JACCARD)
+    blocks = block_pairs(partial(_jaccard_block, threshold=threshold),
+                         map_blocks(ds, _sh), rows_per_block=rows_per_block)
+    return collect([r for r, _ in blocks], _JACCARD)
 
 
 def cdc_dup_pairs(

@@ -31,7 +31,10 @@ import ray
 import ray.data
 
 from crawlray.ops import exchange
-from crawlray.ops.exchange import _row_blocks, group_map, hash_exchange, join, map_blocks
+from crawlray.ops.exchange import (
+    Block, _metadata, _row_blocks, from_blocks, from_table, group_map, hash_exchange, join,
+    map_blocks,
+)
 
 # id_a of the one row a bucket emits to carry its drop count in id_b
 _DROPS = -(1 << 62)
@@ -168,8 +171,8 @@ def verify(
     else:
         bcast = None
         for side in "ab":
-            pairs = join(pairs, payload.rename_columns({"p": f"p_{side}"}),
-                         on=[f"id_{side}"], right_on=["id"])
+            named = map_blocks(payload, lambda t, s=side: t.rename_columns(["id", f"p_{s}"]))
+            pairs = join(pairs, named, on=[f"id_{side}"], right_on=["id"])
         refs = _row_blocks(pairs)
     return [_verify_task.remote(r, bcast, kernel, step) for r in refs]
 
@@ -180,9 +183,9 @@ def block_pairs(
     right: ray.data.Dataset | None = None,
     rows_per_block: int = 8192,
     exclude_equal: bool = False,
-) -> list[ray.ObjectRef]:
+) -> list[Block]:
     """`kernel(block_a, block_b)` on every block pair, one Ray task each;
-    returns the result blocks that hold rows.
+    returns the result blocks that hold rows, with their metadata.
 
     Sides are (id, value) by position, cut into blocks of at most
     `rows_per_block` rows. Without `right` it is a self join over i <= j
@@ -191,8 +194,7 @@ def block_pairs(
     pairs of equal ids. The kernel's result leads with the two id columns."""
 
     def _blocks(ds: ray.data.Dataset) -> list[ray.ObjectRef]:
-        ds = ds.materialize()
-        return _row_blocks(ds.repartition(max(1, -(-ds.count() // rows_per_block))).materialize())
+        return _row_blocks(exchange.rechunk(ds, rows_per_block))
 
     lb = _blocks(left)
     if right is None:
@@ -202,8 +204,8 @@ def block_pairs(
         rb = _blocks(right)
         jobs = [(a, b, "ne" if exclude_equal else None) for a in lb for b in rb]
     outs = [_pair_task.remote(kernel, a, b, mode) for a, b, mode in jobs]
-    counts = ray.get([c for _, c in outs])
-    return [t for (t, _), c in zip(outs, counts) if c]
+    metas = ray.get([m for _, m in outs])
+    return [(t, m) for (t, _), m in zip(outs, metas) if m.num_rows]
 
 
 def orient(t: pa.Table, mode: str | None) -> pa.Table:
@@ -236,9 +238,10 @@ def collect(refs: list[ray.ObjectRef] | ray.data.Dataset, schema: pa.Schema) -> 
     return pa.concat_tables(parts).sort_by([(c, "ascending") for c in schema.names[:2]])
 
 
-def as_dataset(refs: list[ray.ObjectRef], schema: pa.Schema) -> ray.data.Dataset:
-    """The result blocks as a Dataset, typed by `schema` when none holds rows."""
-    return ray.data.from_arrow_refs(refs) if refs else ray.data.from_arrow(schema.empty_table())
+def as_dataset(blocks: list[Block], schema: pa.Schema) -> ray.data.Dataset:
+    """The result blocks of `block_pairs` as a Dataset, typed by `schema`
+    when none holds rows."""
+    return from_blocks(blocks) if blocks else from_table(schema.empty_table())
 
 
 def pack(rows: np.ndarray | list[np.ndarray]) -> pa.Array:
@@ -302,4 +305,4 @@ def _verify_task(block: pa.Table, payload: pa.Table | None, kernel, step: int) -
 @ray.remote(num_returns=2)
 def _pair_task(kernel, a: pa.Table, b: pa.Table, mode: str | None):
     t = orient(kernel(a, b), mode)
-    return t, t.num_rows
+    return t, _metadata(t)

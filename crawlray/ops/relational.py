@@ -26,10 +26,14 @@ import ray.data
 from crawlray.ops.exchange import (
     aggregate,
     aggregate_fns,
+    concat,
+    from_table,
     group_map,
     hash_exchange,
     join,
     map_blocks,
+    partials,
+    pin,
     sort_order,
     sorted_runs,
 )
@@ -53,7 +57,7 @@ def broadcast_join(
         rhs = ray.get(small_ref)
         return batch.join(rhs, keys=keys, join_type=join_type)
 
-    return big.map_batches(_join, batch_format="pyarrow")
+    return map_blocks(big, _join)
 
 
 # Large-large join: hash-shuffle both sides on the key. Chooser — which
@@ -86,7 +90,7 @@ def broadcast_semi_anti(
             mask = pc.invert(mask)
         return batch.filter(mask)
 
-    return big.map_batches(_filter, batch_format="pyarrow")
+    return map_blocks(big, _filter)
 
 
 def topk(
@@ -106,8 +110,7 @@ def topk(
     def _top(t: pa.Table) -> pa.Table:
         return t.take(pc.sort_indices(t, sort_keys=order)[:k])
 
-    tops = map_blocks(ds, _top).to_arrow_refs()
-    return ray.data.from_arrow(_top(pa.concat_tables(ray.get(tops), promote_options="permissive")))
+    return from_table(_top(pa.concat_tables(partials(ds, _top), promote_options="permissive")))
 
 
 def md5_digest_col(
@@ -164,9 +167,7 @@ def hash_sample(
         # complement of keep-all is EMPTY — honor invert so the two
         # calls still partition the input exactly at this edge.
         if invert:
-            return ds.map_batches(
-                lambda b: b.slice(0, 0), batch_format="pyarrow"
-            )
+            return map_blocks(ds, lambda b: b.slice(0, 0))
         return ds
     threshold = format(buckets_kept, "02x")
     cmp = pc.greater_equal if invert else pc.less
@@ -184,7 +185,7 @@ def hash_sample(
             )
         return batch.filter(cmp(prefixes, threshold))
 
-    return ds.map_batches(_sample, batch_format="pyarrow")
+    return map_blocks(ds, _sample)
 
 
 def hash_split(
@@ -642,13 +643,12 @@ def sample_hot_keys(
 
     agg: dict = {}
     n_seen = 0
-    for r in ds.select_columns([key]).map_batches(
-        _vc, batch_format="pyarrow"
-    ).take_all():
-        if r["v"] is None:
-            n_seen += r["c"]
-        else:
-            agg[r["v"]] = agg.get(r["v"], 0) + r["c"]
+    for part in partials(ds, _vc):
+        for r in part.to_pylist():
+            if r["v"] is None:
+                n_seen += r["c"]
+            else:
+                agg[r["v"]] = agg.get(r["v"], 0) + r["c"]
     if total_rows is None:
         total_rows = n_seen
     if not total_rows:
@@ -697,15 +697,14 @@ def salted_grouped_topk(
     `sample_hot_keys`. Cold keys keep salt 0 and skip the second shuffle's
     fan-out entirely.
     """
+    ds = pin(ds)
     if hot_keys is None:
         hot_keys = sample_hot_keys(ds, group_cols[0])
     hot_ref = ray.put(pa.array(list(hot_keys)))
-    salted = ds.map_batches(
-        _salt_batch_fn(group_cols[0], hot_ref, num_salts), batch_format="pyarrow"
-    )
-    partial = grouped_topk(
+    salted = map_blocks(ds, _salt_batch_fn(group_cols[0], hot_ref, num_salts))
+    partial = map_blocks(grouped_topk(
         salted, group_cols + ["_salt"], order_col, k, descending, tiebreak_col
-    ).drop_columns(["_salt"])
+    ), lambda t: t.drop_columns(["_salt"]))
     return grouped_topk(partial, group_cols, order_col, k, descending, tiebreak_col)
 
 
@@ -724,12 +723,11 @@ def salted_shuffle_join(
     key's join work spreads over num_salts partitions. Results are
     identical to the unsalted inner join (row multiset equality).
     """
+    left = pin(left)
     if hot_keys is None:
         hot_keys = sample_hot_keys(left, on)
     hot_ref = ray.put(pa.array(list(hot_keys)))
-    lsalted = left.map_batches(
-        _salt_batch_fn(on, hot_ref, num_salts), batch_format="pyarrow"
-    )
+    lsalted = map_blocks(left, _salt_batch_fn(on, hot_ref, num_salts))
 
     def _replicate(batch: pa.Table) -> pa.Table:
         hot = ray.get(hot_ref)
@@ -749,12 +747,12 @@ def salted_shuffle_join(
         ]
         return pa.concat_tables([cold] + reps)
 
-    rsalted = right.map_batches(_replicate, batch_format="pyarrow")
+    rsalted = map_blocks(right, _replicate)
     joined = join(
         lsalted, rsalted, on=[on, "_salt"], join_type="inner",
         num_partitions=num_partitions,
     )
-    return joined.drop_columns(["_salt"])
+    return map_blocks(joined, lambda t: t.drop_columns(["_salt"]))
 
 
 def salted_session_windows(
@@ -781,6 +779,7 @@ def salted_session_windows(
     """
     if bucket_seconds is None:
         bucket_seconds = gap_seconds * 1024.0
+    ds = pin(ds)
     if hot_keys is None:
         hot_keys = sample_hot_keys(ds, key)
     hot_ref = ray.put(pa.array(list(hot_keys)))
@@ -1071,7 +1070,7 @@ def bloom_semi_join(
         lo, hi = murmur3_x64_128_batch(col)
         return lo, hi | np.uint64(1)  # odd step for double hashing
 
-    def _build_partial(batch: pa.Table) -> pa.Table:
+    def _build_partial(batch: pa.Table) -> np.ndarray:
         bits = np.zeros(num_bits // 64, np.uint64)
         lo, step = _key_hashes(batch.column(key))
         for i in range(num_hashes):
@@ -1080,46 +1079,32 @@ def bloom_semi_join(
                 bits, (pos >> np.uint64(6)).astype(np.int64),
                 np.uint64(1) << (pos & np.uint64(63)),
             )
-        return pa.table(
-            {"bits": pa.array([bits.tobytes()], pa.binary())}
-        )
+        return bits
 
-    merged = np.zeros(num_bits // 64, np.uint64)
-    for row in (
-        right.select_columns([key])
-        .map_batches(_build_partial, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    ):
-        merged |= np.frombuffer(row["bits"], np.uint64)
+    # the right side is read twice (the filter and the verify side), and
+    # the left side twice for an anti join: pin both
+    left, right = pin(left), pin(right)
+    merged = np.bitwise_or.reduce(
+        [np.zeros(num_bits // 64, np.uint64), *partials(right, _build_partial)]
+    )
     bloom_ref = ray.put(merged)
 
-    def _probe(batch: pa.Table) -> pa.Table:
-        bits = ray.get(bloom_ref)
-        lo, step = _key_hashes(batch.column(key))
-        hit = np.ones(len(lo), bool)
-        for i in range(num_hashes):
-            pos = (lo + np.uint64(i) * step) % nb
-            word = bits[(pos >> np.uint64(6)).astype(np.int64)]
-            hit &= (word >> (pos & np.uint64(63))) & np.uint64(1) != 0
-        return batch.filter(pa.array(hit))
+    def _probe(hit_wanted: bool):
+        def _filter(batch: pa.Table) -> pa.Table:
+            bits = ray.get(bloom_ref)
+            lo, step = _key_hashes(batch.column(key))
+            hit = np.ones(len(lo), bool)
+            for i in range(num_hashes):
+                pos = (lo + np.uint64(i) * step) % nb
+                word = bits[(pos >> np.uint64(6)).astype(np.int64)]
+                hit &= (word >> (pos & np.uint64(63))) & np.uint64(1) != 0
+            return batch.filter(pa.array(hit == hit_wanted))
 
-    def _probe_inv(batch: pa.Table) -> pa.Table:
-        bits = ray.get(bloom_ref)
-        lo, step = _key_hashes(batch.column(key))
-        hit = np.ones(len(lo), bool)
-        for i in range(num_hashes):
-            pos = (lo + np.uint64(i) * step) % nb
-            word = bits[(pos >> np.uint64(6)).astype(np.int64)]
-            hit &= (word >> (pos & np.uint64(63))) & np.uint64(1) != 0
-        return batch.filter(pa.array(~hit))
+        return _filter
 
     density = float(np.unpackbits(merged.view(np.uint8)).sum()) / num_bits
     saturated = density**num_hashes > 0.5
-    candidates = (
-        left
-        if saturated
-        else left.map_batches(_probe, batch_format="pyarrow")
-    )
+    candidates = left if saturated else map_blocks(left, _probe(True))
     # no fixed repartition here (ADVICE r3): join's size-aware
     # num_partitions default scales with the right key set; a hardcoded
     # repartition(2) would funnel a large key set into 2 reduce tasks.
@@ -1128,9 +1113,10 @@ def bloom_semi_join(
     # a no-aggs `aggregate`). The dedup is a hash exchange, not Ray's
     # sort-based groupby (the sort shuffle was measured at 20x+ a hash
     # exchange on key sets of this shape).
-    rdist = right.select_columns([key])
-    if not right_is_distinct:
-        rdist = aggregate(rdist, [key], {})
+    if right_is_distinct:
+        rdist = map_blocks(right, lambda t: t.select([key]))
+    else:
+        rdist = aggregate(right, [key], {})
     # semi/anti joins emit each left row at most once, whatever the
     # multiplicity of its key on the right
     verified = join(
@@ -1141,8 +1127,7 @@ def bloom_semi_join(
         # saturated: every left row was a candidate, so the verify IS the
         # full anti result — a probe_inv pass would reject ~nothing
         return verified
-    definite = left.map_batches(_probe_inv, batch_format="pyarrow")
-    return definite.union(verified)
+    return concat([map_blocks(left, _probe(False)), verified])
 
 
 def weighted_sample(
@@ -1202,8 +1187,9 @@ def weighted_sample(
             raise ValueError("weights must be positive")
         return batch.append_column("_es", pa.array(u ** (1.0 / w)))
 
-    scored = ds.map_batches(_score, batch_format="pyarrow")
-    return topk(scored, ["_es", key_col], k, [True, False]).drop_columns(["_es"])
+    scored = map_blocks(ds, _score)
+    return map_blocks(topk(scored, ["_es", key_col], k, [True, False]),
+                      lambda t: t.drop_columns(["_es"]))
 
 
 def set_op(
@@ -1231,11 +1217,7 @@ def set_op(
 
         return _t
 
-    both = left.select_columns(cols).map_batches(
-        _tag(0), batch_format="pyarrow"
-    ).union(
-        right.select_columns(cols).map_batches(_tag(1), batch_format="pyarrow")
-    )
+    both = concat([map_blocks(left, _tag(0)), map_blocks(right, _tag(1))])
     partial, merge = aggregate_fns(cols, {"mn": ("_side", "min"), "mx": ("_side", "max")})
 
     def _keep(group: pa.Table) -> pa.Table:

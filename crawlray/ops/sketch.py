@@ -1,10 +1,10 @@
 """Approximate-distinct sketches (SURVEY.md O-32): HyperLogLog.
 
 Flajolet et al.'s HLL with the standard small-range (linear counting)
-correction. Partial registers are computed per batch inside `map_batches`
-(numpy-vectorized) and merged by register-wise max — the classic
-commutative/idempotent sketch merge, so task retries and arbitrary block
-orders cannot skew the estimate. Driver-side state is one `m = 2^p`-byte
+correction. Partial registers are computed per block by
+`exchange.partials` (numpy-vectorized) and merged by register-wise max —
+the classic commutative/idempotent sketch merge, so task retries and
+arbitrary block orders cannot skew the estimate. Driver-side state is one `m = 2^p`-byte
 register array per merge site, never rows.
 
 Used for frontier/seen-set cardinality metrics at 10^10-URL scale, where an
@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import group_map, map_blocks
+from crawlray.ops.exchange import group_map, map_blocks, partials, to_table
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -107,14 +107,14 @@ def approx_distinct(
     """HLL cardinality estimate of a Dataset column. One map pass emitting
     a 2^p-byte partial per block; driver merges registers (never rows)."""
 
-    def _partial(batch: pa.Table) -> pa.Table:
+    def _partial(batch: pa.Table) -> np.ndarray:
         h = HLL(p)
         h.add_hashes(_hash_column(batch.column(col).combine_chunks()))
-        return pa.table({"registers": pa.array([h.registers.tobytes()], pa.binary())})
+        return h.registers
 
     merged = HLL(p)
-    for row in ds.map_batches(_partial, batch_format="pyarrow").take_all():
-        merged.merge(HLL(p, np.frombuffer(row["registers"], dtype=np.uint8).copy()))
+    for registers in partials(ds, _partial):
+        merged.merge(HLL(p, registers))
     return merged.estimate()
 
 
@@ -209,9 +209,7 @@ def frequent_items(
         )
 
     total = MGSummary(k)
-    for row in ds.map_batches(
-        _partial, batch_format="pyarrow", batch_size=None
-    ).take_all():
+    for row in (t.to_pylist()[0] for t in partials(ds, _partial)):
         part = MGSummary(k)
         part.counts = dict(zip(row["items"], row["cnts"]))
         part.decremented = row["dec"]
@@ -293,15 +291,7 @@ def bottomk_sample(
 
     import pyarrow.compute as pc
 
-    tbls = [
-        t
-        for t in ray.get(
-            ds.map_batches(_partial, batch_format="pyarrow")
-            .materialize()
-            .to_arrow_refs()
-        )
-        if t.num_columns > 0
-    ]
+    tbls = [t for t in partials(ds, _partial) if t.num_rows]
     if not tbls:
         raise ValueError("bottomk_sample: input dataset is empty")
     parts = pa.concat_tables(tbls)
@@ -388,8 +378,7 @@ def approx_distinct_by(
 
     # map_blocks runs `_partial` on a 0-row input's typed empty table, so
     # every exchange output block is a typed (group, estimate) table
-    out = group_map(map_blocks(ds, _partial), [group_col], _merge)
-    return pa.concat_tables(ray.get(out.to_arrow_refs()))
+    return to_table(group_map(map_blocks(ds, _partial), [group_col], _merge))
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +458,7 @@ def count_min(
             }
         )
 
-    rows = aggregate(ds, ["slot"], {"cnt": ("cnt", "sum")}, _partial).take_all()
+    rows = to_table(aggregate(ds, ["slot"], {"cnt": ("cnt", "sum")}, _partial)).to_pylist()
     cm = np.zeros(depth * width, np.int64)
     for r in rows:
         cm[r["slot"]] = r["cnt"]

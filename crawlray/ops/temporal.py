@@ -34,7 +34,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from crawlray.ops.exchange import group_map
+from crawlray.ops.exchange import concat, group_map, join, map_blocks, pin
 
 
 def _ts_i64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -92,6 +92,7 @@ def asof_join(
     if join_type not in ("inner", "left"):
         raise ValueError("join_type must be 'inner' or 'left'")
 
+    left, right = pin(left), pin(right)
     left_schema = left.schema()
     left_names = list(left_schema.names)
     left_types = dict(zip(left_schema.names, left_schema.types))
@@ -133,9 +134,7 @@ def asof_join(
         cols["_side"] = pa.array(np.ones(n, dtype=np.int8))
         return pa.table(cols)
 
-    both = left.map_batches(_pad_left, batch_format="pyarrow").union(
-        right.map_batches(_pad_right, batch_format="pyarrow")
-    )
+    both = concat([map_blocks(left, _pad_left), map_blocks(right, _pad_right)])
     out_payload_names = [out_names[c] for c in right_payload]
 
     def _kernel(group: pa.Table) -> pa.Table:
@@ -258,8 +257,7 @@ def range_join(
     """
     if bucket_width <= 0:
         raise ValueError("bucket_width must be positive")
-    from crawlray.ops.exchange import join, map_blocks
-
+    left, right = pin(left), pin(right)
     # Rename colliding right columns up front (Dataset.join has no default
     # suffixing) so the output schema is deterministic.
     left_names = set(left.schema().names)

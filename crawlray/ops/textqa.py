@@ -25,6 +25,9 @@ from crawlray.ops.exchange import (
     hash_exchange,
     join,
     map_blocks,
+    partials,
+    pin,
+    to_table,
 )
 
 # Tiny per-language stopword lists for the n-gram/stopword heuristic
@@ -53,9 +56,7 @@ def explode_tokens(
     with_len=True additionally carries `dl` (the parent document's token
     count) on every row — computed map-side from the same split, so
     downstream length-normalized scoring (BM25) needs no doc-length join."""
-    return ds.map_batches(
-        _token_exploder(id_col, text_col, with_len), batch_format="pyarrow"
-    )
+    return map_blocks(ds, _token_exploder(id_col, text_col, with_len))
 
 
 def _token_exploder(id_col: str, text_col: str, with_len: bool = False):
@@ -380,6 +381,7 @@ def tfidf(
     metadata). Scores are rounded to `ndigits` so distributed float jitter
     can't flip an external oracle's value hash.
     """
+    ds = pin(ds)
     n_docs = ds.count()
     # dl is functionally dependent on id_col, so adding it as a group key
     # changes no group and costs only the extra int64 hash mix per row.
@@ -389,7 +391,7 @@ def tfidf(
         _token_exploder(id_col, text_col, with_len=bm25),
     )
     # an empty corpus has no average length (and no rows to score)
-    avgdl = float(tf.sum("tf")) / float(n_docs) if bm25 and n_docs else 0.0
+    avgdl = _column_sum(tf, "tf") / float(n_docs) if bm25 and n_docs else 0.0
 
     def _score(group: pa.Table) -> pa.Table:
         df = group.group_by(["token"]).aggregate([([], "count_all")])
@@ -420,6 +422,11 @@ def tfidf(
     return hash_exchange(tf, ["token"], _score)
 
 
+def _column_sum(ds: ray.data.Dataset, col: str) -> float:
+    """The sum of numeric `col` over `ds` (0 when it has no rows)."""
+    return float(sum(partials(ds, lambda t: pc.sum(t.column(col)).as_py() or 0)))
+
+
 def explode_bigrams(
     ds: ray.data.Dataset,
     id_col: str = "doc_id",
@@ -431,9 +438,7 @@ def explode_bigrams(
     whitespace split per batch, flat token buffer indexed by numpy offset
     arithmetic — no Python loop over rows. DuckDB equivalent:
     `FROM toks, UNNEST(range(1, len(t))) u(i)` with t[i] / t[i+1]."""
-    return ds.map_batches(
-        _bigram_exploder(id_col, text_col, extra_cols), batch_format="pyarrow"
-    )
+    return map_blocks(ds, _bigram_exploder(id_col, text_col, extra_cols))
 
 
 def _bigram_exploder(
@@ -500,6 +505,7 @@ def pmi_collocations(
          corpus scan).
     Scores are rounded to `ndigits`; the arithmetic parenthesization
     mirrors the DuckDB oracle so doubles are bit-identical."""
+    ds = pin(ds)  # read twice: the bigram and the unigram counts
     c12_partial, c12_sum = aggregate_fns(
         ["w1", "w2"], {"c12": (None, "count")}, _bigram_exploder(id_col, text_col)
     )
@@ -544,7 +550,7 @@ def pmi_collocations(
         )
 
     if fits_broadcast(uni.size_bytes() or 0):
-        ut = pa.concat_tables(ray.get(uni.to_arrow_refs())).combine_chunks()
+        ut = to_table(uni).combine_chunks()
         tu = float(pc.sum(ut.column("c")).as_py() or 0)
         sides_ref = ray.put((_as("w1", "c1")(ut), _as("w2", "c2")(ut)))
 
@@ -554,11 +560,9 @@ def pmi_collocations(
 
         return map_blocks(c12, _attach_score)
     # an empty corpus has no tokens: TU is unused, there is nothing to score
-    tu = float(uni.sum("c") or 0)
-    j1 = join(c12, uni.map_batches(_as("w1", "c1"), batch_format="pyarrow"),
-              on=["w1"])
-    j2 = join(j1, uni.map_batches(_as("w2", "c2"), batch_format="pyarrow"),
-              on=["w2"])
+    tu = _column_sum(uni, "c")
+    j1 = join(c12, map_blocks(uni, _as("w1", "c1")), on=["w1"])
+    j2 = join(j1, map_blocks(uni, _as("w2", "c2")), on=["w2"])
     return map_blocks(j2, lambda b: _score(b, tu))
 
 
@@ -1047,7 +1051,7 @@ def corpus_diagnostics(
     # doc counts are a per-source summary (one row per source) — collected
     # once and broadcast against the equally-small g side
     nd = aggregate(ds, [source_col], {"n_docs": (None, "count")})
-    j = broadcast_join(g, pa.concat_tables(ray.get(nd.to_arrow_refs())), keys=[source_col])
+    j = broadcast_join(g, to_table(nd), keys=[source_col])
 
     def _final(batch: pa.Table) -> pa.Table:
         nt = (
@@ -1448,10 +1452,9 @@ GOPHER_DEFAULTS = dict(
 def _gopher_signal_batch(
     batch: pa.Table, id_col: str, text_col: str, thr: dict
 ) -> pa.Table:
-    """Per-batch kernel shared by gopher_signals (emit) and gopher_filter
-    (apply): every signal is an exact integer count or an exact IEEE
-    division of integer counts, so a SQL oracle reproduces each value
-    bit-for-bit with no rounding.
+    """Per-batch kernel of gopher_signals: every signal is an exact
+    integer count or an exact IEEE division of integer counts, so a SQL
+    oracle reproduces each value bit-for-bit with no rounding.
 
       * mean_wlen == list_avg(word lengths): under a single-space split,
         sum(len(word)) == len(text) - (n_tokens - 1) identically, so the
@@ -1541,25 +1544,6 @@ def gopher_signals(
     return ds.map_batches(_sig, batch_format="pyarrow")
 
 
-def gopher_filter(
-    ds: ray.data.Dataset,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    **thresholds,
-) -> ray.data.Dataset:
-    """Keep only documents passing the Gopher rules — the production
-    filter form: signals are computed and applied per batch in one
-    streaming pass (original columns preserved, failing rows never leave
-    the scan stage), no shuffle, no second read of the corpus."""
-    thr = {**GOPHER_DEFAULTS, **thresholds}
-
-    def _filt(batch: pa.Table) -> pa.Table:
-        sig = _gopher_signal_batch(batch, id_col, text_col, thr)
-        return batch.filter(sig.column("keep"))
-
-    return ds.map_batches(_filt, batch_format="pyarrow")
-
-
 def inverted_index(
     ds: ray.data.Dataset,
     id_col: str = "doc_id",
@@ -1615,10 +1599,4 @@ def inverted_index(
             }
         )
 
-    return hash_exchange(
-        ds.select_columns([id_col, text_col]),
-        ["token"],
-        _index,
-        _pairs,
-        num_partitions,
-    )
+    return hash_exchange(ds, ["token"], _index, _pairs, num_partitions)

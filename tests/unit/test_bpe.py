@@ -320,10 +320,18 @@ def test_bpe_segment_join_path_string_ids(ray_session, monkeypatch):
         assert all(isinstance(u, str) for u, _ in got[0])
 
 
+def _byte_encode(s: str) -> str:
+    """Python reference encoder: the UTF-8 bytes of `s` mapped through
+    the byte-level symbol alphabet."""
+    from crawlray.ops.bpe import _BYTE_TO_CHAR
+
+    return "".join(_BYTE_TO_CHAR[b] for b in s.encode("utf-8"))
+
+
 def test_bytes_to_chars_matches_python_encoder(ray_session):
     """The vectorized buffer-level byte translation equals the per-char
     Python reference on ASCII, '|', unicode, and empty strings."""
-    from crawlray.ops.bpe import byte_decode, byte_encode, bytes_to_chars
+    from crawlray.ops.bpe import byte_decode, bytes_to_chars
 
     samples = [
         "plain",
@@ -336,7 +344,7 @@ def test_bytes_to_chars_matches_python_encoder(ray_session):
         "|",
     ]
     got = bytes_to_chars(pa.array(samples, pa.string())).to_pylist()
-    want = [byte_encode(s) for s in samples]
+    want = [_byte_encode(s) for s in samples]
     assert got == want
     # bijection round-trips (errors='replace' never fires on whole strings)
     assert [byte_decode(g) for g in got] == samples
@@ -344,7 +352,7 @@ def test_bytes_to_chars_matches_python_encoder(ray_session):
     # kept identity only as the word separator itself)
     for g, s in zip(got, samples):
         assert "|" not in g.replace(" ", "") or "|" not in s is False
-    assert "|" not in byte_encode("|")
+    assert "|" not in _byte_encode("|")
 
 
 def test_bytes_to_chars_offset_overflow_raises():
@@ -389,7 +397,7 @@ def test_bpe_byte_level_train_matches_reference(ray_session):
 
     import ray.data
 
-    from crawlray.ops.bpe import byte_encode, bpe_train
+    from crawlray.ops.bpe import bpe_train
 
     corpus = [
         "The cat, the CAT, the c-a-t!",
@@ -406,7 +414,7 @@ def test_bpe_byte_level_train_matches_reference(ray_session):
     for t in corpus:
         for w in re.sub(r"\s+", " ", t).split(" "):
             if w:
-                wf[byte_encode(w)] += 1
+                wf[_byte_encode(w)] += 1
     want, _ = _ref_train(dict(wf), 10)
     assert [(g["left"], g["right"], g["cnt"]) for g in got] == want
 
@@ -427,7 +435,6 @@ def test_bpe_byte_level_segment_modes_and_roundtrip(ray_session):
 
     from crawlray.ops.bpe import (
         byte_decode,
-        byte_encode,
         bpe_segment_tokens,
         bpe_train,
     )
@@ -459,7 +466,7 @@ def test_bpe_byte_level_segment_modes_and_roundtrip(ray_session):
     ]
     for i, t in enumerate(corpus):
         words = [
-            byte_encode(w)
+            _byte_encode(w)
             for w in re.sub(r"\s+", " ", t).split(" ")
             if w
         ]

@@ -678,16 +678,36 @@ def test_decontaminate_spans_hand_case(ray_session):
     assert got2 == got
 
 
+def _cut_spans(ds, spans, id_col="doc_id", text_col="text"):
+    """Apply an arbitrary cut list (id, span_start, span_end) to a corpus
+    through remove_dup_spans' cut engine: starts clip at 0 here, because
+    pos == -1 marks a document row in the engine's shared schema."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from crawlray.ops.corpusprep import _cut_cover
+    from crawlray.ops.exchange import map_blocks
+
+    def _norm_spans(batch):
+        return pa.table({
+            id_col: batch.column(id_col),
+            "pos": pc.max_element_wise(pc.cast(batch.column("span_start"), pa.int64()), 0),
+            "end": pc.cast(batch.column("span_end"), pa.int64()),
+        })
+
+    return _cut_cover(ds, map_blocks(spans, _norm_spans), id_col, text_col, None)
+
+
 def test_cut_spans_equals_remove_dup_spans(ray_session):
     """The composable cut list applied to dup_spans' output == the fused
     remove_dup_spans path over the full fixture corpus (overlap union,
     clipping, empty-span docs all exercised by real data)."""
-    from crawlray.ops.corpusprep import cut_spans, dup_spans, remove_dup_spans
+    from crawlray.ops.corpusprep import dup_spans, remove_dup_spans
 
     ds = ray.data.read_parquet(DOCS, columns=["doc_id", "text"])
     via_spans = {
         r["doc_id"]: (r["text_clean"], r["n_removed"])
-        for r in cut_spans(ds, dup_spans(ds, n=5)).take_all()
+        for r in _cut_spans(ds, dup_spans(ds, n=5)).take_all()
     }
     fused = {
         r["doc_id"]: (r["text_clean"], r["n_removed"])
@@ -701,8 +721,6 @@ def test_cut_spans_clipping_and_overlap(ray_session):
     """Arbitrary caller spans: negative start clips to 0, end beyond the
     doc clips to its token count, overlapping spans union, a doc with no
     spans passes through."""
-    from crawlray.ops.corpusprep import cut_spans
-
     docs = ray.data.from_pandas(
         pd.DataFrame(
             {"doc_id": [1, 2], "text": ["a b c d e f", "x y z"]}
@@ -719,6 +737,6 @@ def test_cut_spans_clipping_and_overlap(ray_session):
     )
     got = {
         r["doc_id"]: (r["text_clean"], r["n_removed"])
-        for r in cut_spans(docs, spans).take_all()
+        for r in _cut_spans(docs, spans).take_all()
     }
     assert got == {1: ("", 6), 2: ("x y z", 0)}

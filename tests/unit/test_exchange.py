@@ -454,6 +454,115 @@ def test_map_blocks_drops_blocks_without_rows(ray_session, keep_from, blocks):
     assert list(got.schema().types) == [pa.int64(), pa.string()]
 
 
+def _timeline_count(name: str, t0: float, t1: float) -> int:
+    """Task events of `name` that Ray's timeline shows starting in
+    [t0, t1] (seconds since the epoch)."""
+    import ray
+
+    return sum(
+        1 for e in ray.timeline()
+        if e.get("cat", "").startswith("task::") and e.get("name", "").endswith("." + name)
+        and t0 <= e["ts"] / 1e6 <= t1
+    )
+
+
+def _chain():
+    """aggregate -> map_blocks -> join -> sort + scan -> block_pairs ->
+    concat, every step on the exchange-built result of the one before.
+    Returns the steps' results in order."""
+    from crawlray.ops import exchange, pairs
+
+    t = pa.table({"k": np.arange(200) % 13, "v": np.arange(200)})
+    base = exchange.concat([exchange.from_table(t.slice(i, 50)) for i in range(0, 200, 50)])
+    agg = exchange.aggregate(base, ["k"], {"n": (None, "count"), "s": ("v", "sum")})
+    mapped = exchange.map_blocks(agg, lambda b: b.append_column("d", pc.multiply(b.column("s"), 2)))
+    joined = exchange.join(mapped, base, on=["k"])
+    ordered = exchange.sort(joined, ["k", "v"])
+    scanned = exchange.scan(
+        ordered, lambda p: p.num_rows, lambda s, x: s + x,
+        lambda p, s: p.append_column("pos", pa.array(np.arange(p.num_rows) + s)), 0,
+    )
+    sides = exchange.map_blocks(scanned, lambda b: pa.table({"id": b.column("pos"), "k": b.column("k")}))
+
+    def _same_k(a: pa.Table, b: pa.Table) -> pa.Table:
+        j = a.rename_columns(["id_a", "k"]).join(b.rename_columns(["id_b", "k"]), keys="k")
+        return j.select(["id_a", "id_b"])
+
+    schema = pa.schema([("id_a", pa.int64()), ("id_b", pa.int64())])
+    found = pairs.as_dataset(pairs.block_pairs(_same_k, sides, rows_per_block=64), schema)
+    out = exchange.concat([found, exchange.from_table(schema.empty_table())])
+    return [base, agg, mapped, joined, ordered, scanned, sides, found, out]
+
+
+def _agrees_with_its_blocks(ds, rows: int):
+    """`ds`'s count, schema, size, pandas frame, union and map_batches
+    agree with the blocks its plan holds."""
+    import ray
+
+    from crawlray.ops import exchange
+
+    held = exchange._blocks(ds)
+    table = pa.concat_tables([ray.get(r) for r, _ in held])
+    assert ds.count() == table.num_rows == sum(m.num_rows for _, m in held) == rows
+    assert ds.schema().names == table.schema.names
+    assert list(ds.schema().types) == list(table.schema.types)
+    # the bytes each task measured before its block was stored
+    assert ds.size_bytes() == sum(m.size_bytes for _, m in held)
+    assert len(ds.to_pandas()) == rows
+    if rows:
+        key = [(c, "ascending") for c in table.schema.names]
+        assert pa.Table.from_pandas(ds.to_pandas(), preserve_index=False).sort_by(key).equals(
+            table.sort_by(key))
+    assert ds.union(ds).materialize().count() == 2 * rows
+    assert ds.map_batches(lambda b: b, batch_format="pyarrow").materialize().count() == rows
+
+
+def test_exchange_results_hold_their_blocks_and_metadata(ray_session, monkeypatch):
+    """The Ray 2.49 internals `exchange.from_blocks` builds on: a chain
+    of exchange steps starts no `get_table_block_metadata_schema` task
+    and no `ExecutionPlan.execute` (each step reads its input's snapshot),
+    and Ray Data's own calls on the result agree with its blocks, also
+    for a typed 0-row result. A Ray upgrade that moves these internals
+    fails here."""
+    import time
+
+    import ray
+    from ray.data._internal.plan import ExecutionPlan
+
+    from crawlray.ops import exchange
+
+    executed = []
+    execute = ExecutionPlan.execute
+
+    def _counted(self, *args, **kwargs):
+        executed.append(self)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExecutionPlan, "execute", _counted)
+    t0 = time.time()
+    steps = _chain()
+    t1 = time.time()
+    assert not executed
+    monkeypatch.setattr(ExecutionPlan, "execute", execute)
+    # a control: one metadata task, which the timeline must show
+    ray.data.from_arrow_refs([ray.put(pa.table({"x": [1]}))])
+    t2 = time.time()
+    deadline = time.time() + 30
+    while not _timeline_count("get_table_block_metadata_schema", t1, t2 + 1):
+        assert time.time() < deadline, "the timeline shows no task events"
+        time.sleep(0.5)
+    time.sleep(2)  # workers report task events about once a second
+    assert _timeline_count("_reduce", t0, t1) and _timeline_count("_pair_task", t0, t1)
+    assert _timeline_count("get_table_block_metadata_schema", t0, t1) == 0
+
+    out = steps[-1]
+    assert out.count() > 0
+    _agrees_with_its_blocks(out, out.count())
+    empty = exchange.map_blocks(out, lambda b: b.slice(0, 0))
+    _agrees_with_its_blocks(empty, 0)
+    assert empty.schema().names == ["id_a", "id_b"]
+
+
 def _calls(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -475,9 +584,13 @@ def test_only_exchange_module_joins_or_routes():
     `ray.data.aggregate`: ordered work goes through `exchange.sort` and
     `exchange.scan`, global aggregates and distinct values through
     `exchange.aggregate`. Nothing names the removed `typed_map` (typed
-    maps go through `exchange.map_blocks`), and the driver entry calls
-    `.union(` only in `_tagged_union`, which builds every tagged union,
-    and in `_union_all`, the union operator under test."""
+    maps go through `exchange.map_blocks`). Nothing calls
+    `from_arrow_refs`, whose metadata tasks `exchange.from_blocks`
+    replaces, and no module but exchange.py imports from
+    `ray.data._internal`, so the Ray internals stay in one place. The
+    driver entry calls `.union(` only in `_union_all`, the union
+    operator under test: tagged unions join block lists with
+    `exchange.concat`."""
     entry = OPS.parents[1] / "__ray_entry__.py"
     offenders = []
     for path in [*sorted(OPS.parent.rglob("*.py")), entry]:
@@ -486,11 +599,20 @@ def test_only_exchange_module_joins_or_routes():
                     or getattr(node, "name", None))
             if name == "typed_map":
                 offenders.append(f"{path.name}:{node.lineno} names typed_map")
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            ) == "from_arrow_refs":
+                offenders.append(f"{path.name}:{node.lineno} calls from_arrow_refs")
+            mods = ([node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+                    if isinstance(node, ast.ImportFrom)
+                    else [a.name for a in node.names] if isinstance(node, ast.Import) else [])
+            if path != OPS / "exchange.py" and any(
+                m == "ray.data._internal" or m.startswith("ray.data._internal.") for m in mods
+            ):
+                offenders.append(f"{path.name}:{node.lineno} imports ray.data._internal")
     for fn in ast.parse(entry.read_text()).body:
         for call in _calls(fn):
-            if call.func.attr == "union" and getattr(fn, "name", None) not in (
-                "_tagged_union", "_union_all"
-            ):
+            if call.func.attr == "union" and getattr(fn, "name", None) != "_union_all":
                 offenders.append(f"{entry.name}:{call.lineno} calls .union(")
     for path in [*sorted(OPS.glob("*.py")), OPS.parent / "storage.py",
                  OPS.parents[1] / "__ray_entry__.py"]:

@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 
 from crawlray.ops.neardup import (
-    _shingle_hashes,
+    _shingle_hashes_batch,
     minhash_lsh_pairs,
     minhash_signatures,
     simhash_dup_pairs,
@@ -42,8 +42,8 @@ def _brute_force_pairs(tbl, threshold):
     rows = list(zip(tbl.column("doc_id").to_pylist(), tbl.column("text").to_pylist()))
     out = set()
     for (ia, ta), (ib, tb) in itertools.combinations(rows, 2):
-        sa = set(_shingle_hashes(ta).tolist())
-        sb = set(_shingle_hashes(tb).tolist())
+        sa = set(_shingle_hashes_batch([ta])[0].tolist())
+        sb = set(_shingle_hashes_batch([tb])[0].tolist())
         u = len(sa | sb)
         if u and len(sa & sb) / u >= threshold:
             out.add((min(ia, ib), max(ia, ib)))

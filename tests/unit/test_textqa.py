@@ -77,13 +77,23 @@ def test_repetition_stats_matches_duckdb(ray_session, override_blocks):
     pd.testing.assert_frame_equal(_norm(got), _norm(want))
 
 
+def _gopher_filter(ds):
+    """Keep only the documents passing the Gopher rules, with all their
+    columns: the signals computed and applied per block."""
+    from crawlray.ops.exchange import map_blocks
+    from crawlray.ops.textqa import GOPHER_DEFAULTS, _gopher_signal_batch
+
+    return map_blocks(ds, lambda b: b.filter(
+        _gopher_signal_batch(b, "doc_id", "text", GOPHER_DEFAULTS).column("keep")))
+
+
 def test_gopher_signals_and_filter(ray_session):
     """Each Gopher rule fires on a doc constructed to fail exactly it;
-    gopher_filter keeps precisely the signal pass-set and preserves all
+    the filter keeps precisely the signal pass-set and preserves all
     original columns."""
     import ray.data
 
-    from crawlray.ops.textqa import gopher_filter, gopher_signals
+    from crawlray.ops.textqa import gopher_signals
 
     # 40 distinct 3-5 char words (top token 1/40, zero dup 2-grams),
     # one stopword, mean word length ~4
@@ -107,7 +117,7 @@ def test_gopher_signals_and_filter(ray_session):
     # distinct stopword count, not occurrences
     assert sig[0]["stop_hits"] == 1  # just 'the'
     assert sig[0]["n_tokens"] == 40 and sig[0]["dup_2gram_frac"] == 0.0
-    kept = gopher_filter(ds).take_all()
+    kept = _gopher_filter(ds).take_all()
     assert [r["doc_id"] for r in kept] == [0]
     assert kept[0]["extra"] == "a"
 
