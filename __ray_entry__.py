@@ -422,25 +422,23 @@ def _grouped_topk(sf_dir: str):
 
 
 def _session_windows(sf_dir: str):
-    """Sessionization, plain AND skew-salted in one tagged table (the
-    VERDICT-r3 window-packing pattern — both engine paths still run and
-    oracle-check). kind='plain': per-user gap sessions (30-min gap)
-    through the unsalted operator. kind='salted': per-event_type sessions
-    (10-min gap, every key hot — hot keys split into 1-hour time buckets,
-    sessionized per (key, bucket) in parallel, ONLY per-bucket summaries
-    merge). Key columns are cast to string so both share one schema."""
-    from crawlray.ops.relational import (
-        salted_session_windows,
-        session_windows,
-    )
+    """Sessionization on a spread key and on a hot key in one tagged
+    table (the VERDICT-r3 window-packing pattern — both arms oracle-check).
+    kind='plain': per-user gap sessions (30-min gap). kind='salted':
+    per-event_type sessions (10-min gap; 5 keys, each ~20% of rows).
+    Both run the plain operator: the exchange splits a partition that
+    holds more than twice its fair share into sub-reduces and merges
+    their sessions, so no arm salts by hand. Key columns are cast to
+    string so both share one schema."""
+    from crawlray.ops.relational import session_windows
 
     plain = session_windows(
         _rd(sf_dir, "events", columns=["user_id", "ts"]),
         key="user_id", ts_col="ts", gap_seconds=1800,
     )
-    salted = salted_session_windows(
+    salted = session_windows(
         _rd(sf_dir, "events", columns=["event_type", "ts"]),
-        key="event_type", ts_col="ts", gap_seconds=600, bucket_seconds=3600.0,
+        key="event_type", ts_col="ts", gap_seconds=600,
     )
     ts = pa.timestamp("us")
     schema = pa.schema([("key", pa.string()), ("session_id", pa.int64()),
@@ -837,33 +835,34 @@ def _samples(sf_dir: str):
 
 
 def _salted_grouped_topk(sf_dir: str):
-    """Skew-salted window-rank top-k (SURVEY §4.3 salted-key splitting):
-    top-5 events by value per event_type. Every event_type holds ~20% of
-    rows, so `sample_hot_keys` marks ALL keys hot and the full two-phase
-    salt path (top-k per (key, salt) → merge survivors) runs; output is
-    identical to the unsalted operator / SQL window rank."""
-    from crawlray.ops.relational import salted_grouped_topk
+    """Window-rank top-k on a hot key (SURVEY §4.3 salted-key splitting):
+    top-5 events by value per event_type, each type ~20% of rows. It is
+    the plain `grouped_topk`: the exchange splits a partition holding
+    more than twice its fair share into sub-reduces and takes the top-k
+    of their top-k; the output equals the SQL window rank."""
+    from crawlray.ops.relational import grouped_topk
 
-    return salted_grouped_topk(
+    return grouped_topk(
         _rd(sf_dir, "events", columns=["event_id", "event_type", "value"]),
         group_cols=["event_type"], order_col="value", k=5,
-        descending=True, tiebreak_col="event_id", num_salts=8,
+        descending=True, tiebreak_col="event_id",
     )
 
 
 def _salted_shuffle_join(sf_dir: str):
-    """Skew-salted shuffle join: events ⋈ per-type counts on event_type
-    (5 keys, each ~20% of rows — maximal skew). Hot-key left rows cycle
-    over 8 salts, the right side replicates per salt; result is the exact
-    unsalted inner join."""
-    from crawlray.ops.relational import salted_shuffle_join
+    """Shuffle join on a hot key: events ⋈ per-type counts on event_type
+    (5 keys, each ~20% of rows). It is the plain `shuffle_join`: the
+    exchange splits a partition holding more than twice its fair share
+    on its larger side and sends the other side's rows to every piece;
+    the result is the exact inner join."""
+    from crawlray.ops.relational import shuffle_join
 
     ev = _rd(sf_dir, "events", columns=["event_id", "event_type"])
     dim = aggregate(
         _rd(sf_dir, "events", columns=["event_type"]), ["event_type"],
         {"type_n": (None, "count")},
     )
-    out = salted_shuffle_join(ev, dim, on="event_type", num_salts=8)
+    out = shuffle_join(ev, dim, on=["event_type"])
     return map_blocks(out, lambda t: t.select(["event_id", "event_type", "type_n"]))
 
 
@@ -1741,7 +1740,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "windowed_agg": _windowed_agg,
         "asof_join": _asof_join,
         "range_join": _range_join,
-        # -- skew-salted variants --------------------------------------
+        # -- hot-key variants (the exchange splits skewed partitions) --
         "salted_grouped_topk": _salted_grouped_topk,
         "salted_shuffle_join": _salted_shuffle_join,
         # -- sampling / quantiles / sketches ---------------------------

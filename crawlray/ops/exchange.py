@@ -38,6 +38,30 @@ every step here that reads it (`pin`), run no Ray Data execution. A
 query pays for Ray Data only at its read (a lazy input is materialized
 once) and at its return.
 
+One hot key cannot push its whole group through one task. A `join`,
+and a `hash_exchange` or `group_map` given a `combine` (how the
+outputs of one partition's sub-reduces merge: the reducer's algebra,
+not a tuning knob), read their split tasks' per-partition row counts
+on the driver before they reduce. `skew_plan` cuts every partition
+holding more than `SKEW` times the fair share (total rows / partitions)
+into sub-reduces of about one fair share each: a sub-reduce gets a run
+of that partition's slices in block order (FP-Hadoop's intermediate
+reduce), and `combine` merges their outputs. No sub-reduce's input is
+larger than the fair share plus one slice; a slice is one input
+block's share of the partition, so a hot key inside a single block is
+not split below that block. A join splits one side and sends the other
+side's rows of the partition to every sub-reduce (PRoST's mixed
+partitioning), and needs no `combine`: the side it splits is the
+larger one for `inner`, the left for `left_*`, the right for
+`right_*`, and none for `full_outer`, where an unmatched replicated row
+would be emitted once per sub-reduce. `aggregate` passes no `combine`:
+its map-side partials already cap a hot key at one row per block.
+Those exchanges wait once on the driver for the counts, and only when
+they have more than `SKEW` partitions (with fewer, no partition can
+exceed `SKEW` shares). That costs no parallelism: every reduce reads a
+slice of every split task, so no reduce can start before the last split
+ends anyway. Every other step submits its reduces at once.
+
 Everything here returns datasets that are materialized, hold no 0-row
 blocks, and carry a schema even when they are empty; no Ray Data quirk
 is left for callers to work around. `route` is the only rule that maps
@@ -86,6 +110,10 @@ without copying, and 32 MiB is an eighth of the smallest object store in
 use (256 MiB, perfbench), so the copy fits next to the exchange blocks
 in flight without spilling."""
 
+SKEW = 2
+"""A partition holding more than `SKEW` times the fair share of rows runs
+as sub-reduces of about one fair share each (`skew_plan`)."""
+
 _SAMPLES = 32  # splitter samples per partition of a `sort`, over all blocks
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 # join types whose result keeps the unmatched rows of the left / right side
@@ -118,6 +146,38 @@ def partition_count(*datasets: ray.data.Dataset) -> int:
     return int(min(max(2, want), max(cpus, -(-size // (256 << 20)))))
 
 
+def _cpu_partitions(ds: ray.data.Dataset) -> int:
+    """`partition_count(ds)`, but at least one partition per CPU."""
+    return max(int(ray.cluster_resources().get("CPU", 8)), partition_count(ds))
+
+
+def skew_plan(counts: np.ndarray) -> list[list[tuple[int, int]]]:
+    """The sub-reduces of an exchange, from its (blocks x partitions)
+    matrix of row counts: per partition, the (first, end) block runs
+    whose slices one sub-reduce reads, in block order. A partition
+    holding at most `SKEW` times the fair share (total / partitions) is
+    one run of all blocks. A larger one is cut into runs that each end
+    before a slice with rows would take them past the fair share, so no
+    run is larger than the fair share unless its one slice with rows is:
+    the fair share plus one slice at most."""
+    counts = np.asarray(counts, np.int64)
+    blocks, n = counts.shape
+    fair = counts.sum() / n
+    plan = []
+    for col in counts.T:
+        if col.sum() <= SKEW * fair:
+            plan.append([(0, blocks)])
+            continue
+        runs, start, rows = [], 0, 0
+        for i, c in enumerate(col):
+            if c and rows and rows + c > fair:
+                runs.append((start, i))
+                start, rows = i, 0
+            rows += c
+        plan.append([*runs, (start, blocks)])
+    return plan
+
+
 def route(table: pa.Table, keys: list[str], n: int) -> pa.Array:
     """Partition id in [0, n) of every row, from the values of `keys`.
 
@@ -147,6 +207,7 @@ def hash_exchange(
     merge: Fn,
     partial: Fn | None = None,
     num_partitions: int | None = None,
+    combine: Fn | None = None,
 ) -> ray.data.Dataset:
     """Run `partial` on every input block (map side), send each of its
     rows to the partition `route` picks for `keys`, and run `merge` once
@@ -155,6 +216,13 @@ def hash_exchange(
     it must accept an empty table. The input is materialized; without
     `num_partitions` it is sized by `partition_count`.
 
+    With `combine`, a skewed partition runs `merge` once per sub-reduce
+    on a part of its rows, and `combine(the concatenated outputs)` is
+    its output (module notes): `combine` must turn the outputs of
+    `merge` on any split of a partition's rows into `merge` of all of
+    them. Without `num_partitions` such an exchange has at least one
+    partition per CPU, so a partition's fair share is a CPU's.
+
     The output is materialized, has no 0-row blocks, and when it has no
     rows it still carries the schema of `merge(partial(empty input))`.
     """
@@ -162,8 +230,9 @@ def hash_exchange(
     refs = _typed_blocks(ds)
     if refs is None:  # no rows and no schema: nothing to type a result with
         return ds
-    n = num_partitions or partition_count(ds)
-    return _shuffle([(refs, _by_hash(keys, n))], partial, merge, n)
+    n = num_partitions or (_cpu_partitions(ds) if combine else partition_count(ds))
+    pick = (lambda rows: 0) if combine else None
+    return _shuffle([(refs, _by_hash(keys, n))], partial, merge, n, pick, combine)
 
 
 def join(
@@ -180,7 +249,8 @@ def join(
     those of `pyarrow.Table.join` with the same arguments. The result is
     materialized, has no 0-row blocks, and is typed when empty. A 0-row
     side with no schema is the result, or raises if the result must keep
-    the other side's rows.
+    the other side's rows. A skewed partition is split on the side that
+    `join_type` allows (module notes).
     """
     left, right = pin(left), pin(right)
     right_on = list(right_on or on)
@@ -198,7 +268,18 @@ def join(
 
     n = num_partitions or partition_count(left, right)
     rules = [_by_hash(list(on), n), _by_hash(right_on, n)]
-    return _shuffle(list(zip(sides, rules)), None, _local, n)
+    return _shuffle(list(zip(sides, rules)), None, _local, n, _split_side(join_type))
+
+
+def _split_side(join_type: str) -> Callable[[list[int]], int] | None:
+    """Which side of a join partition may split, from the partition's
+    row count per side: each row of the split side meets every row of
+    the other side of its partition in exactly one sub-reduce, so only
+    the split side's unmatched rows may be kept."""
+    if join_type == "full_outer":
+        return None
+    side = {"left": 0, "right": 1}.get(join_type.split("_")[0])
+    return (lambda rows: side) if side is not None else (lambda rows: int(rows[1] > rows[0]))
 
 
 def aggregate_fns(
@@ -259,28 +340,36 @@ def aggregate(
     return hash_exchange(ds, keys, merge, partial, num_partitions if keys else 1)
 
 
-def group_map(ds: ray.data.Dataset, keys: list[str], fn: Fn) -> ray.data.Dataset:
+def group_map(
+    ds: ray.data.Dataset, keys: list[str], fn: Fn, combine: Fn | None = None
+) -> ray.data.Dataset:
     """`fn` once per distinct tuple of `keys` on all of its rows (nulls
     form one group), as one `hash_exchange`. A partition with no rows
     calls `fn` on its empty table instead, so `fn` must accept 0 rows;
-    the result is typed by it when `ds` has no rows."""
+    the result is typed by it when `ds` has no rows. With `combine`, a
+    per-group kernel that turns the outputs of `fn` on parts of a group
+    into `fn` of the whole group, a skewed partition runs as sub-reduces
+    (module notes)."""
 
-    def _merge(t: pa.Table) -> pa.Table:
-        if not t.num_rows:
-            return fn(t)
-        t, new = sorted_runs(t, keys)
-        cuts = [*np.flatnonzero(new), t.num_rows]
-        # one chunk: a table of one chunk per group is slow to ship and scan
-        return pa.concat_tables(
-            [fn(t.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])],
-            promote_options="default",
-        ).combine_chunks()
+    def _per_group(f: Fn) -> Fn:
+        def _merge(t: pa.Table) -> pa.Table:
+            if not t.num_rows:
+                return f(t)
+            t, new = sorted_runs(t, keys)
+            cuts = [*np.flatnonzero(new), t.num_rows]
+            # one chunk: a table of one chunk per group is slow to ship and scan
+            return pa.concat_tables(
+                [f(t.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])],
+                promote_options="default",
+            ).combine_chunks()
+
+        return _merge
 
     # the reduce makes one Python call per group, so it is CPU-bound
     # however few bytes it holds: give every CPU a partition
     ds = pin(ds)
-    n = max(int(ray.cluster_resources().get("CPU", 8)), partition_count(ds))
-    return hash_exchange(ds, keys, _merge, num_partitions=n)
+    return hash_exchange(ds, keys, _per_group(fn), num_partitions=_cpu_partitions(ds),
+                         combine=combine and _per_group(combine))
 
 
 def sorted_runs(
@@ -496,19 +585,35 @@ def _empty_table(ds: ray.data.Dataset) -> pa.Table | None:
 
 
 def _shuffle(sides: list[tuple[list[ray.ObjectRef], Callable]], partial: Fn | None,
-             reduce: Callable[..., pa.Table], n: int) -> MaterializedDataset:
+             reduce: Callable[..., pa.Table], n: int,
+             pick: Callable[[list[int]], int | None] | None = None,
+             combine: Fn | None = None) -> MaterializedDataset:
     """Route every block of every side (block refs, routing rule) into
     `n` partitions and run `reduce(side 0 rows, side 1 rows, ...)` once
-    per partition. Returns the non-empty outputs in partition order, or
-    one empty output when all are empty."""
+    per partition. With `pick` (a partition's row count per side → the
+    side that may split), a partition that `skew_plan` cuts runs one
+    sub-reduce per run of that side's slices, each with all of the
+    other sides' rows; `combine`, when given, merges the sub-reduces'
+    outputs into one. Returns the non-empty outputs in partition order,
+    or one empty output when all are empty."""
     fns = ray.put((partial, reduce))
-    split = _split.options(num_returns=n)
+    split = _split.options(num_returns=n + 1)
     parts = [[split.remote(r, fns, rule, n) for r in refs] for refs, rule in sides]
-    sizes = [len(side) for side in parts]
-    return _collect([  # with n == 1 a split returns its one slice, not a list
-        _reduce.remote(fns, sizes, *(b[i] if n > 1 else b for side in parts for b in side))
-        for i in range(n)
-    ])
+    picks = [None] * n  # per partition, the side it may split
+    if pick and n > SKEW:  # with n <= SKEW no partition exceeds SKEW shares
+        counts = [np.stack(ray.get([b[n] for b in side])) for side in parts]
+        picks = [pick([int(c[:, i].sum()) for c in counts]) for i in range(n)]
+        plans = {s: skew_plan(counts[s]) for s in set(picks) - {None}}
+    outs = []
+    for i, s in enumerate(picks):
+        subs = []
+        for a, b in plans[s][i] if s is not None else [(0, None)]:
+            use = [side[a:b] if j == s else side for j, side in enumerate(parts)]
+            subs.append(_reduce.remote(fns, [len(u) for u in use], *(x[i] for u in use for x in u)))
+        if combine and len(subs) > 1:
+            subs = [_reduce.remote((None, combine), [len(subs)], *(t for t, _ in subs))]
+        outs += subs
+    return _collect(outs)
 
 
 def _collect(outs: list[tuple[ray.ObjectRef, ray.ObjectRef]]) -> MaterializedDataset:
@@ -560,8 +665,7 @@ def _sample(block, keys: list[str], k: int) -> pa.Table:
 @ray.remote
 def _split(block, fns, rule, n: int):
     """One input block → `partial(block)`'s rows cut into `n` slices in
-    partition order by `rule` (one slice, not a list of one, when
-    n == 1)."""
+    partition order by `rule`, and then the slices' row counts."""
     t = BlockAccessor.for_block(block).to_arrow()
     if fns[0] is not None:
         t = fns[0](t)
@@ -569,8 +673,7 @@ def _split(block, fns, rule, n: int):
     order = np.argsort(pid, kind="stable")
     cuts = np.searchsorted(pid[order], np.arange(n + 1))
     t = t.take(order)
-    out = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
-    return out if n > 1 else out[0]
+    return *(t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])), np.diff(cuts)
 
 
 @ray.remote(num_returns=2)

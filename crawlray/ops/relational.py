@@ -12,7 +12,11 @@ Scale notes baked into each op:
   * large-large joins go through `exchange.join` (hash-partition both sides);
   * grouped aggregates are `exchange.aggregate` hash exchanges (Arrow
     partials per block, one merge per partition; no driver
-    materialization of the big side).
+    materialization of the big side);
+  * a hot key is the exchange's concern, not the operator's: joins,
+    `grouped_topk` and `session_windows` split a skewed partition into
+    sub-reduces inside `exchange._shuffle` (SURVEY §4.3), so no operator
+    here salts its keys.
 """
 
 from __future__ import annotations
@@ -66,9 +70,8 @@ def broadcast_join(
 #     set): `broadcast_join` — no shuffle at all, the big side streams;
 #   * both sides large (fact ⋈ fact, e.g. documents ⋈ crawl_log at full
 #     corpus scale): `shuffle_join` — O(|L|+|R|) network, bounded
-#     per-partition memory; raise `num_partitions` until a partition of
-#     the LARGER side fits in one reduce task's heap;
-#   * key skew: `salted_shuffle_join`.
+#     per-partition memory. `exchange.join` sizes the partitions and
+#     splits a partition that a hot key makes skewed by itself.
 shuffle_join = join
 
 
@@ -505,7 +508,8 @@ def grouped_topk(
         order = np.lexsort(tuple(keys))
         return group.take(pa.array(order[:k]))
 
-    return group_map(ds, group_cols, _topk)
+    # top-k of the top-k of parts of a group is its top-k
+    return group_map(ds, group_cols, _topk, combine=_topk)
 
 
 def _gap_cuts(
@@ -588,233 +592,29 @@ def session_windows(
     return hash_exchange(
         ds, [key], lambda t: _sessionize(t, [key], ts_col, gap_seconds),
         lambda b: b.select([key, ts_col]),
+        combine=lambda t: _merge_sessions(t, key, gap_seconds),
     )
 
 
-# --------------------------------------------------------------------------
-# skew salting (SURVEY §4.3 "salted-key splitting"; VERDICT r2 item 5).
-# A hot key funnels its whole group through one exchange partition; these
-# helpers spread a hot key over S sub-tasks and merge partials, keeping
-# per-task memory bounded at ~|hot key| / S while producing results
-# identical to the unsalted operator.
-# --------------------------------------------------------------------------
-
-
-def sample_hot_keys(
-    ds: ray.data.Dataset,
-    key: str,
-    min_share: float = 0.05,
-    total_rows: int | None = None,
-) -> list:
-    """Detect hot key values with ONE narrow scan and no shuffle.
-
-    Each batch emits its Arrow `value_counts` entries holding at least
-    min_share/4 of the batch (cheap union of local heavy hitters — if a
-    key's share were < min_share/4 in EVERY batch its global share would
-    be < min_share/4, so true hot keys always surface somewhere) plus one
-    null-keyed row carrying the batch's row count, so the total arrives in
-    the SAME single scan — no separate count() pass. The driver sums the
-    surfaced counts and keeps values whose lower-bound share is
-    ≥ min_share. Pass `total_rows` if known (unused otherwise).
-    """
-
-    def _vc(batch: pa.Table) -> pa.Table:
-        col = batch.column(key).combine_chunks()
-        vc = pc.value_counts(col)
-        cnts = vc.field("counts")
-        floor = max(1, int(min_share / 4 * batch.num_rows))
-        # drop null data keys so they can't collide with the count marker
-        keep = pc.and_(pc.greater_equal(cnts, floor), pc.is_valid(vc.field("values")))
-        vals = vc.field("values").filter(keep)
-        return pa.table(
-            {
-                # null key = "this batch's row count" marker
-                "v": pa.concat_arrays(
-                    [vals.cast(col.type), pa.array([None], col.type)]
-                ),
-                "c": pa.concat_arrays(
-                    [
-                        cnts.filter(keep).cast(pa.int64()),
-                        pa.array([batch.num_rows], pa.int64()),
-                    ]
-                ),
-            }
-        )
-
-    agg: dict = {}
-    n_seen = 0
-    for part in partials(ds, _vc):
-        for r in part.to_pylist():
-            if r["v"] is None:
-                n_seen += r["c"]
-            else:
-                agg[r["v"]] = agg.get(r["v"], 0) + r["c"]
-    if total_rows is None:
-        total_rows = n_seen
-    if not total_rows:
-        return []
-    return sorted(v for v, c in agg.items() if c >= min_share * total_rows)
-
-
-def _salt_batch_fn(key: str, hot_ref, num_salts: int):
-    """Batch fn adding `_salt`: rows of hot keys cycle over num_salts
-    sub-groups, everything else gets salt 0. Any salt assignment yields
-    identical final results for merge-decomposable kernels — the cycle is
-    just the cheapest balanced spread."""
-
-    def _salt(batch: pa.Table) -> pa.Table:
-        hot = ray.get(hot_ref)
-        salt = np.zeros(batch.num_rows, dtype=np.int32)
-        if len(hot):
-            mask = pc.is_in(batch.column(key), value_set=hot).to_numpy(
-                zero_copy_only=False
-            )
-            n_hot = int(mask.sum())
-            salt[mask] = np.arange(n_hot, dtype=np.int32) % num_salts
-        return batch.append_column("_salt", pa.array(salt, pa.int32()))
-
-    return _salt
-
-
-def salted_grouped_topk(
-    ds: ray.data.Dataset,
-    group_cols: list[str],
-    order_col: str,
-    k: int,
-    descending: bool = True,
-    tiebreak_col: str | None = None,
-    hot_keys=None,
-    num_salts: int = 16,
-) -> ray.data.Dataset:
-    """`grouped_topk` with salted splitting for skewed groups.
-
-    Top-k is merge-decomposable: phase 1 computes top-k per
-    (group, _salt) — a hot group's rows spread over `num_salts` tasks, so
-    per-task group size is ~|hot| / num_salts — and phase 2 merges the
-    ≤ num_salts·k survivors per group with the SAME kernel, so results
-    (including tie-breaks) are identical to the unsalted operator.
-    `hot_keys`: iterable of hot values of group_cols[0]; None → detect via
-    `sample_hot_keys`. Cold keys keep salt 0 and skip the second shuffle's
-    fan-out entirely.
-    """
-    ds = pin(ds)
-    if hot_keys is None:
-        hot_keys = sample_hot_keys(ds, group_cols[0])
-    hot_ref = ray.put(pa.array(list(hot_keys)))
-    salted = map_blocks(ds, _salt_batch_fn(group_cols[0], hot_ref, num_salts))
-    partial = map_blocks(grouped_topk(
-        salted, group_cols + ["_salt"], order_col, k, descending, tiebreak_col
-    ), lambda t: t.drop_columns(["_salt"]))
-    return grouped_topk(partial, group_cols, order_col, k, descending, tiebreak_col)
-
-
-def salted_shuffle_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    on: str,
-    hot_keys=None,
-    num_salts: int = 16,
-    num_partitions: int | None = None,
-) -> ray.data.Dataset:
-    """Inner `shuffle_join` with the standard skew-salt treatment: hot-key
-    LEFT rows get a cycling salt in [0, num_salts); the (small-per-key)
-    RIGHT side REPLICATES its hot-key rows once per salt value, so every
-    left row still meets each matching right row exactly once and the hot
-    key's join work spreads over num_salts partitions. Results are
-    identical to the unsalted inner join (row multiset equality).
-    """
-    left = pin(left)
-    if hot_keys is None:
-        hot_keys = sample_hot_keys(left, on)
-    hot_ref = ray.put(pa.array(list(hot_keys)))
-    lsalted = map_blocks(left, _salt_batch_fn(on, hot_ref, num_salts))
-
-    def _replicate(batch: pa.Table) -> pa.Table:
-        hot = ray.get(hot_ref)
-        mask = pc.is_in(batch.column(on), value_set=hot).to_numpy(
-            zero_copy_only=False
-        )
-        cold = batch.filter(pa.array(~mask)).append_column(
-            "_salt", pa.array(np.zeros(int((~mask).sum()), np.int32), pa.int32())
-        )
-        hot_rows = batch.filter(pa.array(mask))
-        reps = [
-            hot_rows.append_column(
-                "_salt",
-                pa.array(np.full(hot_rows.num_rows, s, np.int32), pa.int32()),
-            )
-            for s in range(num_salts)
-        ]
-        return pa.concat_tables([cold] + reps)
-
-    rsalted = map_blocks(right, _replicate)
-    joined = join(
-        lsalted, rsalted, on=[on, "_salt"], join_type="inner",
-        num_partitions=num_partitions,
-    )
-    return map_blocks(joined, lambda t: t.drop_columns(["_salt"]))
-
-
-def salted_session_windows(
-    ds: ray.data.Dataset,
-    key: str,
-    ts_col: str,
-    gap_seconds: float,
-    hot_keys=None,
-    bucket_seconds: float | None = None,
-) -> ray.data.Dataset:
-    """`session_windows` with TIME-BUCKETED splitting for hot keys.
-
-    Sessions need a key's events in time order, so an arbitrary salt would
-    break them; instead a hot key's events split by time bucket
-    (floor(ts / bucket_seconds) — equal timestamps always share a bucket),
-    sessionize locally per (key, bucket) with the vectorized kernel, and
-    ONLY the per-bucket session summaries (t_start, t_end, n_events) —
-    O(#sessions), not O(#events) — merge per key by re-running the same
-    gap rule over interval endpoints. Bucket boundaries can only ADD cut
-    points between consecutive events, and the merge re-joins exactly the
-    cuts whose inter-event gap ≤ gap_seconds, so output equals the
-    unsalted operator's. Per-task memory is bounded by the hot key's
-    densest time bucket instead of its whole history.
-    """
-    if bucket_seconds is None:
-        bucket_seconds = gap_seconds * 1024.0
-    ds = pin(ds)
-    if hot_keys is None:
-        hot_keys = sample_hot_keys(ds, key)
-    hot_ref = ray.put(pa.array(list(hot_keys)))
-
-    def _to_seconds(ts: np.ndarray) -> np.ndarray:
-        if ts.dtype.kind == "M":
-            return ts.astype("datetime64[us]").astype(np.int64) / 1e6
-        return ts.astype(np.float64)
-
-    def _bucket(batch: pa.Table) -> pa.Table:
-        hot = ray.get(hot_ref)
-        b = np.zeros(batch.num_rows, dtype=np.int64)
-        if len(hot):
-            mask = pc.is_in(batch.column(key), value_set=hot).to_numpy(
-                zero_copy_only=False
-            )
-            secs = _to_seconds(batch.column(ts_col).to_numpy())
-            b[mask] = np.floor(secs[mask] / bucket_seconds).astype(np.int64)
-        return batch.select([key, ts_col]).append_column("_tb", pa.array(b, pa.int64()))
-
-    local = hash_exchange(
-        ds, [key, "_tb"], lambda t: _sessionize(t, [key, "_tb"], ts_col, gap_seconds),
-        _bucket,
-    )
-
-    def _merge(t: pa.Table) -> pa.Table:
-        # the same gap rule over (t_start, t_end) of the bucket sessions
-        t, key_new = sorted_runs(t, [key], ["t_start", "t_end"])
-        t0, t1 = t.column("t_start"), t.column("t_end")
-        new = key_new.copy()
-        new[1:] |= _gap_cuts(t0, t1, gap_seconds)
-        n = t.column("n_events").to_numpy()
-        return _session_rows(t, [key], key_new, new, n, t0, t1)
-
-    return hash_exchange(local, [key], _merge)
+def _merge_sessions(t: pa.Table, key: str, gap_seconds: float) -> pa.Table:
+    """The sessions of whole key groups from the sessions of parts of
+    them (the outputs of one partition's sub-reduces). Parts interleave
+    in time, so one part's session may lie inside another's: sorted by
+    (key, t_start), a session starts where the key changes or its
+    t_start is more than `gap_seconds` past the running maximum of the
+    key's earlier t_end values. Its t_end is that running maximum, its
+    n_events the sum, and session_id counts from 0 again."""
+    t, key_new = sorted_runs(t, [key], ["t_start"])
+    # running max of t_end per key: dense ranks offset by key group, so
+    # one accumulate never carries a value across groups
+    vals, rank = np.unique(t.column("t_end").to_numpy(), return_inverse=True)
+    base = (np.cumsum(key_new) - 1) * len(vals)
+    t_end = pa.array(vals[np.maximum.accumulate(base + rank) - base],
+                     t.schema.field("t_end").type)
+    new = key_new.copy()
+    new[1:] |= _gap_cuts(t.column("t_start"), t_end, gap_seconds)
+    return _session_rows(t, [key], key_new, new, t.column("n_events").to_numpy(),
+                         t.column("t_start"), t_end)
 
 
 def hopping_window_agg(

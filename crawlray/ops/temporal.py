@@ -12,8 +12,9 @@ join.
 Partitioning assumptions (documented per the brief):
   * `asof_join` shuffles BOTH sides once on the `by` key (one `group_map`);
     the per-group kernel is a vectorized numpy searchsorted, so per-task
-    memory is bounded by the largest single key group — salt hot keys
-    upstream (ops.relational.sample_hot_keys) if one entity dominates.
+    memory is bounded by the largest single key group. An as-of match
+    needs the whole key group in time order, so its kernel has no
+    `combine`, and a hot `by` key stays one reduce.
   * `asof_join_broadcast` assumes the RIGHT side fits in a worker heap
     (a reference time series / calendar / rate table): it is put in the
     object store once, sorted, and probed zero-copy per batch. The left

@@ -248,20 +248,6 @@ class SynthWeb:
         return seeds
 
 
-def write_web(web: SynthWeb, out_dir: str) -> dict:
-    """Materialize webgraph + robots parquet under out_dir; returns paths."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    os.makedirs(out_dir, exist_ok=True)
-    wg = os.path.join(out_dir, "webgraph.parquet")
-    rb = os.path.join(out_dir, "robots.parquet")
-    pq.write_table(web.webgraph_table(), wg)
-    pq.write_table(web.robots_table(), rb)
-    return {"webgraph": wg, "robots": rb}
-
-
 class _RenderStage:
     """map_batches callable class: builds the SynthWeb index once per actor,
     renders pages per batch — distributed web generation for bench-scale

@@ -563,6 +563,13 @@ def test_exchange_results_hold_their_blocks_and_metadata(ray_session, monkeypatc
     assert empty.schema().names == ["id_a", "id_b"]
 
 
+# names of removed code that nothing may use again, and options of the
+# removed hand salting that no call may pass
+REMOVED_NAMES = {"typed_map", "sample_hot_keys", "_salt_batch_fn", "salted_grouped_topk",
+                 "salted_shuffle_join", "salted_session_windows"}
+REMOVED_OPTIONS = {"hot_keys", "num_salts", "bucket_seconds"}
+
+
 def _calls(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -584,7 +591,11 @@ def test_only_exchange_module_joins_or_routes():
     `ray.data.aggregate`: ordered work goes through `exchange.sort` and
     `exchange.scan`, global aggregates and distinct values through
     `exchange.aggregate`. Nothing names the removed `typed_map` (typed
-    maps go through `exchange.map_blocks`). Nothing calls
+    maps go through `exchange.map_blocks`), nor the removed hand salting
+    (`sample_hot_keys`, `_salt_batch_fn`, `salted_grouped_topk`,
+    `salted_shuffle_join`, `salted_session_windows`), and no call passes
+    its options (`hot_keys=`, `num_salts=`, `bucket_seconds=`): the
+    exchange splits skewed partitions itself. Nothing calls
     `from_arrow_refs`, whose metadata tasks `exchange.from_blocks`
     replaces, and no module but exchange.py imports from
     `ray.data._internal`, so the Ray internals stay in one place. The
@@ -597,8 +608,11 @@ def test_only_exchange_module_joins_or_routes():
         for node in ast.walk(ast.parse(path.read_text())):
             name = (getattr(node, "id", None) or getattr(node, "attr", None)
                     or getattr(node, "name", None))
-            if name == "typed_map":
-                offenders.append(f"{path.name}:{node.lineno} names typed_map")
+            if name in REMOVED_NAMES:
+                offenders.append(f"{path.name}:{node.lineno} names {name}")
+            for kw in node.keywords if isinstance(node, ast.Call) else []:
+                if kw.arg in REMOVED_OPTIONS:
+                    offenders.append(f"{path.name}:{node.lineno} passes {kw.arg}=")
             if isinstance(node, ast.Call) and (
                 getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             ) == "from_arrow_refs":

@@ -1,8 +1,12 @@
-"""session_windows and salted_session_windows against a plain per-key
-NumPy reference on random data: string and int keys with nulls (nulls
-are one key), tied timestamps, gaps of exactly `gap_seconds` (no split),
-timestamp and numeric-seconds `ts`, and a single-key input, for which
-every exchange partition but one is empty."""
+"""session_windows against a plain per-key NumPy reference on random
+data: string and int keys with nulls (nulls are one key), tied
+timestamps, gaps of exactly `gap_seconds` (no split), timestamp and
+numeric-seconds `ts`, and a single-key input, for which every exchange
+partition but one is empty and the exchange splits that one into
+sub-reduces. The "salted" arm runs the same operator with
+`exchange.SKEW` at 0, so every partition above its fair share is split
+and its sub-reduces' sessions merge. A last case lays out blocks whose
+sub-reduces' sessions interleave in time."""
 
 import numpy as np
 import pyarrow as pa
@@ -63,21 +67,25 @@ def _dataset(tbl: pa.Table):
     return ray.data.from_arrow(tbl).repartition(5)
 
 
-def _run(op: str, ds, hot: list):
-    from crawlray.ops.relational import salted_session_windows, session_windows
+def _run(op: str, ds, monkeypatch):
+    from crawlray.ops import exchange
+    from crawlray.ops.relational import session_windows
 
-    if op == "plain":
-        return session_windows(ds, "k", "ts", GAP)
-    return salted_session_windows(ds, "k", "ts", GAP, hot_keys=hot, bucket_seconds=20.0)
+    if op == "salted":
+        monkeypatch.setattr(exchange, "SKEW", 0)
+    return session_windows(ds, "k", "ts", GAP)
 
 
 @pytest.mark.parametrize("op", ["plain", "salted"])
 @pytest.mark.parametrize("ts_kind", ["timestamp", "int", "float"])
 @pytest.mark.parametrize("key_kind", ["str", "int"])
-def test_sessions_match_numpy_reference(ray_session, op, ts_kind, key_kind):
+def test_sessions_match_numpy_reference(ray_session, monkeypatch, skew_plans, op, ts_kind,
+                                       key_kind):
     tbl, keys, secs = _input(key_kind, ts_kind)
     assert tbl.column("k").null_count
-    out = _run(op, _dataset(tbl), [v for v in keys if v is not None][:2])
+    out = _run(op, _dataset(tbl), monkeypatch)
+    if op == "salted":
+        assert any(len(runs) > 1 for plan in skew_plans for runs in plan)
     assert out.schema().names == ["k", "session_id", "n_events", "t_start", "t_end"]
     assert out.schema().types[0] == tbl.column("k").type
     assert out.schema().types[3] == tbl.column("ts").type
@@ -87,19 +95,50 @@ def test_sessions_match_numpy_reference(ray_session, op, ts_kind, key_kind):
 
 
 @pytest.mark.parametrize("op", ["plain", "salted"])
-def test_single_key_input_leaves_partitions_empty(ray_session, op):
+def test_single_key_input_leaves_partitions_empty(ray_session, monkeypatch, skew_plans, op):
     secs = np.random.default_rng(9).integers(0, 120, 200)
     tbl = pa.table({"k": ["k0"] * 200,
                     "ts": pa.array(secs * 1_000_000, pa.timestamp("us"))})
-    out = _run(op, _dataset(tbl), ["k0"])
+    out = _run(op, _dataset(tbl), monkeypatch)
     assert _rows(out) == _reference(["k0"] * 200, secs, GAP)
+    assert any(len(runs) > 1 for plan in skew_plans for runs in plan)
 
 
 @pytest.mark.parametrize("op", ["plain", "salted"])
-def test_empty_input_is_typed(ray_session, op):
+def test_empty_input_is_typed(ray_session, monkeypatch, op):
     import ray.data
 
     tbl, _, _ = _input("int", "timestamp")
-    out = _run(op, ray.data.from_arrow(tbl.slice(0, 0)), [7])
+    out = _run(op, ray.data.from_arrow(tbl.slice(0, 0)), monkeypatch)
     assert out.count() == 0
     assert out.schema().names == ["k", "session_id", "n_events", "t_start", "t_end"]
+
+
+def test_interleaved_sub_reduces_merge_by_running_max(ray_session, skew_plans):
+    """One key in four blocks of 22 events, one sub-reduce per block
+    (4 partitions, fair share 22 rows). Block 1's sessions lie inside
+    block 0's: [50, 52] inside [0, 100], then 105, within the 10 s gap
+    of 100 but not of 52, and [250, 250] inside [200, 300]. A merge that
+    cuts against the previous session's end splits [0, 105]; one that
+    takes t_end from the last session ends [200, 300] at 250."""
+    import ray.data
+
+    from crawlray.ops.relational import session_windows
+
+    blocks = [
+        [*range(0, 101, 10), *range(200, 301, 10)],
+        [50, 52, 105, 250, *range(1000, 1171, 10)],
+        [*range(2000, 2211, 10)],
+        [*range(3000, 3211, 10)],
+    ]
+    assert all(len(b) == 22 for b in blocks)
+    gap = 10
+    ds = ray.data.from_arrow([
+        pa.table({"k": ["k0"] * 22, "ts": pa.array(b, pa.int64())}) for b in blocks
+    ])
+    out = session_windows(ds, "k", "ts", gap)
+    assert [len(runs) for plan in skew_plans for runs in plan if len(runs) > 1] == [4]
+    secs = np.array([t for b in blocks for t in b], np.float64)
+    want = _reference(["k0"] * len(secs), secs, gap)
+    assert ("k0", 0, 14, 0.0, 105.0) in want and ("k0", 1, 12, 200.0, 300.0) in want
+    assert _rows(out) == want

@@ -13,6 +13,14 @@ For each query the script prints one line with the counts of
 - `map_task`: Ray Data `_map_task` tasks;
 - each `crawlray.ops` task name (the exchange's and the pair operators'),
 
+and its seconds:
+
+- `wall`: the span's wall time;
+- `idle`: the part of `wall` in which no `task::*` event executes (the
+  span minus the union of all task execution intervals, of any query's
+  tasks), which is time the driver spends waiting, submitting or
+  computing on its own;
+
 and then a line of the totals. It only reads the file.
 """
 
@@ -29,10 +37,26 @@ _FIXED = {
 }
 
 
+_SECONDS = ("wall", "idle")
+
+
 def counts(trace: dict) -> dict[str, collections.Counter]:
     """Query name -> Counter of the column names above."""
     spans = [s for s in trace["spans"] if s["name"].startswith("query.")]
     out = {s["name"][len("query."):]: collections.Counter() for s in spans}
+    busy = sorted(
+        (e["ts"] / 1e6, (e["ts"] + e["dur"]) / 1e6)
+        for e in trace["ray_timeline"]
+        if e.get("cat", "").startswith("task::") and "dur" in e
+    )
+    for s in spans:
+        c, run, upto = out[s["name"][len("query."):]], 0.0, s["start"]
+        for a, b in busy:  # the union of the intervals, clipped to the span
+            a, b = max(a, upto), min(b, s["end"])
+            if b > a:
+                run, upto = run + b - a, b
+        c["wall"] = s["end"] - s["start"]
+        c["idle"] = c["wall"] - run
     for e in trace["ray_timeline"]:
         if not e.get("cat", "").startswith("task::"):
             continue
@@ -51,10 +75,14 @@ def counts(trace: dict) -> dict[str, collections.Counter]:
 
 def table(per_query: dict[str, collections.Counter]) -> str:
     total = sum(per_query.values(), collections.Counter())
-    cols = [*_FIXED, *sorted(c for c in total if c not in _FIXED)]
+    cols = [*_FIXED, *_SECONDS, *sorted(c for c in total if c not in (*_FIXED, *_SECONDS))]
+
+    def cell(c: collections.Counter, k: str) -> str:
+        return f"{c[k]:.2f}" if k in _SECONDS else str(c[k])
+
     rows = [["query", *cols]]
-    rows += [[q, *(str(c[k]) for k in cols)] for q, c in per_query.items()]
-    rows.append(["total", *(str(total[k]) for k in cols)])
+    rows += [[q, *(cell(c, k) for k in cols)] for q, c in per_query.items()]
+    rows.append(["total", *(cell(total, k) for k in cols)])
     width = [max(len(r[i]) for r in rows) for i in range(len(cols) + 1)]
     return "\n".join(
         "  ".join(v.ljust(w) if i == 0 else v.rjust(w) for i, (v, w) in enumerate(zip(r, width)))
